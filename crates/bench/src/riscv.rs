@@ -1,7 +1,10 @@
 //! RISC-V measurement harness: build the §4.1 application, instrument it
 //! four ways, execute on the emulator, read modelled seconds.
 
-use rvdyn::{BinaryEditor, CounterPlacement, PointKind, RegAllocMode, SessionOptions, Snippet};
+use rvdyn::{
+    Binary, BinaryEditor, CounterPlacement, PatchLayout, PointKind, RegAllocMode, SessionOptions,
+    Snippet,
+};
 use rvdyn_asm::matmul_program;
 
 /// Which instrumentation configuration to measure.
@@ -69,7 +72,10 @@ pub fn measure(n: usize, reps: usize, config: Config, mode: RegAllocMode) -> Mea
     } else {
         CounterPlacement::EveryBlock
     };
-    let mut ed = BinaryEditor::from_binary(bin, SessionOptions::new().counter_placement(placement));
+    let opts = SessionOptions::new()
+        .counter_placement(placement)
+        .layout(layout_above(&bin));
+    let mut ed = BinaryEditor::from_binary(bin, opts);
     ed.set_mode(mode);
 
     if config == Config::FunctionCount {
@@ -112,6 +118,23 @@ pub fn measure(n: usize, reps: usize, config: Config, mode: RegAllocMode) -> Mea
         counter: counts.values().sum(),
         spills: patched.spill_count,
         diag,
+    }
+}
+
+/// A patch layout with both areas above every section of `bin`, on the
+/// next 1 MiB boundary. matmul's `.bss` holds three n×n matrices and
+/// reaches the default patch areas for every n > 116.
+fn layout_above(bin: &Binary) -> PatchLayout {
+    let top = bin
+        .sections
+        .iter()
+        .map(|s| s.addr + s.data.len() as u64)
+        .max()
+        .unwrap_or(0);
+    let patch_text = (top + 0xF_FFFF) & !0xF_FFFF;
+    PatchLayout {
+        patch_text,
+        patch_data: patch_text + 0x100_0000,
     }
 }
 

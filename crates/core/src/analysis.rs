@@ -8,11 +8,11 @@
 //! once. This module splits the pipeline accordingly:
 //!
 //! * [`Analysis`] — the complete front-half artifact (binary model +
-//!   CFG + loop depths + liveness), immutable and shared behind an
-//!   `Arc`. Any number of concurrent [`Session`](crate::Session)s can
-//!   run their request-specific back halves (placement, lowering,
-//!   layout, delivery) against one `Arc<Analysis>` from different
-//!   threads.
+//!   CFG + function-name index + loop depths + liveness), immutable and
+//!   shared behind an `Arc`. Any number of concurrent
+//!   [`Session`](crate::Session)s can run their request-specific back
+//!   halves (placement, lowering, layout, delivery) against one
+//!   `Arc<Analysis>` from different threads.
 //! * [`AnalysisKey`] — a SHA-256 over the binary's *semantic* content:
 //!   the entry point, the ISA profile material, allocatable section
 //!   bytes ordered by address, and the symbol table. File-layout
@@ -33,7 +33,7 @@
 use crate::error::Error;
 use rvdyn_dataflow::Liveness;
 use rvdyn_parse::worklist::Worklist;
-use rvdyn_parse::{loop_depths, CodeObject, ParseEvent, ParseOptions};
+use rvdyn_parse::{nesting_depths, CodeObject, Function, ParseEvent, ParseOptions};
 use rvdyn_symtab::Binary;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -272,7 +272,8 @@ impl fmt::Display for AnalysisKey {
 pub struct AnalysisTimings {
     /// Nanoseconds modelling the ELF (`Binary::parse`).
     pub open_ns: u64,
-    /// Nanoseconds building the CFG plus loop depths and liveness.
+    /// Nanoseconds building the CFG plus the name index, loop depths and
+    /// liveness.
     pub parse_ns: u64,
 }
 
@@ -287,6 +288,9 @@ pub struct Analysis {
     key: AnalysisKey,
     binary: Binary,
     code: CodeObject,
+    /// Function entry by symbol name; the lowest entry wins a shared
+    /// name. Unnamed (gap-parsed) functions are absent.
+    names: HashMap<String, u64>,
     /// Natural-loop nesting depth per block, per function entry.
     loop_depths: BTreeMap<u64, BTreeMap<u64, usize>>,
     /// Liveness solution per function entry.
@@ -337,11 +341,22 @@ impl Analysis {
         let parse_start = std::time::Instant::now();
         let code = CodeObject::parse_with_observer(&binary, parse, observer);
 
+        // Ascending entry order makes the first insert of a shared name
+        // the lowest entry.
+        let mut names: HashMap<String, u64> = HashMap::new();
+        for f in code.functions.values() {
+            if let Some(n) = &f.name {
+                names.entry(n.clone()).or_insert(f.entry);
+            }
+        }
+
         // Loop depths + liveness per function. Independent across
         // functions, so fan out over the same batch worklist the
         // parallel parser and the instrumenter's plan phase use; the
         // results land in BTreeMaps keyed by entry, so the artifact is
-        // identical for every worker count.
+        // identical for every worker count. The depths count over the
+        // loops the parser already found.
+        let depths = |f: &Function| nesting_depths(f, &f.loops);
         let entries: Vec<u64> = code.functions.keys().copied().collect();
         let nworkers = parse.threads.max(1).min(entries.len().max(1));
         let mut loop_depths_map = BTreeMap::new();
@@ -349,7 +364,7 @@ impl Analysis {
         if nworkers <= 1 {
             for &fe in &entries {
                 let f = &code.functions[&fe];
-                loop_depths_map.insert(fe, loop_depths(f));
+                loop_depths_map.insert(fe, depths(f));
                 liveness_map.insert(fe, Liveness::analyze(f));
             }
         } else {
@@ -367,7 +382,7 @@ impl Analysis {
                             }
                             for &fe in &batch {
                                 let f = &code.functions[&fe];
-                                local.push((fe, loop_depths(f), Liveness::analyze(f)));
+                                local.push((fe, depths(f), Liveness::analyze(f)));
                             }
                             wl.complete(batch.len(), std::iter::empty());
                         }
@@ -388,6 +403,7 @@ impl Analysis {
             key,
             binary,
             code,
+            names,
             loop_depths: loop_depths_map,
             liveness: liveness_map,
             timings: AnalysisTimings { open_ns, parse_ns },
@@ -407,6 +423,13 @@ impl Analysis {
     /// The parsed CFG.
     pub fn code(&self) -> &CodeObject {
         &self.code
+    }
+
+    /// Entry of the function named `name`: the lowest entry when
+    /// several functions share the name. Functions without a symbol
+    /// name (found by gap parsing) cannot be looked up.
+    pub fn function_entry(&self, name: &str) -> Option<u64> {
+        self.names.get(name).copied()
     }
 
     /// Natural-loop nesting depths for the function at `entry`.
@@ -739,6 +762,9 @@ mod tests {
         for (&fe, f) in &analysis.code().functions {
             let depths = analysis.loop_depths(fe).expect("depths precomputed");
             assert_eq!(depths.len(), f.blocks.len());
+            // Counted over the parser's loops, equal to a recomputation
+            // from the CFG.
+            assert_eq!(*depths, rvdyn_parse::loop_depths(f));
             assert!(analysis.liveness(fe).is_some(), "liveness precomputed");
         }
     }

@@ -422,13 +422,11 @@ impl Session {
         self.layout
     }
 
-    /// Function entry address by symbol name.
+    /// Function entry address by symbol name, from the analysis's name
+    /// index: the lowest entry when several functions share the name.
     pub fn function_addr(&self, name: &str) -> Result<u64, Error> {
-        self.code()
-            .functions
-            .values()
-            .find(|f| f.name.as_deref() == Some(name))
-            .map(|f| f.entry)
+        self.analysis
+            .function_entry(name)
             .ok_or_else(|| Error::NoSuchFunction {
                 name: name.to_string(),
             })
@@ -778,5 +776,72 @@ pub(crate) fn adapt_proc(ev: ProcEvent) -> TelemetryEvent {
         ProcEvent::BreakpointRemoved { addr } => TelemetryEvent::BreakpointRemoved { addr },
         ProcEvent::MemWritten { addr, len } => TelemetryEvent::MemWritten { addr, len },
         ProcEvent::FaultInjected { addr } => TelemetryEvent::FaultInjected { addr },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shared_name_resolves_to_the_lowest_entry() {
+        let mut bin = rvdyn_asm::many_functions_program(8);
+        let f1 = bin.symbol_by_name("f_1").unwrap().value;
+        let f3 = bin.symbol_by_name("f_3").unwrap().value;
+        assert!(f1 < f3);
+        bin.symbols
+            .iter_mut()
+            .find(|s| s.name == "f_3")
+            .unwrap()
+            .name = "f_1".into();
+        let s = Session::from_binary(bin, SessionOptions::new());
+        assert_eq!(s.code().functions[&f3].name.as_deref(), Some("f_1"));
+        assert_eq!(s.function_addr("f_1").unwrap(), f1);
+    }
+
+    #[test]
+    fn unknown_or_unnamed_function_is_no_such_function() {
+        let no_such = |s: &Session, name: &str| match s.function_addr(name) {
+            Err(Error::NoSuchFunction { name: n }) => assert_eq!(n, name),
+            other => panic!("{name}: expected NoSuchFunction, got {other:?}"),
+        };
+        let bin = rvdyn_asm::many_functions_program(8);
+        no_such(
+            &Session::from_binary(bin.clone(), SessionOptions::new()),
+            "f_8",
+        );
+        // Stripped, f_1 is still parsed (it is called) but has no name.
+        let mut stripped = bin;
+        stripped.strip();
+        let parse = ParseOptions {
+            parse_gaps: true,
+            ..ParseOptions::default()
+        };
+        let s = Session::from_binary(stripped, SessionOptions::new().parse_options(parse));
+        assert!(s.code().functions.len() >= 8);
+        no_such(&s, "f_1");
+    }
+
+    #[test]
+    fn fresh_cached_and_symbol_lookups_agree() {
+        let elf = rvdyn_asm::many_functions_program(64).to_bytes().unwrap();
+        let fresh = Session::open(&elf, SessionOptions::new()).unwrap();
+        let cache = AnalysisCache::new(1);
+        Session::open_cached(&elf, SessionOptions::new(), &cache).unwrap();
+        let warm = Session::open_cached(&elf, SessionOptions::new(), &cache).unwrap();
+        assert_eq!(warm.diagnostics().analysis_cache_hits, 1);
+        let bin = Binary::parse(&elf).unwrap();
+        let funcs = bin.functions();
+        assert!(funcs.len() > 64);
+        for sym in funcs {
+            let want = bin.symbol_by_name(&sym.name).unwrap().value;
+            assert_eq!(
+                fresh.function_addr(&sym.name).unwrap(),
+                want,
+                "{}",
+                sym.name
+            );
+            assert_eq!(warm.function_addr(&sym.name).unwrap(), want, "{}", sym.name);
+        }
     }
 }

@@ -14,7 +14,7 @@ pub struct Function {
     pub blocks: BTreeMap<u64, BasicBlock>,
     /// Entries of functions this one calls (directly or by tail call).
     pub callees: Vec<u64>,
-    /// Natural loops (computed after parsing).
+    /// Natural loops, computed by the parser once the CFG is complete.
     pub loops: Vec<Loop>,
     /// True if any branch in the function was left unresolved (gaps may
     /// exist — §2's "parsing may leave gaps in the binary").

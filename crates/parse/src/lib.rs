@@ -39,6 +39,6 @@ pub mod worklist;
 pub use block::{BasicBlock, Edge, EdgeKind};
 pub use classify::BranchPurpose;
 pub use function::Function;
-pub use loops::{dominators, loop_depths, natural_loops, Loop};
+pub use loops::{dominators, loop_depths, natural_loops, nesting_depths, Loop};
 pub use parser::{CodeObject, ParseEvent, ParseOptions};
 pub use source::CodeSource;

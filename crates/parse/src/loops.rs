@@ -185,10 +185,18 @@ pub fn natural_loops(f: &Function) -> Vec<Loop> {
 /// counter-placement pass: a block at depth `d` is assumed to execute on
 /// the order of 10^`d` times per function invocation. Blocks absent from
 /// every loop body are still present in the map, at depth 0.
+///
+/// Computes the loops from the CFG; [`nesting_depths`] counts over loops
+/// already at hand, such as the parser's [`Function::loops`].
 pub fn loop_depths(f: &Function) -> BTreeMap<u64, usize> {
-    let loops = natural_loops(f);
+    nesting_depths(f, &natural_loops(f))
+}
+
+/// As [`loop_depths`], counting over the given natural loops of `f`
+/// instead of recomputing them.
+pub fn nesting_depths(f: &Function, loops: &[Loop]) -> BTreeMap<u64, usize> {
     let mut depth: BTreeMap<u64, usize> = f.blocks.keys().map(|&b| (b, 0)).collect();
-    for l in &loops {
+    for l in loops {
         for b in &l.body {
             if let Some(d) = depth.get_mut(b) {
                 *d += 1;

@@ -71,9 +71,9 @@ impl CodeObject {
         }
 
         let mut co = if opts.threads > 1 {
-            crate::parallel::parse_parallel(src, entries.clone(), opts)
+            crate::parallel::parse_parallel(src, entries, opts)
         } else {
-            Self::parse_sequential(src, entries.clone(), opts)
+            Self::parse_sequential(src, entries, opts)
         };
 
         for (addr, name) in names {
@@ -84,22 +84,21 @@ impl CodeObject {
 
         if opts.parse_gaps {
             let candidates = crate::gaps::scan(src, &co);
+            // Kept equal to the parsed entries, without a rebuild per
+            // candidate.
+            let mut known: BTreeSet<u64> = co.functions.keys().copied().collect();
             for c in candidates {
                 if !co.functions.contains_key(&c) {
-                    let known: BTreeSet<u64> = co.functions.keys().copied().collect();
                     let (f, _callees) = parse_function(src, c, &known, opts);
                     if !f.blocks.is_empty() {
                         co.gap_functions.push(c);
                         co.functions.insert(c, f);
+                        known.insert(c);
                     }
                 }
             }
         }
 
-        // Loop analysis over the final CFGs.
-        for f in co.functions.values_mut() {
-            f.loops = crate::loops::natural_loops(f);
-        }
         co
     }
 
@@ -182,8 +181,9 @@ impl CodeObject {
     }
 }
 
-/// Parse one function by traversal from `entry`. Returns the function and
-/// the call/tail-call targets discovered (new parse candidates).
+/// Parse one function by traversal from `entry`. Returns the function,
+/// with its natural loops computed over the finished CFG, and the
+/// call/tail-call targets discovered (new parse candidates).
 pub fn parse_function<S: CodeSource + ?Sized>(
     src: &S,
     entry: u64,
@@ -372,6 +372,7 @@ pub fn parse_function<S: CodeSource + ?Sized>(
         );
     }
     f.callees = callees.iter().copied().collect();
+    f.loops = crate::loops::natural_loops(&f);
     (f, callees.into_iter().collect())
 }
 

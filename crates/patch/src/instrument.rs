@@ -106,6 +106,16 @@ pub enum InstrumentError {
     /// address in `clobbered` would execute torn bytes. The audit refuses
     /// to produce an unsound patch.
     SpringboardClobber { pc: u64, clobbered: Vec<u64> },
+    /// A patch area runs into the other patch area or into an allocated
+    /// section of the input, so the run would execute data as code or
+    /// overwrite the input's bytes. `area` is `.rvdyn.text` or
+    /// `.rvdyn.data`; each range is `[start, end)`.
+    LayoutOverlap {
+        area: &'static str,
+        range: (u64, u64),
+        other: String,
+        other_range: (u64, u64),
+    },
 }
 
 impl fmt::Display for InstrumentError {
@@ -131,6 +141,17 @@ impl fmt::Display for InstrumentError {
                 }
                 Ok(())
             }
+            InstrumentError::LayoutOverlap {
+                area,
+                range,
+                other,
+                other_range,
+            } => write!(
+                f,
+                "patch area {area} [{:#x}, {:#x}) overlaps {other} [{:#x}, {:#x}); \
+                 choose a patch layout clear of the image",
+                range.0, range.1, other_range.0, other_range.1
+            ),
         }
     }
 }
@@ -215,6 +236,41 @@ fn audit_springboard(
         audited.insert(from);
         if redirects.insert((from, to)) {
             observer(PatchEvent::RedirectRegistered { from, to });
+        }
+    }
+    Ok(())
+}
+
+/// Refuse a layout whose patch code area (`code_len` bytes), patch data
+/// area (`data_len` bytes) and the input's allocated sections are not
+/// pairwise disjoint, except that input sections are not checked against
+/// each other. Non-allocated sections have no address in the image, and
+/// empty areas overlap nothing.
+fn check_layout(
+    binary: &Binary,
+    layout: PatchLayout,
+    code_len: u64,
+    data_len: u64,
+) -> Result<(), InstrumentError> {
+    let span = |start: u64, len: u64| (start, start.saturating_add(len));
+    let overlap = |a: (u64, u64), b: (u64, u64)| a.0 < a.1 && b.0 < b.1 && a.0 < b.1 && b.0 < a.1;
+    let text = span(layout.patch_text, code_len);
+    let data = span(layout.patch_data, data_len);
+    let clash = |area, range, other: &str, other_range| InstrumentError::LayoutOverlap {
+        area,
+        range,
+        other: other.to_string(),
+        other_range,
+    };
+    if overlap(text, data) {
+        return Err(clash(".rvdyn.text", text, ".rvdyn.data", data));
+    }
+    for (area, range) in [(".rvdyn.text", text), (".rvdyn.data", data)] {
+        for sec in binary.sections.iter().filter(|s| s.flags & SHF_ALLOC != 0) {
+            let sec_range = span(sec.addr, sec.data.len() as u64);
+            if overlap(range, sec_range) {
+                return Err(clash(area, range, &sec.name, sec_range));
+            }
         }
     }
     Ok(())
@@ -620,7 +676,7 @@ impl<'b> Instrumenter<'b> {
         // a fixpoint: a function that widens shifts everything after it,
         // and slot sizes are monotone, so the loop terminates.
         let layout_start = Instant::now();
-        loop {
+        let code_end = loop {
             let mut cursor = self.layout.patch_text;
             let mut changed = false;
             for plan in plans.values_mut() {
@@ -629,10 +685,17 @@ impl<'b> Instrumenter<'b> {
                 cursor += (plan.reloc.code_size() + 7) & !7;
             }
             if !changed {
-                break;
+                break cursor;
             }
-        }
+        };
         let mut relocate_ns = (layout_start.elapsed().as_nanos() as u64).max(1);
+        let data_size = self.var_cursor.max(8);
+        check_layout(
+            self.binary,
+            self.layout,
+            code_end - self.layout.patch_text,
+            data_size,
+        )?;
 
         let mut out = self.binary.clone();
         let mut patch_code: Vec<u8> = Vec::new();
@@ -781,7 +844,6 @@ impl<'b> Instrumenter<'b> {
                 patch_code,
             ));
         }
-        let data_size = self.var_cursor.max(8);
         out.sections.push(Section::progbits(
             ".rvdyn.data",
             self.layout.patch_data,

@@ -303,6 +303,58 @@ mod typed_errors {
         }
     }
 
+    /// The overlap `rewrite()` reports, or a panic naming what it got.
+    fn layout_overlap(mut ed: BinaryEditor) -> (&'static str, (u64, u64), String, (u64, u64)) {
+        let err = match ed.rewrite() {
+            Err(e) => e,
+            Ok(_) => panic!("expected an overlapping layout to be refused"),
+        };
+        assert_eq!(err.stage(), Stage::Instrument);
+        match err {
+            Error::Instrument {
+                source:
+                    rvdyn_patch::InstrumentError::LayoutOverlap {
+                        area,
+                        range,
+                        other,
+                        other_range,
+                    },
+            } => (area, range, other, other_range),
+            other => panic!("expected LayoutOverlap, got {other}"),
+        }
+    }
+
+    #[test]
+    fn patch_area_inside_bss_is_a_typed_layout_error() {
+        // matmul(200)'s .bss spans 0x30000..0x11a600 and covers both
+        // default patch areas; the rewrite used to succeed and the run
+        // then executed zeroed data at 0x80000.
+        let mut ed =
+            BinaryEditor::from_binary(rvdyn_asm::matmul_program(200, 1), SessionOptions::default());
+        ed.count_blocks("matmul").unwrap();
+        let (area, range, other, other_range) = layout_overlap(ed);
+        assert_eq!(area, ".rvdyn.text");
+        assert_eq!(range.0, 0x8_0000);
+        assert_eq!(other, ".bss");
+        assert_eq!(other_range, (0x3_0000, 0x11_a600));
+    }
+
+    #[test]
+    fn patch_data_inside_patch_code_is_a_typed_layout_error() {
+        let mut ed =
+            BinaryEditor::from_binary(rvdyn_asm::fib_program(5), SessionOptions::default());
+        ed.set_layout(rvdyn::PatchLayout {
+            patch_text: 0x8_0000,
+            patch_data: 0x8_0010,
+        });
+        ed.count_blocks("fib").unwrap();
+        let (area, range, other, other_range) = layout_overlap(ed);
+        assert_eq!(area, ".rvdyn.text");
+        assert!(range.0 == 0x8_0000 && range.1 > 0x8_0010, "{range:x?}");
+        assert_eq!(other, ".rvdyn.data");
+        assert_eq!(other_range.0, 0x8_0010);
+    }
+
     #[test]
     fn snippet_needing_too_many_registers_is_a_typed_codegen_error() {
         // A balanced 2^14-leaf expression tree needs 15 simultaneous
