@@ -506,9 +506,23 @@ pub fn generate_with_stats(
     mode: crate::regalloc::RegAllocMode,
     profile: IsaProfile,
 ) -> Result<(Vec<rvdyn_isa::Instruction>, LowerStats), CodeGenError> {
+    generate_seq_with_stats(std::iter::once(snippet), dead, mode, profile)
+}
+
+/// As [`generate_with_stats`] for the statement sequence `snippets`,
+/// read in place: the same code as lowering a [`Snippet::Seq`] of them.
+pub fn generate_seq_with_stats<'s>(
+    snippets: impl Iterator<Item = &'s Snippet> + Clone,
+    dead: rvdyn_isa::RegSet,
+    mode: crate::regalloc::RegAllocMode,
+    profile: IsaProfile,
+) -> Result<(Vec<rvdyn_isa::Instruction>, LowerStats), CodeGenError> {
+    let contains_call = snippets.clone().any(|s| s.contains_call());
     let mut alloc = RegAllocator::new(dead, mode);
     let mut em = Emitter::new(&mut alloc, profile);
-    em.emit(snippet)?;
+    for s in snippets {
+        em.emit(s)?;
+    }
     let body = em.finish()?;
     let stats = LowerStats {
         spills: alloc.spill_count(),
@@ -521,7 +535,7 @@ pub fn generate_with_stats(
     // and FP, including ra) is preserved in an outer stack frame — the
     // same conservative treatment Dyninst applies to call snippets,
     // pruned here by liveness.
-    let call_saves: Vec<Reg> = if snippet.contains_call() {
+    let call_saves: Vec<Reg> = if contains_call {
         (0..64u8)
             .map(Reg::from_index)
             .filter(|r| r.is_caller_saved() && !dead.contains(*r))

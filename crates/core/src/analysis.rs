@@ -30,6 +30,7 @@
 //! thread count, which never changes the parse result), so requests
 //! with different analysis policies never alias.
 
+use crate::diag::Diagnostics;
 use crate::error::Error;
 use rvdyn_dataflow::Liveness;
 use rvdyn_parse::worklist::Worklist;
@@ -296,6 +297,9 @@ pub struct Analysis {
     /// Liveness solution per function entry.
     liveness: BTreeMap<u64, Liveness>,
     timings: AnalysisTimings,
+    /// The parse-stage counters of `code`, every other field zero: the
+    /// diagnostics every session on this analysis starts from.
+    parse_diag: Diagnostics,
 }
 
 // The whole point of the artifact is cross-thread sharing; fail the
@@ -338,6 +342,18 @@ impl Analysis {
         open_ns: u64,
     ) -> Arc<Analysis> {
         let key = AnalysisKey::of(&binary, parse);
+        Self::with_key(key, binary, parse, observer, open_ns)
+    }
+
+    /// As [`Analysis::of_binary_observed`] for a caller that already
+    /// computed the binary's `key`.
+    pub(crate) fn with_key(
+        key: AnalysisKey,
+        binary: Binary,
+        parse: &ParseOptions,
+        observer: &mut dyn FnMut(ParseEvent),
+        open_ns: u64,
+    ) -> Arc<Analysis> {
         let parse_start = std::time::Instant::now();
         let code = CodeObject::parse_with_observer(&binary, parse, observer);
 
@@ -398,6 +414,8 @@ impl Analysis {
             }
         }
         let parse_ns = (parse_start.elapsed().as_nanos() as u64).max(1);
+        let mut parse_diag = Diagnostics::default();
+        parse_diag.record_parse(&code);
 
         Arc::new(Analysis {
             key,
@@ -407,6 +425,7 @@ impl Analysis {
             loop_depths: loop_depths_map,
             liveness: liveness_map,
             timings: AnalysisTimings { open_ns, parse_ns },
+            parse_diag,
         })
     }
 
@@ -451,6 +470,11 @@ impl Analysis {
     /// What the front half cost to compute, in wall-clock nanoseconds.
     pub fn timings(&self) -> AnalysisTimings {
         self.timings
+    }
+
+    /// Diagnostics holding only this analysis's parse-stage counters.
+    pub(crate) fn parse_diagnostics(&self) -> &Diagnostics {
+        &self.parse_diag
     }
 }
 
@@ -562,7 +586,7 @@ impl AnalysisCache {
                 evicted: 0,
             });
         }
-        let analysis = Analysis::of_binary_observed(binary, parse, observer, 0);
+        let analysis = Analysis::with_key(key, binary, parse, observer, 0);
         let evicted = self.insert(analysis.clone());
         Ok(CacheOutcome {
             analysis,

@@ -65,7 +65,7 @@ pub struct Diagnostics {
     /// the most recent apply (1 = inline, no pool was spun up).
     pub instrument_workers: usize,
     /// Position-independent function plans the plan phase built (one per
-    /// instrumented function; the layout phase consumed all of them).
+    /// instrumented function; the finish phase consumed all of them).
     pub plans_built: usize,
 
     // -- fault injection --

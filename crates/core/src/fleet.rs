@@ -259,8 +259,7 @@ impl FleetController {
             // across worker threads, so the controller thread emits all
             // telemetry itself, per consumed completion.
             self.set.insert(pid, process);
-            let mut diag = Diagnostics::default();
-            diag.record_parse(analysis.code());
+            let diag = analysis.parse_diagnostics().clone();
             self.states.insert(
                 pid,
                 ProcState {

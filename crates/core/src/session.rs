@@ -311,7 +311,8 @@ impl Session {
         let mut parse_t = StageTimings::default();
         let timer = tele.begin(TimedStage::Parse);
         let obs_tele = tele.clone();
-        let analysis = Analysis::of_binary_observed(
+        let analysis = Analysis::with_key(
+            key,
             binary,
             &opts.parse,
             &mut |ev| obs_tele.emit(adapt_parse(ev)),
@@ -363,8 +364,7 @@ impl Session {
         let tele = Telemetry {
             sink: opts.sink.clone(),
         };
-        let mut diag = Diagnostics::default();
-        diag.record_parse(analysis.code());
+        let diag = analysis.parse_diagnostics().clone();
         Session {
             analysis,
             layout: opts.layout,
@@ -611,14 +611,9 @@ impl Session {
             .with_mode(self.mode)
             .with_threads(self.threads)
             .with_liveness(analysis.liveness_table());
-        // Pre-advance the instrumenter's variable cursor to keep its own
-        // allocations (if any) clear of ours.
-        for _ in 0..(self.var_bytes / 8) {
-            let _ = ins.alloc_var(8);
-        }
-        for (p, s) in &self.pending {
-            ins.insert(*p, s.clone());
-        }
+        // Keep the instrumenter's own allocations (if any) clear of ours.
+        ins.alloc_region(self.var_bytes);
+        ins.insert_all(&self.pending);
         let obs_tele = self.tele.clone();
         let result = ins.apply_with_observer(&mut |ev| {
             if let PatchEvent::PointLowered { addr, spills, .. } = &ev {

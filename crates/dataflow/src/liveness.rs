@@ -187,7 +187,14 @@ impl Liveness {
     /// Dead (free) registers immediately before `addr` — the scratch pool
     /// for instrumentation at that point.
     pub fn dead_before(&self, f: &Function, addr: u64) -> RegSet {
-        self.live_before(f, addr).complement()
+        // At a block start the backward walk composes to the solved
+        // `live_in`: the fixpoint holds live_in = use ∪ (live_out − def).
+        match f.block_containing(addr) {
+            Some(b) if b.insts.first().map(|i| i.address) == Some(addr) => {
+                self.live_in(b.start).complement()
+            }
+            _ => self.live_before(f, addr).complement(),
+        }
     }
 }
 

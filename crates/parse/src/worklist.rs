@@ -36,17 +36,16 @@ pub struct Worklist<T> {
     nworkers: usize,
 }
 
-impl<T: Ord + Clone> Worklist<T> {
-    /// A worklist seeded with `seed` (each seed item counts as claimed)
-    /// serviced by `nworkers` workers.
-    pub fn new(seed: impl IntoIterator<Item = T>, nworkers: usize) -> Worklist<T> {
-        let queue: VecDeque<T> = seed.into_iter().collect();
-        let claimed: BTreeSet<T> = queue.iter().cloned().collect();
+impl<T> Worklist<T> {
+    /// A worklist over the fixed set `items`, which workers never extend:
+    /// batches hand the items out by value, in order, so they need not
+    /// be comparable or cloneable.
+    pub fn fixed(items: impl IntoIterator<Item = T>, nworkers: usize) -> Worklist<T> {
         Worklist {
             state: Mutex::new(State {
-                queue,
+                queue: items.into_iter().collect(),
                 in_flight: 0,
-                claimed,
+                claimed: BTreeSet::new(),
             }),
             cv: Condvar::new(),
             nworkers: nworkers.max(1),
@@ -74,6 +73,23 @@ impl<T: Ord + Clone> Worklist<T> {
             }
             st = self.cv.wait(st).unwrap();
         }
+    }
+
+    /// Finish a batch of `done` items that discovered no new work.
+    pub fn complete_batch(&self, done: usize) {
+        self.state.lock().unwrap().in_flight -= done;
+        self.cv.notify_all();
+    }
+}
+
+impl<T: Ord + Clone> Worklist<T> {
+    /// A worklist seeded with `seed` (each seed item counts as claimed)
+    /// serviced by `nworkers` workers.
+    pub fn new(seed: impl IntoIterator<Item = T>, nworkers: usize) -> Worklist<T> {
+        let mut wl = Worklist::fixed(seed, nworkers);
+        let st = wl.state.get_mut().unwrap();
+        st.claimed = st.queue.iter().cloned().collect();
+        wl
     }
 
     /// Finish a batch of `done` items, enqueueing any newly `discovered`
@@ -116,6 +132,31 @@ mod tests {
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0u64..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fixed_set_hands_out_contiguous_runs_by_value() {
+        // Neither `Ord` nor `Clone`: a fixed worklist only moves items.
+        struct Item(usize);
+        let wl = Worklist::fixed((0..100).map(Item), 3);
+        let seen = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| loop {
+                    let batch = wl.next_batch();
+                    if batch.is_empty() {
+                        break;
+                    }
+                    let ids: Vec<usize> = batch.iter().map(|i| i.0).collect();
+                    assert!(ids.windows(2).all(|w| w[1] == w[0] + 1), "{ids:?}");
+                    seen.lock().unwrap().extend_from_slice(&ids);
+                    wl.complete_batch(batch.len());
+                });
+            }
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

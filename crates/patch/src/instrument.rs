@@ -6,7 +6,7 @@
 //! the blocks or functions that have been modified, and patch a branch
 //! into the original code to jump to the modified code."
 //!
-//! ## Parallel plan phase, sequential layout phase
+//! ## Parallel plan and finish phases around a sequential layout
 //!
 //! The pass is split so it scales with cores *without changing a single
 //! output byte* (the parse stage's §2 "fast parallel algorithm", applied
@@ -17,23 +17,26 @@
 //!    relocation planning runs independently on a worker pool (the batch
 //!    worklist shared with the parallel parser), producing one
 //!    position-independent `FunctionPlan` per function — a
-//!    [`RelocationPlan`] whose branch/jump targets are still symbolic.
-//! 2. **Layout** (sequential, single-threaded): patch-area bases are
-//!    assigned in stable entry-address order, each plan is re-relaxed at
-//!    its final base to a whole-area fixpoint, symbolic targets are
-//!    resolved into bytes, and springboards are planted and audited.
+//!    [`RelocationPlan`] whose branch/jump targets are slot indices.
+//! 2. **Base assignment** (sequential): patch-area bases are assigned in
+//!    stable entry-address order, and each plan is re-relaxed at its
+//!    final base to a whole-area fixpoint.
+//! 3. **Finish** (parallel, same pool): each function's code is emitted
+//!    at its base, and its springboards are planned and audited.
+//! 4. **Merge** (sequential): the main thread concatenates the code,
+//!    replays the buffered events and merges the trap table, audit and
+//!    relocation index, all in entry-address order.
 //!
-//! Every output-bearing decision happens in the layout phase from
-//! position-independent inputs, so the rewritten bytes are bit-identical
-//! for any worker count; worker failures are surfaced lowest-address
-//! first so even the error is deterministic. Observer events gathered in
-//! the plan phase are replayed in entry-address order for the same
-//! reason.
+//! Every output-bearing decision depends only on a function's own plan
+//! and the bases, which are assigned sequentially, so the rewritten
+//! bytes are bit-identical for any worker count; failures are surfaced
+//! lowest-address first so even the error is deterministic, and
+//! observers see the same event stream as a sequential pass.
 
 use crate::points::{Point, PointKind};
-use crate::relocate::{Insertions, RelocationPlan};
-use crate::springboard::{plan_springboard, SpringboardKind, SpringboardStats};
-use rvdyn_codegen::emitter::{generate_with_stats, CodeGenError};
+use crate::relocate::{relocated_addr, Insertions, RelocationPlan};
+use crate::springboard::{plan_springboard, Springboard, SpringboardKind, SpringboardStats};
+use rvdyn_codegen::emitter::{generate_seq_with_stats, CodeGenError};
 use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
 use rvdyn_dataflow::Liveness;
@@ -41,9 +44,10 @@ use rvdyn_isa::{IsaProfile, RegSet};
 use rvdyn_parse::worklist::Worklist;
 use rvdyn_parse::{CodeObject, EdgeKind, Function};
 use rvdyn_symtab::{Binary, Section, SHF_ALLOC, SHF_EXECINSTR, SHF_WRITE};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Observable milestones of one instrumentation pass, for a
@@ -57,9 +61,9 @@ pub enum PatchEvent {
         dead_scratch: usize,
     },
     /// One function's position-independent plan (lowered snippets +
-    /// symbolic relocation) is complete; the layout phase takes it from
-    /// here. Replayed in entry-address order regardless of which worker
-    /// built the plan.
+    /// slot-indexed relocation) is complete; base assignment takes it
+    /// from here. Replayed in entry-address order regardless of which
+    /// worker built the plan.
     PlanBuilt { entry: u64, points: usize },
     /// One function was relocated into the patch area.
     FunctionRelocated { entry: u64, bytes: usize },
@@ -202,12 +206,22 @@ pub fn audit_redirect_coverage(
     len: usize,
     addr_map: &BTreeMap<u64, u64>,
 ) -> Result<Vec<(u64, u64)>, InstrumentError> {
+    audit_cover(f, base, len, |pc| addr_map.get(&pc).copied())
+}
+
+/// [`audit_redirect_coverage`] over any original → relocated lookup.
+fn audit_cover(
+    f: &Function,
+    base: u64,
+    len: usize,
+    relocated: impl Fn(u64) -> Option<u64>,
+) -> Result<Vec<(u64, u64)>, InstrumentError> {
     let clobbered = clobbered_addresses(f, base, len);
     let mut cover = Vec::with_capacity(clobbered.len());
     let mut missing = Vec::new();
     for pc in clobbered {
-        match addr_map.get(&pc) {
-            Some(&to) => cover.push((pc, to)),
+        match relocated(pc) {
+            Some(to) => cover.push((pc, to)),
             None => missing.push(pc),
         }
     }
@@ -218,27 +232,6 @@ pub fn audit_redirect_coverage(
         });
     }
     Ok(cover)
-}
-
-/// Run the clobber audit for one planted springboard and fold its
-/// redirect pairs into the pass-wide audit state, reporting each newly
-/// registered redirect to the observer.
-fn audit_springboard(
-    f: &Function,
-    base: u64,
-    len: usize,
-    addr_map: &BTreeMap<u64, u64>,
-    audited: &mut BTreeSet<u64>,
-    redirects: &mut BTreeSet<(u64, u64)>,
-    observer: &mut dyn FnMut(PatchEvent),
-) -> Result<(), InstrumentError> {
-    for (from, to) in audit_redirect_coverage(f, base, len, addr_map)? {
-        audited.insert(from);
-        if redirects.insert((from, to)) {
-            observer(PatchEvent::RedirectRegistered { from, to });
-        }
-    }
-    Ok(())
 }
 
 /// Refuse a layout whose patch code area (`code_len` bytes), patch data
@@ -282,37 +275,48 @@ fn check_layout(
 /// mapping for its `BPatch` address translation).
 #[derive(Debug, Clone, Default)]
 pub struct RelocationIndex {
-    /// new instruction address → original instruction address.
-    reverse: BTreeMap<u64, u64>,
+    /// `(relocated, original)` instruction address pairs, ascending and
+    /// unique by relocated address.
+    entries: Vec<(u64, u64)>,
 }
 
 impl RelocationIndex {
+    /// The original address of the nearest relocated instruction start
+    /// at or below `pc`, if it is within 64 bytes (which covers
+    /// multi-instruction expansions and snippet bodies).
+    fn covering(&self, pc: u64) -> Option<u64> {
+        let i = self.entries.partition_point(|&(new, _)| new <= pc);
+        let &(new, old) = self.entries.get(i.checked_sub(1)?)?;
+        (pc - new < 64).then_some(old)
+    }
+
     /// Translate a patch-area pc to its original address. Addresses
     /// outside any relocated range map to themselves. A pc inside snippet
     /// code maps to the instruction the snippet was attached to.
     pub fn to_original(&self, pc: u64) -> u64 {
-        match self.reverse.range(..=pc).next_back() {
-            // Within 64 bytes of a mapped instruction start: attribute to
-            // it (covers multi-instruction expansions and snippet bodies).
-            Some((&new, &old)) if pc - new < 64 => old,
-            _ => pc,
-        }
+        self.covering(pc).unwrap_or(pc)
     }
 
     /// Is `pc` inside relocated code?
     pub fn is_relocated(&self, pc: u64) -> bool {
-        matches!(self.reverse.range(..=pc).next_back(), Some((&new, _)) if pc - new < 64)
+        self.covering(pc).is_some()
     }
 
-    fn absorb(&mut self, addr_map: &BTreeMap<u64, u64>) {
-        for (&old, &new) in addr_map {
-            self.reverse.insert(new, old);
-        }
-    }
-
-    /// Merge another index (e.g. from a later commit).
+    /// Merge another index (e.g. from a later commit); where both map
+    /// the same relocated address, `other` wins.
     pub fn merge(&mut self, other: &RelocationIndex) {
-        self.reverse.extend(other.reverse.iter());
+        let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
+        let mut mine = self.entries.iter().copied().peekable();
+        for &(new, old) in &other.entries {
+            while let Some(e) = mine.next_if(|e| e.0 <= new) {
+                if e.0 < new {
+                    merged.push(e);
+                }
+            }
+            merged.push((new, old));
+        }
+        merged.extend(mine);
+        self.entries = merged;
     }
 }
 
@@ -381,29 +385,33 @@ impl PatchResult {
     }
 }
 
-/// Requested snippets for one function, split by placement semantics.
-#[derive(Default)]
-struct FuncInsertions {
-    /// Before the instruction at the address.
-    before: BTreeMap<u64, Vec<Snippet>>,
-    /// On the taken edge of the conditional branch at the address.
-    taken: BTreeMap<u64, Vec<Snippet>>,
-    /// On the not-taken edge of the conditional branch at the address.
-    not_taken: BTreeMap<u64, Vec<Snippet>>,
+/// Where a request's snippet runs relative to the instruction at its
+/// address; the plan phase lowers a function's points in this order.
+fn placement(kind: PointKind) -> u8 {
+    match kind {
+        PointKind::BranchTaken => 1,
+        PointKind::BranchNotTaken => 2,
+        _ => 0,
+    }
+}
+
+/// Sort key of a request: function, placement, address.
+fn request_key(p: &Point) -> (u64, u8, u64) {
+    (p.func, placement(p.kind), p.addr)
 }
 
 /// One function's plan-phase output: lowered snippets spliced into a
-/// position-independent [`RelocationPlan`], plus everything the
-/// sequential layout phase needs to finish the function without
-/// re-running analysis (liveness does not survive the plan phase).
+/// position-independent [`RelocationPlan`], plus everything the finish
+/// phase needs without re-running analysis (liveness does not survive
+/// the plan phase).
 struct FunctionPlan {
     entry: u64,
     reloc: RelocationPlan,
-    /// Lowering milestones, replayed to the observer in entry-address
-    /// order by the layout phase (deterministic event stream).
-    events: Vec<PatchEvent>,
     spills: usize,
     dead_points: usize,
+    /// Points lowered: one `PointLowered` milestone each in the plan
+    /// batch's event list, which the merge replays in entry-address
+    /// order (deterministic event stream).
     points: usize,
     /// Wall-clock ns spent building + pre-relaxing the relocation.
     plan_ns: u64,
@@ -412,8 +420,81 @@ struct FunctionPlan {
     /// `(target, dead-before-target)` for every indirect-jump edge whose
     /// target is a block of this function (jump-table re-entry sites).
     indirect: Vec<(u64, RegSet)>,
-    /// Patch-area base, assigned by the layout phase.
+    /// Patch-area base, assigned by base assignment.
     base: u64,
+}
+
+/// One function's finish-phase output, merged in entry order.
+struct Finished {
+    /// Nanoseconds spent emitting the relocation.
+    emit_ns: u64,
+    /// Bytes of relocated code emitted (before alignment padding), or
+    /// the error that stopped emission.
+    emitted: Result<usize, InstrumentError>,
+    /// How many of the batch's `redirects` this function registered.
+    redirects: usize,
+    /// The audit failure that ended the function after its redirects.
+    error: Option<InstrumentError>,
+}
+
+/// The finish phase's output for one contiguous run of plans.
+#[derive(Default)]
+struct FinishedBatch {
+    /// The run's patch-area bytes, padding included.
+    code: Vec<u8>,
+    /// `(relocated, original)` pairs, ascending by relocated address.
+    index: Vec<(u64, u64)>,
+    /// Springboards in planting order: per function the entry first,
+    /// then each indirect-jump target.
+    springs: Vec<(u64, Springboard)>,
+    /// Trap-table entries the trap springboards execute through.
+    traps: Vec<(u64, u64)>,
+    /// Redirects the clobber audits registered, in audit order, each
+    /// once per function.
+    redirects: Vec<(u64, u64)>,
+    functions: Vec<Finished>,
+}
+
+/// Run `work` over `items` in contiguous batches, taking them by value,
+/// on `nworkers` workers, the calling thread being one of them (inline,
+/// as one batch, when `nworkers` is 1), and return the batches' results
+/// in item order. Workers claim batches from the worklist the parallel
+/// parser uses.
+fn par_batches<T: Send, R: Send>(
+    items: Vec<T>,
+    nworkers: usize,
+    work: impl Fn(Vec<T>) -> R + Sync,
+) -> Vec<R> {
+    if nworkers <= 1 {
+        return vec![work(items)];
+    }
+    let wl = Worklist::fixed(items.into_iter().enumerate(), nworkers);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let batch = wl.next_batch();
+            let (Some(&(first, _)), n) = (batch.first(), batch.len()) else {
+                break;
+            };
+            done.push((first, work(batch.into_iter().map(|(_, t)| t).collect())));
+            wl.complete_batch(n);
+        }
+        done
+    };
+    let mut results = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..nworkers).map(|_| scope.spawn(worker)).collect();
+        let mut results = worker();
+        // Join each helper explicitly: unlike the scope's implicit join,
+        // this waits for the thread to exit, which returns its allocator
+        // arena for the next phase's helpers to reuse instead of making
+        // the allocator open new ones.
+        for h in helpers {
+            results.extend(h.join().expect("instrumentation worker panicked"));
+        }
+        results
+    });
+    results.sort_unstable_by_key(|&(first, _)| first);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Builder for an instrumentation pass over one binary.
@@ -424,7 +505,9 @@ pub struct Instrumenter<'b> {
     mode: RegAllocMode,
     threads: usize,
     liveness: Option<&'b BTreeMap<u64, Liveness>>,
-    insertions: BTreeMap<u64, FuncInsertions>,
+    /// Requested `(point, snippet)` pairs in insertion order; snippets
+    /// from [`Instrumenter::insert_all`] are borrowed, not copied.
+    requests: Vec<(Point, Cow<'b, Snippet>)>,
     var_cursor: u64,
 }
 
@@ -437,7 +520,7 @@ impl<'b> Instrumenter<'b> {
             mode: RegAllocMode::DeadRegisters,
             threads: 1,
             liveness: None,
-            insertions: BTreeMap::new(),
+            requests: Vec::new(),
             var_cursor: 0,
         }
     }
@@ -455,10 +538,10 @@ impl<'b> Instrumenter<'b> {
         self
     }
 
-    /// Fan the plan phase out over `threads` workers (1 = run inline on
-    /// the calling thread). Output bytes are identical for every value:
-    /// only the plan phase parallelises, and the layout phase orders its
-    /// results by entry address.
+    /// Fan the plan and finish phases out over `threads` workers (1 =
+    /// run inline on the calling thread). Output bytes are identical for
+    /// every value: patch-area bases are assigned sequentially, and the
+    /// merge orders every per-function result by entry address.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -485,17 +568,19 @@ impl<'b> Instrumenter<'b> {
         Var { addr, size }
     }
 
+    /// Allocate a region of `len` bytes (rounded up to 8-byte
+    /// granularity) in the patch data area and return its base address.
+    pub fn alloc_region(&mut self, len: u64) -> u64 {
+        let addr = self.layout.patch_data + self.var_cursor;
+        self.var_cursor += (len + 7) & !7;
+        addr
+    }
+
     /// Request `snippet` at `point`. Edge points ([`PointKind::BranchTaken`]
     /// / [`PointKind::BranchNotTaken`]) attach to the branch's edge rather
     /// than the instruction stream.
     pub fn insert(&mut self, point: Point, snippet: Snippet) {
-        let fi = self.insertions.entry(point.func).or_default();
-        let map = match point.kind {
-            PointKind::BranchTaken => &mut fi.taken,
-            PointKind::BranchNotTaken => &mut fi.not_taken,
-            _ => &mut fi.before,
-        };
-        map.entry(point.addr).or_default().push(snippet);
+        self.requests.push((point, Cow::Owned(snippet)));
     }
 
     /// Request `snippet` at every point in `points`.
@@ -505,15 +590,42 @@ impl<'b> Instrumenter<'b> {
         }
     }
 
+    /// Request every `(point, snippet)` pair of `queue`, in order, as
+    /// [`Instrumenter::insert`] would, reading the snippets in place.
+    pub fn insert_all(&mut self, queue: &'b [(Point, Snippet)]) {
+        self.requests
+            .extend(queue.iter().map(|(p, s)| (*p, Cow::Borrowed(s))));
+    }
+
+    /// The request indices sorted by function, placement and address —
+    /// stably, so snippets at one point keep their insertion order — and
+    /// each function's entry with its run of that order.
+    fn grouped_requests(&self) -> (Vec<usize>, Vec<(u64, Range<usize>)>) {
+        let mut order: Vec<usize> = (0..self.requests.len()).collect();
+        order.sort_by_key(|&i| request_key(&self.requests[i].0));
+        let mut groups: Vec<(u64, Range<usize>)> = Vec::new();
+        for (pos, &i) in order.iter().enumerate() {
+            let func = self.requests[i].0.func;
+            match groups.last_mut() {
+                Some((f, run)) if *f == func => run.end = pos + 1,
+                _ => groups.push((func, pos..pos + 1)),
+            }
+        }
+        (order, groups)
+    }
+
     /// Build one function's position-independent plan: liveness, snippet
     /// lowering, relocation planning, and the dead-register sets the
-    /// layout phase will need. Runs on a worker (or inline) — must not
-    /// touch anything whose result depends on other functions.
+    /// finish phase will need. `requests` are the function's request
+    /// indices in [`request_key`] order; lowering milestones are appended
+    /// to `events`. Runs on a worker (or inline) — must not touch
+    /// anything whose result depends on other functions.
     fn build_plan(
         &self,
         fe: u64,
-        fi: &FuncInsertions,
+        requests: &[usize],
         profile: IsaProfile,
+        events: &mut Vec<PatchEvent>,
     ) -> Result<FunctionPlan, InstrumentError> {
         let f = self
             .co
@@ -532,33 +644,33 @@ impl<'b> Instrumenter<'b> {
         // Lower each point's snippets with its dead-register pool.
         // Edge snippets use the dead set before the branch, which is a
         // safe under-approximation of the edge's own dead set.
-        let mut events = Vec::new();
+        let first_event = events.len();
         let mut lowered = Insertions::default();
         let mut spills = 0usize;
         let mut dead_points = 0usize;
-        let mut points = 0usize;
-        for (src_map, dst) in [
-            (&fi.before, &mut lowered.before),
-            (&fi.taken, &mut lowered.taken_edge),
-            (&fi.not_taken, &mut lowered.not_taken_edge),
-        ] {
-            for (&addr, snippets) in src_map {
-                let dead = lv.dead_before(f, addr);
-                let seq = Snippet::Seq(snippets.clone());
-                let (code, stats) = generate_with_stats(&seq, dead, self.mode, profile)?;
-                spills += stats.spills;
-                points += 1;
-                if stats.spills == 0 {
-                    dead_points += 1;
-                }
-                events.push(PatchEvent::PointLowered {
-                    addr,
-                    spills: stats.spills,
-                    dead_scratch: stats.dead_scratch,
-                });
-                dst.insert(addr, code);
+        let point = |i: &usize| &self.requests[*i].0;
+        for run in requests.chunk_by(|a, b| request_key(point(a)) == request_key(point(b))) {
+            let p = point(&run[0]);
+            let dead = lv.dead_before(f, p.addr);
+            let snippets = run.iter().map(|&i| &*self.requests[i].1);
+            let (code, stats) = generate_seq_with_stats(snippets, dead, self.mode, profile)?;
+            spills += stats.spills;
+            if stats.spills == 0 {
+                dead_points += 1;
             }
+            events.push(PatchEvent::PointLowered {
+                addr: p.addr,
+                spills: stats.spills,
+                dead_scratch: stats.dead_scratch,
+            });
+            let dst = match placement(p.kind) {
+                0 => &mut lowered.before,
+                1 => &mut lowered.taken_edge,
+                _ => &mut lowered.not_taken_edge,
+            };
+            dst.insert(p.addr, code);
         }
+        let points = events.len() - first_event;
 
         // Build the symbolic relocation and pre-relax it at the patch
         // area's base — the best position-independent size estimate, and
@@ -586,7 +698,6 @@ impl<'b> Instrumenter<'b> {
         Ok(FunctionPlan {
             entry: fe,
             reloc,
-            events,
             spills,
             dead_points,
             points,
@@ -597,57 +708,94 @@ impl<'b> Instrumenter<'b> {
         })
     }
 
-    /// Plan phase: build every function's plan, fanned out over the
-    /// worker pool when `threads > 1`. Errors surface lowest-address
-    /// first regardless of which worker hit one first.
-    fn build_plans(
-        &self,
-        nworkers: usize,
-        profile: IsaProfile,
-    ) -> Result<BTreeMap<u64, FunctionPlan>, InstrumentError> {
-        if nworkers <= 1 {
-            let mut plans = BTreeMap::new();
-            for (&fe, fi) in &self.insertions {
-                plans.insert(fe, self.build_plan(fe, fi, profile)?);
+    /// Finish one laid-out plan: emit its code at its base (appending to
+    /// `batch.code`, which starts at a plan base), plan its entry and
+    /// indirect-target springboards and audit each one's clobbers. Runs
+    /// on a worker (or inline).
+    fn finish_plan(&self, plan: &FunctionPlan, profile: IsaProfile, batch: &mut FinishedBatch) {
+        let fe = plan.entry;
+        let mut fin = Finished {
+            emit_ns: 0,
+            emitted: Ok(0),
+            redirects: 0,
+            error: None,
+        };
+        let start = batch.code.len();
+        let emit_start = Instant::now();
+        let pairs = match plan.reloc.emit_into(plan.base, &mut batch.code) {
+            Ok(pairs) => pairs,
+            Err(e) => {
+                batch.code.truncate(start);
+                fin.emitted = Err(e.into());
+                batch.functions.push(fin);
+                return;
             }
-            return Ok(plans);
-        }
+        };
+        fin.emit_ns = (emit_start.elapsed().as_nanos() as u64).max(1);
+        let bytes = batch.code.len() - start;
+        fin.emitted = Ok(bytes);
+        // Align the next function.
+        batch.code.resize(start + ((bytes + 7) & !7), 0);
 
-        let wl = Worklist::new(self.insertions.keys().copied(), nworkers);
-        let results: Mutex<Vec<(u64, Result<FunctionPlan, InstrumentError>)>> =
-            Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..nworkers {
-                scope.spawn(|| {
-                    let mut local: Vec<(u64, Result<FunctionPlan, InstrumentError>)> = Vec::new();
-                    loop {
-                        let batch = wl.next_batch();
-                        if batch.is_empty() {
-                            break;
-                        }
-                        for &fe in &batch {
-                            let fi = &self.insertions[&fe];
-                            local.push((fe, self.build_plan(fe, fi, profile)));
-                        }
-                        wl.complete(batch.len(), std::iter::empty());
-                    }
-                    if !local.is_empty() {
-                        results.lock().unwrap().extend(local);
-                    }
-                });
+        // build_plan proved the function exists.
+        let f = &self.co.functions[&fe];
+        // Springboard at the function entry. Soundness: the budget is
+        // the entry *block*, not the whole function extent — later
+        // blocks start at branch targets whose original bytes must
+        // survive, and an entry block that is itself an indirect-jump
+        // target re-enters mid-patch if overwritten without coverage.
+        let entry_avail = match f.blocks.get(&fe) {
+            Some(b) => b.len_bytes() as usize,
+            None => {
+                let (lo, hi) = f.extent();
+                (hi - lo) as usize
             }
-        });
-
-        // Deterministic error propagation: order worker results by entry
-        // address, then surface the first failure — always the
-        // lowest-addressed one, matching the sequential path.
-        let by_addr: BTreeMap<u64, Result<FunctionPlan, InstrumentError>> =
-            results.into_inner().unwrap().into_iter().collect();
-        let mut plans = BTreeMap::new();
-        for (fe, r) in by_addr {
-            plans.insert(fe, r?);
+        };
+        let new_entry = relocated_addr(&pairs, fe).unwrap_or(plan.base);
+        // Springboards at indirect-jump targets: execution re-enters
+        // original code through jump tables; bounce it back into the
+        // instrumented copy (§3.2.3 jump tables + code patching).
+        let sites = std::iter::once((fe, new_entry, entry_avail, plan.dead_entry)).chain(
+            plan.indirect.iter().filter_map(|&(t, dead)| {
+                let nt = relocated_addr(&pairs, t)?;
+                Some((t, nt, f.blocks[&t].len_bytes() as usize, dead))
+            }),
+        );
+        let registered = batch.redirects.len();
+        for (at, to, avail, dead) in sites {
+            let sb = plan_springboard(at, to, avail, profile, dead);
+            batch.traps.extend(sb.trap_entry);
+            match audit_cover(f, at, sb.bytes.len(), |pc| relocated_addr(&pairs, pc)) {
+                Ok(cover) => {
+                    // A site can be audited twice (an entry block that is
+                    // also a jump-table target, a repeated table entry);
+                    // each redirect registers once.
+                    for pair in cover {
+                        if !batch.redirects[registered..].contains(&pair) {
+                            batch.redirects.push(pair);
+                        }
+                    }
+                }
+                Err(e) => {
+                    fin.error = Some(e);
+                    break;
+                }
+            }
+            batch.springs.push((at, sb));
         }
-        Ok(plans)
+        fin.redirects = batch.redirects.len() - registered;
+
+        // Index entries, ascending by relocated address: slot order,
+        // which only overlapping blocks make differ from address order.
+        let index_start = batch.index.len();
+        batch
+            .index
+            .extend(pairs.iter().map(|&(old, new)| (new, old)));
+        let part = &mut batch.index[index_start..];
+        if !part.is_sorted() {
+            part.sort_unstable();
+        }
+        batch.functions.push(fin);
     }
 
     /// Generate code, relocate the instrumented functions, plant
@@ -667,10 +815,27 @@ impl<'b> Instrumenter<'b> {
 
         // ---- plan phase (parallel): everything per-function and
         // position-independent. ----
-        let nworkers = self.threads.max(1).min(self.insertions.len().max(1));
-        let mut plans = self.build_plans(nworkers, profile)?;
+        let (order, groups) = self.grouped_requests();
+        let plans_built = groups.len();
+        let nworkers = self.threads.max(1).min(plans_built.max(1));
+        let mut events: Vec<Vec<PatchEvent>> = Vec::new();
+        let mut plans: Vec<FunctionPlan> = Vec::with_capacity(plans_built);
+        let built = par_batches(groups, nworkers, |batch| {
+            let mut events = Vec::new();
+            let plans: Vec<_> = batch
+                .into_iter()
+                .map(|(fe, reqs)| self.build_plan(fe, &order[reqs], profile, &mut events))
+                .collect();
+            (events, plans)
+        });
+        for (batch_events, batch_plans) in built {
+            events.push(batch_events);
+            for plan in batch_plans {
+                plans.push(plan?);
+            }
+        }
 
-        // ---- layout phase (sequential, deterministic from here on) ----
+        // ---- base assignment (sequential) ----
         // Assign patch-area bases in entry-address order, re-relaxing
         // each plan at its final base until the whole-area assignment is
         // a fixpoint: a function that widens shifts everything after it,
@@ -679,7 +844,7 @@ impl<'b> Instrumenter<'b> {
         let code_end = loop {
             let mut cursor = self.layout.patch_text;
             let mut changed = false;
-            for plan in plans.values_mut() {
+            for plan in &mut plans {
                 plan.base = cursor;
                 changed |= plan.reloc.relax_at(cursor);
                 cursor += (plan.reloc.code_size() + 7) & !7;
@@ -697,116 +862,86 @@ impl<'b> Instrumenter<'b> {
             data_size,
         )?;
 
-        let mut out = self.binary.clone();
-        let mut patch_code: Vec<u8> = Vec::new();
+        // ---- finish phase (parallel): emission, springboards, audit ----
+        // The plans stay with the main thread, which frees them after the
+        // merge: workers freeing them concurrently contend in the
+        // allocator.
+        let batches = par_batches(plans.iter().collect(), nworkers, |plans| {
+            let mut batch = FinishedBatch::default();
+            for plan in plans {
+                self.finish_plan(plan, profile, &mut batch);
+            }
+            batch
+        });
+
+        // ---- merge (sequential, in entry order) ----
+        let mut patch_code: Vec<u8> =
+            Vec::with_capacity(batches.iter().map(|b| b.code.len()).sum());
+        let mut index: Vec<(u64, u64)> =
+            Vec::with_capacity(batches.iter().map(|b| b.index.len()).sum());
         let mut trap_table: Vec<(u64, u64)> = Vec::new();
+        let mut springs: Vec<(u64, Springboard)> = Vec::new();
         let mut spill_count = 0usize;
         let mut dead_register_points = 0usize;
         let mut points_instrumented = 0usize;
-        let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut undo: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut springs: Vec<(u64, crate::springboard::Springboard)> = Vec::new();
-        let mut reloc_index = RelocationIndex::default();
         // Clobber audit state: every original instruction address a
         // springboard tears, and the redirect registered to cover it.
-        let mut audited: BTreeSet<u64> = BTreeSet::new();
-        let mut redirects: BTreeSet<(u64, u64)> = BTreeSet::new();
-
-        for plan in plans.values() {
-            let fe = plan.entry;
-            // build_plan proved the function exists.
-            let f = &self.co.functions[&fe];
-
-            // Replay the plan's lowering milestones in address order.
-            for ev in &plan.events {
-                observer(ev.clone());
-            }
-            spill_count += plan.spills;
-            dead_register_points += plan.dead_points;
-            points_instrumented += plan.points;
-            relocate_ns += plan.plan_ns;
-            observer(PatchEvent::PlanBuilt {
-                entry: fe,
-                points: plan.points,
-            });
-
-            // Resolve the plan's symbolic targets at its assigned base.
-            debug_assert_eq!(
-                self.layout.patch_text + patch_code.len() as u64,
-                plan.base,
-                "layout cursor drifted from assigned base"
-            );
-            let emit_start = Instant::now();
-            let reloc = plan.reloc.emit(plan.base)?;
-            relocate_ns += (emit_start.elapsed().as_nanos() as u64).max(1);
-            observer(PatchEvent::FunctionRelocated {
-                entry: fe,
-                bytes: reloc.code.len(),
-            });
-            reloc_index.absorb(&reloc.addr_map);
-            patch_code.extend_from_slice(&reloc.code);
-            // Align the next function.
-            while !patch_code.len().is_multiple_of(8) {
-                patch_code.push(0);
-            }
-
-            // Springboard at the function entry. Soundness: the budget is
-            // the entry *block*, not the whole function extent — later
-            // blocks start at branch targets whose original bytes must
-            // survive, and an entry block that is itself an indirect-jump
-            // target re-enters mid-patch if overwritten without coverage.
-            let avail = match f.blocks.get(&fe) {
-                Some(b) => b.len_bytes() as usize,
-                None => {
-                    let (lo, hi) = f.extent();
-                    (hi - lo) as usize
+        // Functions register disjoint redirects — each `to` lies in its
+        // own function's patch range — so concatenation keeps them
+        // distinct.
+        let mut audited: Vec<u64> = Vec::new();
+        let mut redirects: Vec<(u64, u64)> = Vec::new();
+        let mut events = events.into_iter().flatten();
+        let mut plans_in_order = plans.iter();
+        for batch in batches {
+            patch_code.extend_from_slice(&batch.code);
+            index.extend_from_slice(&batch.index);
+            let mut registered = batch.redirects.iter();
+            for fin in batch.functions {
+                let plan = plans_in_order.next().expect("one finish result per plan");
+                // Replay the plan's lowering milestones in address order.
+                for ev in events.by_ref().take(plan.points) {
+                    observer(ev);
                 }
-            };
-            let sb = plan_springboard(fe, reloc.new_entry, avail, profile, plan.dead_entry);
-            if let Some(t) = sb.trap_entry {
-                trap_table.push(t);
-            }
-            audit_springboard(
-                f,
-                fe,
-                sb.bytes.len(),
-                &reloc.addr_map,
-                &mut audited,
-                &mut redirects,
-                observer,
-            )?;
-            springs.push((fe, sb));
-
-            // Springboards at indirect-jump targets: execution re-enters
-            // original code through jump tables; bounce it back into the
-            // instrumented copy (§3.2.3 jump tables + code patching).
-            for &(t, dead) in &plan.indirect {
-                if let Some(&nt) = reloc.addr_map.get(&t) {
-                    let tb = &f.blocks[&t];
-                    let avail = tb.len_bytes() as usize;
-                    let sb = plan_springboard(t, nt, avail, profile, dead);
-                    if let Some(tt) = sb.trap_entry {
-                        trap_table.push(tt);
-                    }
-                    audit_springboard(
-                        f,
-                        t,
-                        sb.bytes.len(),
-                        &reloc.addr_map,
-                        &mut audited,
-                        &mut redirects,
-                        observer,
-                    )?;
-                    springs.push((t, sb));
+                spill_count += plan.spills;
+                dead_register_points += plan.dead_points;
+                points_instrumented += plan.points;
+                relocate_ns += plan.plan_ns + fin.emit_ns;
+                observer(PatchEvent::PlanBuilt {
+                    entry: plan.entry,
+                    points: plan.points,
+                });
+                observer(PatchEvent::FunctionRelocated {
+                    entry: plan.entry,
+                    bytes: fin.emitted?,
+                });
+                for &(from, to) in registered.by_ref().take(fin.redirects) {
+                    audited.push(from);
+                    observer(PatchEvent::RedirectRegistered { from, to });
+                }
+                if let Some(e) = fin.error {
+                    return Err(e);
                 }
             }
+            redirects.extend(batch.redirects);
+            trap_table.extend(batch.traps);
+            springs.extend(batch.springs);
         }
+        debug_assert_eq!(
+            self.layout.patch_text + patch_code.len() as u64,
+            code_end,
+            "emitted code drifted from the assigned bases"
+        );
+        debug_assert!(index.is_sorted(), "relocated addresses must ascend");
+        audited.sort_unstable();
+        audited.dedup();
 
         // Every audited clobber's redirect goes into the trap table, so
         // any control transfer landing on a torn original instruction —
         // not just an executed trap springboard — resolves to relocated
         // code. The runtime charges nothing for entries that never fire.
-        trap_table.extend(redirects.iter().copied());
+        let redirects_registered = redirects.len();
+        trap_table.extend(redirects);
 
         springs.sort_by_key(|(a, _)| *a);
         springs.dedup_by_key(|(a, _)| *a);
@@ -816,22 +951,25 @@ impl<'b> Instrumenter<'b> {
 
         // Patch springboards into the text section image, recording the
         // bytes they replace for uninstrumentation.
-        for (addr, sb) in &springs {
+        let mut out = self.binary.clone();
+        let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut undo: Vec<(u64, Vec<u8>)> = Vec::new();
+        for (addr, sb) in springs {
             let sec = out
                 .sections
                 .iter_mut()
-                .find(|s| s.is_code() && s.contains(*addr))
-                .ok_or(InstrumentError::SpringboardOutsideCode { addr: *addr })?;
-            let bytes = &sb.bytes;
-            let off = (*addr - sec.addr) as usize;
-            undo.push((*addr, sec.data[off..off + bytes.len()].to_vec()));
-            sec.data[off..off + bytes.len()].copy_from_slice(bytes);
-            writes.push((*addr, bytes.clone()));
+                .find(|s| s.is_code() && s.contains(addr))
+                .ok_or(InstrumentError::SpringboardOutsideCode { addr })?;
+            let off = (addr - sec.addr) as usize;
+            let len = sb.bytes.len();
+            undo.push((addr, sec.data[off..off + len].to_vec()));
+            sec.data[off..off + len].copy_from_slice(&sb.bytes);
             springboards.record(&sb.kind);
             observer(PatchEvent::SpringboardPlanted {
-                addr: *addr,
-                kind: sb.kind.clone(),
+                addr,
+                kind: sb.kind,
             });
+            writes.push((addr, sb.bytes));
         }
 
         // New sections.
@@ -873,12 +1011,12 @@ impl<'b> Instrumenter<'b> {
             springboards,
             relocate_ns,
             clobbers_audited: audited.len(),
-            redirects_registered: redirects.len(),
-            plans_built: plans.len(),
+            redirects_registered,
+            plans_built,
             instrument_workers: nworkers,
             writes,
             undo,
-            reloc_index,
+            reloc_index: RelocationIndex { entries: index },
         })
     }
 }

@@ -10,11 +10,12 @@
 //! snippets inlined is placed in a patch area, and the original entry (plus
 //! every indirect-jump target) is overwritten with a **springboard** jump
 //! to the new version. The pass is split into a *parallel plan phase*
-//! (per-function liveness + lowering + symbolic relocation, fanned out
-//! over a worker pool) and a *sequential layout phase* (deterministic
-//! patch-area address assignment + springboards) so it scales with cores
-//! while producing bit-identical bytes for any thread count — see
-//! [`instrument`]. The springboard planner implements §3.1.2's
+//! (per-function liveness + lowering + slot-indexed relocation plans,
+//! fanned out over a worker pool), a *sequential base assignment*
+//! (deterministic patch-area addresses), a *parallel finish phase*
+//! (emission + springboards + clobber audit) and a *sequential merge*
+//! in entry order, so it scales with cores while producing bit-identical
+//! bytes for any thread count — see [`instrument`]. The springboard planner implements §3.1.2's
 //! size/range ladder:
 //!
 //! | form            | size | reach       |

@@ -18,6 +18,10 @@
 //! * branch displacements that outgrow their format are relaxed
 //!   (inverted branch + `jal`, or `auipc`+`jalr` for far jumps) by an
 //!   iterative size-relaxation pass, exactly like an assembler.
+//!
+//! Every intra-function target is resolved to a slot index once, when the
+//! plan is built, so relaxation and emission are linear passes over the
+//! slots with no address-map lookups.
 
 use rvdyn_codegen::imm::load_imm;
 use rvdyn_isa::encode::{compress, encode32};
@@ -74,28 +78,42 @@ pub struct RelocatedFunction {
     pub addr_map: BTreeMap<u64, u64>,
 }
 
+/// Where a branch or jump goes, resolved when the plan is built.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// The slot at this index: the first slot for the original target
+    /// address (its snippet when one is attached), or a taken-edge stub.
+    Slot(usize),
+    /// A fixed address outside the function (call or tail call).
+    Abs(u64),
+    /// An intra-function target no slot stands for. Sized as the
+    /// absolute address; emission refuses it with
+    /// [`RelocateError::UnmappedTarget`].
+    Unmapped(u64),
+}
+
+impl Target {
+    /// The target address with `slots` placed at `base`.
+    fn addr(self, slots: &[Slot], base: u64) -> u64 {
+        match self {
+            Target::Slot(i) => base + slots[i].offset,
+            Target::Abs(a) | Target::Unmapped(a) => a,
+        }
+    }
+}
+
 enum Item {
-    /// Snippet code attached before the original instruction at `for_old`.
-    Snippet { insts: Vec<Instruction> },
+    /// Straight-line 4-byte instructions `insts[start..start + len]` of
+    /// the plan: snippet code, or the materialised value that replaces
+    /// an `auipc`.
+    Insts { start: usize, len: usize },
     /// An original instruction copied (re-encoded) verbatim.
     Verbatim { inst: Instruction },
-    /// Conditional branch with a (possibly intra-function) target. When
-    /// `stub_slot` is set, the branch routes through a taken-edge stub
-    /// instead of its real target.
-    CondBranch {
-        inst: Instruction,
-        old_target: u64,
-        intra: bool,
-        stub_slot: Option<usize>,
-    },
-    /// `jal` with a target: intra-function or absolute (call/tail-call).
-    Jump {
-        rd: Reg,
-        old_target: u64,
-        intra: bool,
-    },
-    /// Replacement for `auipc rd`: materialise the original value.
-    AuipcValue { insts: Vec<Instruction> },
+    /// Conditional branch. A branch with a taken-edge snippet targets
+    /// its stub slot instead of its real target.
+    CondBranch { inst: Instruction, target: Target },
+    /// `jal` with an intra-function or absolute (call/tail-call) target.
+    Jump { rd: Reg, target: Target },
 }
 
 /// Snippet placement requests for one function's relocation.
@@ -124,9 +142,16 @@ impl Insertions {
 }
 
 struct Slot {
-    old_addr: Option<u64>, // original instruction this slot represents
     item: Item,
     size: u64,
+    /// Byte offset from the plan's base: the sum of the sizes of the
+    /// slots before it.
+    offset: u64,
+    /// The original address this slot is the first slot for, if any.
+    /// The first slot wins: a snippet slot precedes its instruction's
+    /// slot, and a later overlapping block's copy of an address loses to
+    /// the earlier block's.
+    first_of: Option<u64>,
 }
 
 fn invert(op: Op) -> Option<Op> {
@@ -141,36 +166,64 @@ fn invert(op: Op) -> Option<Op> {
     }
 }
 
+/// The relocated address of original instruction `old` in `pairs`, the
+/// `(original, relocated)` vector emission returns (sorted by original
+/// address).
+pub(crate) fn relocated_addr(pairs: &[(u64, u64)], old: u64) -> Option<u64> {
+    pairs
+        .binary_search_by_key(&old, |&(o, _)| o)
+        .ok()
+        .map(|i| pairs[i].1)
+}
+
 /// A sized-but-unplaced relocation: the slot list for one function with
 /// snippets spliced in, after the size-relaxation fixpoint, but before
 /// any patch-area address is chosen. This is the position-independent
 /// artifact the instrumenter's parallel plan phase produces per
-/// function; the sequential layout phase then pins each plan to its
-/// final base ([`RelocationPlan::relax_at`]) and resolves the symbolic
-/// targets into bytes ([`RelocationPlan::emit`]).
+/// function; sequential base assignment then pins each plan to its
+/// final base ([`RelocationPlan::relax_at`]) and the finish phase
+/// encodes it there ([`RelocationPlan::emit`]).
 ///
 /// Slot sizes are *monotone*: `relax_at` only ever widens a slot, so
 /// re-relaxing the same plan at successive candidate bases reaches a
 /// fixpoint — which is what makes the instrumenter's whole-patch-area
-/// layout loop terminate deterministically.
+/// base assignment terminate deterministically.
 pub struct RelocationPlan {
     entry: u64,
     slots: Vec<Slot>,
+    /// Instructions of the plan's [`Item::Insts`] slots.
+    insts: Vec<Instruction>,
 }
 
 impl RelocationPlan {
     /// Build the slot list for `f` with `insertions` spliced in (taken-edge
-    /// stubs appended after the body). No addresses are assigned yet.
+    /// stubs appended after the body) and resolve every intra-function
+    /// target to its slot. No addresses are assigned yet.
     pub fn build(f: &Function, insertions: &Insertions) -> Result<RelocationPlan, RelocateError> {
-        build_slots(f, insertions).map(|slots| RelocationPlan {
+        let mut b = Builder::with_capacity(f, insertions);
+        b.build(f, insertions)?;
+        b.resolve_targets();
+        let mut plan = RelocationPlan {
             entry: f.entry,
-            slots,
-        })
+            slots: b.slots,
+            insts: b.insts,
+        };
+        plan.place();
+        Ok(plan)
     }
 
     /// Total encoded size of the plan at its current slot sizes.
     pub fn code_size(&self) -> u64 {
-        self.slots.iter().map(|s| s.size).sum()
+        self.slots.last().map_or(0, |s| s.offset + s.size)
+    }
+
+    /// Recompute every slot's offset from the slot sizes.
+    fn place(&mut self) {
+        let mut offset = 0;
+        for s in &mut self.slots {
+            s.offset = offset;
+            offset += s.size;
+        }
     }
 
     /// Run the size-relaxation fixpoint with the plan based at
@@ -178,14 +231,144 @@ impl RelocationPlan {
     /// form, jumps to `auipc`+`jalr`), so iterating `relax_at` over
     /// changing bases converges. Returns whether any slot widened.
     pub fn relax_at(&mut self, new_base: u64) -> bool {
-        relax_slots(&mut self.slots, new_base)
+        let mut any = false;
+        loop {
+            // Every slot is checked against the offsets from the start of
+            // the pass; widened slots move the others on the next pass.
+            let mut changed = false;
+            for i in 0..self.slots.len() {
+                let s = &self.slots[i];
+                let (target, reach) = match s.item {
+                    Item::CondBranch { target, .. } => (target, 1 << 12),
+                    Item::Jump { target, .. } => (target, 1 << 20),
+                    _ => continue,
+                };
+                let at = new_base + s.offset;
+                let delta = target.addr(&self.slots, new_base).wrapping_sub(at) as i64;
+                let need = if (-reach..reach).contains(&delta) {
+                    4
+                } else {
+                    8
+                };
+                if need > s.size {
+                    self.slots[i].size = need;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return any;
+            }
+            any = true;
+            self.place();
+        }
     }
 
     /// Resolve every slot's target against `new_base` and encode. The
     /// caller must have called [`RelocationPlan::relax_at`] with the same
     /// base (sizes are assumed stable).
     pub fn emit(&self, new_base: u64) -> Result<RelocatedFunction, RelocateError> {
-        emit_slots(&self.slots, self.entry, new_base)
+        let mut code = Vec::new();
+        let pairs = self.emit_into(new_base, &mut code)?;
+        Ok(RelocatedFunction {
+            code,
+            new_entry: relocated_addr(&pairs, self.entry).unwrap_or(new_base),
+            addr_map: pairs.into_iter().collect(),
+        })
+    }
+
+    /// Encode the plan at `new_base`, appending the bytes to `code`, and
+    /// return the `(original, relocated)` address pairs sorted by
+    /// original address. As for [`RelocationPlan::emit`], sizes must be
+    /// relaxed at `new_base`.
+    pub(crate) fn emit_into(
+        &self,
+        new_base: u64,
+        code: &mut Vec<u8>,
+    ) -> Result<Vec<(u64, u64)>, RelocateError> {
+        let start = code.len();
+        code.reserve(self.code_size() as usize);
+        let enc_err = |e: rvdyn_isa::encode::EncodeError| RelocateError::Encode(e.to_string());
+        let put = |code: &mut Vec<u8>, i: &Instruction| -> Result<(), RelocateError> {
+            code.extend_from_slice(&encode32(i).map_err(enc_err)?.to_le_bytes());
+            Ok(())
+        };
+        let mut pairs = Vec::new();
+        for s in &self.slots {
+            let at = new_base + s.offset;
+            if let Some(old) = s.first_of {
+                pairs.push((old, at));
+            }
+            match &s.item {
+                Item::Insts { start, len } => {
+                    for i in &self.insts[*start..start + len] {
+                        put(code, i)?;
+                    }
+                }
+                Item::Verbatim { inst } => {
+                    if s.size == 2 {
+                        let c = compress(inst).ok_or_else(|| {
+                            RelocateError::Encode(format!(
+                                "size-2 slot at {at:#x} does not compress"
+                            ))
+                        })?;
+                        code.extend_from_slice(&c.to_le_bytes());
+                    } else {
+                        put(code, inst)?;
+                    }
+                }
+                Item::CondBranch { inst, target } => {
+                    let t = self.resolved(*target, new_base, at)?;
+                    let delta = t.wrapping_sub(at) as i64;
+                    let malformed = RelocateError::MalformedInstruction { at: inst.address };
+                    let rs1 = inst.rs1.ok_or_else(|| malformed.clone())?;
+                    let rs2 = inst.rs2.ok_or_else(|| malformed.clone())?;
+                    if s.size == 4 {
+                        put(code, &build::b_type(inst.op, rs1, rs2, delta))?;
+                    } else {
+                        // Inverted branch over a jal.
+                        let inv = invert(inst.op).ok_or(malformed)?;
+                        put(code, &build::b_type(inv, rs1, rs2, 8))?;
+                        put(code, &build::jal(Reg::X0, delta - 4))?;
+                    }
+                }
+                Item::Jump { rd, target } => {
+                    let t = self.resolved(*target, new_base, at)?;
+                    let delta = t.wrapping_sub(at) as i64;
+                    if s.size == 4 {
+                        put(code, &build::jal(*rd, delta))?;
+                    } else {
+                        // Far jump: auipc + jalr through rd (works only for a
+                        // linking jump, which has a register to clobber).
+                        if rd.is_zero() {
+                            return Err(RelocateError::JumpOutOfRange { at, target: t });
+                        }
+                        let (hi, lo) = rvdyn_codegen::imm::pcrel_parts(at, t)
+                            .ok_or(RelocateError::JumpOutOfRange { at, target: t })?;
+                        put(code, &build::auipc(*rd, hi))?;
+                        put(code, &build::jalr(*rd, *rd, lo))?;
+                    }
+                }
+            }
+            debug_assert_eq!(
+                (code.len() - start) as u64,
+                s.offset + s.size,
+                "size accounting drift"
+            );
+        }
+        // Slot order is address order except across overlapping blocks.
+        if !pairs.is_sorted() {
+            pairs.sort_unstable();
+        }
+        Ok(pairs)
+    }
+
+    /// The address `target` resolves to for a slot at `at` with the plan
+    /// at `base`, refusing an unmapped intra-function target.
+    fn resolved(&self, target: Target, base: u64, at: u64) -> Result<u64, RelocateError> {
+        match target {
+            Target::Unmapped(t) => Err(RelocateError::UnmappedTarget { at, target: t }),
+            t => Ok(t.addr(&self.slots, base)),
+        }
     }
 }
 
@@ -200,353 +383,193 @@ pub fn relocate_function(
     plan.emit(new_base)
 }
 
-/// Build the slot list for one function in block address order.
-fn build_slots(f: &Function, insertions: &Insertions) -> Result<Vec<Slot>, RelocateError> {
-    // ---- build the item list in block address order ----
-    let mut slots: Vec<Slot> = Vec::new();
-    // Conditional branches that need a taken-edge stub: (slot index of the
-    // branch, branch old address).
-    let mut want_stub: Vec<(usize, u64)> = Vec::new();
-    let blocks: Vec<_> = f.blocks.values().collect();
-    for (bi, b) in blocks.iter().enumerate() {
-        let is_last_inst =
-            |inst: &Instruction| Some(inst.address) == b.last_inst().map(|l| l.address);
-        for inst in &b.insts {
-            if let Some(snip) = insertions.before.get(&inst.address) {
-                if !snip.is_empty() {
-                    slots.push(Slot {
-                        old_addr: Some(inst.address),
-                        item: Item::Snippet {
-                            insts: snip.clone(),
-                        },
-                        size: snip.len() as u64 * 4,
-                    });
-                }
-            }
-            // Classify the instruction for relocation purposes.
-            let slot = if inst.op == Op::Auipc {
-                let value = inst.address.wrapping_add(inst.imm as u64);
-                let rd = inst
-                    .rd
-                    .ok_or(RelocateError::MalformedInstruction { at: inst.address })?;
-                let insts = load_imm(rd, value as i64);
-                let size = insts.len() as u64 * 4;
-                Slot {
-                    old_addr: Some(inst.address),
-                    item: Item::AuipcValue { insts },
-                    size,
-                }
-            } else if inst.op.is_conditional_branch() {
-                let old_target = inst.address.wrapping_add(inst.imm as u64);
-                if insertions.taken_edge.contains_key(&inst.address) {
-                    want_stub.push((slots.len(), inst.address));
-                }
-                let slot = Slot {
-                    old_addr: Some(inst.address),
-                    item: Item::CondBranch {
-                        inst: *inst,
-                        old_target,
-                        intra: true,
-                        stub_slot: None,
-                    },
-                    size: 4,
-                };
-                slots.push(slot);
-                // Not-taken edge snippet: inline right after the branch —
-                // only the fallthrough path executes it.
-                if let Some(snip) = insertions.not_taken_edge.get(&inst.address) {
-                    if !snip.is_empty() {
-                        slots.push(Slot {
-                            old_addr: None,
-                            item: Item::Snippet {
-                                insts: snip.clone(),
-                            },
-                            size: snip.len() as u64 * 4,
-                        });
-                    }
-                }
-                continue;
-            } else if inst.op == Op::Jal {
-                let old_target = inst.address.wrapping_add(inst.imm as u64);
-                // Edge kinds decide whether the target moves with us.
-                let intra = if is_last_inst(inst) {
-                    b.edges
-                        .iter()
-                        .any(|e| e.kind == EdgeKind::Jump && e.target == Some(old_target))
-                } else {
-                    true
-                };
-                Slot {
-                    old_addr: Some(inst.address),
-                    item: Item::Jump {
-                        rd: inst.rd.unwrap_or(Reg::X0),
-                        old_target,
-                        intra,
-                    },
-                    size: 4,
-                }
-            } else {
-                // Verbatim: keep compressed width when possible.
-                let size = if inst.compressed.is_some() && compress(inst).is_some() {
-                    2
-                } else {
-                    4
-                };
-                Slot {
-                    old_addr: Some(inst.address),
-                    item: Item::Verbatim { inst: *inst },
-                    size,
-                }
-            };
-            slots.push(slot);
-        }
-        // Explicit jump if the fallthrough successor is not laid out next.
-        let ft = b.edges.iter().find_map(|e| {
-            matches!(
-                e.kind,
-                EdgeKind::Fallthrough | EdgeKind::NotTaken | EdgeKind::CallFallthrough
-            )
-            .then_some(e.target)
-            .flatten()
-        });
-        if let Some(t) = ft {
-            let next_start = blocks.get(bi + 1).map(|nb| nb.start);
-            if next_start != Some(t) && f.blocks.contains_key(&t) {
-                slots.push(Slot {
-                    old_addr: None,
-                    item: Item::Jump {
-                        rd: Reg::X0,
-                        old_target: t,
-                        intra: true,
-                    },
-                    size: 4,
-                });
-            }
+/// Slot-list construction state for [`RelocationPlan::build`].
+struct Builder {
+    slots: Vec<Slot>,
+    insts: Vec<Instruction>,
+    /// `(original address, slot)` for every slot standing for an
+    /// original instruction.
+    olds: Vec<(u64, usize)>,
+}
+
+impl Builder {
+    /// An empty builder sized for `f` with `insertions`.
+    fn with_capacity(f: &Function, insertions: &Insertions) -> Builder {
+        let n_insts: usize = f.blocks.values().map(|b| b.insts.len()).sum();
+        let snippets = [
+            &insertions.before,
+            &insertions.taken_edge,
+            &insertions.not_taken_edge,
+        ];
+        let n_snippets: usize = snippets.iter().map(|m| m.len()).sum();
+        let snippet_insts = snippets.iter().flat_map(|m| m.values()).map(Vec::len).sum();
+        Builder {
+            slots: Vec::with_capacity(
+                n_insts + n_snippets + insertions.taken_edge.len() + f.blocks.len(),
+            ),
+            insts: Vec::with_capacity(snippet_insts),
+            olds: Vec::with_capacity(n_insts + insertions.before.len()),
         }
     }
 
-    // ---- taken-edge stubs ----
-    // Appended after the function body: snippet, then a jump to the real
-    // taken target. The branch is retargeted to the stub.
-    for (branch_slot, branch_addr) in want_stub {
-        let stub_idx = slots.len();
-        let snip = &insertions.taken_edge[&branch_addr];
-        slots.push(Slot {
-            old_addr: None,
-            item: Item::Snippet {
-                insts: snip.clone(),
-            },
-            size: snip.len() as u64 * 4,
+    /// Append a slot; `old` is the original instruction it stands for.
+    fn push(&mut self, old: Option<u64>, item: Item, size: u64) -> usize {
+        let idx = self.slots.len();
+        if let Some(old) = old {
+            self.olds.push((old, idx));
+        }
+        self.slots.push(Slot {
+            item,
+            size,
+            offset: 0,
+            first_of: None,
         });
-        let Item::CondBranch {
-            old_target,
-            ref mut stub_slot,
-            ..
-        } = slots[branch_slot].item
-        else {
-            unreachable!("want_stub records only CondBranch slots")
+        idx
+    }
+
+    /// Append a straight-line instruction slot.
+    fn push_insts(&mut self, old: Option<u64>, insts: &[Instruction]) {
+        let item = Item::Insts {
+            start: self.insts.len(),
+            len: insts.len(),
         };
-        *stub_slot = Some(stub_idx);
-        slots.push(Slot {
-            old_addr: None,
-            item: Item::Jump {
-                rd: Reg::X0,
-                old_target,
-                intra: true,
-            },
-            size: 4,
-        });
+        self.insts.extend_from_slice(insts);
+        self.push(old, item, insts.len() as u64 * 4);
     }
 
-    Ok(slots)
-}
-
-/// Assign slot addresses at `base` and derive the old→new address map.
-/// The first slot for an old address wins (the snippet slot precedes the
-/// instruction slot).
-fn slot_addrs(slots: &[Slot], base: u64) -> (Vec<u64>, BTreeMap<u64, u64>) {
-    let mut addr_map: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut slot_addr = Vec::with_capacity(slots.len());
-    let mut pc = base;
-    for s in slots {
-        slot_addr.push(pc);
-        if let Some(old) = s.old_addr {
-            addr_map.entry(old).or_insert(pc);
-        }
-        pc += s.size;
-    }
-    (slot_addr, addr_map)
-}
-
-/// Size relaxation to a fixpoint at `new_base`. Sizes only grow; returns
-/// whether any slot widened.
-fn relax_slots(slots: &mut [Slot], new_base: u64) -> bool {
-    let mut any = false;
-    loop {
-        let (slot_addr, addr_map) = slot_addrs(slots, new_base);
-
-        // Check sizes.
-        let mut changed = false;
-        for (i, s) in slots.iter_mut().enumerate() {
-            let at = slot_addr[i];
-            match &s.item {
-                Item::CondBranch {
-                    old_target,
-                    intra,
-                    stub_slot,
-                    ..
-                } => {
-                    let t = if let Some(idx) = stub_slot {
-                        slot_addr[*idx]
-                    } else if *intra {
-                        *addr_map.get(old_target).unwrap_or(old_target)
-                    } else {
-                        *old_target
-                    };
-                    let delta = t.wrapping_sub(at) as i64;
-                    let need: u64 = if (-4096..4096).contains(&delta) { 4 } else { 8 };
-                    if need > s.size {
-                        s.size = need;
-                        changed = true;
+    /// Build the slot list for one function in block address order.
+    /// Intra-function targets start out [`Target::Unmapped`];
+    /// [`Builder::resolve_targets`] maps them to slots.
+    fn build(&mut self, f: &Function, insertions: &Insertions) -> Result<(), RelocateError> {
+        // Conditional branches that need a taken-edge stub: (slot index of
+        // the branch, branch address, branch target).
+        let mut want_stub: Vec<(usize, u64, u64)> = Vec::new();
+        let mut blocks = f.blocks.values().peekable();
+        while let Some(b) = blocks.next() {
+            let last = b.last_inst().map(|l| l.address);
+            for inst in &b.insts {
+                if let Some(snip) = insertions.before.get(&inst.address) {
+                    if !snip.is_empty() {
+                        self.push_insts(Some(inst.address), snip);
                     }
                 }
-                Item::Jump {
-                    old_target, intra, ..
-                } => {
-                    let t = if *intra {
-                        *addr_map.get(old_target).unwrap_or(old_target)
-                    } else {
-                        *old_target
+                let old = Some(inst.address);
+                if inst.op == Op::Auipc {
+                    // Classify the instruction for relocation purposes.
+                    let value = inst.address.wrapping_add(inst.imm as u64);
+                    let rd = inst
+                        .rd
+                        .ok_or(RelocateError::MalformedInstruction { at: inst.address })?;
+                    self.push_insts(old, &load_imm(rd, value as i64));
+                } else if inst.op.is_conditional_branch() {
+                    let old_target = inst.address.wrapping_add(inst.imm as u64);
+                    let item = Item::CondBranch {
+                        inst: *inst,
+                        target: Target::Unmapped(old_target),
                     };
-                    let delta = t.wrapping_sub(at) as i64;
-                    let need: u64 = if (-(1 << 20)..(1 << 20)).contains(&delta) {
+                    let idx = self.push(old, item, 4);
+                    if insertions.taken_edge.contains_key(&inst.address) {
+                        want_stub.push((idx, inst.address, old_target));
+                    }
+                    // Not-taken edge snippet: inline right after the branch —
+                    // only the fallthrough path executes it.
+                    if let Some(snip) = insertions.not_taken_edge.get(&inst.address) {
+                        if !snip.is_empty() {
+                            self.push_insts(None, snip);
+                        }
+                    }
+                } else if inst.op == Op::Jal {
+                    let old_target = inst.address.wrapping_add(inst.imm as u64);
+                    // Edge kinds decide whether the target moves with us.
+                    let intra = Some(inst.address) != last
+                        || b.edges
+                            .iter()
+                            .any(|e| e.kind == EdgeKind::Jump && e.target == Some(old_target));
+                    let target = if intra {
+                        Target::Unmapped(old_target)
+                    } else {
+                        Target::Abs(old_target)
+                    };
+                    let rd = inst.rd.unwrap_or(Reg::X0);
+                    self.push(old, Item::Jump { rd, target }, 4);
+                } else {
+                    // Verbatim: keep compressed width when possible.
+                    let size = if inst.compressed.is_some() && compress(inst).is_some() {
+                        2
+                    } else {
                         4
-                    } else {
-                        8
                     };
-                    if need > s.size {
-                        s.size = need;
-                        changed = true;
-                    }
+                    self.push(old, Item::Verbatim { inst: *inst }, size);
                 }
-                _ => {}
+            }
+            // Explicit jump if the fallthrough successor is not laid out next.
+            let ft = b.edges.iter().find_map(|e| {
+                matches!(
+                    e.kind,
+                    EdgeKind::Fallthrough | EdgeKind::NotTaken | EdgeKind::CallFallthrough
+                )
+                .then_some(e.target)
+                .flatten()
+            });
+            if let Some(t) = ft {
+                let next_start = blocks.peek().map(|nb| nb.start);
+                if next_start != Some(t) && f.blocks.contains_key(&t) {
+                    let target = Target::Unmapped(t);
+                    self.push(
+                        None,
+                        Item::Jump {
+                            rd: Reg::X0,
+                            target,
+                        },
+                        4,
+                    );
+                }
             }
         }
-        if !changed {
-            break;
-        }
-        any = true;
-    }
-    any
-}
 
-/// Encode the (relaxed) slots at `new_base`.
-fn emit_slots(
-    slots: &[Slot],
-    entry: u64,
-    new_base: u64,
-) -> Result<RelocatedFunction, RelocateError> {
-    // Final slot addresses (sizes are stable after relaxation).
-    let (emit_slot_addr, addr_map) = slot_addrs(slots, new_base);
-    let mut code: Vec<u8> = Vec::new();
-    let mut pc = new_base;
-    let enc_err = |e: rvdyn_isa::encode::EncodeError| RelocateError::Encode(e.to_string());
-    for s in slots {
-        let at = pc;
-        match &s.item {
-            Item::Snippet { insts } | Item::AuipcValue { insts } => {
-                for i in insts {
-                    code.extend_from_slice(&encode32(i).map_err(enc_err)?.to_le_bytes());
-                }
-            }
-            Item::Verbatim { inst } => {
-                if s.size == 2 {
-                    let c = compress(inst).ok_or_else(|| {
-                        RelocateError::Encode(format!("size-2 slot at {at:#x} does not compress"))
-                    })?;
-                    code.extend_from_slice(&c.to_le_bytes());
-                } else {
-                    code.extend_from_slice(&encode32(inst).map_err(enc_err)?.to_le_bytes());
-                }
-            }
-            Item::CondBranch {
-                inst,
-                old_target,
-                intra,
-                stub_slot,
-            } => {
-                let t = if let Some(idx) = stub_slot {
-                    emit_slot_addr[*idx]
-                } else if *intra {
-                    *addr_map
-                        .get(old_target)
-                        .ok_or(RelocateError::UnmappedTarget {
-                            at,
-                            target: *old_target,
-                        })?
-                } else {
-                    *old_target
-                };
-                let delta = t.wrapping_sub(at) as i64;
-                let malformed = RelocateError::MalformedInstruction { at: inst.address };
-                let rs1 = inst.rs1.ok_or_else(|| malformed.clone())?;
-                let rs2 = inst.rs2.ok_or_else(|| malformed.clone())?;
-                if s.size == 4 {
-                    let b = build::b_type(inst.op, rs1, rs2, delta);
-                    code.extend_from_slice(&encode32(&b).map_err(enc_err)?.to_le_bytes());
-                } else {
-                    // Inverted branch over a jal.
-                    let inv = invert(inst.op).ok_or(malformed)?;
-                    let skip = build::b_type(inv, rs1, rs2, 8);
-                    let j = build::jal(Reg::X0, delta - 4);
-                    code.extend_from_slice(&encode32(&skip).map_err(enc_err)?.to_le_bytes());
-                    code.extend_from_slice(&encode32(&j).map_err(enc_err)?.to_le_bytes());
-                }
-            }
-            Item::Jump {
-                rd,
-                old_target,
-                intra,
-            } => {
-                let t = if *intra {
-                    *addr_map
-                        .get(old_target)
-                        .ok_or(RelocateError::UnmappedTarget {
-                            at,
-                            target: *old_target,
-                        })?
-                } else {
-                    *old_target
-                };
-                let delta = t.wrapping_sub(at) as i64;
-                if s.size == 4 {
-                    let j = build::jal(*rd, delta);
-                    code.extend_from_slice(&encode32(&j).map_err(enc_err)?.to_le_bytes());
-                } else {
-                    // Far jump: auipc + jalr through rd (works only for a
-                    // linking jump, which has a register to clobber).
-                    if rd.is_zero() {
-                        return Err(RelocateError::JumpOutOfRange { at, target: t });
-                    }
-                    let (hi, lo) = rvdyn_codegen::imm::pcrel_parts(at, t)
-                        .ok_or(RelocateError::JumpOutOfRange { at, target: t })?;
-                    let a = build::auipc(*rd, hi);
-                    let j = build::jalr(*rd, *rd, lo);
-                    code.extend_from_slice(&encode32(&a).map_err(enc_err)?.to_le_bytes());
-                    code.extend_from_slice(&encode32(&j).map_err(enc_err)?.to_le_bytes());
-                }
-            }
+        // ---- taken-edge stubs ----
+        // Appended after the function body: snippet, then a jump to the real
+        // taken target. The branch is retargeted to the stub.
+        for (branch_slot, branch_addr, old_target) in want_stub {
+            let stub_idx = self.slots.len();
+            self.push_insts(None, &insertions.taken_edge[&branch_addr]);
+            let Item::CondBranch { ref mut target, .. } = self.slots[branch_slot].item else {
+                unreachable!("want_stub records only CondBranch slots")
+            };
+            *target = Target::Slot(stub_idx);
+            let target = Target::Unmapped(old_target);
+            self.push(
+                None,
+                Item::Jump {
+                    rd: Reg::X0,
+                    target,
+                },
+                4,
+            );
         }
-        pc += s.size;
-        debug_assert_eq!(code.len() as u64, pc - new_base, "size accounting drift");
+        Ok(())
     }
 
-    let new_entry = *addr_map.get(&entry).unwrap_or(&new_base);
-    Ok(RelocatedFunction {
-        code,
-        new_entry,
-        addr_map,
-    })
+    /// Mark the first slot for every original address and point every
+    /// intra-function target with a slot at it.
+    fn resolve_targets(&mut self) {
+        // Stable: among equal addresses the lowest slot index stays first.
+        let firsts = &mut self.olds;
+        firsts.sort_by_key(|&(old, _)| old);
+        firsts.dedup_by_key(|&mut (old, _)| old);
+        for &(old, i) in firsts.iter() {
+            self.slots[i].first_of = Some(old);
+        }
+        for s in &mut self.slots {
+            if let Item::CondBranch { target, .. } | Item::Jump { target, .. } = &mut s.item {
+                if let Target::Unmapped(t) = *target {
+                    if let Ok(i) = firsts.binary_search_by_key(&t, |&(old, _)| old) {
+                        *target = Target::Slot(firsts[i].1);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
