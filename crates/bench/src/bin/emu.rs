@@ -1,6 +1,6 @@
 //! Execution-engine speedup benchmark (experiment E-DBT): the cached
 //! (block-translating) engine against the reference interpreter on the
-//! §4.1 matmul workload, plus a translation-stress scale point.
+//! §4.1 matmul workload, plus a cold-code scale point.
 //!
 //! Usage: `cargo run -p rvdyn-bench --release --bin emu -- [--json] [N] [REPS]`
 //! (defaults N=100, REPS=1 — the paper's matrix size).
@@ -10,7 +10,8 @@
 //! cycle count, produce the same stdout and the same final registers
 //! (docs/EMULATOR.md §"Cost-model bit-identity"). Only then is the host
 //! wall-clock speedup reported — identical answers, delivered faster.
-//! CI gates the matmul speedup at >= 5x (BENCH_emu.json).
+//! CI gates the matmul speedup at >= 5x and the cold-code speedup at
+//! >= 0.7x (BENCH_emu.json).
 
 use rvdyn_emu::{load_binary, EmuEngine, StopReason};
 use rvdyn_symtab::Binary;
@@ -89,7 +90,6 @@ fn compare(label: &str, bin: &Binary, fuel: u64) -> (EngineRun, EngineRun, f64) 
     assert_eq!(i.gpr, c.gpr, "{label}: final integer registers diverge");
     assert_eq!(i.fpr, c.fpr, "{label}: final float registers diverge");
     assert_eq!(i.stdout, c.stdout, "{label}: stdout diverges");
-    assert!(c.blocks_translated > 0, "{label}: nothing was translated");
     let speedup = i.best_ns as f64 / c.best_ns.max(1) as f64;
     (i, c, speedup)
 }
@@ -116,11 +116,12 @@ fn main() {
     eprintln!("matmul {n}x{n}, {reps} call(s) — interpreter vs cached engine…");
     let bin = rvdyn_asm::matmul_program(n, reps);
     let (mi, mc, m_speedup) = compare("matmul", &bin, 40_000_000_000);
+    assert!(mc.blocks_translated > 0, "matmul: nothing was translated");
 
-    // Translation stress: 10k distinct functions — tens of thousands of
-    // blocks through the cache, little reuse per block.
+    // Cold code: 10k distinct functions — tens of thousands of block
+    // starts, few entered often enough to be translated.
     let funcs = 10_000usize;
-    eprintln!("many_functions({funcs}) — translation stress…");
+    eprintln!("many_functions({funcs}) — cold code…");
     let many = rvdyn_asm::many_functions_program(funcs);
     let (si, sc, s_speedup) = compare("many_functions", &many, 4_000_000_000);
 
@@ -164,7 +165,7 @@ fn main() {
         mc.chain_links
     );
     println!("  speedup     : {m_speedup:>10.2}x  (identical counts, cycles, registers, stdout)");
-    println!("\nTranslation stress — many_functions({funcs}):");
+    println!("\nCold code — many_functions({funcs}):");
     println!(
         "  interpreter : {:>10.1} ms  ({} insts)",
         si.best_ns as f64 / 1e6,

@@ -24,12 +24,14 @@
 //! documented in `docs/EMULATOR.md`): the decode-dispatch
 //! [interpreter](machine::Machine::step) and a decoded-basic-block
 //! [translation cache](translate) with direct-branch chaining (the DBT
-//! back end). They are bit-identical in architectural state, retired
-//! counts, modelled cycles and trap pcs; the `RVDYN_EMU` environment
-//! variable selects the default.
+//! back end), which interprets a block until it has been entered
+//! [`TIER_UP`] times and translates it then. They are bit-identical in
+//! architectural state, retired counts, modelled cycles and trap pcs;
+//! the `RVDYN_EMU` environment variable selects the default.
 
 #![deny(missing_docs)]
 
+mod codemap;
 pub mod cost;
 mod exec;
 pub mod loader;
@@ -41,4 +43,4 @@ pub use cost::CostModel;
 pub use loader::load_binary;
 pub use machine::{Machine, MemOp, StopReason, EXIT_SYSCALL};
 pub use memory::Memory;
-pub use translate::{EmuEngine, EmuEvent};
+pub use translate::{EmuEngine, EmuEvent, TIER_UP};

@@ -9,13 +9,15 @@
 //! `work` function walks the same shape deterministically — every `If`
 //! flips on a bit of an in-program LCG and every `Loop` runs an
 //! LCG-derived 0..=3 trips — so instrumented runs are reproducible for
-//! a given seed.
+//! a given seed. [`stmt_program_hot`] calls `work` often enough that the
+//! cached engine translates its blocks.
 
 #![allow(dead_code)]
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use rvdyn_asm::{Assembler, Layout};
+use rvdyn_emu::TIER_UP;
 use rvdyn_isa::{build, IsaProfile, Op, Reg};
 use rvdyn_symtab::{
     Binary, RiscvAttributes, Section, Symbol, SymbolBinding, SymbolKind, SHF_ALLOC, SHF_EXECINSTR,
@@ -129,6 +131,18 @@ fn emit_stmt(a: &mut Assembler, s: &Stmt, id: &mut i64) {
 /// `work(seed)` and stores the accumulator at the `result` data slot
 /// (exit code is always 0). Execution is fully determined by `seed`.
 pub fn stmt_program(stmts: &[Stmt], seed: u64) -> Binary {
+    assemble(stmts, seed, 1)
+}
+
+/// The hot form of [`stmt_program`]: `main` calls `work` `2 * TIER_UP`
+/// times, on seeds `seed + 2k`, and folds the results into the `result`
+/// slot (`result = result * 3 + work(..)`), so blocks `work` enters on
+/// every call are hot enough for the cached engine to translate.
+pub fn stmt_program_hot(stmts: &[Stmt], seed: u64) -> Binary {
+    assemble(stmts, seed, 2 * TIER_UP)
+}
+
+fn assemble(stmts: &[Stmt], seed: u64, calls: u32) -> Binary {
     let layout = Layout::default();
     let result = layout.data;
     let mut a = Assembler::new(layout.text);
@@ -145,10 +159,32 @@ pub fn stmt_program(stmts: &[Stmt], seed: u64) -> Binary {
     let main_addr = a.here();
     a.addi(SP, SP, -16);
     a.sd(RA, SP, 8);
-    a.li(A0, ((seed & 0x7fff_ffff) | 1) as i64);
-    a.call(l_work);
-    a.li(T0, result as i64);
-    a.sd(A0, T0, 0);
+    let seed = ((seed & 0x7fff_ffff) | 1) as i64;
+    if calls == 1 {
+        a.li(A0, seed);
+        a.call(l_work);
+        a.li(T0, result as i64);
+        a.sd(A0, T0, 0);
+    } else {
+        // The call counter lives in main's frame: work saves nothing.
+        a.li(T0, calls as i64);
+        a.sd(T0, SP, 0);
+        let l_call = a.here_label();
+        a.slli(T0, T0, 1);
+        a.li(A0, seed);
+        a.add(A0, A0, T0);
+        a.call(l_work);
+        a.li(T0, result as i64);
+        a.ld(T1, T0, 0);
+        a.li(S1, 3);
+        a.mul(T1, T1, S1);
+        a.add(T1, T1, A0);
+        a.sd(T1, T0, 0);
+        a.ld(T0, SP, 0);
+        a.addi(T0, T0, -1);
+        a.sd(T0, SP, 0);
+        a.bne(T0, Reg::X0, l_call);
+    }
     a.mv(A0, Reg::X0);
     a.ld(RA, SP, 8);
     a.addi(SP, SP, 16);
