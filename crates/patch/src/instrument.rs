@@ -456,10 +456,17 @@ struct FinishedBatch {
 }
 
 /// Run `work` over `items` in contiguous batches, taking them by value,
-/// on `nworkers` workers, the calling thread being one of them (inline,
-/// as one batch, when `nworkers` is 1), and return the batches' results
-/// in item order. Workers claim batches from the worklist the parallel
-/// parser uses.
+/// on `nworkers` helper threads (inline, as one batch, when `nworkers`
+/// is 1), and return the batches' results in item order. Workers claim
+/// batches from the worklist the parallel parser uses.
+///
+/// The calling thread only waits. It frees what earlier phases' helpers
+/// allocated, so glibc's per-thread cache hands it chunks owned by a
+/// helper's arena; working alongside the helpers, it then freed those
+/// chunks while a helper was allocating from the same arena, and on the
+/// cold-code benchmark the plan phase slept on that arena's lock
+/// thousands of times per apply, depending on what the process had run
+/// before.
 fn par_batches<T: Send, R: Send>(
     items: Vec<T>,
     nworkers: usize,
@@ -482,12 +489,12 @@ fn par_batches<T: Send, R: Send>(
         done
     };
     let mut results = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..nworkers).map(|_| scope.spawn(worker)).collect();
-        let mut results = worker();
+        let helpers: Vec<_> = (0..nworkers).map(|_| scope.spawn(worker)).collect();
         // Join each helper explicitly: unlike the scope's implicit join,
         // this waits for the thread to exit, which returns its allocator
         // arena for the next phase's helpers to reuse instead of making
         // the allocator open new ones.
+        let mut results = Vec::new();
         for h in helpers {
             results.extend(h.join().expect("instrumentation worker panicked"));
         }
