@@ -11,8 +11,7 @@
 //! request stream:
 //!
 //! - **cold** — every request runs `BinaryEditor::open`, paying the
-//!   full front half (ELF open, CFG parse, loop analysis, liveness)
-//!   per request;
+//!   full front half (ELF open, CFG parse, loop analysis) per request;
 //! - **warm** — every request runs `BinaryEditor::open_cached` over a
 //!   shared content-addressed [`rvdyn::AnalysisCache`], so only the
 //!   first request per distinct binary pays the front half.

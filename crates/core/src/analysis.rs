@@ -1,25 +1,29 @@
 //! The immutable, shareable front half of the instrumentation pipeline.
 //!
 //! Every instrumentation request against the same binary repeats the
-//! same work: model the ELF, build the CFG, compute loop depths, solve
-//! per-function liveness. None of that depends on *what* is being
-//! instrumented — it is a pure function of the binary's content — so a
-//! service handling many requests against few binaries should do it
-//! once. This module splits the pipeline accordingly:
+//! same work: model the ELF, build the CFG and find its natural loops.
+//! None of that depends on *what* is being instrumented — it is a pure
+//! function of the binary's content — so a service handling many
+//! requests against few binaries should do it once. This module splits
+//! the pipeline accordingly:
 //!
 //! * [`Analysis`] — the complete front-half artifact (binary model +
-//!   CFG + function-name index + loop depths + liveness), immutable and
-//!   shared behind an `Arc`. Any number of concurrent
+//!   CFG with each function's loops + function-name index), immutable
+//!   and shared behind an `Arc`. Any number of concurrent
 //!   [`Session`](crate::Session)s can run their request-specific back
-//!   halves (placement, lowering, layout, delivery) against one
-//!   `Arc<Analysis>` from different threads.
+//!   halves (liveness of the functions they instrument, placement,
+//!   lowering, layout, delivery) against one `Arc<Analysis>` from
+//!   different threads. Liveness is solved in the plan phase, for the
+//!   functions a request instruments only, because a request touches a
+//!   handful of a binary's functions.
 //! * [`AnalysisKey`] — a SHA-256 over the binary's *semantic* content:
 //!   the entry point, the ISA profile material, allocatable section
-//!   bytes ordered by address, and the symbol table. File-layout
-//!   padding, section names, section-header order and the session's
-//!   worker-thread count do not participate, so two byte-different
-//!   ELFs that load identically share a key, while a single flipped
-//!   text byte changes it.
+//!   bytes ordered by address (a zero-filled NOBITS section by its
+//!   size), and the symbol table. File-layout padding, section names,
+//!   section-header order and the session's worker-thread count do not
+//!   participate, so two byte-different ELFs that load identically
+//!   share a key, while a single flipped text byte changes it. An
+//!   analysis built outside a cache computes its key only when asked.
 //! * [`AnalysisCache`] — a bounded, least-recently-used, thread-safe
 //!   map from key to `Arc<Analysis>` with hit/miss/eviction counters,
 //!   the substrate for [`Session::open_cached`](crate::Session) and the
@@ -32,14 +36,12 @@
 
 use crate::diag::Diagnostics;
 use crate::error::Error;
-use rvdyn_dataflow::Liveness;
-use rvdyn_parse::worklist::Worklist;
-use rvdyn_parse::{nesting_depths, CodeObject, Function, ParseEvent, ParseOptions};
+use rvdyn_parse::{CodeObject, ParseEvent, ParseOptions};
 use rvdyn_symtab::Binary;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
 // SHA-256 (FIPS 180-4), hand-rolled: the workspace carries no external
@@ -58,54 +60,14 @@ const SHA256_K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-/// Incremental SHA-256, fed by the canonical-content serialiser.
-struct Sha256 {
-    state: [u32; 8],
-    buf: [u8; 64],
-    buf_len: usize,
-    total: u64,
-}
+/// A SHA-256 compression function over a whole number of 64-byte
+/// blocks.
+type Compress = fn(&mut [u32; 8], &[u8]);
 
-impl Sha256 {
-    fn new() -> Sha256 {
-        Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            buf: [0; 64],
-            buf_len: 0,
-            total: 0,
-        }
-    }
-
-    fn update(&mut self, mut data: &[u8]) {
-        self.total = self.total.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable compression function: runs on every host, and is the
+/// reference the hardware path is tested against.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, c) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
@@ -118,7 +80,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -139,8 +101,142 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The x86 SHA extensions' compression function.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::SHA256_K;
+    use std::arch::x86_64::*;
+
+    /// Four rounds on message words `w` (already byte-swapped) with the
+    /// round constants of group `i`. `abef` and `cdgh` hold the working
+    /// variables in the order the SHA instructions take them.
+    ///
+    /// # Safety
+    /// The CPU must support SHA and SSE2, and `i` must be below 16.
+    #[inline(always)]
+    unsafe fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, i: usize) {
+        let k = _mm_loadu_si128(SHA256_K.as_ptr().add(4 * i).cast());
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+
+    /// Compress `blocks`, a whole number of 64-byte blocks, into `state`.
+    ///
+    /// # Safety
+    /// The CPU must support SHA, SSE2, SSSE3 and SSE4.1.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        // Big-endian message words.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let dcba = _mm_shuffle_epi32(_mm_loadu_si128(state.as_ptr().cast()), 0xb1);
+        let efgh = _mm_shuffle_epi32(_mm_loadu_si128(state.as_ptr().add(4).cast()), 0x1b);
+        let mut abef = _mm_alignr_epi8(dcba, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, dcba, 0xf0);
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let load = |i: usize| {
+                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * i).cast()), bswap)
+            };
+            let mut w = [load(0), load(1), load(2), load(3)];
+            for (i, &wi) in w.iter().enumerate() {
+                rounds4(&mut abef, &mut cdgh, wi, i);
+            }
+            for i in 4..16 {
+                // W[t..t+4] from W[t-16..t].
+                let sigma0 = _mm_sha256msg1_epu32(w[0], w[1]);
+                let w7 = _mm_alignr_epi8(w[3], w[2], 4);
+                let next = _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), w[3]);
+                rounds4(&mut abef, &mut cdgh, next, i);
+                w = [w[1], w[2], w[3], next];
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xf0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
+    }
+}
+
+/// The hardware compression function, when this CPU has one.
+fn compress_hardware() -> Option<Compress> {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("sse2")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: the features `sha_ni::compress` needs were detected.
+        return Some(|state, blocks| unsafe { sha_ni::compress(state, blocks) });
+    }
+    None
+}
+
+/// The compression function this process uses: the hardware one where
+/// the CPU has it, else the portable one. Decided on first use.
+fn compress_default() -> Compress {
+    static CHOSEN: OnceLock<Compress> = OnceLock::new();
+    *CHOSEN.get_or_init(|| compress_hardware().unwrap_or(compress_scalar))
+}
+
+/// Incremental SHA-256, fed by the canonical-content serialiser.
+struct Sha256 {
+    state: [u32; 8],
+    buf: [u8; 64],
+    buf_len: usize,
+    total: u64,
+    compress: Compress,
+}
+
+impl Sha256 {
+    fn new() -> Sha256 {
+        Sha256::with(compress_default())
+    }
+
+    fn with(compress: Compress) -> Sha256 {
+        Sha256 {
+            state: [
+                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+                0x5be0cd19,
+            ],
+            buf: [0; 64],
+            buf_len: 0,
+            total: 0,
+            compress,
+        }
+    }
+
+    fn update(&mut self, mut data: &[u8]) {
+        self.total = self.total.wrapping_add(data.len() as u64);
+        if self.buf_len > 0 {
+            let take = (64 - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len == 64 {
+                (self.compress)(&mut self.state, &self.buf);
+                self.buf_len = 0;
+            }
+        }
+        let whole = data.len() / 64 * 64;
+        if whole > 0 {
+            (self.compress)(&mut self.state, &data[..whole]);
+            data = &data[whole..];
+        }
+        if !data.is_empty() {
+            self.buf[..data.len()].copy_from_slice(data);
+            self.buf_len = data.len();
         }
     }
 
@@ -190,12 +286,18 @@ impl AnalysisKey {
     /// address as `(sh_type, flags, addr, data)`; every symbol ordered
     /// by `(value, size, name)` with its kind and binding.
     ///
+    /// A NOBITS section carries a byte that says whether its model data
+    /// is all zero — always so for a section read by `Binary::parse`.
+    /// A zero-filled one is hashed by its size instead of its bytes, and
+    /// any other by its bytes, so the key stays an exact content
+    /// address for hand-built models too.
+    ///
     /// Deliberately *not* hashed: section names, section order and
     /// alignment, non-allocatable payload, and file-layout padding —
     /// none of which a loaded mutatee can observe.
     pub fn of(binary: &Binary, parse: &ParseOptions) -> AnalysisKey {
         let mut h = Sha256::new();
-        h.field(b"rvdyn-analysis-key-v1");
+        h.field(b"rvdyn-analysis-key-v2");
         h.update(&binary.entry.to_le_bytes());
         h.update(&binary.e_flags.to_le_bytes());
         h.update(&binary.e_type.to_le_bytes());
@@ -219,6 +321,14 @@ impl AnalysisKey {
             h.update(&s.sh_type.to_le_bytes());
             h.update(&s.flags.to_le_bytes());
             h.update(&s.addr.to_le_bytes());
+            if s.sh_type == rvdyn_symtab::elf::SHT_NOBITS {
+                let zero = is_zero(&s.data);
+                h.update(&[zero as u8]);
+                if zero {
+                    h.update(&(s.data.len() as u64).to_le_bytes());
+                    continue;
+                }
+            }
             h.field(&s.data);
         }
 
@@ -250,6 +360,14 @@ impl AnalysisKey {
     }
 }
 
+/// Is every byte zero? ORs a page at a time, which vectorises, rather
+/// than stopping at the first nonzero byte.
+fn is_zero(bytes: &[u8]) -> bool {
+    bytes
+        .chunks(4096)
+        .all(|page| page.iter().fold(0u8, |acc, &b| acc | b) == 0)
+}
+
 impl fmt::Debug for AnalysisKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "AnalysisKey({:016x}…)", self.prefix())
@@ -273,29 +391,32 @@ impl fmt::Display for AnalysisKey {
 pub struct AnalysisTimings {
     /// Nanoseconds modelling the ELF (`Binary::parse`).
     pub open_ns: u64,
-    /// Nanoseconds building the CFG plus the name index, loop depths and
-    /// liveness.
+    /// Nanoseconds building the CFG (natural loops included) and the
+    /// name index.
     pub parse_ns: u64,
 }
 
-/// The complete immutable front half of the pipeline for one binary:
-/// everything instrumentation needs that depends only on the binary's
-/// content. Construct with [`Analysis::compute`] (or through an
-/// [`AnalysisCache`]) and share behind an `Arc` — every
+/// The immutable front half of the pipeline for one binary: the binary
+/// model, its CFG with every function's natural loops, and the
+/// function-name index. Construct with [`Analysis::compute`] (or through
+/// an [`AnalysisCache`]) and share behind an `Arc` — every
 /// [`Session::from_analysis`](crate::Session::from_analysis) against the
-/// same artifact skips the parse, loop and liveness work entirely, from
-/// any number of threads at once.
+/// same artifact skips the ELF modelling and CFG construction entirely,
+/// from any number of threads at once. Per-function liveness is not
+/// part of it: the plan phase solves it for the functions a request
+/// instruments.
 pub struct Analysis {
-    key: AnalysisKey,
+    /// The content address: set by a cache that computed it for the
+    /// lookup, else computed on the first [`Analysis::key`] call.
+    key: OnceLock<AnalysisKey>,
+    /// The options `code` was parsed under; the key folds in their
+    /// semantic part.
+    parse: ParseOptions,
     binary: Binary,
     code: CodeObject,
     /// Function entry by symbol name; the lowest entry wins a shared
     /// name. Unnamed (gap-parsed) functions are absent.
     names: HashMap<String, u64>,
-    /// Natural-loop nesting depth per block, per function entry.
-    loop_depths: BTreeMap<u64, BTreeMap<u64, usize>>,
-    /// Liveness solution per function entry.
-    liveness: BTreeMap<u64, Liveness>,
     timings: AnalysisTimings,
     /// The parse-stage counters of `code`, every other field zero: the
     /// diagnostics every session on this analysis starts from.
@@ -341,14 +462,13 @@ impl Analysis {
         observer: &mut dyn FnMut(ParseEvent),
         open_ns: u64,
     ) -> Arc<Analysis> {
-        let key = AnalysisKey::of(&binary, parse);
-        Self::with_key(key, binary, parse, observer, open_ns)
+        Self::with_key(None, binary, parse, observer, open_ns)
     }
 
-    /// As [`Analysis::of_binary_observed`] for a caller that already
-    /// computed the binary's `key`.
+    /// As [`Analysis::of_binary_observed`], carrying the binary's `key`
+    /// when the caller already computed it.
     pub(crate) fn with_key(
-        key: AnalysisKey,
+        key: Option<AnalysisKey>,
         binary: Binary,
         parse: &ParseOptions,
         observer: &mut dyn FnMut(ParseEvent),
@@ -366,72 +486,27 @@ impl Analysis {
             }
         }
 
-        // Loop depths + liveness per function. Independent across
-        // functions, so fan out over the same batch worklist the
-        // parallel parser and the instrumenter's plan phase use; the
-        // results land in BTreeMaps keyed by entry, so the artifact is
-        // identical for every worker count. The depths count over the
-        // loops the parser already found.
-        let depths = |f: &Function| nesting_depths(f, &f.loops);
-        let entries: Vec<u64> = code.functions.keys().copied().collect();
-        let nworkers = parse.threads.max(1).min(entries.len().max(1));
-        let mut loop_depths_map = BTreeMap::new();
-        let mut liveness_map = BTreeMap::new();
-        if nworkers <= 1 {
-            for &fe in &entries {
-                let f = &code.functions[&fe];
-                loop_depths_map.insert(fe, depths(f));
-                liveness_map.insert(fe, Liveness::analyze(f));
-            }
-        } else {
-            type PerFn = (u64, BTreeMap<u64, usize>, Liveness);
-            let wl = Worklist::new(entries.iter().copied(), nworkers);
-            let results: Mutex<Vec<PerFn>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..nworkers {
-                    scope.spawn(|| {
-                        let mut local: Vec<PerFn> = Vec::new();
-                        loop {
-                            let batch = wl.next_batch();
-                            if batch.is_empty() {
-                                break;
-                            }
-                            for &fe in &batch {
-                                let f = &code.functions[&fe];
-                                local.push((fe, depths(f), Liveness::analyze(f)));
-                            }
-                            wl.complete(batch.len(), std::iter::empty());
-                        }
-                        if !local.is_empty() {
-                            results.lock().unwrap().extend(local);
-                        }
-                    });
-                }
-            });
-            for (fe, d, lv) in results.into_inner().unwrap() {
-                loop_depths_map.insert(fe, d);
-                liveness_map.insert(fe, lv);
-            }
-        }
         let parse_ns = (parse_start.elapsed().as_nanos() as u64).max(1);
         let mut parse_diag = Diagnostics::default();
         parse_diag.record_parse(&code);
 
         Arc::new(Analysis {
-            key,
+            key: key.map(OnceLock::from).unwrap_or_default(),
+            parse: parse.clone(),
             binary,
             code,
             names,
-            loop_depths: loop_depths_map,
-            liveness: liveness_map,
             timings: AnalysisTimings { open_ns, parse_ns },
             parse_diag,
         })
     }
 
-    /// The content address of this analysis.
+    /// The content address of this analysis, computed on first use
+    /// when the analysis was built outside a cache.
     pub fn key(&self) -> AnalysisKey {
-        self.key
+        *self
+            .key
+            .get_or_init(|| AnalysisKey::of(&self.binary, &self.parse))
     }
 
     /// The modelled binary.
@@ -451,22 +526,6 @@ impl Analysis {
         self.names.get(name).copied()
     }
 
-    /// Natural-loop nesting depths for the function at `entry`.
-    pub fn loop_depths(&self, entry: u64) -> Option<&BTreeMap<u64, usize>> {
-        self.loop_depths.get(&entry)
-    }
-
-    /// The liveness solution for the function at `entry`.
-    pub fn liveness(&self, entry: u64) -> Option<&Liveness> {
-        self.liveness.get(&entry)
-    }
-
-    /// The full per-function liveness table (the instrumenter's
-    /// precomputed-analysis input).
-    pub fn liveness_table(&self) -> &BTreeMap<u64, Liveness> {
-        &self.liveness
-    }
-
     /// What the front half cost to compute, in wall-clock nanoseconds.
     pub fn timings(&self) -> AnalysisTimings {
         self.timings
@@ -481,7 +540,7 @@ impl Analysis {
 impl fmt::Debug for Analysis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Analysis")
-            .field("key", &self.key)
+            .field("key", &self.key.get())
             .field("functions", &self.code.functions.len())
             .finish()
     }
@@ -586,7 +645,7 @@ impl AnalysisCache {
                 evicted: 0,
             });
         }
-        let analysis = Analysis::with_key(key, binary, parse, observer, 0);
+        let analysis = Analysis::with_key(Some(key), binary, parse, observer, 0);
         let evicted = self.insert(analysis.clone());
         Ok(CacheOutcome {
             analysis,
@@ -617,18 +676,23 @@ impl AnalysisCache {
     /// Insert (or refresh) `analysis` under its own key, evicting
     /// least-recently-used entries to stay within capacity. Returns how
     /// many entries were evicted.
+    ///
+    /// Dropping an analysis frees its whole CFG, so the entries this
+    /// call replaces or evicts are dropped after the lock is released:
+    /// other threads' lookups do not wait on it.
     pub fn insert(&self, analysis: Arc<Analysis>) -> u64 {
         let key = analysis.key();
+        let mut dropped: Vec<CacheEntry> = Vec::new();
         let mut inner = self.inner.lock().expect("analysis cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
-        inner.entries.insert(
+        dropped.extend(inner.entries.insert(
             key,
             CacheEntry {
                 analysis,
                 last_used: tick,
             },
-        );
+        ));
         let mut evicted = 0u64;
         while inner.entries.len() > self.capacity {
             let lru = inner
@@ -637,12 +701,14 @@ impl AnalysisCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k)
                 .expect("nonempty over-capacity cache has an LRU entry");
-            inner.entries.remove(&lru);
+            dropped.extend(inner.entries.remove(&lru));
             evicted += 1;
         }
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
+        drop(inner);
+        drop(dropped);
         evicted
     }
 
@@ -689,42 +755,82 @@ impl AnalysisCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvdyn_parse::nesting_depths;
 
-    /// FIPS 180-4 test vectors pin the digest implementation.
-    #[test]
-    fn sha256_known_vectors() {
-        let hex = |bytes: &[u8]| {
-            let mut h = Sha256::new();
-            h.update(bytes);
-            h.finish()
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect::<String>()
-        };
-        assert_eq!(
-            hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        // Multi-block + incremental feeding agree.
-        let mut h = Sha256::new();
-        for chunk in b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq".chunks(7) {
+    const MATMUL_KEY: &str = "4b24b1be91be22a94f5c72c84c275d63b4b1c91770528c6d58a6986d756a79b1";
+    const FIB_KEY: &str = "1fade12cf691732aeed42beccdca7405e6e3feab92ccce422694eb644dc095be";
+    const MANY_KEY: &str = "9a88340ddc9aef0bd66ef6168e9df557f2c605de171f2f1140e127df950bc901";
+
+    /// Every compression function this host can run: the portable one,
+    /// and the hardware one where the CPU has it.
+    fn compress_paths() -> Vec<(&'static str, Compress)> {
+        let mut paths: Vec<(&'static str, Compress)> = vec![("scalar", compress_scalar)];
+        paths.extend(compress_hardware().map(|c| ("hardware", c)));
+        paths
+    }
+
+    fn digest_with(compress: Compress, chunks: &mut dyn Iterator<Item = &[u8]>) -> String {
+        let mut h = Sha256::with(compress);
+        for chunk in chunks {
             h.update(chunk);
         }
-        assert_eq!(
-            h.finish()
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect::<String>(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        h.finish().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// FIPS 180-4 test vectors pin the digest, on every compress path.
+    #[test]
+    fn sha256_known_vectors() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 5] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+                  ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (path, compress) in compress_paths() {
+            for (input, want) in vectors {
+                let got = digest_with(compress, &mut std::iter::once(input));
+                assert_eq!(got, want, "{path}: {} bytes", input.len());
+            }
+            // Multi-block + incremental feeding agree.
+            let got = digest_with(compress, &mut vectors[2].0.chunks(7));
+            assert_eq!(got, vectors[2].1, "{path}: fed in 7-byte chunks");
+        }
+    }
+
+    /// Both compress paths give the same digest for every input length
+    /// up to 1,000 bytes, fed whole or in pieces of several sizes.
+    #[test]
+    fn sha256_paths_agree_on_every_length_and_split() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        let paths = compress_paths();
+        for len in 0..=data.len() {
+            let input = &data[..len];
+            let want = digest_with(compress_scalar, &mut std::iter::once(input));
+            for &(path, compress) in &paths {
+                for split in [1, 7, 63, 64, 65, 1000] {
+                    let got = digest_with(compress, &mut input.chunks(split));
+                    assert_eq!(got, want, "{path}: {len} bytes fed in {split}-byte chunks");
+                }
+            }
+        }
     }
 
     #[test]
@@ -777,19 +883,85 @@ mod tests {
         assert_eq!(cache.stats().evictions, 2);
     }
 
+    /// A binary's `.bss` section, by name.
+    fn bss(bin: &mut Binary) -> &mut rvdyn_symtab::Section {
+        bin.sections
+            .iter_mut()
+            .find(|s| s.name == ".bss")
+            .expect("program has a .bss")
+    }
+
     #[test]
-    fn analysis_precomputes_per_function_artifacts() {
+    fn nobits_sections_are_keyed_by_size() {
+        let opts = ParseOptions::default();
+        let base = rvdyn_asm::matmul_program(6, 2);
+        let key = AnalysisKey::of(&base, &opts);
+
+        let mut grown = base.clone();
+        let len = bss(&mut grown).data.len();
+        bss(&mut grown).data.resize(len + 8, 0);
+        assert_ne!(key, AnalysisKey::of(&grown, &opts), ".bss size is keyed");
+
+        // Nonzero model data is keyed by content, apart from all zeros.
+        let mut dirty = base.clone();
+        bss(&mut dirty).data[0] = 1;
+        assert_ne!(key, AnalysisKey::of(&dirty, &opts), ".bss content is keyed");
+
+        // An ELF round trip zero-fills NOBITS, and keeps the key.
+        let reparsed = Binary::parse(&base.to_bytes().unwrap()).unwrap();
+        assert_eq!(key, AnalysisKey::of(&reparsed, &opts), "ELF round trip");
+    }
+
+    /// The v2 keys of three binaries, pinned.
+    #[test]
+    fn v2_keys_are_pinned() {
+        let opts = ParseOptions::default();
+        for (bin, want) in [
+            (rvdyn_asm::matmul_program(6, 2), MATMUL_KEY),
+            (rvdyn_asm::fib_program(5), FIB_KEY),
+            (rvdyn_asm::many_functions_program(8), MANY_KEY),
+        ] {
+            assert_eq!(AnalysisKey::of(&bin, &opts).to_hex(), want);
+        }
+    }
+
+    #[test]
+    fn key_is_computed_on_first_use_outside_a_cache() {
+        let opts = ParseOptions::default();
+        let bin = rvdyn_asm::fib_program(5);
+        let want = AnalysisKey::of(&bin, &opts);
+        let fresh = Analysis::of_binary(bin, &opts);
+        assert!(fresh.key.get().is_none(), "no key before it is asked for");
+        assert_eq!(fresh.key(), want);
+
+        let elf = rvdyn_asm::fib_program(5).to_bytes().unwrap();
+        let cached = AnalysisCache::new(1).analyze(&elf, &opts).unwrap();
+        assert_eq!(cached.analysis.key.get(), Some(&want), "set by the cache");
+    }
+
+    #[test]
+    fn evicted_analyses_are_dropped() {
+        let cache = AnalysisCache::new(1);
+        let opts = ParseOptions::default();
+        let elf = rvdyn_asm::fib_program(4).to_bytes().unwrap();
+        let first = Arc::downgrade(&cache.analyze(&elf, &opts).unwrap().analysis);
+        assert!(first.upgrade().is_some(), "resident");
+        let second = rvdyn_asm::fib_program(5).to_bytes().unwrap();
+        assert_eq!(cache.analyze(&second, &opts).unwrap().evicted, 1);
+        assert!(first.upgrade().is_none(), "dropped on eviction");
+        assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn analysis_loops_give_the_recomputed_depths() {
         let elf = rvdyn_asm::matmul_program(5, 1).to_bytes().unwrap();
         let analysis = Analysis::compute(&elf, &ParseOptions::default()).unwrap();
         assert!(analysis.timings().open_ns > 0);
         assert!(analysis.timings().parse_ns > 0);
-        for (&fe, f) in &analysis.code().functions {
-            let depths = analysis.loop_depths(fe).expect("depths precomputed");
-            assert_eq!(depths.len(), f.blocks.len());
+        for f in analysis.code().functions.values() {
             // Counted over the parser's loops, equal to a recomputation
             // from the CFG.
-            assert_eq!(*depths, rvdyn_parse::loop_depths(f));
-            assert!(analysis.liveness(fe).is_some(), "liveness precomputed");
+            assert_eq!(nesting_depths(f, &f.loops), rvdyn_parse::loop_depths(f));
         }
     }
 
@@ -803,10 +975,17 @@ mod tests {
         };
         let par = Analysis::of_binary(bin, &par_opts);
         assert_eq!(seq.key(), par.key());
-        assert_eq!(seq.loop_depths, par.loop_depths);
         assert_eq!(
             seq.code().functions.keys().collect::<Vec<_>>(),
             par.code().functions.keys().collect::<Vec<_>>()
         );
+        for (s, p) in seq
+            .code()
+            .functions
+            .values()
+            .zip(par.code().functions.values())
+        {
+            assert_eq!(nesting_depths(s, &s.loops), nesting_depths(p, &p.loops));
+        }
     }
 }

@@ -44,7 +44,7 @@ impl BinaryEditor {
 
     /// As [`BinaryEditor::open_with`], reusing `cache`'s shared
     /// front-half [`Analysis`] when the binary's content key is resident
-    /// (a hit skips CFG parsing, loop analysis and liveness entirely).
+    /// (a hit skips CFG parsing and loop analysis entirely).
     pub fn open_cached(
         elf: &[u8],
         opts: SessionOptions,

@@ -6,11 +6,11 @@
 //! dozens-to-hundreds of emulated processes concurrently from one
 //! [`Session`]-derived context:
 //!
-//! * the **front half** (binary model, CFG, loop depths, liveness) is
-//!   computed once and shared behind the session's `Arc<Analysis>` — N
-//!   copies of the same binary parse exactly once;
-//! * the **plan** (snippet lowering, relocation, springboards) is also
-//!   computed once, on the controller's template session, by the same
+//! * the **front half** (binary model, CFG, natural loops) is computed
+//!   once and shared behind the session's `Arc<Analysis>` — N copies of
+//!   the same binary parse exactly once;
+//! * the **plan** (liveness, snippet lowering, relocation,
+//!   springboards) is also computed once, on the controller's template session, by the same
 //!   [`Session::apply`] the single-process path uses — reusing the
 //!   parallel plan phase and its deterministic layout, so the patch
 //!   bytes delivered to every process are bit-identical to what a

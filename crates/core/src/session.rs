@@ -39,11 +39,9 @@ use crate::telemetry::{
 use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
 use rvdyn_emu::{EmuEngine, EmuEvent};
-use rvdyn_parse::{CodeObject, EdgeKind, ParseEvent, ParseOptions};
+use rvdyn_parse::{nesting_depths, CodeObject, EdgeKind, ParseEvent, ParseOptions};
 use rvdyn_patch::instrument::PatchResult;
-use rvdyn_patch::placement::{
-    plan_block_counters, plan_block_counters_with_depths, BlockCountPlan, CounterPlacement,
-};
+use rvdyn_patch::placement::{plan_block_counters_with_depths, BlockCountPlan, CounterPlacement};
 use rvdyn_patch::{find_points, Instrumenter, PatchEvent, PatchLayout, Point, PointKind};
 use rvdyn_proccontrol::{FaultPlan, ProcEvent};
 use rvdyn_symtab::Binary;
@@ -200,10 +198,10 @@ impl SessionOptions {
 /// pending snippet queue + diagnostics + telemetry.
 ///
 /// The pipeline is two-phase: the *front half* — binary model, CFG,
-/// loop depths, per-function liveness — is a pure function of the
-/// binary's content, computed once as an [`Analysis`] and shared
-/// behind an `Arc` (see [`Session::from_analysis`] and
-/// [`AnalysisCache`]); the *back half* — placement, lowering, layout,
+/// natural loops — is a pure function of the binary's content, computed
+/// once as an [`Analysis`] and shared behind an `Arc` (see
+/// [`Session::from_analysis`] and [`AnalysisCache`]); the *back half* —
+/// placement, liveness of the instrumented functions, lowering, layout,
 /// delivery — is request-specific and lives on the session itself.
 pub struct Session {
     analysis: Arc<Analysis>,
@@ -280,9 +278,9 @@ impl Session {
     }
 
     /// Parse an ELF image, reusing `cache`'s front-half analysis when
-    /// the binary's content key is resident. A hit skips CFG parsing,
-    /// loop analysis and liveness entirely — the session's `parse`
-    /// stage time stays exactly zero — and is reported as an
+    /// the binary's content key is resident. A hit skips CFG parsing
+    /// and loop analysis entirely — the session's `parse` stage time
+    /// stays exactly zero — and is reported as an
     /// [`TelemetryEvent::AnalysisCacheHit`] event plus the
     /// `analysis_cache_hits` diagnostics counter; a miss computes,
     /// inserts, and reports the miss (and any evictions) the same way.
@@ -312,7 +310,7 @@ impl Session {
         let timer = tele.begin(TimedStage::Parse);
         let obs_tele = tele.clone();
         let analysis = Analysis::with_key(
-            key,
+            Some(key),
             binary,
             &opts.parse,
             &mut |ev| obs_tele.emit(adapt_parse(ev)),
@@ -355,7 +353,7 @@ impl Session {
     /// Build a session directly on a shared front-half [`Analysis`] —
     /// the two-phase entry point every other constructor routes
     /// through. No open/parse work happens here (the analysis already
-    /// holds the binary model, CFG, loop depths and liveness), so the
+    /// holds the binary model, CFG and loops), so the
     /// session's `open` and `parse` stage timings are zero; only the
     /// request-specific back half (placement → lowering → layout →
     /// delivery) will spend time. Any number of concurrent sessions,
@@ -486,13 +484,10 @@ impl Session {
         let blocks: Vec<u64> = f.blocks.keys().copied().collect();
         let plan = match self.placement {
             CounterPlacement::EveryBlock => None,
-            // The front half already computed every function's loop
-            // depths; fall back to in-plan recomputation only if this
-            // function is somehow missing from the analysis.
-            CounterPlacement::Optimal => match analysis.loop_depths(addr) {
-                Some(depths) => plan_block_counters_with_depths(f, depths),
-                None => plan_block_counters(f),
-            },
+            // Depths count over the loops the parser already found.
+            CounterPlacement::Optimal => {
+                plan_block_counters_with_depths(f, &nesting_depths(f, &f.loops))
+            }
         };
 
         let counter = match plan {
@@ -609,8 +604,7 @@ impl Session {
         let mut ins = Instrumenter::new(analysis.binary(), analysis.code())
             .with_layout(self.layout)
             .with_mode(self.mode)
-            .with_threads(self.threads)
-            .with_liveness(analysis.liveness_table());
+            .with_threads(self.threads);
         // Keep the instrumenter's own allocations (if any) clear of ours.
         ins.alloc_region(self.var_bytes);
         ins.insert_all(&self.pending);

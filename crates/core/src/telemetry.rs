@@ -242,8 +242,8 @@ pub enum TelemetryEvent {
     BlockInvalidated { pc: u64 },
     /// An [`AnalysisCache`](crate::AnalysisCache) lookup was answered
     /// from the cache: the session reused a shared front-half analysis
-    /// and skipped parse/loop/liveness entirely. `key` is the leading
-    /// 64 bits of the content address
+    /// and skipped CFG parsing and loop analysis entirely. `key` is the
+    /// leading 64 bits of the content address
     /// ([`AnalysisKey::prefix`](crate::AnalysisKey::prefix)).
     AnalysisCacheHit { key: u64 },
     /// An [`AnalysisCache`](crate::AnalysisCache) lookup missed: the

@@ -19,8 +19,7 @@
 
 use crate::conventions::{arg_regs, callee_saved, caller_saved, ret_regs};
 use rvdyn_isa::{Instruction, Reg, RegSet};
-use rvdyn_parse::{EdgeKind, Function};
-use std::collections::BTreeMap;
+use rvdyn_parse::{BasicBlock, EdgeKind, Function};
 
 /// Per-instruction use/def honouring call/return conventions.
 fn use_def(inst: &Instruction, edges_kind: Option<EdgeKind>) -> (RegSet, RegSet) {
@@ -56,7 +55,11 @@ fn use_def(inst: &Instruction, edges_kind: Option<EdgeKind>) -> (RegSet, RegSet)
 
 /// Edge kind of the terminator, if the instruction is one.
 fn terminator_kind(f: &Function, inst: &Instruction) -> Option<EdgeKind> {
-    let b = f.block_containing(inst.address)?;
+    block_terminator_kind(f.block_containing(inst.address)?, inst)
+}
+
+/// Edge kind of `inst` as the terminator of `b`, the block containing it.
+fn block_terminator_kind(b: &BasicBlock, inst: &Instruction) -> Option<EdgeKind> {
     if b.last_inst().map(|l| l.address) != Some(inst.address) {
         return None;
     }
@@ -71,95 +74,111 @@ fn terminator_kind(f: &Function, inst: &Instruction) -> Option<EdgeKind> {
     .find(|&k| b.edges.iter().any(|e| e.kind == k))
 }
 
-/// The liveness solution for one function.
+/// The liveness solution for one function: live-in and live-out per
+/// block, in block (address) order.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    live_in: BTreeMap<u64, RegSet>,
-    live_out: BTreeMap<u64, RegSet>,
+    starts: Vec<u64>,
+    live_in: Vec<RegSet>,
+    live_out: Vec<RegSet>,
 }
 
 impl Liveness {
     /// Solve liveness for `f`.
     pub fn analyze(f: &Function) -> Liveness {
-        // Precompute block use/def.
-        let mut buse: BTreeMap<u64, RegSet> = BTreeMap::new();
-        let mut bdef: BTreeMap<u64, RegSet> = BTreeMap::new();
-        let mut exit_live: BTreeMap<u64, RegSet> = BTreeMap::new();
-        for (&s, b) in &f.blocks {
-            let mut u = RegSet::empty();
-            let mut d = RegSet::empty();
-            for inst in &b.insts {
-                let kind = if Some(inst.address) == b.last_inst().map(|l| l.address) {
-                    terminator_kind(f, inst)
+        let blocks: Vec<&BasicBlock> = f.blocks.values().collect();
+        let starts: Vec<u64> = f.blocks.keys().copied().collect();
+        let n = blocks.len();
+
+        // Block use/def, function-exit liveness and successor indices.
+        let mut buse = Vec::with_capacity(n);
+        let mut bdef = Vec::with_capacity(n);
+        let mut exit_live = Vec::with_capacity(n);
+        let mut succ_off = Vec::with_capacity(n + 1);
+        let mut succ: Vec<usize> = Vec::new();
+        succ_off.push(0);
+        for (i, b) in blocks.iter().enumerate() {
+            // The terminator's kind comes from the block containing its
+            // address, which is a later, overlapping block when one
+            // starts at or before it.
+            let kind = b.last_inst().and_then(|last| {
+                let mut c = i;
+                while c + 1 < n && starts[c + 1] <= last.address {
+                    c += 1;
+                }
+                let holder = blocks[c];
+                if holder.contains(last.address) {
+                    block_terminator_kind(holder, last)
                 } else {
                     None
-                };
-                let (iu, id) = use_def(inst, kind);
+                }
+            });
+            let mut u = RegSet::empty();
+            let mut d = RegSet::empty();
+            let last = b.insts.len().wrapping_sub(1);
+            for (k, inst) in b.insts.iter().enumerate() {
+                let (iu, id) = use_def(inst, if k == last { kind } else { None });
                 u = u.union(iu.minus(d));
                 d = d.union(id);
             }
-            buse.insert(s, u);
-            bdef.insert(s, d);
-            // Function-exit boundary liveness.
-            let mut out = RegSet::empty();
-            for e in &b.edges {
-                match e.kind {
-                    EdgeKind::Return | EdgeKind::TailCall => {
-                        // uses already accounted on the terminator; the
-                        // post-exit set is empty.
-                    }
-                    EdgeKind::Unresolved => {
-                        out = RegSet::ALL; // conservative
-                    }
-                    _ => {}
-                }
-            }
-            exit_live.insert(s, out);
-        }
-
-        let mut live_in: BTreeMap<u64, RegSet> = BTreeMap::new();
-        let mut live_out: BTreeMap<u64, RegSet> = BTreeMap::new();
-        for &s in f.blocks.keys() {
-            live_in.insert(s, RegSet::empty());
-            live_out.insert(s, RegSet::empty());
+            buse.push(u);
+            bdef.push(d);
+            // Function-exit boundary liveness: after a return or tail
+            // call the post-exit set is empty (the terminator's uses
+            // already count); after an unresolved transfer everything
+            // is conservatively live.
+            let unresolved = b.edges.iter().any(|e| e.kind == EdgeKind::Unresolved);
+            exit_live.push(if unresolved {
+                RegSet::ALL
+            } else {
+                RegSet::empty()
+            });
+            succ.extend(b.successors().filter_map(|t| starts.binary_search(&t).ok()));
+            succ_off.push(succ.len());
         }
 
         // Iterate to fixpoint (blocks in reverse address order is a good
         // heuristic for mostly-forward layouts).
-        let order: Vec<u64> = f.blocks.keys().rev().copied().collect();
+        let mut live_in = vec![RegSet::empty(); n];
+        let mut live_out = vec![RegSet::empty(); n];
         let mut changed = true;
         while changed {
             changed = false;
-            for &s in &order {
-                let b = &f.blocks[&s];
-                let mut out = exit_live[&s];
-                for succ in b.successors() {
-                    if let Some(li) = live_in.get(&succ) {
-                        out = out.union(*li);
-                    }
+            for i in (0..n).rev() {
+                let mut out = exit_live[i];
+                for &s in &succ[succ_off[i]..succ_off[i + 1]] {
+                    out = out.union(live_in[s]);
                 }
-                let inn = buse[&s].union(out.minus(bdef[&s]));
-                if out != live_out[&s] {
-                    live_out.insert(s, out);
+                let inn = buse[i].union(out.minus(bdef[i]));
+                if out != live_out[i] {
+                    live_out[i] = out;
                     changed = true;
                 }
-                if inn != live_in[&s] {
-                    live_in.insert(s, inn);
+                if inn != live_in[i] {
+                    live_in[i] = inn;
                     changed = true;
                 }
             }
         }
-        Liveness { live_in, live_out }
+        Liveness {
+            starts,
+            live_in,
+            live_out,
+        }
     }
 
     /// Live registers at block entry.
     pub fn live_in(&self, block: u64) -> RegSet {
-        self.live_in.get(&block).copied().unwrap_or(RegSet::ALL)
+        self.starts
+            .binary_search(&block)
+            .map_or(RegSet::ALL, |i| self.live_in[i])
     }
 
     /// Live registers at block exit.
     pub fn live_out(&self, block: u64) -> RegSet {
-        self.live_out.get(&block).copied().unwrap_or(RegSet::ALL)
+        self.starts
+            .binary_search(&block)
+            .map_or(RegSet::ALL, |i| self.live_out[i])
     }
 
     /// Live registers immediately **before** the instruction at `addr`.

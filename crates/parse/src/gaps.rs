@@ -63,7 +63,7 @@ fn looks_like_prologue<S: CodeSource + ?Sized>(src: &S, addr: u64, limit: u64) -
         let Some(bytes) = src.bytes_at(pc, 4) else {
             return false;
         };
-        let Ok(i) = decode(&bytes, pc) else {
+        let Ok(i) = decode(bytes, pc) else {
             return false;
         };
         // Frame allocation: addi sp, sp, -N.

@@ -218,7 +218,7 @@ mod tests {
     }
 
     impl CodeSource for TableSource {
-        fn bytes_at(&self, _a: u64, _l: usize) -> Option<Vec<u8>> {
+        fn bytes_at(&self, _a: u64, _l: usize) -> Option<&[u8]> {
             None
         }
 
@@ -300,7 +300,7 @@ mod tests {
         // read_const_u64 returns None for non-RO memory → analysis fails.
         struct NoRo;
         impl CodeSource for NoRo {
-            fn bytes_at(&self, _a: u64, _l: usize) -> Option<Vec<u8>> {
+            fn bytes_at(&self, _a: u64, _l: usize) -> Option<&[u8]> {
                 None
             }
             fn is_code(&self, a: u64) -> bool {

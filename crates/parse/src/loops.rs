@@ -15,7 +15,7 @@
 //! and grows each loop body by reverse reachability from the latch.
 
 use crate::function::Function;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A natural loop: header block plus body (block start addresses).
 ///
@@ -39,6 +39,167 @@ impl Loop {
     }
 }
 
+/// A function's CFG over a dense index: blocks numbered in address
+/// order, with intraprocedural successors (edge order, duplicates kept,
+/// targets that are not block starts dropped) and predecessors (block
+/// order, then edge order) as index lists. Every analysis in this module
+/// runs over it.
+struct Cfg {
+    starts: Vec<u64>,
+    succ_off: Vec<usize>,
+    succ: Vec<usize>,
+    pred_off: Vec<usize>,
+    pred: Vec<usize>,
+    /// Index of the entry block, if the entry is a block start.
+    entry: Option<usize>,
+}
+
+/// Marks an unreachable block in [`Cfg::dominators`]' result.
+const NONE: usize = usize::MAX;
+
+impl Cfg {
+    fn new(f: &Function) -> Cfg {
+        let n = f.blocks.len();
+        let starts: Vec<u64> = f.blocks.keys().copied().collect();
+        let index = |a: u64| starts.binary_search(&a).ok();
+        let mut succ_off = Vec::with_capacity(n + 1);
+        let mut succ = Vec::with_capacity(f.blocks.values().map(|b| b.edges.len()).sum());
+        succ_off.push(0);
+        for b in f.blocks.values() {
+            succ.extend(b.successors().filter_map(index));
+            succ_off.push(succ.len());
+        }
+        // Predecessors by counting sort: `pred_off[t]` first counts up to
+        // the end of `t`'s run, then a backward fill counts it down to
+        // the start, which keeps block order within each run.
+        let mut pred_off = vec![0; n + 1];
+        for &t in &succ {
+            pred_off[t] += 1;
+        }
+        for i in 1..n {
+            pred_off[i] += pred_off[i - 1];
+        }
+        pred_off[n] = succ.len();
+        let mut pred = vec![0; succ.len()];
+        for b in (0..n).rev() {
+            for &t in succ[succ_off[b]..succ_off[b + 1]].iter().rev() {
+                pred_off[t] -= 1;
+                pred[pred_off[t]] = b;
+            }
+        }
+        let entry = index(f.entry);
+        Cfg {
+            starts,
+            succ_off,
+            succ,
+            pred_off,
+            pred,
+            entry,
+        }
+    }
+
+    fn succs(&self, b: usize) -> &[usize] {
+        &self.succ[self.succ_off[b]..self.succ_off[b + 1]]
+    }
+
+    fn preds(&self, b: usize) -> &[usize] {
+        &self.pred[self.pred_off[b]..self.pred_off[b + 1]]
+    }
+
+    /// Reverse postorder of the blocks reachable from the entry, by an
+    /// iterative depth-first search that visits successors in edge order.
+    fn reverse_postorder(&self) -> Vec<usize> {
+        let mut post = Vec::with_capacity(self.starts.len());
+        let Some(entry) = self.entry else {
+            return post;
+        };
+        let mut visited = vec![false; self.starts.len()];
+        visited[entry] = true;
+        // (block, next successor position)
+        let mut stack: Vec<(usize, usize)> = vec![(entry, self.succ_off[entry])];
+        while let Some((b, next)) = stack.last_mut() {
+            if *next < self.succ_off[*b + 1] {
+                let s = self.succ[*next];
+                *next += 1;
+                if !visited[s] {
+                    visited[s] = true;
+                    stack.push((s, self.succ_off[s]));
+                }
+            } else {
+                post.push(*b);
+                stack.pop();
+            }
+        }
+        post.reverse();
+        post
+    }
+
+    /// Immediate dominators (Cooper–Harvey–Kennedy) over `rpo`: the
+    /// entry is its own, an unreachable block has [`NONE`]. Also returns
+    /// each block's position in `rpo` ([`NONE`] when unreachable).
+    fn dominators(&self, rpo: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let n = self.starts.len();
+        let mut order = vec![NONE; n];
+        for (i, &b) in rpo.iter().enumerate() {
+            order[b] = i;
+        }
+        let mut idom = vec![NONE; n];
+        let Some(&entry) = rpo.first() else {
+            return (idom, order);
+        };
+        idom[entry] = entry;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in &rpo[1..] {
+                // First processed predecessor.
+                let mut new_idom = NONE;
+                for &p in self.preds(b) {
+                    if idom[p] == NONE {
+                        continue;
+                    }
+                    new_idom = if new_idom == NONE {
+                        p
+                    } else {
+                        intersect(p, new_idom, &idom, &order)
+                    };
+                }
+                if new_idom != NONE && idom[b] != new_idom {
+                    idom[b] = new_idom;
+                    changed = true;
+                }
+            }
+        }
+        (idom, order)
+    }
+}
+
+fn intersect(mut a: usize, mut b: usize, idom: &[usize], order: &[usize]) -> usize {
+    while a != b {
+        while order[a] > order[b] {
+            a = idom[a];
+        }
+        while order[b] > order[a] {
+            b = idom[b];
+        }
+    }
+    a
+}
+
+/// Does `a` dominate `b`, by the dense immediate-dominator array?
+fn dominates_dense(a: usize, b: usize, idom: &[usize]) -> bool {
+    let mut cur = b;
+    loop {
+        if cur == a {
+            return true;
+        }
+        match idom[cur] {
+            d if d != cur && d != NONE => cur = d,
+            _ => return false,
+        }
+    }
+}
+
 /// Immediate dominator map via the classic iterative data-flow algorithm
 /// (Cooper–Harvey–Kennedy) over reverse postorder.
 ///
@@ -46,54 +207,13 @@ impl Loop {
 /// reachable from the entry; the entry maps to itself. Unreachable
 /// blocks are absent. Query transitive domination with [`dominates`].
 pub fn dominators(f: &Function) -> BTreeMap<u64, u64> {
-    let rpo = reverse_postorder(f);
-    let index: BTreeMap<u64, usize> = rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-    let preds = f.predecessors();
-    let mut idom: BTreeMap<u64, u64> = BTreeMap::new();
-    idom.insert(f.entry, f.entry);
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let Some(ps) = preds.get(&b) else { continue };
-            // First processed predecessor.
-            let mut new_idom: Option<u64> = None;
-            for &p in ps {
-                if !idom.contains_key(&p) {
-                    continue;
-                }
-                new_idom = Some(match new_idom {
-                    None => p,
-                    Some(cur) => intersect(p, cur, &idom, &index),
-                });
-            }
-            if let Some(ni) = new_idom {
-                if idom.get(&b) != Some(&ni) {
-                    idom.insert(b, ni);
-                    changed = true;
-                }
-            }
-        }
-    }
-    idom
-}
-
-fn intersect(
-    mut a: u64,
-    mut b: u64,
-    idom: &BTreeMap<u64, u64>,
-    index: &BTreeMap<u64, usize>,
-) -> u64 {
-    while a != b {
-        while index.get(&a) > index.get(&b) {
-            a = idom[&a];
-        }
-        while index.get(&b) > index.get(&a) {
-            b = idom[&b];
-        }
-    }
-    a
+    let cfg = Cfg::new(f);
+    let (idom, _) = cfg.dominators(&cfg.reverse_postorder());
+    idom.iter()
+        .enumerate()
+        .filter(|&(_, &d)| d != NONE)
+        .map(|(b, &d)| (cfg.starts[b], cfg.starts[d]))
+        .collect()
 }
 
 /// Does `a` dominate `b`?
@@ -112,70 +232,62 @@ pub fn dominates(a: u64, b: u64, idom: &BTreeMap<u64, u64>) -> bool {
 
 /// Reverse postorder over intraprocedural edges from the entry.
 pub fn reverse_postorder(f: &Function) -> Vec<u64> {
-    let mut visited = BTreeSet::new();
-    let mut post = Vec::new();
-    // Iterative DFS with explicit stack of (block, next-successor-index).
-    let mut stack: Vec<(u64, Vec<u64>, usize)> = Vec::new();
-    if f.blocks.contains_key(&f.entry) {
-        visited.insert(f.entry);
-        let succs: Vec<u64> = f.blocks[&f.entry].successors().collect();
-        stack.push((f.entry, succs, 0));
-    }
-    while let Some((b, succs, idx)) = stack.last_mut() {
-        if *idx < succs.len() {
-            let s = succs[*idx];
-            *idx += 1;
-            if f.blocks.contains_key(&s) && visited.insert(s) {
-                let ss: Vec<u64> = f.blocks[&s].successors().collect();
-                stack.push((s, ss, 0));
-            }
-        } else {
-            post.push(*b);
-            stack.pop();
-        }
-    }
-    post.reverse();
-    post
+    let cfg = Cfg::new(f);
+    cfg.reverse_postorder()
+        .into_iter()
+        .map(|b| cfg.starts[b])
+        .collect()
 }
 
 /// Natural loops: one per header, merging bodies of back edges that share
 /// a header.
+///
+/// A back edge runs from a reachable block to a block that dominates it.
+/// Every edge counts, so a latch with two edges to its header is listed
+/// twice. The body grows from each latch over predecessors, stopping at
+/// the header, and so takes in any unreachable predecessor too.
 pub fn natural_loops(f: &Function) -> Vec<Loop> {
-    let idom = dominators(f);
-    let preds = f.predecessors();
-    let mut loops: BTreeMap<u64, Loop> = BTreeMap::new();
-
-    for b in f.blocks.values() {
-        for succ in b.successors() {
-            // Back edge: successor dominates the source.
-            if f.blocks.contains_key(&succ)
-                && idom.contains_key(&b.start)
-                && dominates(succ, b.start, &idom)
-            {
-                let l = loops.entry(succ).or_insert_with(|| Loop {
-                    header: succ,
-                    body: BTreeSet::from([succ]),
-                    latches: Vec::new(),
-                });
-                l.latches.push(b.start);
-                // Collect body: reverse reachability from the latch,
-                // stopping at the header.
-                let mut work = VecDeque::from([b.start]);
-                while let Some(n) = work.pop_front() {
-                    if l.body.insert(n) {
-                        if let Some(ps) = preds.get(&n) {
-                            for &p in ps {
-                                if p != succ {
-                                    work.push_back(p);
-                                }
-                            }
-                        }
-                    }
+    let cfg = Cfg::new(f);
+    let rpo = cfg.reverse_postorder();
+    let (idom, order) = cfg.dominators(&rpo);
+    let mut loops: Vec<Loop> = Vec::new();
+    let mut work: Vec<usize> = Vec::new();
+    for b in 0..cfg.starts.len() {
+        if idom[b] == NONE {
+            continue;
+        }
+        for &h in cfg.succs(b) {
+            // A dominator precedes what it dominates in reverse
+            // postorder, so only edges that do not go forward in it can
+            // be back edges.
+            if order[h] > order[b] || !dominates_dense(h, b, &idom) {
+                continue;
+            }
+            let header = cfg.starts[h];
+            let at = match loops.iter().position(|l| l.header == header) {
+                Some(at) => at,
+                None => {
+                    loops.push(Loop {
+                        header,
+                        body: BTreeSet::from([header]),
+                        latches: Vec::new(),
+                    });
+                    loops.len() - 1
+                }
+            };
+            let l = &mut loops[at];
+            l.latches.push(cfg.starts[b]);
+            // Reverse reachability from the latch, stopping at the header.
+            work.push(b);
+            while let Some(x) = work.pop() {
+                if l.body.insert(cfg.starts[x]) {
+                    work.extend(cfg.preds(x).iter().filter(|&&p| p != h));
                 }
             }
         }
     }
-    loops.into_values().collect()
+    loops.sort_by_key(|l| l.header);
+    loops
 }
 
 /// Loop-nesting depth of every block: the number of natural loops whose

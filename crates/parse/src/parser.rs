@@ -7,6 +7,7 @@ use crate::source::CodeSource;
 use rvdyn_isa::decode::decode;
 use rvdyn_isa::{ControlFlow, Instruction};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Parser configuration.
 #[derive(Debug, Clone)]
@@ -196,8 +197,16 @@ pub fn parse_function<S: CodeSource + ?Sized>(
     worklist.push_back(entry);
     let mut inst_budget = opts.max_insts_per_function;
 
-    // Linear instruction history (address-sorted) for slicing. Rebuilt
-    // lazily from blocks; we keep it incrementally sorted.
+    // The linear instruction history `jalr` classification slices: every
+    // instruction of the blocks found so far, sorted and deduplicated by
+    // address. Splits never change it; each new block merges in once.
+    let mut history: Vec<Instruction> = Vec::new();
+    // `f.extent()`, kept as blocks are added: (lowest start, highest
+    // end), or `(entry, entry)` while there are no blocks.
+    let mut extent = (entry, entry);
+    // The block being decoded; each finished block copies it out once.
+    let mut insts: Vec<Instruction> = Vec::new();
+
     while let Some(start) = worklist.pop_front() {
         if f.blocks.contains_key(&start) {
             continue;
@@ -224,17 +233,34 @@ pub fn parse_function<S: CodeSource + ?Sized>(
             continue;
         }
 
-        // Decode a new block.
-        let mut insts: Vec<Instruction> = Vec::new();
+        // Decode a new block. Blocks and known entries do not change
+        // while it decodes, so the first block start after `start` and
+        // the first known entry at or after it (other than `entry`) are
+        // looked up once, and again only when `pc` steps past them.
+        insts.clear();
+        let mut in_history = false;
         let mut pc = start;
         let mut edges: Vec<Edge> = Vec::new();
+        let mut next_block = f
+            .blocks
+            .range((Excluded(start), Unbounded))
+            .next()
+            .map(|(&s, _)| s);
+        let next_entry_from = |at: u64| known_entries.range(at..).find(|&&e| e != entry).copied();
+        let mut next_entry = next_entry_from(start);
         loop {
-            if f.blocks.contains_key(&pc) && pc != start {
+            if next_block.is_some_and(|b| b < pc) {
+                next_block = f.blocks.range(pc..).next().map(|(&s, _)| s);
+            }
+            if next_block == Some(pc) {
                 // Ran into an existing block: end with fallthrough.
                 edges.push(Edge::to(EdgeKind::Fallthrough, pc));
                 break;
             }
-            if pc != entry && known_entries.contains(&pc) {
+            if next_entry.is_some_and(|e| e < pc) {
+                next_entry = next_entry_from(pc);
+            }
+            if next_entry == Some(pc) {
                 // Straight-line flow reached another function's entry
                 // (e.g. decoding past a non-returning `exit` ecall): treat
                 // as an interprocedural fallthrough — a tail transfer —
@@ -251,7 +277,7 @@ pub fn parse_function<S: CodeSource + ?Sized>(
                 f.has_unresolved = true;
                 break;
             };
-            let inst = match decode(&bytes, pc) {
+            let inst = match decode(bytes, pc) {
                 Ok(i) => i,
                 Err(_) => {
                     // Undecodable: end the block; mark unresolved.
@@ -302,23 +328,14 @@ pub fn parse_function<S: CodeSource + ?Sized>(
                 }
                 ControlFlow::IndirectJump { .. } => {
                     // jalr: the six-rule classification with backward
-                    // slicing needs the function's linear history.
-                    let mut history: Vec<Instruction> = f
-                        .blocks
-                        .values()
-                        .flat_map(|b| b.insts.iter().copied())
-                        .chain(insts.iter().copied())
-                        .collect();
-                    history.sort_by_key(|i| i.address);
-                    history.dedup_by_key(|i| i.address);
+                    // slicing needs the function's linear history, this
+                    // block included.
+                    merge_history(&mut history, &insts);
+                    in_history = true;
                     let at = history
-                        .iter()
-                        .position(|i| i.address == inst.address)
+                        .binary_search_by_key(&inst.address, |i| i.address)
                         .expect("terminator present in history");
-                    let extent = {
-                        let (lo, hi) = f.extent();
-                        (lo.min(start), hi.max(next))
-                    };
+                    let extent = (extent.0.min(start), extent.1.max(next));
                     match classify_branch(&history, at, src, entry, extent, known_entries) {
                         BranchPurpose::Jump { target } => {
                             edges.push(Edge::to(EdgeKind::Jump, target));
@@ -357,16 +374,20 @@ pub fn parse_function<S: CodeSource + ?Sized>(
                 }
             }
         }
-        if insts.is_empty() {
+        let Some(last) = insts.last() else {
             continue;
+        };
+        let end = last.next_pc();
+        if !in_history {
+            merge_history(&mut history, &insts);
         }
-        let end = insts.last().map(|i| i.next_pc()).unwrap_or(start);
+        extent = (extent.0.min(start), extent.1.max(end));
         f.blocks.insert(
             start,
             BasicBlock {
                 start,
                 end,
-                insts,
+                insts: insts.to_vec(),
                 edges,
             },
         );
@@ -374,6 +395,26 @@ pub fn parse_function<S: CodeSource + ?Sized>(
     f.callees = callees.iter().copied().collect();
     f.loops = crate::loops::natural_loops(&f);
     (f, callees.into_iter().collect())
+}
+
+/// Merge one block's instructions (ascending by address) into the
+/// address-sorted, address-deduplicated `history`. An address already
+/// present keeps its entry: the same bytes decode the same way.
+fn merge_history(history: &mut Vec<Instruction>, block: &[Instruction]) {
+    let (Some(first), Some(last)) = (block.first(), block.last()) else {
+        return;
+    };
+    let at = history.partition_point(|i| i.address < first.address);
+    if history.get(at).is_none_or(|i| i.address > last.address) {
+        // The usual case: the block fills a gap in the history.
+        history.splice(at..at, block.iter().copied());
+    } else {
+        // Overlapping code. The sort is stable, so the entry already
+        // present comes first and the dedup keeps it.
+        history.extend_from_slice(block);
+        history.sort_by_key(|i| i.address);
+        history.dedup_by_key(|i| i.address);
+    }
 }
 
 #[cfg(test)]

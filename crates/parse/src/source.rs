@@ -8,8 +8,9 @@ use rvdyn_symtab::Binary;
 /// jump tables — entries in writable sections can change at runtime and
 /// are never trusted).
 pub trait CodeSource: Sync {
-    /// Up to `len` bytes at `addr`, or `None` if unmapped.
-    fn bytes_at(&self, addr: u64, len: usize) -> Option<Vec<u8>>;
+    /// Up to `len` bytes at `addr` (fewer at the end of a section), or
+    /// `None` if unmapped.
+    fn bytes_at(&self, addr: u64, len: usize) -> Option<&[u8]>;
 
     /// Is `addr` inside executable code?
     fn is_code(&self, addr: u64) -> bool;
@@ -45,14 +46,15 @@ fn read_const_n(bin: &Binary, addr: u64, n: usize) -> Option<u128> {
 }
 
 impl CodeSource for Binary {
-    fn bytes_at(&self, addr: u64, len: usize) -> Option<Vec<u8>> {
-        // Allow short reads at the end of a section.
-        for l in (1..=len).rev() {
-            if let Some(b) = self.read_at(addr, l) {
-                return Some(b.to_vec());
-            }
-        }
-        None
+    fn bytes_at(&self, addr: u64, len: usize) -> Option<&[u8]> {
+        // The first allocatable section holding `addr`, as `read_at`
+        // finds it; a read past its end comes back short.
+        let s = self
+            .sections
+            .iter()
+            .find(|s| s.flags & rvdyn_symtab::SHF_ALLOC != 0 && s.contains(addr))?;
+        let off = (addr - s.addr) as usize;
+        Some(&s.data[off..(off + len).min(s.data.len())])
     }
 
     fn is_code(&self, addr: u64) -> bool {
@@ -95,13 +97,13 @@ pub struct RawCode {
 }
 
 impl CodeSource for RawCode {
-    fn bytes_at(&self, addr: u64, len: usize) -> Option<Vec<u8>> {
+    fn bytes_at(&self, addr: u64, len: usize) -> Option<&[u8]> {
         let off = addr.checked_sub(self.base)? as usize;
         if off >= self.bytes.len() {
             return None;
         }
         let end = (off + len).min(self.bytes.len());
-        Some(self.bytes[off..end].to_vec())
+        Some(&self.bytes[off..end])
     }
 
     fn is_code(&self, addr: u64) -> bool {

@@ -511,7 +511,6 @@ pub struct Instrumenter<'b> {
     layout: PatchLayout,
     mode: RegAllocMode,
     threads: usize,
-    liveness: Option<&'b BTreeMap<u64, Liveness>>,
     /// Requested `(point, snippet)` pairs in insertion order; snippets
     /// from [`Instrumenter::insert_all`] are borrowed, not copied.
     requests: Vec<(Point, Cow<'b, Snippet>)>,
@@ -526,7 +525,6 @@ impl<'b> Instrumenter<'b> {
             layout: PatchLayout::default(),
             mode: RegAllocMode::DeadRegisters,
             threads: 1,
-            liveness: None,
             requests: Vec::new(),
             var_cursor: 0,
         }
@@ -551,19 +549,6 @@ impl<'b> Instrumenter<'b> {
     /// merge orders every per-function result by entry address.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Supply precomputed per-function liveness solutions (keyed by
-    /// function entry). The plan phase uses the supplied solution for a
-    /// function when present and falls back to running
-    /// [`Liveness::analyze`] itself otherwise, so a partial table is
-    /// safe. Liveness is a pure function of the CFG, so a table computed
-    /// once from `co` (e.g. a shared front-half analysis) yields
-    /// bit-identical output to in-plan analysis — only the plan-phase
-    /// wall-clock time changes.
-    pub fn with_liveness(mut self, liveness: &'b BTreeMap<u64, Liveness>) -> Self {
-        self.liveness = Some(liveness);
         self
     }
 
@@ -639,14 +624,7 @@ impl<'b> Instrumenter<'b> {
             .functions
             .get(&fe)
             .ok_or(InstrumentError::UnknownFunction(fe))?;
-        let computed;
-        let lv = match self.liveness.and_then(|m| m.get(&fe)) {
-            Some(shared) => shared,
-            None => {
-                computed = Liveness::analyze(f);
-                &computed
-            }
-        };
+        let lv = Liveness::analyze(f);
 
         // Lower each point's snippets with its dead-register pool.
         // Edge snippets use the dead set before the branch, which is a

@@ -253,11 +253,12 @@ pub fn plan_block_counters(f: &Function) -> Option<BlockCountPlan> {
 }
 
 /// As [`plan_block_counters`], but with caller-supplied loop depths
-/// (e.g. a shared front-half analysis that already computed them),
-/// skipping the in-plan `loop_depths` recomputation. `depth` must be
-/// the loop-depth map of `f` itself — same keys as `f.blocks`; a map
-/// missing any block falls back to `None` (no plan) rather than
-/// placing counters from inconsistent weights.
+/// (e.g. counted over the parser's [`Function::loops`] with
+/// `nesting_depths`), skipping the in-plan `loop_depths`
+/// recomputation. `depth` must be the loop-depth map of `f` itself —
+/// same keys as `f.blocks`; a map missing any block falls back to
+/// `None` (no plan) rather than placing counters from inconsistent
+/// weights.
 pub fn plan_block_counters_with_depths(
     f: &Function,
     depth: &BTreeMap<u64, usize>,
