@@ -13,7 +13,7 @@ use crate::telemetry::StageTimings;
 use rvdyn_parse::{CodeObject, EdgeKind};
 use rvdyn_patch::instrument::PatchResult;
 use rvdyn_patch::springboard::SpringboardStats;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Counters and per-stage timings for one instrumentation pipeline,
 /// grouped by stage. Stages that have not run yet report zeros.
@@ -171,180 +171,159 @@ impl Diagnostics {
     }
 
     /// Serialise the full diagnostics — counters and per-stage timings —
-    /// as a self-describing JSON object (schema `rvdyn-diagnostics-v1`).
-    /// Every value is a JSON number, so the output needs no escaping and
-    /// is stable across platforms.
+    /// as a self-describing JSON object (schema `rvdyn-diagnostics-v1`),
+    /// one member per row of [`KEYS`]. Every value is a JSON number, so
+    /// the output needs no escaping and is stable across platforms.
     pub fn to_json(&self) -> String {
-        let t = &self.timings;
-        format!(
-            concat!(
-                "{{\"schema\":\"rvdyn-diagnostics-v1\",",
-                "\"parse\":{{\"functions\":{},\"blocks\":{},\"instructions\":{},",
-                "\"unresolved_indirects\":{},\"jump_tables_resolved\":{},",
-                "\"gap_functions\":{}}},",
-                "\"instrument\":{{\"points\":{},\"dead_register_points\":{},",
-                "\"spills\":{},\"patch_regions_written\":{},",
-                "\"clobbers_audited\":{},\"redirects_registered\":{},",
-                "\"counters_placed\":{},\"counters_elided\":{},",
-                "\"instrument_workers\":{},\"plans_built\":{},",
-                "\"springboards\":{{\"compressed_jump\":{},\"jal\":{},",
-                "\"auipc_jalr\":{},\"trap\":{}}}}},",
-                "\"run\":{{\"instret\":{},\"cycles\":{},",
-                "\"counts_reconstructed\":{}}},",
-                "\"faults\":{{\"injected\":{}}},",
-                "\"cache\":{{\"analysis_cache_hits\":{},",
-                "\"analysis_cache_misses\":{},",
-                "\"analysis_cache_evictions\":{}}},",
-                "\"emu\":{{\"blocks_translated\":{},",
-                "\"invalidations\":{},\"chain_links\":{}}},",
-                "\"tools\":{{\"trace_points_planned\":{},",
-                "\"trace_records\":{},\"trace_dropped\":{},",
-                "\"profile_samples\":{},\"profile_max_depth\":{}}},",
-                "\"timings_ns\":{{\"open\":{},\"parse\":{},\"instrument\":{},",
-                "\"relocate\":{},\"commit\":{},\"run\":{}}}}}"
-            ),
-            self.functions_parsed,
-            self.blocks_parsed,
-            self.instructions_decoded,
-            self.unresolved_indirects,
-            self.jump_tables_resolved,
-            self.gap_functions,
-            self.points_instrumented,
-            self.dead_register_points,
-            self.spills,
-            self.patch_regions_written,
-            self.clobbers_audited,
-            self.redirects_registered,
-            self.counters_placed,
-            self.counters_elided,
-            self.instrument_workers,
-            self.plans_built,
-            self.springboards.compressed_jump,
-            self.springboards.jal,
-            self.springboards.auipc_jalr,
-            self.springboards.trap,
-            self.instret,
-            self.cycles,
-            self.counts_reconstructed,
-            self.faults_injected,
-            self.analysis_cache_hits,
-            self.analysis_cache_misses,
-            self.analysis_cache_evictions,
-            self.emu_blocks_translated,
-            self.emu_invalidations,
-            self.emu_chain_links,
-            self.trace_points_planned,
-            self.trace_records,
-            self.trace_dropped,
-            self.profile_samples,
-            self.profile_max_depth,
-            t.open_ns,
-            t.parse_ns,
-            t.instrument_ns,
-            t.relocate_ns,
-            t.commit_ns,
-            t.run_ns,
-        )
+        let mut out = open_document();
+        write_members(&mut out, KEYS, self);
+        out.push('}');
+        out
     }
 }
 
+/// One leaf key of a diagnostics document: its dotted path from the JSON
+/// root and how to read its value from a `T`.
+pub type Key<T, V = u64> = (&'static str, fn(&T) -> V);
+
+/// Every leaf key of `rvdyn-diagnostics-v1`, in emission order. The JSON
+/// and the `Display` summary are both derived from this list, and a test
+/// holds docs/DIAGNOSTICS.md's `schema-keys` table to it.
+pub const KEYS: &[Key<Diagnostics>] = &[
+    ("parse.functions", |d| d.functions_parsed as u64),
+    ("parse.blocks", |d| d.blocks_parsed as u64),
+    ("parse.instructions", |d| d.instructions_decoded),
+    ("parse.unresolved_indirects", |d| {
+        d.unresolved_indirects as u64
+    }),
+    ("parse.jump_tables_resolved", |d| {
+        d.jump_tables_resolved as u64
+    }),
+    ("parse.gap_functions", |d| d.gap_functions as u64),
+    ("instrument.points", |d| d.points_instrumented as u64),
+    ("instrument.dead_register_points", |d| {
+        d.dead_register_points as u64
+    }),
+    ("instrument.spills", |d| d.spills as u64),
+    ("instrument.patch_regions_written", |d| {
+        d.patch_regions_written as u64
+    }),
+    ("instrument.clobbers_audited", |d| d.clobbers_audited as u64),
+    ("instrument.redirects_registered", |d| {
+        d.redirects_registered as u64
+    }),
+    ("instrument.counters_placed", |d| d.counters_placed),
+    ("instrument.counters_elided", |d| d.counters_elided),
+    ("instrument.instrument_workers", |d| {
+        d.instrument_workers as u64
+    }),
+    ("instrument.plans_built", |d| d.plans_built as u64),
+    ("instrument.springboards.compressed_jump", |d| {
+        d.springboards.compressed_jump as u64
+    }),
+    ("instrument.springboards.jal", |d| d.springboards.jal as u64),
+    ("instrument.springboards.auipc_jalr", |d| {
+        d.springboards.auipc_jalr as u64
+    }),
+    ("instrument.springboards.trap", |d| {
+        d.springboards.trap as u64
+    }),
+    ("run.instret", |d| d.instret),
+    ("run.cycles", |d| d.cycles),
+    ("run.counts_reconstructed", |d| d.counts_reconstructed),
+    ("faults.injected", |d| d.faults_injected),
+    ("cache.analysis_cache_hits", |d| d.analysis_cache_hits),
+    ("cache.analysis_cache_misses", |d| d.analysis_cache_misses),
+    ("cache.analysis_cache_evictions", |d| {
+        d.analysis_cache_evictions
+    }),
+    ("emu.blocks_translated", |d| d.emu_blocks_translated),
+    ("emu.invalidations", |d| d.emu_invalidations),
+    ("emu.chain_links", |d| d.emu_chain_links),
+    ("tools.trace_points_planned", |d| d.trace_points_planned),
+    ("tools.trace_records", |d| d.trace_records),
+    ("tools.trace_dropped", |d| d.trace_dropped),
+    ("tools.profile_samples", |d| d.profile_samples),
+    ("tools.profile_max_depth", |d| d.profile_max_depth),
+    ("timings_ns.open", |d| d.timings.open_ns),
+    ("timings_ns.parse", |d| d.timings.parse_ns),
+    ("timings_ns.instrument", |d| d.timings.instrument_ns),
+    ("timings_ns.relocate", |d| d.timings.relocate_ns),
+    ("timings_ns.commit", |d| d.timings.commit_ns),
+    ("timings_ns.run", |d| d.timings.run_ns),
+];
+
+/// A key's section (its path up to the last dot; empty at the root) and
+/// its leaf name.
+fn split(path: &str) -> (&str, &str) {
+    path.rsplit_once('.').unwrap_or(("", path))
+}
+
+/// Start a diagnostics document: the opening brace and the schema tag.
+pub(crate) fn open_document() -> String {
+    String::from(r#"{"schema":"rvdyn-diagnostics-v1""#)
+}
+
+/// Append one value per key, read from `of`, as members of the JSON
+/// object left open at the end of `out`. Consecutive keys that share a
+/// section share its nested object: `a.b.c` then `a.b.d` become
+/// `"a":{"b":{"c":…,"d":…}}`.
+pub(crate) fn write_members<T, V: fmt::Display>(out: &mut String, keys: &[Key<T, V>], of: &T) {
+    let mut open: Vec<&str> = Vec::new();
+    for (path, get) in keys {
+        let (section, leaf) = split(path);
+        let section = section.split('.').filter(|s| !s.is_empty());
+        let shared = open
+            .iter()
+            .zip(section.clone())
+            .take_while(|(a, b)| **a == *b)
+            .count();
+        for _ in shared..open.len() {
+            out.push('}');
+        }
+        open.truncate(shared);
+        for name in section.skip(shared) {
+            push_name(out, name);
+            out.push('{');
+            open.push(name);
+        }
+        push_name(out, leaf);
+        let _ = write!(out, "{}", get(of));
+    }
+    out.extend(open.iter().map(|_| '}'));
+}
+
+/// Append `"name":`, after a comma unless it opens its object.
+fn push_name(out: &mut String, name: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    out.push('"');
+    out.push_str(name);
+    out.push_str("\":");
+}
+
 impl fmt::Display for Diagnostics {
+    /// One line per section with a nonzero key, listing every key of that
+    /// section as `leaf=value`, then the stage timings.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "parse:      {} functions, {} blocks, {} instructions, \
-             {} unresolved indirects",
-            self.functions_parsed,
-            self.blocks_parsed,
-            self.instructions_decoded,
-            self.unresolved_indirects
-        )?;
-        if self.jump_tables_resolved > 0 || self.gap_functions > 0 {
-            writeln!(
-                f,
-                "            {} jump tables resolved, {} gap functions",
-                self.jump_tables_resolved, self.gap_functions
-            )?;
+        let width = KEYS
+            .iter()
+            .map(|k| split(k.0).0.len() + 1)
+            .max()
+            .unwrap_or(0);
+        for rows in KEYS.chunk_by(|a, b| split(a.0).0 == split(b.0).0) {
+            let section = split(rows[0].0).0;
+            if section == "timings_ns" || rows.iter().all(|(_, get)| get(self) == 0) {
+                continue;
+            }
+            write!(f, "{:<width$}", format!("{section}:"))?;
+            for (path, get) in rows {
+                write!(f, " {}={}", split(path).1, get(self))?;
+            }
+            writeln!(f)?;
         }
-        writeln!(
-            f,
-            "instrument: {} points ({} dead-register, {} spilled registers)",
-            self.points_instrumented, self.dead_register_points, self.spills
-        )?;
-        if self.instrument_workers > 1 {
-            writeln!(
-                f,
-                "            {} plans built on {} workers",
-                self.plans_built, self.instrument_workers
-            )?;
-        }
-        writeln!(
-            f,
-            "springboards: {} c.j, {} jal, {} auipc+jalr, {} trap",
-            self.springboards.compressed_jump,
-            self.springboards.jal,
-            self.springboards.auipc_jalr,
-            self.springboards.trap
-        )?;
-        if self.clobbers_audited > 0 {
-            writeln!(
-                f,
-                "soundness:  {} clobbered addresses audited, {} redirects registered",
-                self.clobbers_audited, self.redirects_registered
-            )?;
-        }
-        if self.counters_placed > 0 {
-            writeln!(
-                f,
-                "placement:  {} counters placed, {} elided \
-                 ({} counts reconstructed)",
-                self.counters_placed, self.counters_elided, self.counts_reconstructed
-            )?;
-        }
-        if self.faults_injected > 0 {
-            writeln!(f, "faults:     {} injected", self.faults_injected)?;
-        }
-        if self.analysis_cache_hits > 0 || self.analysis_cache_misses > 0 {
-            writeln!(
-                f,
-                "cache:      {} hits, {} misses, {} evictions",
-                self.analysis_cache_hits, self.analysis_cache_misses, self.analysis_cache_evictions
-            )?;
-        }
-        if self.patch_regions_written > 0 {
-            writeln!(
-                f,
-                "delivery:   {} coalesced patch regions written + verified",
-                self.patch_regions_written
-            )?;
-        }
-        writeln!(
-            f,
-            "run:        {} instret, {} cycles",
-            self.instret, self.cycles
-        )?;
-        if self.emu_blocks_translated > 0 {
-            writeln!(
-                f,
-                "engine:     {} blocks translated, {} chain links, {} invalidations",
-                self.emu_blocks_translated, self.emu_chain_links, self.emu_invalidations
-            )?;
-        }
-        if self.trace_points_planned > 0 {
-            writeln!(
-                f,
-                "trace:      {} points, {} records recovered, {} dropped",
-                self.trace_points_planned, self.trace_records, self.trace_dropped
-            )?;
-        }
-        if self.profile_samples > 0 {
-            writeln!(
-                f,
-                "profile:    {} samples, deepest stack {} frames",
-                self.profile_samples, self.profile_max_depth
-            )?;
-        }
-        write!(f, "timings:    {}", self.timings)
+        write!(f, "{:<width$} {}", "timings:", self.timings)
     }
 }
 
@@ -431,104 +410,114 @@ mod tests {
         Ok(())
     }
 
+    /// Every counter distinct and nonzero, with fixed timings, so a
+    /// swapped, dropped or renamed key changes the pinned JSON.
+    fn distinct() -> Diagnostics {
+        Diagnostics {
+            functions_parsed: 1,
+            blocks_parsed: 2,
+            instructions_decoded: 3,
+            unresolved_indirects: 4,
+            jump_tables_resolved: 5,
+            gap_functions: 6,
+            points_instrumented: 7,
+            dead_register_points: 8,
+            spills: 9,
+            springboards: SpringboardStats {
+                compressed_jump: 10,
+                jal: 11,
+                auipc_jalr: 12,
+                trap: 13,
+            },
+            patch_regions_written: 14,
+            clobbers_audited: 15,
+            redirects_registered: 16,
+            counters_placed: 17,
+            counters_elided: 18,
+            instrument_workers: 19,
+            plans_built: 20,
+            faults_injected: 21,
+            analysis_cache_hits: 22,
+            analysis_cache_misses: 23,
+            analysis_cache_evictions: 24,
+            instret: 25,
+            cycles: 26,
+            counts_reconstructed: 27,
+            emu_blocks_translated: 28,
+            emu_invalidations: 29,
+            emu_chain_links: 30,
+            trace_points_planned: 31,
+            trace_records: 32,
+            trace_dropped: 33,
+            profile_samples: 34,
+            profile_max_depth: 35,
+            timings: StageTimings {
+                open_ns: 36,
+                parse_ns: 37,
+                instrument_ns: 38,
+                relocate_ns: 39,
+                commit_ns: 40,
+                run_ns: 41,
+            },
+        }
+    }
+
+    /// `to_json` for [`distinct`], as the hand-written serialiser
+    /// printed it before the key table replaced it.
+    const DISTINCT_JSON: &str = concat!(
+        r#"{"schema":"rvdyn-diagnostics-v1","#,
+        r#""parse":{"functions":1,"blocks":2,"instructions":3,"unresolved_indirects":4,"#,
+        r#""jump_tables_resolved":5,"gap_functions":6},"#,
+        r#""instrument":{"points":7,"dead_register_points":8,"spills":9,"#,
+        r#""patch_regions_written":14,"clobbers_audited":15,"redirects_registered":16,"#,
+        r#""counters_placed":17,"counters_elided":18,"instrument_workers":19,"plans_built":20,"#,
+        r#""springboards":{"compressed_jump":10,"jal":11,"auipc_jalr":12,"trap":13}},"#,
+        r#""run":{"instret":25,"cycles":26,"counts_reconstructed":27},"#,
+        r#""faults":{"injected":21},"#,
+        r#""cache":{"analysis_cache_hits":22,"analysis_cache_misses":23,"#,
+        r#""analysis_cache_evictions":24},"#,
+        r#""emu":{"blocks_translated":28,"invalidations":29,"chain_links":30},"#,
+        r#""tools":{"trace_points_planned":31,"trace_records":32,"trace_dropped":33,"#,
+        r#""profile_samples":34,"profile_max_depth":35},"#,
+        r#""timings_ns":{"open":36,"parse":37,"instrument":38,"relocate":39,"commit":40,"#,
+        r#""run":41}}"#,
+    );
+
     #[test]
-    fn json_is_parseable_and_schema_stable() {
+    fn json_is_byte_identical_to_the_v1_serialiser() {
+        let j = distinct().to_json();
+        check_json(&j).expect("diagnostics JSON must parse");
+        assert_eq!(j, DISTINCT_JSON);
+    }
+
+    #[test]
+    fn display_shows_every_nonzero_key_by_section() {
+        let text = distinct().to_string();
+        for (path, get) in KEYS.iter().filter(|(p, _)| !p.starts_with("timings_ns.")) {
+            let (section, leaf) = split(path);
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(&format!("{section}:")))
+                .unwrap_or_else(|| panic!("no {section} line in:\n{text}"));
+            let shown = format!(" {leaf}={}", get(&distinct()));
+            assert!(line.contains(&shown), "{path} missing from {line:?}");
+        }
+        assert!(text.ends_with(&format!("{}", distinct().timings)));
+
+        // A section whose keys are all zero gets no line.
         let mut d = Diagnostics {
-            functions_parsed: 3,
-            blocks_parsed: 17,
-            instructions_decoded: 411,
-            unresolved_indirects: 1,
-            jump_tables_resolved: 2,
-            gap_functions: 1,
-            points_instrumented: 11,
-            dead_register_points: 11,
-            spills: 0,
-            patch_regions_written: 4,
-            clobbers_audited: 6,
-            redirects_registered: 5,
-            counters_placed: 4,
-            counters_elided: 7,
-            instrument_workers: 4,
-            plans_built: 9,
-            faults_injected: 2,
-            instret: 123_456,
-            cycles: 234_567,
-            counts_reconstructed: 11,
-            analysis_cache_hits: 8,
-            analysis_cache_misses: 2,
-            analysis_cache_evictions: 1,
-            emu_blocks_translated: 42,
-            emu_invalidations: 3,
-            emu_chain_links: 40,
-            trace_points_planned: 12,
-            trace_records: 900,
-            trace_dropped: 5,
-            profile_samples: 64,
-            profile_max_depth: 9,
+            instret: 5,
             ..Default::default()
         };
-        d.timings.record(TimedStage::Parse, 1_000);
-        d.timings.record(TimedStage::Instrument, 2_000);
         d.timings.record(TimedStage::Run, 3_000);
-        let j = d.to_json();
-        check_json(&j).expect("diagnostics JSON must parse");
-
-        // Schema stability: every v1 key present, in its section.
-        for key in [
-            "\"schema\":\"rvdyn-diagnostics-v1\"",
-            "\"parse\":{",
-            "\"functions\":3",
-            "\"blocks\":17",
-            "\"instructions\":411",
-            "\"unresolved_indirects\":1",
-            "\"jump_tables_resolved\":2",
-            "\"gap_functions\":1",
-            "\"instrument\":{",
-            "\"points\":11",
-            "\"dead_register_points\":11",
-            "\"spills\":0",
-            "\"patch_regions_written\":4",
-            "\"clobbers_audited\":6",
-            "\"redirects_registered\":5",
-            "\"counters_placed\":4",
-            "\"counters_elided\":7",
-            "\"instrument_workers\":4",
-            "\"plans_built\":9",
-            "\"springboards\":{",
-            "\"compressed_jump\":",
-            "\"jal\":",
-            "\"auipc_jalr\":",
-            "\"trap\":",
-            "\"run\":{",
-            "\"instret\":123456",
-            "\"cycles\":234567",
-            "\"counts_reconstructed\":11",
-            "\"faults\":{",
-            "\"injected\":2",
-            "\"cache\":{",
-            "\"analysis_cache_hits\":8",
-            "\"analysis_cache_misses\":2",
-            "\"analysis_cache_evictions\":1",
-            "\"emu\":{",
-            "\"blocks_translated\":42",
-            "\"invalidations\":3",
-            "\"chain_links\":40",
-            "\"tools\":{",
-            "\"trace_points_planned\":12",
-            "\"trace_records\":900",
-            "\"trace_dropped\":5",
-            "\"profile_samples\":64",
-            "\"profile_max_depth\":9",
-            "\"timings_ns\":{",
-            "\"open\":0",
-            "\"parse\":1000",
-            "\"instrument\":2000",
-            "\"relocate\":0",
-            "\"commit\":0",
-            "\"run\":3000",
-        ] {
-            assert!(j.contains(key), "JSON missing {key}: {j}");
-        }
+        let text = d.to_string();
+        assert_eq!(text.lines().count(), 2, "{text}");
+        assert!(text.starts_with("run:"), "{text}");
+        assert!(text
+            .lines()
+            .next()
+            .unwrap()
+            .contains(" instret=5 cycles=0 "));
     }
 
     #[test]

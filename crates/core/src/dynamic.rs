@@ -20,9 +20,10 @@ use crate::session::{self, BlockCounter, Session, SessionOptions};
 use crate::telemetry::{TelemetryEvent, TimedStage};
 use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
+use rvdyn_isa::Op;
 use rvdyn_parse::CodeObject;
 use rvdyn_patch::{PatchLayout, Point, PointKind};
-use rvdyn_proccontrol::Process;
+use rvdyn_proccontrol::{Event, ProcError, Process};
 use rvdyn_symtab::Binary;
 use std::sync::Arc;
 
@@ -185,10 +186,8 @@ impl DynamicInstrumenter {
         counter: &BlockCounter,
     ) -> Result<std::collections::BTreeMap<u64, u64>, Error> {
         let process = &self.process;
-        self.session.block_counts_with(counter, &mut |v| {
-            let b = process.read_mem(v.addr, 8).ok()?;
-            Some(u64::from_le_bytes(b.try_into().ok()?))
-        })
+        self.session
+            .block_counts_with(counter, &mut |v| process.read_u64(v.addr))
     }
 
     /// Apply all queued insertions to the live process: lower and relocate
@@ -284,48 +283,20 @@ impl DynamicInstrumenter {
     /// back as a typed error carrying the mutatee's pc — never a panic:
     /// crashing mutatees are data the mutator's tool needs to report. A
     /// breakpoint trap that surfaces while trap-table redirects are
-    /// installed is a springboard whose redirect is missing
+    /// installed, over an original instruction that was not an `ebreak`,
+    /// is a springboard whose redirect is missing
     /// ([`Error::RedirectMiss`]), not a generic unclean exit.
     pub fn run_to_exit(&mut self) -> Result<i64, Error> {
         let timer = self.session.begin_stage(TimedStage::Run);
         let result = loop {
-            match self.process.cont() {
-                Ok(rvdyn_proccontrol::Event::Exited(c)) => break Ok(c),
-                Ok(rvdyn_proccontrol::Event::Breakpoint(_))
-                | Ok(rvdyn_proccontrol::Event::Stepped(_)) => continue,
-                Ok(rvdyn_proccontrol::Event::CycleLimit(_)) => {
+            match resume(&mut self.process, self.session.code()) {
+                Stop::Done(result) => break result,
+                Stop::Resume => {}
+                Stop::CycleLimit(_) => {
                     // A leftover sampling interrupt from a profiler that
                     // detached without disarming. run_to_exit has no
                     // sampling policy: disarm and keep running.
                     self.process.machine_mut().stop_at_cycles = None;
-                    continue;
-                }
-                Ok(rvdyn_proccontrol::Event::Trap(pc)) => {
-                    // The emulator resolves springboard traps via the
-                    // redirect table in-loop; one that *surfaces* here is
-                    // either a missing redirect (instrumented process) or
-                    // the mutatee's own ebreak (uninstrumented).
-                    if !self.process.machine().trap_redirects.is_empty() {
-                        break Err(Error::RedirectMiss { pc });
-                    }
-                    break Err(Error::UncleanExit {
-                        reason: format!("unexpected breakpoint trap at {pc:#x}"),
-                        pc,
-                        icount: self.process.machine().icount,
-                    });
-                }
-                Ok(rvdyn_proccontrol::Event::Fault { pc, addr }) => {
-                    break Err(Error::MutateeFault { pc, addr });
-                }
-                Err(rvdyn_proccontrol::ProcError::CacheIncoherent(pc)) => {
-                    // Contract violation, promoted like the From impl does.
-                    break Err(Error::CacheIncoherent { pc });
-                }
-                Err(source) => {
-                    break Err(Error::Proc {
-                        source,
-                        pc: Some(self.process.pc()),
-                    });
                 }
             }
         };
@@ -350,9 +321,60 @@ impl DynamicInstrumenter {
 
     /// Read an instrumentation variable from the live process.
     pub fn read_var(&self, var: Var) -> Option<u64> {
-        let b = self.process.read_mem(var.addr, 8).ok()?;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
+        self.process.read_u64(var.addr)
     }
+}
+
+/// Where one `cont` leg of a live run left the mutatee.
+pub(crate) enum Stop {
+    /// The run is over: the exit code, or the typed error that ended it.
+    Done(Result<i64, Error>),
+    /// The cycle-count interrupt fired at this pc (a sampling tick).
+    CycleLimit(u64),
+    /// A breakpoint or emulated step: resume.
+    Resume,
+}
+
+/// Resume `p` until its next stop, and classify the stop against the
+/// mutatee's parsed original `code` — the one rule for how a live run
+/// ends, shared by [`DynamicInstrumenter::run_to_exit`], the fleet run
+/// loop and the profiler. The emulator resolves springboard traps through
+/// the redirect table in-loop, so a trap that surfaces while redirects are
+/// installed, over an original instruction that was not an `ebreak`, is a
+/// springboard (or stray write) whose redirect is missing
+/// ([`Error::RedirectMiss`]). Any other trap is the mutatee's own
+/// `ebreak`, at its original address or relocated into the patch area. A
+/// refused debug-interface operation records the mutatee's pc.
+pub(crate) fn resume(p: &mut Process, code: &CodeObject) -> Stop {
+    let error = match p.cont() {
+        Ok(Event::Exited(status)) => return Stop::Done(Ok(status)),
+        Ok(Event::Breakpoint(_) | Event::Stepped(_)) => return Stop::Resume,
+        Ok(Event::CycleLimit(pc)) => return Stop::CycleLimit(pc),
+        Ok(Event::Trap(pc)) if !p.machine().trap_redirects.is_empty() && overwritten(code, pc) => {
+            Error::RedirectMiss { pc }
+        }
+        Ok(Event::Trap(pc)) => Error::UncleanExit {
+            reason: format!("unexpected breakpoint trap at {pc:#x}"),
+            pc,
+            icount: p.machine().icount,
+        },
+        Ok(Event::Fault { pc, addr }) => Error::MutateeFault { pc, addr },
+        Err(ProcError::CacheIncoherent(pc)) => Error::CacheIncoherent { pc },
+        Err(source) => Error::Proc {
+            source,
+            pc: Some(p.pc()),
+        },
+    };
+    Stop::Done(Err(error))
+}
+
+/// Whether `code` has an instruction at `pc` other than `ebreak`, so a
+/// trap there was written over the mutatee's own code.
+fn overwritten(code: &CodeObject, pc: u64) -> bool {
+    code.function_containing(pc)
+        .and_then(|f| f.block_containing(pc))
+        .and_then(|b| b.insts.iter().find(|i| i.address == pc))
+        .is_some_and(|i| i.op != Op::Ebreak)
 }
 
 /// Coalesce individual patch writes into contiguous regions: sort by

@@ -13,7 +13,7 @@ use crate::session::{BlockCounter, Session, SessionOptions};
 use crate::telemetry::{TelemetryEvent, TimedStage};
 use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
-use rvdyn_parse::{CodeObject, ParseOptions};
+use rvdyn_parse::CodeObject;
 use rvdyn_patch::{PatchLayout, Point, PointKind};
 use rvdyn_symtab::Binary;
 use std::sync::Arc;
@@ -56,9 +56,7 @@ impl BinaryEditor {
     }
 
     /// Use an in-memory binary model directly, with explicit session
-    /// options (the single `from_binary` constructor — the former
-    /// `from_binary_with` / `from_binary_with_options` variants are
-    /// deprecated shims over this one).
+    /// options.
     pub fn from_binary(binary: Binary, opts: SessionOptions) -> BinaryEditor {
         BinaryEditor {
             session: Session::from_binary(binary, opts),
@@ -72,29 +70,6 @@ impl BinaryEditor {
         BinaryEditor {
             session: Session::from_analysis(analysis, opts),
         }
-    }
-
-    /// Former parse-options variant of `from_binary`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `from_binary(binary, SessionOptions::new().parse_options(opts))` — \
-                the constructor now takes `SessionOptions` directly"
-    )]
-    pub fn from_binary_with(binary: Binary, opts: &ParseOptions) -> BinaryEditor {
-        Self::from_binary(
-            binary,
-            SessionOptions::default().parse_options(opts.clone()),
-        )
-    }
-
-    /// Former session-options variant of `from_binary`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `from_binary(binary, opts)` — the constructor now takes \
-                `SessionOptions` directly"
-    )]
-    pub fn from_binary_with_options(binary: Binary, opts: SessionOptions) -> BinaryEditor {
-        Self::from_binary(binary, opts)
     }
 
     /// The underlying binary model.
@@ -288,25 +263,16 @@ pub fn run_elf_with(
 /// a springboard whose redirect is missing: that is
 /// [`Error::RedirectMiss`], distinct from the generic unclean exit.
 pub fn run_binary(bin: &Binary, fuel: u64) -> Result<RunOutput, Error> {
-    run_binary_observed(bin, fuel, &mut |_| {})
-}
-
-/// As [`run_binary`], reporting the run loop's exit-reason label (the
-/// stable [`rvdyn_emu::StopReason::label`] vocabulary) to `on_exit`
-/// before the result is mapped — the emulator-side telemetry point.
-pub fn run_binary_observed(
-    bin: &Binary,
-    fuel: u64,
-    on_exit: &mut dyn FnMut(&'static str),
-) -> Result<RunOutput, Error> {
     // Free-standing runs keep the machine's own default engine, which
     // honours the `RVDYN_EMU` environment knob.
-    run_binary_engine(bin, fuel, rvdyn_emu::EmuEngine::from_env(), on_exit)
+    run_binary_engine(bin, fuel, rvdyn_emu::EmuEngine::from_env(), &mut |_| {})
 }
 
-/// As [`run_binary_observed`] with an explicit execution engine — the
-/// session-driven path, where `SessionOptions::engine` wins over the
-/// environment.
+/// As [`run_binary`] with an explicit execution engine, reporting the
+/// run loop's exit-reason label (the stable
+/// [`rvdyn_emu::StopReason::label`] vocabulary) to `on_exit` before the
+/// result is mapped — the session-driven path, where
+/// `SessionOptions::engine` wins over the environment.
 pub(crate) fn run_binary_engine(
     bin: &Binary,
     fuel: u64,
@@ -380,6 +346,7 @@ pub(crate) fn run_binary_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvdyn_parse::ParseOptions;
 
     #[test]
     fn full_static_workflow() {
@@ -478,24 +445,6 @@ mod tests {
         let entry = ed.function_addr("matmul").unwrap();
         assert_eq!(counts[&entry], 2);
         assert_eq!(ed.diagnostics().counts_reconstructed, 0);
-    }
-
-    #[test]
-    fn deprecated_constructor_shims_still_work() {
-        let bin = rvdyn_asm::fib_program(3);
-        #[allow(deprecated)]
-        let ed = BinaryEditor::from_binary_with(bin.clone(), &ParseOptions::default());
-        #[allow(deprecated)]
-        let ed2 = BinaryEditor::from_binary_with_options(bin.clone(), SessionOptions::default());
-        let ed3 = BinaryEditor::from_binary(bin, SessionOptions::default());
-        assert_eq!(
-            ed.diagnostics().functions_parsed,
-            ed3.diagnostics().functions_parsed
-        );
-        assert_eq!(
-            ed2.diagnostics().functions_parsed,
-            ed3.diagnostics().functions_parsed
-        );
     }
 
     #[test]

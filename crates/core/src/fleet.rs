@@ -31,14 +31,14 @@
 //! ordering and determinism caveats — is written down in
 //! `docs/FLEET.md`.
 
-use crate::diag::Diagnostics;
-use crate::dynamic::coalesce_writes;
+use crate::diag::{self, Diagnostics, Key};
+use crate::dynamic::{coalesce_writes, resume, Stop};
 use crate::error::Error;
 use crate::session::{self, Session, SessionOptions};
 use crate::telemetry::{TelemetryEvent, TimedStage};
 use rvdyn_codegen::snippet::{Snippet, Var};
 use rvdyn_patch::{Point, PointKind};
-use rvdyn_proccontrol::{Event, FaultPlan, ProcError, Process, ProcessSet};
+use rvdyn_proccontrol::{FaultPlan, Process, ProcessSet};
 use rvdyn_symtab::Binary;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -68,9 +68,8 @@ enum JobOutcome {
         failed: Option<u64>,
         lost: bool,
     },
-    /// A run job finished one `cont` leg: the stop/trap/exit event, or
-    /// the debug interface's refusal.
-    Stopped(Result<Event, ProcError>),
+    /// A run job finished one `cont` leg, classified by [`resume`].
+    Stopped(Stop),
 }
 
 /// Controller-side state for one fleet process.
@@ -116,35 +115,39 @@ pub struct FleetSummary {
     pub per_process: Vec<ProcessReport>,
 }
 
+/// The leaf keys of the rollup's `fleet` totals, in emission order.
+pub const FLEET_KEYS: &[Key<FleetSummary>] = &[
+    ("fleet.processes", |s| s.processes as u64),
+    ("fleet.events_dispatched", |s| s.events_dispatched),
+    ("fleet.faults_injected", |s| s.faults_injected),
+    ("fleet.processes_failed", |s| s.processes_failed as u64),
+];
+
+/// The keys of each `per_process` entry, in emission order. Each entry
+/// then closes with that process's full `diagnostics` object.
+pub const PROCESS_KEYS: &[Key<ProcessReport, i64>] = &[
+    ("pid", |p| p.pid.into()),
+    ("exited", |p| p.exit_code.is_some().into()),
+    ("exit_code", |p| p.exit_code.unwrap_or(-1)),
+    ("failed", |p| p.error.is_some().into()),
+];
+
 impl FleetSummary {
     /// Serialise the rollup as one line of `rvdyn-diagnostics-v1` JSON:
-    /// a `fleet` object with the totals plus a `per_process` array, one
-    /// all-numeric entry per process embedding that process's full
-    /// diagnostics object. Entries are pid-sorted, so the output is
-    /// stable across worker counts.
+    /// a `fleet` object with the totals ([`FLEET_KEYS`]) plus a
+    /// `per_process` array, one all-numeric entry ([`PROCESS_KEYS`]) per
+    /// process embedding that process's full diagnostics object. Entries
+    /// are pid-sorted, so the output is stable across worker counts.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            concat!(
-                "{{\"schema\":\"rvdyn-diagnostics-v1\",",
-                "\"fleet\":{{\"processes\":{},\"events_dispatched\":{},",
-                "\"faults_injected\":{},\"processes_failed\":{}}},",
-                "\"per_process\":["
-            ),
-            self.processes, self.events_dispatched, self.faults_injected, self.processes_failed,
-        );
+        let mut out = diag::open_document();
+        diag::write_members(&mut out, FLEET_KEYS, self);
+        out.push_str(",\"per_process\":[");
         for (i, p) in self.per_process.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"pid\":{},\"exited\":{},\"exit_code\":{},\"failed\":{},\
-                 \"diagnostics\":{}}}",
-                p.pid,
-                u8::from(p.exit_code.is_some()),
-                p.exit_code.unwrap_or(-1),
-                u8::from(p.error.is_some()),
-                p.diag.to_json(),
-            ));
+            out.push_str(if i == 0 { "{" } else { ",{" });
+            diag::write_members(&mut out, PROCESS_KEYS, p);
+            out.push_str(",\"diagnostics\":");
+            out.push_str(&p.diag.to_json());
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -493,8 +496,10 @@ impl FleetController {
             .filter(|(_, s)| s.result.is_none() && s.committed)
             .map(|(pid, _)| *pid)
             .collect();
+        let analysis = self.session.analysis().clone();
+        let run_leg = move |p: &mut Process| JobOutcome::Stopped(resume(p, analysis.code()));
         for pid in runnable {
-            self.set.dispatch(pid, |p| JobOutcome::Stopped(p.cont()));
+            self.set.dispatch(pid, run_leg.clone());
         }
         while let Some(c) = self.set.next_completion() {
             self.events_dispatched += 1;
@@ -504,10 +509,9 @@ impl FleetController {
                 st.diag.timings.record(TimedStage::Run, c.nanos);
             }
             let terminal: Option<Result<i64, Error>> = match c.outcome {
-                JobOutcome::Stopped(Ok(Event::Exited(code))) => Some(Ok(code)),
-                JobOutcome::Stopped(Ok(Event::Breakpoint(_)))
-                | JobOutcome::Stopped(Ok(Event::Stepped(_))) => None,
-                JobOutcome::Stopped(Ok(Event::CycleLimit(_))) => {
+                JobOutcome::Stopped(Stop::Done(result)) => Some(result),
+                JobOutcome::Stopped(Stop::Resume) => None,
+                JobOutcome::Stopped(Stop::CycleLimit(_)) => {
                     // run_all has no sampling policy — the profiler owns
                     // its own resumable loop via `with_process`. A cycle
                     // interrupt arriving here is a leftover armed
@@ -517,32 +521,6 @@ impl FleetController {
                     }
                     None
                 }
-                JobOutcome::Stopped(Ok(Event::Trap(pc))) => {
-                    // Same contract as the single-process run loop: a
-                    // surfaced trap with redirects installed is a
-                    // missing springboard redirect, otherwise it is the
-                    // mutatee's own ebreak.
-                    let (has_redirects, icount) = self
-                        .set
-                        .get(c.pid)
-                        .map(|p| (!p.machine().trap_redirects.is_empty(), p.machine().icount))
-                        .unwrap_or((false, 0));
-                    Some(Err(if has_redirects {
-                        Error::RedirectMiss { pc }
-                    } else {
-                        Error::UncleanExit {
-                            reason: format!("unexpected breakpoint trap at {pc:#x}"),
-                            pc,
-                            icount,
-                        }
-                    }))
-                }
-                JobOutcome::Stopped(Ok(Event::Fault { pc, addr })) => {
-                    Some(Err(Error::MutateeFault { pc, addr }))
-                }
-                // `From<ProcError>` promotes CacheIncoherent, exactly
-                // like the single-process path.
-                JobOutcome::Stopped(Err(e)) => Some(Err(e.into())),
                 // Commit outcomes cannot arrive here; stay total.
                 JobOutcome::Committed { .. } => None,
             };
@@ -550,7 +528,7 @@ impl FleetController {
                 None => {
                     // Non-terminal stop: resume this process; the event
                     // loop keeps multiplexing the others meanwhile.
-                    self.set.dispatch(c.pid, |p| JobOutcome::Stopped(p.cont()));
+                    self.set.dispatch(c.pid, run_leg.clone());
                 }
                 Some(result) => {
                     self.finish_process(c.pid, result);
@@ -596,9 +574,7 @@ impl FleetController {
 
     /// Read an instrumentation variable from the process under `pid`.
     pub fn read_var(&self, pid: u32, var: Var) -> Option<u64> {
-        let p = self.set.get(pid)?;
-        let b = p.read_mem(var.addr, 8).ok()?;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
+        self.set.get(pid)?.read_u64(var.addr)
     }
 
     /// The fleet-level rollup: totals plus one pid-sorted
@@ -699,35 +675,90 @@ mod tests {
         let s = fleet.summary();
         assert_eq!(s.processes, 3);
         assert_eq!(s.processes_failed, 0);
+        assert_eq!(s.faults_injected, 0);
         // One commit completion + at least one run completion per pid.
         assert!(s.events_dispatched >= 6);
+        for (row, pid) in s.per_process.iter().zip(0..) {
+            assert_eq!((row.pid, row.exit_code, &row.error), (pid, Some(0), &None));
+        }
     }
 
     #[test]
-    fn summary_json_is_well_formed() {
-        let bin = rvdyn_asm::matmul_program(4, 1);
-        let mut fleet = FleetController::from_binary(bin, SessionOptions::new());
-        fleet.spawn(2);
-        let counter = fleet.alloc_var(8);
-        let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
-        fleet.insert(&pts, Snippet::increment(counter));
-        fleet.commit_all().unwrap();
-        fleet.run_all();
-        let j = fleet.summary().to_json();
-        for key in [
-            "\"schema\":\"rvdyn-diagnostics-v1\"",
-            "\"fleet\":{",
-            "\"processes\":2",
-            "\"events_dispatched\":",
-            "\"faults_injected\":0",
-            "\"processes_failed\":0",
-            "\"per_process\":[{\"pid\":0,",
-            "\"exited\":1,\"exit_code\":0,\"failed\":0",
-            "\"diagnostics\":{\"schema\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        assert!(!j.contains('\n'), "one line");
+    fn rollup_of_an_exited_and_a_failed_process_is_pinned() {
+        let exited = Diagnostics {
+            instret: 500,
+            cycles: 700,
+            patch_regions_written: 3,
+            timings: crate::StageTimings {
+                run_ns: 900,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let failed = Diagnostics {
+            faults_injected: 1,
+            patch_regions_written: 2,
+            timings: crate::StageTimings {
+                commit_ns: 80,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let s = FleetSummary {
+            processes: 2,
+            events_dispatched: 5,
+            faults_injected: 1,
+            processes_failed: 1,
+            per_process: vec![
+                ProcessReport {
+                    pid: 0,
+                    exit_code: Some(0),
+                    error: None,
+                    diag: exited,
+                },
+                ProcessReport {
+                    pid: 1,
+                    exit_code: None,
+                    error: Some("patch region at 0x80000 failed read-back verification".into()),
+                    diag: failed,
+                },
+            ],
+        };
+        // Captured from the hand-written serialiser the key tables
+        // replaced; the failed row carries the schema's only negative.
+        let expected = concat!(
+            r#"{"schema":"rvdyn-diagnostics-v1","fleet":{"processes":2,"events_dispatched":5,"#,
+            r#""faults_injected":1,"processes_failed":1},"per_process":[{"pid":0,"exited":1,"#,
+            r#""exit_code":0,"failed":0,"diagnostics":{"schema":"rvdyn-diagnostics-v1","#,
+            r#""parse":{"functions":0,"blocks":0,"instructions":0,"unresolved_indirects":0,"#,
+            r#""jump_tables_resolved":0,"gap_functions":0},"instrument":{"points":0,"#,
+            r#""dead_register_points":0,"spills":0,"patch_regions_written":3,"#,
+            r#""clobbers_audited":0,"redirects_registered":0,"counters_placed":0,"#,
+            r#""counters_elided":0,"instrument_workers":0,"plans_built":0,"#,
+            r#""springboards":{"compressed_jump":0,"jal":0,"auipc_jalr":0,"trap":0}},"#,
+            r#""run":{"instret":500,"cycles":700,"counts_reconstructed":0},"#,
+            r#""faults":{"injected":0},"cache":{"analysis_cache_hits":0,"#,
+            r#""analysis_cache_misses":0,"analysis_cache_evictions":0},"#,
+            r#""emu":{"blocks_translated":0,"invalidations":0,"chain_links":0},"#,
+            r#""tools":{"trace_points_planned":0,"trace_records":0,"trace_dropped":0,"#,
+            r#""profile_samples":0,"profile_max_depth":0},"timings_ns":{"open":0,"parse":0,"#,
+            r#""instrument":0,"relocate":0,"commit":0,"run":900}}},{"pid":1,"exited":0,"#,
+            r#""exit_code":-1,"failed":1,"diagnostics":{"schema":"rvdyn-diagnostics-v1","#,
+            r#""parse":{"functions":0,"blocks":0,"instructions":0,"unresolved_indirects":0,"#,
+            r#""jump_tables_resolved":0,"gap_functions":0},"instrument":{"points":0,"#,
+            r#""dead_register_points":0,"spills":0,"patch_regions_written":2,"#,
+            r#""clobbers_audited":0,"redirects_registered":0,"counters_placed":0,"#,
+            r#""counters_elided":0,"instrument_workers":0,"plans_built":0,"#,
+            r#""springboards":{"compressed_jump":0,"jal":0,"auipc_jalr":0,"trap":0}},"#,
+            r#""run":{"instret":0,"cycles":0,"counts_reconstructed":0},"#,
+            r#""faults":{"injected":1},"cache":{"analysis_cache_hits":0,"#,
+            r#""analysis_cache_misses":0,"analysis_cache_evictions":0},"#,
+            r#""emu":{"blocks_translated":0,"invalidations":0,"chain_links":0},"#,
+            r#""tools":{"trace_points_planned":0,"trace_records":0,"trace_dropped":0,"#,
+            r#""profile_samples":0,"profile_max_depth":0},"timings_ns":{"open":0,"parse":0,"#,
+            r#""instrument":0,"relocate":0,"commit":80,"run":0}}}]}"#,
+        );
+        assert_eq!(s.to_json(), expected);
     }
 
     #[test]

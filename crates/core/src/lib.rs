@@ -89,9 +89,7 @@ pub use analysis::{
 };
 pub use diag::Diagnostics;
 pub use dynamic::DynamicInstrumenter;
-pub use editor::{
-    run_binary, run_binary_observed, run_elf, run_elf_with, BinaryEditor, EditorError, RunOutput,
-};
+pub use editor::{run_binary, run_elf, run_elf_with, BinaryEditor, EditorError, RunOutput};
 pub use error::{Error, Stage};
 pub use fleet::{FleetController, FleetSummary, ProcessReport};
 pub use session::{BlockCounter, Session, SessionOptions};

@@ -49,7 +49,7 @@ pub enum TimedStage {
 }
 
 impl TimedStage {
-    /// Stable lower-case name, used by JSON output and event display.
+    /// Stable lower-case name, used by event display.
     pub fn name(&self) -> &'static str {
         match self {
             TimedStage::Open => "open",

@@ -292,10 +292,7 @@ impl MemTracer {
     /// Drain the live (or exited-but-attached) dynamic process.
     pub fn drain_dynamic(&self, dy: &mut DynamicInstrumenter) -> Result<Drained, Error> {
         let (session, process) = dy.parts_mut();
-        let d = self.drain_with(&mut |a| {
-            let b = process.read_mem(a, 8).ok()?;
-            Some(u64::from_le_bytes(b.try_into().ok()?))
-        })?;
+        let d = self.drain_with(&mut |a| process.read_u64(a))?;
         Self::fold(session, &d);
         Ok(d)
     }
@@ -305,12 +302,7 @@ impl MemTracer {
     /// a failed or lost process yields its typed error here without
     /// touching any other pid's ring.
     pub fn drain_fleet(&self, fc: &mut FleetController, pid: u32) -> Result<Drained, Error> {
-        let d = fc.with_process(pid, |p| {
-            self.drain_with(&mut |a| {
-                let b = p.read_mem(a, 8).ok()?;
-                Some(u64::from_le_bytes(b.try_into().ok()?))
-            })
-        })??;
+        let d = fc.with_process(pid, |p| self.drain_with(&mut |a| p.read_u64(a)))??;
         if let Some(diag) = fc.process_diag_mut(pid) {
             diag.trace_records += d.records.len() as u64;
             diag.trace_dropped += d.dropped;

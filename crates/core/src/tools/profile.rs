@@ -24,12 +24,13 @@
 //! sample attributes the cycles of the preceding instructions to the pc
 //! about to run — standard sampling semantics, ±1 instruction.
 
+use crate::dynamic::{resume, Stop};
 use crate::error::Error;
 use crate::fleet::FleetController;
 use crate::telemetry::TelemetryEvent;
 use crate::DynamicInstrumenter;
 use rvdyn_parse::CodeObject;
-use rvdyn_proccontrol::{Event, Process};
+use rvdyn_proccontrol::Process;
 use rvdyn_stackwalker::{Frame, StackWalker};
 use std::collections::BTreeMap;
 
@@ -226,22 +227,16 @@ impl Profiler {
             let now = p.machine().cycles;
             p.machine_mut().stop_at_cycles = Some(now + self.opts.interval_cycles.max(1));
         }
-        match p.cont() {
-            Ok(Event::CycleLimit(pc)) => {
+        match resume(p, co) {
+            Stop::CycleLimit(pc) => {
                 let frames = self.walker.walk_process(p, co);
                 let depth = frames.len();
                 profile.add_sample(pc, &frames);
                 Ok(Some((pc, depth)))
             }
-            Ok(Event::Exited(_)) => Ok(None),
-            Ok(Event::Breakpoint(pc)) | Ok(Event::Stepped(pc)) => Ok(Some((pc, 0))),
-            Ok(Event::Trap(pc)) => Err(Error::UncleanExit {
-                reason: format!("unexpected breakpoint trap at {pc:#x}"),
-                pc,
-                icount: p.machine().icount,
-            }),
-            Ok(Event::Fault { pc, addr }) => Err(Error::MutateeFault { pc, addr }),
-            Err(e) => Err(e.into()),
+            Stop::Resume => Ok(Some((p.pc(), 0))),
+            Stop::Done(Ok(_)) => Ok(None),
+            Stop::Done(Err(e)) => Err(e),
         }
     }
 

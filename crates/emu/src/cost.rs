@@ -1,11 +1,15 @@
 //! The cycle cost model (DESIGN.md §5.4).
 //!
-//! The paper's numbers come from a 1.4 GHz SiFive P550, an in-order core.
-//! This model charges per-instruction-class latencies in the spirit of
-//! such a core; "seconds" are `cycles / freq_hz`. Absolute values are not
-//! expected to match the paper's testbed — the *ratios* between the base
-//! and instrumented runs (the table's overhead percentages) are the
-//! reproduction target, and those depend only on the instruction mix.
+//! The paper's numbers come from a 1.4 GHz SiFive P550, a triple-issue
+//! out-of-order core. This model is a single-issue, additive
+//! approximation of it: every retired instruction is charged the latency
+//! of its class, one after another, so it cannot credit the P550 for
+//! overlapping independent work (say, counter loads and stores under a
+//! floating-point chain). "Seconds" are `cycles / freq_hz`. Absolute
+//! values are not expected to match the paper's testbed — the *ratios*
+//! between the base and instrumented runs (the table's overhead
+//! percentages) are the reproduction target, and those depend only on
+//! the instruction mix.
 
 use rvdyn_isa::{Extension, Instruction, Op};
 

@@ -238,6 +238,13 @@ impl Process {
             .map_err(|f| ProcError::BadAddress(f.addr))
     }
 
+    /// Read a little-endian `u64` of mutatee memory, or `None` when any
+    /// of its bytes is unmapped. Loads straight from the machine's
+    /// memory, so a read allocates nothing.
+    pub fn read_u64(&self, addr: u64) -> Option<u64> {
+        self.machine.mem.load(addr, 8).ok()
+    }
+
     /// Write mutatee memory (code writes invalidate its decoded cache).
     ///
     /// This is the *debug-interface* write — the surface an armed
@@ -593,7 +600,7 @@ mod tests {
         p.remove_breakpoint(fib).unwrap();
         assert!(matches!(p.cont().unwrap(), Event::Exited(0)));
         let result = bin.symbol_by_name("result").unwrap().value;
-        let v = u64::from_le_bytes(p.read_mem(result, 8).unwrap().try_into().unwrap());
+        let v = p.read_u64(result).unwrap();
         assert_eq!(v, 1, "modified argument must change the result");
     }
 

@@ -66,8 +66,7 @@ impl WalkTarget for Process {
     }
 
     fn read_u64(&self, addr: u64) -> Option<u64> {
-        let b = self.read_mem(addr, 8).ok()?;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
+        Process::read_u64(self, addr)
     }
 }
 

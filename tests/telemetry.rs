@@ -339,23 +339,60 @@ fn diagnostics_json_round_trips_a_real_pipeline() {
     assert!(!j.contains("\"run\":{\"instret\":0"));
 }
 
-// --- the deprecated surface ------------------------------------------------
+// --- the documented schema -------------------------------------------------
+
+/// The first backticked cell of each table row between a doc's
+/// `<!-- {marker}:start -->` and `<!-- {marker}:end -->` lines.
+fn doc_column(doc: &str, marker: &str) -> Vec<String> {
+    let block = doc
+        .split_once(&format!("<!-- {marker}:start -->"))
+        .and_then(|(_, rest)| rest.split_once(&format!("<!-- {marker}:end -->")))
+        .unwrap_or_else(|| panic!("no {marker} markers"))
+        .0;
+    block
+        .lines()
+        .filter_map(|l| Some(l.strip_prefix("| `")?.split_once('`')?.0.to_string()))
+        .collect()
+}
+
+fn assert_column(doc: &str, marker: &str, expected: Vec<String>) {
+    let column: String = expected.iter().map(|k| format!("| `{k}` |\n")).collect();
+    assert_eq!(
+        doc_column(doc, marker),
+        expected,
+        "the {marker} table must list these keys, in this order:\n{column}"
+    );
+}
 
 #[test]
-#[allow(deprecated)]
-fn constructor_shims_still_serve_old_callers() {
-    // The pre-redesign constructor spread forwards to the collapsed
-    // `from_binary(Binary, SessionOptions)`; same session either way.
-    let bin = rvdyn_asm::fib_program(4);
-    let ed = BinaryEditor::from_binary_with(bin.clone(), &rvdyn::ParseOptions::default());
-    let ed2 = BinaryEditor::from_binary_with_options(bin.clone(), SessionOptions::default());
-    let new = BinaryEditor::from_binary(bin, SessionOptions::default());
-    assert_eq!(
-        ed.diagnostics().functions_parsed,
-        new.diagnostics().functions_parsed
+fn documented_keys_and_events_match_the_code() {
+    use rvdyn::fleet::{FLEET_KEYS, PROCESS_KEYS};
+    let diagnostics = include_str!("../docs/DIAGNOSTICS.md");
+    let schema = ["schema"]
+        .into_iter()
+        .chain(rvdyn::diag::KEYS.iter().map(|k| k.0));
+    assert_column(
+        diagnostics,
+        "schema-keys",
+        schema.map(String::from).collect(),
     );
-    assert_eq!(
-        ed2.diagnostics().blocks_parsed,
-        new.diagnostics().blocks_parsed
+    let per_process = PROCESS_KEYS.iter().map(|k| k.0).chain(["diagnostics"]);
+    let fleet = FLEET_KEYS.iter().map(|k| k.0.to_string());
+    let fleet = fleet.chain(per_process.map(|k| format!("per_process[].{k}")));
+    assert_column(diagnostics, "fleet-keys", fleet.collect());
+
+    // EMULATOR.md names the telemetry events the execution engine emits.
+    let events = [
+        TelemetryEvent::BlockTranslated { pc: 0, insts: 0 },
+        TelemetryEvent::BlockInvalidated { pc: 0 },
+    ];
+    let names = events.iter().map(|ev| {
+        let debug = format!("{ev:?}");
+        debug.split([' ', '{']).next().unwrap().to_string()
+    });
+    assert_column(
+        include_str!("../docs/EMULATOR.md"),
+        "emu-events",
+        names.collect(),
     );
 }

@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use rvdyn::{
-    CodeObject, DynamicInstrumenter, EmuEngine, Event, FleetController, ParseOptions, Process,
-    Profile, ProfileOptions, Profiler, SessionOptions, StackWalker,
+    CodeObject, DynamicInstrumenter, EmuEngine, Error, Event, FleetController, ParseOptions,
+    PointKind, Process, Profile, ProfileOptions, Profiler, SessionOptions, Snippet, StackWalker,
 };
 use rvdyn_stackwalker::{FpStepper, SpHeightStepper};
 use rvdyn_symtab::Binary;
@@ -277,4 +277,97 @@ fn fleet_profile_aggregates_per_process() {
     for pid in &pids[1..] {
         assert_eq!(out.per_process[pid].sample_pcs, first.sample_pcs);
     }
+}
+
+/// The profiler ends a run by the same rule as `run_to_exit`: a trap
+/// that surfaces while trap-table redirects are installed is a missing
+/// redirect (docs/FAILURE-MODES.md), on the single-process path and for
+/// the one sabotaged fleet member alike.
+#[test]
+fn surfaced_trap_with_redirects_is_a_redirect_miss_when_sampling() {
+    // Overwrite main's first instruction with a bare 4-byte ebreak that
+    // has no redirect, and plant one unrelated entry so the table is
+    // non-empty (matmul's springboards all fit direct jumps).
+    fn sabotage(p: &mut Process, main: u64) {
+        p.write_mem(main, &0x0010_0073u32.to_le_bytes());
+        p.machine_mut()
+            .trap_redirects
+            .insert(0xdead_0000, 0xdead_0004);
+    }
+    let bin = rvdyn_asm::matmul_program(4, 1);
+    let main = bin.symbol_by_name("main").unwrap().value;
+    let profiler = Profiler::new(ProfileOptions::default());
+
+    let mut dy = DynamicInstrumenter::create(bin.clone());
+    let counter = dy.alloc_var(8);
+    let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
+    dy.insert(&pts, Snippet::increment(counter));
+    dy.commit().unwrap();
+    sabotage(dy.process_mut(), main);
+    match profiler.sample_dynamic(&mut dy) {
+        Err(Error::RedirectMiss { pc }) => assert_eq!(pc, main),
+        other => panic!("expected RedirectMiss, got {other:?}"),
+    }
+
+    let mut fc = FleetController::from_binary(bin, SessionOptions::new());
+    let pids = fc.spawn(3);
+    let counter = fc.alloc_var(8);
+    let pts = fc.find_points("matmul", PointKind::FuncEntry).unwrap();
+    fc.insert(&pts, Snippet::increment(counter));
+    fc.commit_all().unwrap();
+    fc.with_process(pids[1], |p| sabotage(p, main)).unwrap();
+    let out = profiler.sample_fleet(&mut fc).expect("sample_fleet");
+    for pid in pids {
+        match &out.outcomes[&pid] {
+            Err(Error::RedirectMiss { pc }) if pid == 1 => assert_eq!(*pc, main),
+            Ok(0) if pid != 1 => {}
+            other => panic!("pid {pid}: unexpected outcome {other:?}"),
+        }
+    }
+}
+
+/// The other half of that rule: the mutatee's own `ebreak` stays an
+/// `UncleanExit` in an instrumented process, also once its function was
+/// relocated into the patch area, on every live path.
+#[test]
+fn own_ebreak_under_instrumentation_is_an_unclean_exit() {
+    let bin = rvdyn_asm::nested_call_program(&[16, 32, 0], false);
+    let own = |r: Option<&Result<i64, Error>>| matches!(r, Some(Err(Error::UncleanExit { reason, .. })) if reason.contains("breakpoint"));
+    let redirect = |p: &mut Process| {
+        p.machine_mut()
+            .trap_redirects
+            .insert(0xdead_0000, 0xdead_0004);
+    };
+    let dynamic = || {
+        let mut dy = DynamicInstrumenter::create(bin.clone());
+        let counter = dy.alloc_var(8);
+        let pts = dy.find_points("g_2", PointKind::BlockEntry).unwrap();
+        dy.insert(&pts, Snippet::increment(counter));
+        dy.commit().unwrap();
+        redirect(dy.process_mut());
+        dy
+    };
+    let fleet = || {
+        let mut fc = FleetController::from_binary(bin.clone(), SessionOptions::new());
+        let pids = fc.spawn(2);
+        let counter = fc.alloc_var(8);
+        let pts = fc.find_points("g_2", PointKind::BlockEntry).unwrap();
+        fc.insert(&pts, Snippet::increment(counter));
+        fc.commit_all().unwrap();
+        for pid in &pids {
+            fc.with_process(*pid, redirect).unwrap();
+        }
+        (fc, pids)
+    };
+    let profiler = Profiler::new(ProfileOptions::default());
+
+    assert!(own(Some(&dynamic().run_to_exit())));
+    let sampled = profiler.sample_dynamic(&mut dynamic()).map(|r| r.exit_code);
+    assert!(own(Some(&sampled)), "{sampled:?}");
+    let (mut fc, pids) = fleet();
+    fc.run_all();
+    assert!(pids.iter().all(|pid| own(fc.result(*pid))));
+    let (mut fc, pids) = fleet();
+    let out = profiler.sample_fleet(&mut fc).expect("sample_fleet");
+    assert!(pids.iter().all(|pid| own(out.outcomes.get(pid))));
 }
