@@ -1,15 +1,22 @@
 //! Snippet AST → RV64 instruction lowering.
 //!
-//! The emitter walks the snippet tree, evaluating expressions into scratch
-//! registers obtained from the [`RegAllocator`] and emitting straight-line
-//! code with small internal branches for [`Snippet::If`]. The output is a
-//! list of [`rvdyn_isa::Instruction`] values with intra-buffer branch offsets already
-//! resolved; PatchAPI wraps it with the spill frame and splices it into a
-//! trampoline.
+//! The emitter walks the snippet tree and emits the code a compiler
+//! would: an absolute address is a `lui` upper part plus a 12-bit
+//! load/store displacement (base `x0` when the upper part is zero), and
+//! `expr ± c` folds `c` into the displacement; a constant operand that
+//! fits selects the immediate ALU form; a mutatee register is read in
+//! place when nothing evaluated before its use can change it;
+//! `var = var op c` loads and stores through one address; and an
+//! [`Snippet::If`] on a comparison is one compare-and-branch. Values live
+//! in scratch registers from the [`RegAllocator`], which never hands out a
+//! register the snippet names. The output is a list of
+//! [`rvdyn_isa::Instruction`] values with intra-buffer branch offsets
+//! already resolved; PatchAPI wraps it with the spill frame and splices
+//! it into a trampoline.
 
 use crate::imm::load_imm;
 use crate::regalloc::RegAllocator;
-use crate::snippet::{BinaryOp, Snippet, UnaryOp};
+use crate::snippet::{BinaryOp, Snippet, UnaryOp, Var};
 use rvdyn_isa::build;
 use rvdyn_isa::{Extension, IsaProfile, Op, Reg};
 use std::fmt;
@@ -149,7 +156,112 @@ pub struct Emitter<'a> {
     uses_call: bool,
 }
 
+/// Does `v` fit a 12-bit signed immediate (I/S-format)?
+fn fits12(v: i64) -> bool {
+    (-2048..2048).contains(&v)
+}
+
+/// Split `v` into `(upper, lo)` with `upper + lo == v` (wrapping), `lo`
+/// the sign-extended low 12 bits and `upper` a multiple of 4096 — the
+/// `lui`/displacement pair of an absolute address.
+fn split12(v: i64) -> (i64, i64) {
+    let lo = (v << 52) >> 52;
+    (v.wrapping_sub(lo), lo)
+}
+
+/// `a op b` with one constant operand, as `(op', x, c)` meaning
+/// `x op' c`: a constant right operand as is, a constant left operand
+/// swapped across a commutative operator or a mirrored comparison.
+fn const_operand<'s>(
+    op: BinaryOp,
+    a: &'s Snippet,
+    b: &'s Snippet,
+) -> Option<(BinaryOp, &'s Snippet, i64)> {
+    if let Snippet::Const(c) = b {
+        return Some((op, a, *c));
+    }
+    let Snippet::Const(c) = a else {
+        return None;
+    };
+    let swapped = match op {
+        BinaryOp::Add
+        | BinaryOp::Mul
+        | BinaryOp::And
+        | BinaryOp::Or
+        | BinaryOp::Xor
+        | BinaryOp::Eq
+        | BinaryOp::Ne => op,
+        BinaryOp::LtS => BinaryOp::GtS,
+        BinaryOp::GtS => BinaryOp::LtS,
+        BinaryOp::LeS => BinaryOp::GeS,
+        BinaryOp::GeS => BinaryOp::LeS,
+        BinaryOp::Sub | BinaryOp::Div | BinaryOp::Shl | BinaryOp::Shr => return None,
+    };
+    Some((swapped, b, *c))
+}
+
+/// Can evaluating `s` change a mutatee register (a `WriteReg`, or a
+/// call's clobbers)? A register read in place must not be read across it.
+fn disturbs_registers(s: &Snippet) -> bool {
+    s.mutates_registers() || s.contains_call()
+}
+
+/// `x ± c` as `(x, c)`: an address that folds `c` into a displacement.
+fn offset_operand(s: &Snippet) -> Option<(&Snippet, i64)> {
+    match s {
+        Snippet::Bin(BinaryOp::Sub, x, c) => match **c {
+            Snippet::Const(c) => Some((x, c.wrapping_neg())),
+            _ => None,
+        },
+        Snippet::Bin(BinaryOp::Add, a, b) => {
+            const_operand(BinaryOp::Add, a, b).map(|(_, x, c)| (x, c))
+        }
+        _ => None,
+    }
+}
+
+/// The immediate form of `x op c`: the I-format instruction and
+/// immediate, and whether the 0/1 result is then inverted (`xori 1`).
+/// `None` when `c` does not fit, or `op` has no immediate form.
+fn imm_form(op: BinaryOp, c: i64) -> Option<(Op, i64, bool)> {
+    let lt_succ = c.checked_add(1).filter(|&c1| fits12(c1));
+    Some(match op {
+        BinaryOp::Add if fits12(c) => (Op::Addi, c, false),
+        BinaryOp::Sub if fits12(c.wrapping_neg()) && c != i64::MIN => (Op::Addi, -c, false),
+        BinaryOp::And if fits12(c) => (Op::Andi, c, false),
+        BinaryOp::Or if fits12(c) => (Op::Ori, c, false),
+        BinaryOp::Xor if fits12(c) => (Op::Xori, c, false),
+        // Register shifts use the low six bits of the amount.
+        BinaryOp::Shl => (Op::Slli, c & 63, false),
+        BinaryOp::Shr => (Op::Srli, c & 63, false),
+        BinaryOp::LtS if fits12(c) => (Op::Slti, c, false),
+        BinaryOp::GeS if fits12(c) => (Op::Slti, c, true),
+        // x <= c ⇔ x < c + 1; x > c ⇔ !(x < c + 1).
+        BinaryOp::LeS => (Op::Slti, lt_succ?, false),
+        BinaryOp::GtS => (Op::Slti, lt_succ?, true),
+        _ => return None,
+    })
+}
+
+/// The branch that skips the then-arm of `if a cmp b`: taken exactly
+/// when the comparison is false, as `(op, swap operands)`.
+fn skip_branch(cmp: BinaryOp) -> Option<(Op, bool)> {
+    Some(match cmp {
+        BinaryOp::Eq => (Op::Bne, false),
+        BinaryOp::Ne => (Op::Beq, false),
+        BinaryOp::LtS => (Op::Bge, false),
+        BinaryOp::GeS => (Op::Blt, false),
+        // !(a <= b) ⇔ b < a;  !(a > b) ⇔ b >= a.
+        BinaryOp::LeS => (Op::Blt, true),
+        BinaryOp::GtS => (Op::Bge, true),
+        _ => return None,
+    })
+}
+
 impl<'a> Emitter<'a> {
+    /// An emitter drawing scratch registers from `alloc`, which must
+    /// already reserve every register the snippets name
+    /// ([`RegAllocator::reserve`]; [`generate`] does this).
     pub fn new(alloc: &'a mut RegAllocator, profile: IsaProfile) -> Emitter<'a> {
         Emitter {
             buf: CodeBuffer::new(),
@@ -170,52 +282,42 @@ impl<'a> Emitter<'a> {
                 Ok(())
             }
             Snippet::WriteReg(rd, val) => {
-                let r = self.expr(val)?;
+                let r = self.operand(val)?;
                 self.buf.push(build::mv(*rd, r));
                 self.alloc.release(r);
                 Ok(())
             }
             Snippet::WriteVar(var, val) => {
-                let v = self.expr(val)?;
-                let a = self.acquire()?;
-                self.buf.extend(load_imm(a, var.addr as i64));
-                self.store(v, a, 0, var.size)?;
-                self.alloc.release(a);
+                // `var = var op c` loads and stores through one address.
+                if let Snippet::Bin(op, a, b) = &**val {
+                    if let Some((op, Snippet::ReadVar(src), c)) = const_operand(*op, a, b) {
+                        if src == var {
+                            return self.update_var(*var, op, c);
+                        }
+                    }
+                }
+                let v = self.operand(val)?;
+                let (base, off) = self.absolute(var.addr)?;
+                self.store(v, base, off, var.size)?;
+                self.alloc.release(base);
                 self.alloc.release(v);
                 Ok(())
             }
             Snippet::WriteMem { addr, val, size } => {
-                let a = self.expr(addr)?;
-                let v = self.expr(val)?;
-                self.store(v, a, 0, *size)?;
+                let (base, off) = self.address(addr, !disturbs_registers(val))?;
+                let v = self.operand(val)?;
+                self.store(v, base, off, *size)?;
                 self.alloc.release(v);
-                self.alloc.release(a);
+                self.alloc.release(base);
                 Ok(())
             }
-            Snippet::IncrementVar(var) => {
-                // The canonical counter: la t, addr; ld u, 0(t);
-                // addi u, u, 1; sd u, 0(t).
-                let a = self.acquire()?;
-                let u = self.acquire()?;
-                self.buf.extend(load_imm(a, var.addr as i64));
-                self.load(u, a, 0, var.size, false)?;
-                self.buf.push(build::addi(u, u, 1));
-                self.store(u, a, 0, var.size)?;
-                self.alloc.release(u);
-                self.alloc.release(a);
-                Ok(())
-            }
+            // The canonical counter: lui a, %hi(var); ld u, %lo(var)(a);
+            // addi u, u, 1; sd u, %lo(var)(a).
+            Snippet::IncrementVar(var) => self.update_var(*var, BinaryOp::Add, 1),
             Snippet::If { cond, then_, else_ } => {
-                let c = self.expr(cond)?;
                 let l_else = self.buf.fresh_label();
                 let l_end = self.buf.fresh_label();
-                self.buf.insts.push(Instrs::Branch {
-                    op: Op::Beq,
-                    rs1: c,
-                    rs2: Reg::X0,
-                    label: l_else,
-                });
-                self.alloc.release(c);
+                self.branch_unless(cond, l_else)?;
                 self.emit(then_)?;
                 if else_.is_some() {
                     self.buf.insts.push(Instrs::Jump { label: l_end });
@@ -241,8 +343,8 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// Lower an expression; the result register must be released by the
-    /// caller.
+    /// Lower an expression into a scratch register the caller owns (may
+    /// overwrite) and must release.
     fn expr(&mut self, s: &Snippet) -> Result<Reg, CodeGenError> {
         match s {
             Snippet::Const(v) => {
@@ -256,38 +358,46 @@ impl<'a> Emitter<'a> {
                 Ok(r)
             }
             Snippet::ReadVar(var) => {
-                let r = self.acquire()?;
-                self.buf.extend(load_imm(r, var.addr as i64));
-                self.load(r, r, 0, var.size, false)?;
+                let (base, off) = self.absolute(var.addr)?;
+                let r = self.owned(base)?;
+                self.load(r, base, off, var.size, false)?;
                 Ok(r)
             }
             Snippet::ReadMem { addr, size } => {
-                let a = self.expr(addr)?;
-                self.load(a, a, 0, *size, true)?;
-                Ok(a)
+                let (base, off) = self.address(addr, true)?;
+                let r = self.owned(base)?;
+                self.load(r, base, off, *size, true)?;
+                Ok(r)
             }
             Snippet::Un(op, a) => {
-                let r = self.expr(a)?;
+                let ra = self.operand(a)?;
+                let r = self.owned(ra)?;
                 match op {
-                    UnaryOp::Neg => self.buf.push(build::sub(r, Reg::X0, r)),
-                    UnaryOp::Not => self.buf.push(build::i_type(Op::Xori, r, r, -1)),
+                    UnaryOp::Neg => self.buf.push(build::sub(r, Reg::X0, ra)),
+                    UnaryOp::Not => self.buf.push(build::i_type(Op::Xori, r, ra, -1)),
                 }
                 Ok(r)
             }
             Snippet::Bin(op, a, b) => {
-                // Evaluate the deeper side first (Sethi–Ullman order).
-                let (ra, rb) = if a.scratch_needs() >= b.scratch_needs() {
-                    let ra = self.expr(a)?;
-                    let rb = self.expr(b)?;
-                    (ra, rb)
+                if let Some((op, x, c)) = const_operand(*op, a, b) {
+                    let rx = self.operand(x)?;
+                    let r = self.owned(rx)?;
+                    self.apply_const(op, r, rx, c)?;
+                    return Ok(r);
+                }
+                let (ra, rb) = self.operands(a, b)?;
+                let r = if self.alloc.holds(ra) {
+                    ra
                 } else {
-                    let rb = self.expr(b)?;
-                    let ra = self.expr(a)?;
-                    (ra, rb)
+                    self.owned(rb)?
                 };
-                self.bin_op(*op, ra, ra, rb)?;
-                self.alloc.release(rb);
-                Ok(ra)
+                self.bin_op(*op, r, ra, rb)?;
+                for x in [ra, rb] {
+                    if x != r {
+                        self.alloc.release(x);
+                    }
+                }
+                Ok(r)
             }
             Snippet::Call { target, args } => {
                 // The call's value is the callee's a0.
@@ -307,6 +417,158 @@ impl<'a> Emitter<'a> {
                 Ok(r)
             }
         }
+    }
+
+    /// Lower an expression whose value is only read, once, right away:
+    /// a mutatee register is read in place and constant 0 is `x0`, with
+    /// no instruction. The result is released like [`Self::expr`]'s
+    /// (releasing a register the allocator did not hand out is a no-op),
+    /// but must not be written.
+    fn operand(&mut self, s: &Snippet) -> Result<Reg, CodeGenError> {
+        match s {
+            Snippet::ReadReg(r) => Ok(*r),
+            Snippet::Const(0) => Ok(Reg::X0),
+            _ => self.expr(s),
+        }
+    }
+
+    /// Both operands of a binary operation, deeper side first
+    /// (Sethi–Ullman order). The side evaluated first is read in place
+    /// only when evaluating the other cannot change a register.
+    fn operands(&mut self, a: &Snippet, b: &Snippet) -> Result<(Reg, Reg), CodeGenError> {
+        let first = |em: &mut Self, s: &Snippet, other: &Snippet| {
+            if disturbs_registers(other) {
+                em.expr(s)
+            } else {
+                em.operand(s)
+            }
+        };
+        if a.scratch_needs() >= b.scratch_needs() {
+            let ra = first(self, a, b)?;
+            Ok((ra, self.operand(b)?))
+        } else {
+            let rb = first(self, b, a)?;
+            Ok((self.operand(a)?, rb))
+        }
+    }
+
+    /// `r` itself when it is a scratch register this snippet holds, else
+    /// a fresh one: the destination for a value computed from `r`.
+    fn owned(&mut self, r: Reg) -> Result<Reg, CodeGenError> {
+        if self.alloc.holds(r) {
+            Ok(r)
+        } else {
+            self.acquire()
+        }
+    }
+
+    /// `rd = rs op c`, in immediate form when `c` fits one.
+    fn apply_const(&mut self, op: BinaryOp, rd: Reg, rs: Reg, c: i64) -> Result<(), CodeGenError> {
+        match (op, imm_form(op, c)) {
+            (BinaryOp::Eq | BinaryOp::Ne, _) if fits12(c) => {
+                let mut x = rs;
+                if c != 0 {
+                    self.buf.push(build::i_type(Op::Xori, rd, rs, c));
+                    x = rd;
+                }
+                self.buf.push(if op == BinaryOp::Eq {
+                    build::i_type(Op::Sltiu, rd, x, 1)
+                } else {
+                    build::r_type(Op::Sltu, rd, Reg::X0, x)
+                });
+            }
+            (_, Some((iop, imm, invert))) => {
+                self.buf.push(build::i_type(iop, rd, rs, imm));
+                if invert {
+                    self.buf.push(build::i_type(Op::Xori, rd, rd, 1));
+                }
+            }
+            (_, None) if c == 0 => self.bin_op(op, rd, rs, Reg::X0)?,
+            (_, None) => {
+                let k = self.acquire()?;
+                self.buf.extend(load_imm(k, c));
+                self.bin_op(op, rd, rs, k)?;
+                self.alloc.release(k);
+            }
+        }
+        Ok(())
+    }
+
+    /// `var = var op c` through one address.
+    fn update_var(&mut self, var: Var, op: BinaryOp, c: i64) -> Result<(), CodeGenError> {
+        let (base, off) = self.absolute(var.addr)?;
+        let u = self.acquire()?;
+        self.load(u, base, off, var.size, false)?;
+        self.apply_const(op, u, u, c)?;
+        self.store(u, base, off, var.size)?;
+        self.alloc.release(u);
+        self.alloc.release(base);
+        Ok(())
+    }
+
+    /// An absolute address as `(base, displacement)`: `lui` of the upper
+    /// part (or a longer sequence above 2^31), or `x0` when it is zero.
+    fn absolute(&mut self, addr: u64) -> Result<(Reg, i64), CodeGenError> {
+        let (upper, lo) = split12(addr as i64);
+        if upper == 0 {
+            return Ok((Reg::X0, lo));
+        }
+        let a = self.acquire()?;
+        self.buf.extend(load_imm(a, upper));
+        Ok((a, lo))
+    }
+
+    /// A computed address as `(base, displacement)`, folding a constant
+    /// `± c` into the displacement. The base may be read in place when
+    /// `in_place` (nothing evaluated before its use can change it).
+    fn address(&mut self, addr: &Snippet, in_place: bool) -> Result<(Reg, i64), CodeGenError> {
+        if let Snippet::Const(c) = addr {
+            return self.absolute(*c as u64);
+        }
+        let (x, c) = offset_operand(addr).unwrap_or((addr, 0));
+        let r = if in_place {
+            self.operand(x)?
+        } else {
+            self.expr(x)?
+        };
+        let (upper, lo) = split12(c);
+        if upper == 0 {
+            return Ok((r, lo));
+        }
+        let a = self.acquire()?;
+        self.buf.extend(load_imm(a, upper));
+        self.buf.push(build::add(a, a, r));
+        self.alloc.release(r);
+        Ok((a, lo))
+    }
+
+    /// Branch to `label` when `cond` is false: one compare-and-branch on
+    /// the two operands of a comparison, else `beq cond, x0`.
+    fn branch_unless(&mut self, cond: &Snippet, label: u32) -> Result<(), CodeGenError> {
+        let compare = match cond {
+            Snippet::Bin(cmp, a, b) => skip_branch(*cmp).map(|skip| (skip, a, b)),
+            _ => None,
+        };
+        let (op, rs1, rs2) = match compare {
+            Some(((op, swap), a, b)) => {
+                let (ra, rb) = self.operands(a, b)?;
+                if swap {
+                    (op, rb, ra)
+                } else {
+                    (op, ra, rb)
+                }
+            }
+            None => (Op::Beq, self.operand(cond)?, Reg::X0),
+        };
+        self.buf.insts.push(Instrs::Branch {
+            op,
+            rs1,
+            rs2,
+            label,
+        });
+        self.alloc.release(rs1);
+        self.alloc.release(rs2);
+        Ok(())
     }
 
     fn bin_op(&mut self, op: BinaryOp, rd: Reg, a: Reg, b: Reg) -> Result<(), CodeGenError> {
@@ -519,6 +781,9 @@ pub fn generate_seq_with_stats<'s>(
 ) -> Result<(Vec<rvdyn_isa::Instruction>, LowerStats), CodeGenError> {
     let contains_call = snippets.clone().any(|s| s.contains_call());
     let mut alloc = RegAllocator::new(dead, mode);
+    alloc.reserve(snippets.clone().fold(rvdyn_isa::RegSet::EMPTY, |set, s| {
+        set.union(s.named_registers())
+    }));
     let mut em = Emitter::new(&mut alloc, profile);
     for s in snippets {
         em.emit(s)?;
@@ -632,6 +897,110 @@ mod tests {
         run(&code, &mut st, &mut mem);
         run(&code, &mut st, &mut mem);
         assert_eq!(mem.load(0x8000, 8), 3);
+    }
+
+    fn ops(code: &[rvdyn_isa::Instruction]) -> Vec<Op> {
+        code.iter().map(|i| i.op).collect()
+    }
+
+    #[test]
+    fn increment_var_is_four_instructions() {
+        let lower = |addr| {
+            let var = Var { addr, size: 8 };
+            generate(
+                &Snippet::increment(var),
+                dead_all(),
+                RegAllocMode::DeadRegisters,
+                IsaProfile::rv64gc(),
+            )
+            .unwrap()
+            .0
+        };
+        let code = lower(0x9_0ff8);
+        assert_eq!(ops(&code), [Op::Lui, Op::Ld, Op::Addi, Op::Sd]);
+        assert_eq!((code[0].imm, code[1].imm, code[3].imm), (0x9_1000, -8, -8));
+        // An address that fits 12 bits needs no base register.
+        let code = lower(0x7f8);
+        assert_eq!(ops(&code), [Op::Ld, Op::Addi, Op::Sd]);
+        assert_eq!((code[0].rs1, code[2].rs1), (Some(Reg::X0), Some(Reg::X0)));
+    }
+
+    #[test]
+    fn absolute_addresses_land_on_the_right_byte() {
+        // 0x7fff_ffff's upper part rounds up to 2^31, which `lui` cannot
+        // reach; the others sit below 2^12 with bit 11 set, just under
+        // 2^31, and above 2^32.
+        for addr in [
+            0x7ffu64,
+            0x7fff_f7ff,
+            0x7fff_ffff,
+            0x1_2345_6fff,
+            0xdead_beef_0800,
+        ] {
+            let var = Var { addr, size: 1 };
+            let s = Snippet::Seq(vec![
+                Snippet::increment(var),
+                Snippet::WriteMem {
+                    addr: Box::new(Snippet::Const(addr as i64 - 1)),
+                    val: Box::new(Snippet::bin(
+                        BinaryOp::Add,
+                        Snippet::ReadVar(var),
+                        Snippet::Const(0x40),
+                    )),
+                    size: 1,
+                },
+            ]);
+            let (code, _) = generate(
+                &s,
+                dead_all(),
+                RegAllocMode::DeadRegisters,
+                IsaProfile::rv64gc(),
+            )
+            .unwrap();
+            let mut st = IntState::new(0);
+            let mut mem = FlatMemory::new(addr - 8, 16);
+            run(&code, &mut st, &mut mem);
+            let bytes = &mem.bytes;
+            assert_eq!(bytes[8], 1, "{addr:#x}: counter byte");
+            assert_eq!(bytes[7], 0x41, "{addr:#x}: byte below");
+            let others = bytes.iter().enumerate().filter(|&(i, _)| i != 7 && i != 8);
+            assert!(
+                others.clone().all(|(_, &b)| b == 0),
+                "{addr:#x}: stray store"
+            );
+            for i in &code {
+                rvdyn_isa::encode::encode32(i).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn comparison_condition_is_one_branch() {
+        // if (a0 < 100) var = a0: the compare feeds the branch directly and
+        // a0 is read in place.
+        let var = Var {
+            addr: 0x8000,
+            size: 8,
+        };
+        let s = Snippet::If {
+            cond: Box::new(Snippet::bin(
+                BinaryOp::LtS,
+                Snippet::ReadReg(Reg::x(10)),
+                Snippet::Const(100),
+            )),
+            then_: Box::new(Snippet::WriteVar(
+                var,
+                Box::new(Snippet::ReadReg(Reg::x(10))),
+            )),
+            else_: None,
+        };
+        let mut dead = dead_all();
+        dead.remove(Reg::x(10));
+        let (code, _) =
+            generate(&s, dead, RegAllocMode::DeadRegisters, IsaProfile::rv64gc()).unwrap();
+        assert_eq!(ops(&code), [Op::Addi, Op::Bge, Op::Lui, Op::Sd]);
+        assert_eq!(code[1].rs1, Some(Reg::x(10)));
+        assert_eq!(code[3].rs2, Some(Reg::x(10)));
     }
 
     #[test]

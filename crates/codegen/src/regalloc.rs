@@ -35,6 +35,8 @@ pub struct RegAllocator {
     in_use: Vec<Reg>,
     /// Scratch grants satisfied from the dead pool (zero-cost path).
     dead_grants: usize,
+    /// Registers never handed out (see [`RegAllocator::reserve`]).
+    reserved: RegSet,
     mode: RegAllocMode,
 }
 
@@ -60,8 +62,22 @@ impl RegAllocator {
             spilled: Vec::new(),
             in_use: Vec::new(),
             dead_grants: 0,
+            reserved: RegSet::EMPTY,
             mode,
         }
+    }
+
+    /// Never hand out `regs`: the mutatee registers a snippet reads or
+    /// writes by name, which scratch use (or a spill slot's restore)
+    /// would otherwise clobber.
+    pub fn reserve(&mut self, regs: RegSet) {
+        self.reserved = self.reserved.union(regs);
+        self.dead_pool.retain(|r| !regs.contains(*r));
+    }
+
+    /// Is `r` a scratch register currently handed out?
+    pub fn holds(&self, r: Reg) -> bool {
+        self.in_use.contains(&r)
     }
 
     /// Number of registers that had to be spilled so far.
@@ -94,11 +110,14 @@ impl RegAllocator {
             self.dead_grants += 1;
             return Some(r);
         }
-        // Pick the next candidate not already handed out.
+        // Pick the next candidate not already handed out: one spilled
+        // earlier and since released is already saved, so reuse it.
         for &n in &CANDIDATES {
             let r = Reg::x(n);
-            if !self.in_use.contains(&r) && !self.spilled.contains(&r) {
-                self.spilled.push(r);
+            if !self.in_use.contains(&r) && !self.reserved.contains(r) {
+                if !self.spilled.contains(&r) {
+                    self.spilled.push(r);
+                }
                 self.in_use.push(r);
                 return Some(r);
             }
@@ -204,6 +223,31 @@ mod tests {
         let r2 = a.acquire().unwrap();
         assert_eq!(r, r2);
         assert_eq!(a.spill_count(), 0);
+    }
+
+    #[test]
+    fn released_spill_is_reused() {
+        let mut a = RegAllocator::new(RegSet::ALL_GPR, RegAllocMode::ForceSpill);
+        for _ in 0..3 * CANDIDATES.len() {
+            let r = a.acquire().unwrap();
+            a.release(r);
+        }
+        assert_eq!(a.spill_count(), 1);
+    }
+
+    #[test]
+    fn reserved_registers_are_never_handed_out() {
+        let named = RegSet::of(&[Reg::x(5), Reg::x(10)]);
+        for mode in [RegAllocMode::DeadRegisters, RegAllocMode::ForceSpill] {
+            let mut a = RegAllocator::new(RegSet::ALL_GPR, mode);
+            a.reserve(named);
+            let mut n = 0;
+            while let Some(r) = a.acquire() {
+                assert!(!named.contains(r), "{mode:?} handed out reserved {r:?}");
+                n += 1;
+            }
+            assert_eq!(n, CANDIDATES.len() - 2, "{mode:?}");
+        }
     }
 
     #[test]

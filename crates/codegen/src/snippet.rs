@@ -6,7 +6,7 @@
 //! point of Dyninst's design. [`crate::Emitter`] lowers it to RV64
 //! instructions.
 
-use rvdyn_isa::Reg;
+use rvdyn_isa::{Reg, RegSet};
 
 /// An instrumentation variable: a slot in the patch area's data region.
 ///
@@ -175,6 +175,37 @@ impl Snippet {
             }
             Snippet::Seq(v) => v.iter().any(|s| s.contains_call()),
             _ => false,
+        }
+    }
+
+    /// Mutatee registers the snippet reads or writes by name
+    /// ([`Snippet::ReadReg`], [`Snippet::WriteReg`]); the emitter never
+    /// takes these as scratch.
+    pub fn named_registers(&self) -> RegSet {
+        let all = |v: &[Snippet]| {
+            v.iter()
+                .fold(RegSet::EMPTY, |set, s| set.union(s.named_registers()))
+        };
+        match self {
+            Snippet::ReadReg(r) => RegSet::of(&[*r]),
+            Snippet::WriteReg(r, v) => v.named_registers().union(RegSet::of(&[*r])),
+            Snippet::WriteVar(_, v) | Snippet::Un(_, v) | Snippet::ReadMem { addr: v, .. } => {
+                v.named_registers()
+            }
+            Snippet::WriteMem {
+                addr: a, val: b, ..
+            }
+            | Snippet::Bin(_, a, b) => a.named_registers().union(b.named_registers()),
+            Snippet::If { cond, then_, else_ } => {
+                let arms = cond.named_registers().union(then_.named_registers());
+                else_
+                    .as_ref()
+                    .map_or(arms, |e| arms.union(e.named_registers()))
+            }
+            Snippet::Seq(v) | Snippet::Call { args: v, .. } => all(v),
+            Snippet::Const(_) | Snippet::ReadVar(_) | Snippet::IncrementVar(_) | Snippet::Nop => {
+                RegSet::EMPTY
+            }
         }
     }
 

@@ -332,15 +332,22 @@ impl AnalysisKey {
             h.field(&s.data);
         }
 
+        // The symbol table is serialised into one buffer and hashed in a
+        // single call: the same bytes, without per-field call overhead.
         let mut syms: Vec<&rvdyn_symtab::Symbol> = binary.symbols.iter().collect();
         syms.sort_by(|a, b| (a.value, a.size, &a.name).cmp(&(b.value, b.size, &b.name)));
-        h.update(&(syms.len() as u64).to_le_bytes());
+        // Per symbol: value, size, kind and binding, name length, name.
+        let bytes: usize = syms.iter().map(|s| 8 + 8 + 2 + 8 + s.name.len()).sum();
+        let mut buf = Vec::with_capacity(8 + bytes);
+        buf.extend_from_slice(&(syms.len() as u64).to_le_bytes());
         for s in syms {
-            h.update(&s.value.to_le_bytes());
-            h.update(&s.size.to_le_bytes());
-            h.update(&[s.kind as u8, s.binding as u8]);
-            h.field(s.name.as_bytes());
+            buf.extend_from_slice(&s.value.to_le_bytes());
+            buf.extend_from_slice(&s.size.to_le_bytes());
+            buf.extend_from_slice(&[s.kind as u8, s.binding as u8]);
+            buf.extend_from_slice(&(s.name.len() as u64).to_le_bytes());
+            buf.extend_from_slice(s.name.as_bytes());
         }
+        h.update(&buf);
         AnalysisKey(h.finish())
     }
 

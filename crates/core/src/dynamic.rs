@@ -17,7 +17,7 @@ use crate::analysis::Analysis;
 use crate::diag::Diagnostics;
 use crate::error::Error;
 use crate::session::{self, BlockCounter, Session, SessionOptions};
-use crate::telemetry::{TelemetryEvent, TimedStage};
+use crate::telemetry::{StageTimer, TelemetryEvent, TimedStage};
 use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
 use rvdyn_isa::Op;
@@ -300,7 +300,16 @@ impl DynamicInstrumenter {
                 }
             }
         };
-        let reason: &'static str = match &result {
+        self.finish_run(timer, &result);
+        result
+    }
+
+    /// End the timed `run` stage `timer` with the run's `result`: emit
+    /// the exit telemetry and fold the machine's instret, cycles, engine
+    /// counters and injected faults into the diagnostics. Shared by
+    /// [`DynamicInstrumenter::run_to_exit`] and the sampling profiler.
+    pub(crate) fn finish_run(&mut self, timer: StageTimer, result: &Result<i64, Error>) {
+        let reason: &'static str = match result {
             Ok(_) => "exited",
             Err(Error::RedirectMiss { .. }) => "break",
             Err(Error::MutateeFault { .. }) => "mem-fault",
@@ -316,7 +325,6 @@ impl DynamicInstrumenter {
         self.session.record_emu(self.process.machine_mut());
         self.session.diag_mut().faults_injected = self.process.faults_injected();
         self.session.end_stage(timer);
-        result
     }
 
     /// Read an instrumentation variable from the live process.

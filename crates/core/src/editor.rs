@@ -295,8 +295,13 @@ pub(crate) fn run_binary_engine(
         rvdyn_emu::StopReason::Break(pc) => {
             // The emulator resolves trap-springboard redirects internally;
             // a Break that *surfaces* from a binary carrying redirects is
-            // a springboard whose table entry is missing.
-            if !m.trap_redirects.is_empty() {
+            // a springboard whose table entry is missing — unless it lies
+            // in the patch code section, which holds no springboards: that
+            // is the mutatee's own `ebreak`, relocated.
+            let relocated = bin
+                .section_by_name(".rvdyn.text")
+                .is_some_and(|s| (s.addr..s.addr + s.data.len() as u64).contains(&pc));
+            if !m.trap_redirects.is_empty() && !relocated {
                 return Err(Error::RedirectMiss { pc });
             }
             return Err(Error::UncleanExit {

@@ -538,10 +538,29 @@ impl FleetController {
         self.session.end_stage(timer);
     }
 
-    /// Record a terminal result for `pid`: fold the process's final
-    /// machine counters and buffered engine events into its per-process
-    /// diagnostics, then emit the fleet exit/failure telemetry.
+    /// Record a terminal result for `pid`: fold its run into the
+    /// per-process diagnostics, then emit the fleet exit/failure
+    /// telemetry.
     fn finish_process(&mut self, pid: u32, result: Result<i64, Error>) {
+        self.record_process_run(pid);
+        match &result {
+            Ok(code) => self
+                .session
+                .emit(TelemetryEvent::FleetProcessExited { pid, code: *code }),
+            Err(_) => self
+                .session
+                .emit(TelemetryEvent::FleetProcessFailed { pid }),
+        }
+        if let Some(st) = self.states.get_mut(&pid) {
+            st.result = Some(result);
+        }
+    }
+
+    /// Fold the final machine counters and buffered engine events of
+    /// the process under `pid` into its per-process diagnostics: the
+    /// run-stage record of [`FleetController::run_all`] and the fleet
+    /// profiler alike.
+    pub(crate) fn record_process_run(&mut self, pid: u32) {
         if let Some(p) = self.set.get_mut(pid) {
             for ev in p.machine_mut().take_emu_events() {
                 self.session.emit(session::adapt_emu(ev));
@@ -558,17 +577,6 @@ impl FleetController {
                 st.diag.record_emu(bt, inv, cl);
                 st.diag.faults_injected = faults;
             }
-        }
-        match &result {
-            Ok(code) => self
-                .session
-                .emit(TelemetryEvent::FleetProcessExited { pid, code: *code }),
-            Err(_) => self
-                .session
-                .emit(TelemetryEvent::FleetProcessFailed { pid }),
-        }
-        if let Some(st) = self.states.get_mut(&pid) {
-            st.result = Some(result);
         }
     }
 

@@ -6,12 +6,13 @@
 //! compact record-emitting snippet before each one. The snippet appends
 //! a 16-byte `[effective address][pc | width | direction]` record into a
 //! ring buffer staked out in the patch data area
-//! ([`Session::alloc_region`](crate::Session::alloc_region)) — when the
-//! ring fills, further records are counted as dropped instead of
-//! wrapping, so a drained trace is always a faithful *prefix* of the
-//! access stream. Records bake the **original** pc, so traces read
-//! identically whether the site executed in place or from its relocated
-//! copy in the patch area.
+//! ([`Session::alloc_region`](crate::Session::alloc_region)). The ring's
+//! cursor counts every access; the record is stored only while the
+//! cursor is below capacity, so the ring never wraps, a drained trace is
+//! always a faithful *prefix* of the access stream, and the drain
+//! computes the dropped count from the cursor. Records bake the
+//! **original** pc, so traces read identically whether the site executed
+//! in place or from its relocated copy in the patch area.
 //!
 //! The tracer deliberately matches the emulator's memory-op oracle
 //! ([`rvdyn_emu::Machine::arm_mem_oracle`]) instruction-for-instruction:
@@ -74,10 +75,9 @@ pub struct Drained {
 /// drain per process.
 pub struct MemTracer {
     sites: Vec<TraceSite>,
-    /// Byte offset of the next free record slot (monotone, capped).
+    /// 16 bytes per access seen: the next free record slot while the
+    /// ring has room, and the dropped count beyond it.
     cursor: Var,
-    /// Count of accesses dropped after the ring filled.
-    dropped: Var,
     /// Ring base address in the patch data area.
     base: u64,
     /// Ring capacity in bytes (records × 16).
@@ -124,7 +124,6 @@ impl MemTracer {
         };
 
         let cursor = session.alloc_var(8);
-        let dropped = session.alloc_var(8);
         let cap_bytes = opts.capacity.max(1) * 16;
         let base = session.alloc_region(cap_bytes);
 
@@ -147,41 +146,35 @@ impl MemTracer {
                         // the pre-instrumentation register value the
                         // trampoline preserves.
                         let ea = add(Snippet::ReadReg(rs1), Snippet::Const(imm));
-                        let emit = Snippet::Seq(vec![
-                            Snippet::WriteMem {
-                                addr: Box::new(add(
-                                    Snippet::Const(base as i64),
-                                    Snippet::ReadVar(cursor),
+                        // Store the record while the cursor is below
+                        // capacity; count the access either way.
+                        let record = |off: i64, val: Snippet| Snippet::WriteMem {
+                            addr: Box::new(add(
+                                Snippet::Const(base as i64 + off),
+                                Snippet::ReadVar(cursor),
+                            )),
+                            val: Box::new(val),
+                            size: 8,
+                        };
+                        let meta = meta_word(inst.address, len, is_store);
+                        let snippet = Snippet::Seq(vec![
+                            Snippet::If {
+                                cond: Box::new(Snippet::Bin(
+                                    BinaryOp::LtS,
+                                    Box::new(Snippet::ReadVar(cursor)),
+                                    Box::new(Snippet::Const(cap_bytes as i64)),
                                 )),
-                                val: Box::new(ea),
-                                size: 8,
-                            },
-                            Snippet::WriteMem {
-                                addr: Box::new(add(
-                                    Snippet::Const(base as i64 + 8),
-                                    Snippet::ReadVar(cursor),
-                                )),
-                                val: Box::new(Snippet::Const(meta_word(
-                                    inst.address,
-                                    len,
-                                    is_store,
-                                ))),
-                                size: 8,
+                                then_: Box::new(Snippet::Seq(vec![
+                                    record(0, ea),
+                                    record(8, Snippet::Const(meta)),
+                                ])),
+                                else_: None,
                             },
                             Snippet::WriteVar(
                                 cursor,
                                 Box::new(add(Snippet::ReadVar(cursor), Snippet::Const(16))),
                             ),
                         ]);
-                        let snippet = Snippet::If {
-                            cond: Box::new(Snippet::Bin(
-                                BinaryOp::LtS,
-                                Box::new(Snippet::ReadVar(cursor)),
-                                Box::new(Snippet::Const(cap_bytes as i64)),
-                            )),
-                            then_: Box::new(emit),
-                            else_: Some(Box::new(Snippet::IncrementVar(dropped))),
-                        };
                         let point = Point {
                             func: f.entry,
                             addr: inst.address,
@@ -207,7 +200,6 @@ impl MemTracer {
         Ok(MemTracer {
             sites,
             cursor,
-            dropped,
             base,
             cap_bytes,
         })
@@ -254,8 +246,8 @@ impl MemTracer {
             pc: None,
         };
         let cursor = read_u64(self.cursor.addr).ok_or_else(|| unreadable(self.cursor.addr))?;
-        let dropped = read_u64(self.dropped.addr).ok_or_else(|| unreadable(self.dropped.addr))?;
         let used = cursor.min(self.cap_bytes);
+        let dropped = (cursor - used) / 16;
         let mut records = Vec::with_capacity((used / 16) as usize);
         let mut off = 0u64;
         while off < used {

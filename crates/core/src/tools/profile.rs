@@ -27,12 +27,13 @@
 use crate::dynamic::{resume, Stop};
 use crate::error::Error;
 use crate::fleet::FleetController;
-use crate::telemetry::TelemetryEvent;
+use crate::telemetry::{TelemetryEvent, TimedStage};
 use crate::DynamicInstrumenter;
 use rvdyn_parse::CodeObject;
 use rvdyn_proccontrol::Process;
 use rvdyn_stackwalker::{Frame, StackWalker};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Sampling knobs for [`Profiler`].
 #[derive(Debug, Clone)]
@@ -269,6 +270,7 @@ impl Profiler {
         let analysis = dy.analysis().clone();
         let co = analysis.code();
         let mut profile = Profile::default();
+        let timer = dy.session_mut().begin_stage(TimedStage::Run);
         let result = loop {
             let done = profile.samples >= self.opts.max_samples;
             let (session, process) = dy.parts_mut();
@@ -277,18 +279,19 @@ impl Profiler {
                     session.emit(TelemetryEvent::SampleTaken { pc, depth });
                 }
                 Ok(Some(_)) => {}
-                Ok(None) => break Ok(()),
+                Ok(None) => break Ok(dy.process().exit_code().unwrap_or(0)),
                 Err(e) => break Err(e),
             }
         };
-        let (session, process) = dy.parts_mut();
-        process.machine_mut().stop_at_cycles = None;
-        session.diag_mut().profile_samples += profile.samples;
-        let depth = session.diag_mut().profile_max_depth.max(profile.max_depth);
-        session.diag_mut().profile_max_depth = depth;
-        result?;
-        let exit_code = dy.process().exit_code().unwrap_or(0);
-        Ok(ProfiledRun { profile, exit_code })
+        dy.process_mut().machine_mut().stop_at_cycles = None;
+        dy.finish_run(timer, &result);
+        let diag = dy.session_mut().diag_mut();
+        diag.profile_samples += profile.samples;
+        diag.profile_max_depth = diag.profile_max_depth.max(profile.max_depth);
+        Ok(ProfiledRun {
+            profile,
+            exit_code: result?,
+        })
     }
 
     /// Sample every committed fleet process to its terminal event,
@@ -302,11 +305,13 @@ impl Profiler {
         let mut per: BTreeMap<u32, Profile> = BTreeMap::new();
         let mut outcomes: BTreeMap<u32, Result<i64, Error>> = BTreeMap::new();
         let mut live: Vec<u32> = fc.pids();
+        let timer = fc.session_mut().begin_stage(TimedStage::Run);
         while !live.is_empty() {
             let mut next_live = Vec::with_capacity(live.len());
             for pid in live {
                 let profile = per.entry(pid).or_default();
                 let done = profile.samples >= self.opts.max_samples;
+                let start = Instant::now();
                 let leg = fc.with_process(pid, |p| {
                     let r = self.leg(p, co, profile, done);
                     if r.is_err() || matches!(r, Ok(None)) {
@@ -314,6 +319,10 @@ impl Profiler {
                     }
                     (r, p.exit_code())
                 });
+                if let Some(diag) = fc.process_diag_mut(pid) {
+                    let nanos = start.elapsed().as_nanos() as u64;
+                    diag.timings.record(TimedStage::Run, nanos);
+                }
                 match leg {
                     Ok((Ok(Some((pc, depth))), _)) => {
                         if depth > 0 {
@@ -323,9 +332,11 @@ impl Profiler {
                         next_live.push(pid);
                     }
                     Ok((Ok(None), exit)) => {
+                        fc.record_process_run(pid);
                         outcomes.insert(pid, Ok(exit.unwrap_or(0)));
                     }
                     Ok((Err(e), _)) => {
+                        fc.record_process_run(pid);
                         outcomes.insert(pid, Err(e));
                     }
                     Err(e) => {
@@ -336,6 +347,7 @@ impl Profiler {
             }
             live = next_live;
         }
+        fc.session_mut().end_stage(timer);
         let mut total = Profile::default();
         for (pid, p) in &per {
             total.merge(p);

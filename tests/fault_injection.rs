@@ -205,7 +205,9 @@ fn dropped_redirect_under_worker_pool_matches_sequential() {
 
 /// A plan-phase failure inside a worker (snippet lowering running out of
 /// registers) propagates as the same typed instrument-stage error the
-/// sequential path reports — workers never panic or hang the pool.
+/// sequential path reports — workers never panic or hang the pool. The
+/// balanced tree of depth 15 needs 15 scratch registers (its leaf pairs
+/// fold into `addi`), one more than the 14 candidates.
 #[test]
 fn plan_phase_worker_errors_propagate_as_the_same_typed_error() {
     fn deep(depth: u32) -> Snippet {
@@ -225,7 +227,7 @@ fn plan_phase_worker_errors_propagate_as_the_same_typed_error() {
                     .unwrap(),
             );
         }
-        dy.insert(&pts, deep(14));
+        dy.insert(&pts, deep(15));
         match dy.commit() {
             Err(e) => e.to_string(),
             Ok(()) => panic!("expected an out-of-registers failure"),

@@ -357,9 +357,10 @@ mod typed_errors {
 
     #[test]
     fn snippet_needing_too_many_registers_is_a_typed_codegen_error() {
-        // A balanced 2^14-leaf expression tree needs 15 simultaneous
-        // scratch registers — one more than the allocator's candidate
-        // pool, even with every register spillable.
+        // A balanced 2^15-leaf expression tree needs 15 simultaneous
+        // scratch registers (its leaf pairs fold into `addi`) — one more
+        // than the allocator's candidate pool, even with every register
+        // spillable.
         fn deep(depth: u32) -> Snippet {
             if depth == 0 {
                 Snippet::Const(1)
@@ -370,7 +371,7 @@ mod typed_errors {
         let bin = rvdyn_asm::matmul_program(4, 1);
         let mut ed = BinaryEditor::from_binary(bin, SessionOptions::default());
         let pts = ed.find_points("matmul", PointKind::FuncEntry).unwrap();
-        ed.insert(&pts, deep(14));
+        ed.insert(&pts, deep(15));
         let err = match ed.rewrite() {
             Err(e) => e,
             Ok(_) => panic!("expected an out-of-registers failure"),

@@ -304,6 +304,36 @@ fn static_redirect_miss_is_typed_not_generic() {
     ));
 }
 
+#[test]
+fn static_own_ebreak_in_patch_code_is_an_unclean_exit() {
+    // Block counters in every function relocate the leaf's own `ebreak`
+    // into `.rvdyn.text` while trap springboards install redirects. The
+    // patch code holds no springboards, so the trap is the mutatee's own,
+    // reported as it is without instrumentation.
+    let bin = rvdyn_asm::nested_call_program(&[16, 32, 0], false);
+    let own = |r: &Result<rvdyn::RunOutput, Error>| matches!(r, Err(Error::UncleanExit { reason, .. }) if reason.contains("breakpoint"));
+    assert!(own(&rvdyn::run_binary(&bin, 1_000_000)));
+
+    let mut ed = BinaryEditor::from_binary(bin, SessionOptions::new());
+    let names: Vec<String> = ed
+        .code()
+        .functions
+        .values()
+        .filter_map(|f| f.name.clone())
+        .collect();
+    for name in &names {
+        ed.count_blocks(name).unwrap();
+    }
+    let elf = ed.rewrite().unwrap();
+    let patched = rvdyn::Binary::parse(&elf).unwrap();
+    assert!(patched.section_by_name(".rvdyn.traps").is_some());
+    let text = patched.section_by_name(".rvdyn.text").unwrap();
+    let r = rvdyn::run_elf(&elf, 1_000_000);
+    assert!(own(&r), "{:?}", r.as_ref().err());
+    let pc = r.err().and_then(|e| e.pc()).unwrap();
+    assert!((text.addr..text.addr + text.data.len() as u64).contains(&pc));
+}
+
 // --- error taxonomy + JSON -------------------------------------------------
 
 #[test]

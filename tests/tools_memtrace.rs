@@ -86,6 +86,19 @@ fn matmul_trace_matches_oracle_on_both_engines() {
     }
 }
 
+/// The tracer's cost on the hot path, pinned: every traced access runs
+/// the record snippet (a compare-and-branch on the cursor, two record
+/// stores, one cursor update), so a change to its lowering moves this
+/// count.
+#[test]
+fn traced_matmul_instruction_count_is_pinned() {
+    let mut dy = DynamicInstrumenter::create(rvdyn_asm::matmul_program(16, 2));
+    MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+    dy.commit().expect("commit");
+    assert_eq!(dy.run_to_exit().expect("run"), 0);
+    assert_eq!(dy.diagnostics().instret, 2_269_097);
+}
+
 #[test]
 fn static_rewrite_trace_matches_oracle() {
     // The same contract through the static path: plan on a

@@ -279,6 +279,37 @@ fn fleet_profile_aggregates_per_process() {
     }
 }
 
+/// A profiled run records the run stage as `run_to_exit` does: instret
+/// and cycles from the machine and the `run` timing, on the
+/// single-process path and for every fleet member.
+#[test]
+fn sampled_runs_record_the_run_stage() {
+    let bin = rvdyn_asm::matmul_program(8, 2);
+    let profiler = Profiler::new(ProfileOptions {
+        interval_cycles: 2_000,
+        max_samples: 1 << 20,
+    });
+    let mut dy = DynamicInstrumenter::create(bin.clone());
+    profiler.sample_dynamic(&mut dy).expect("sample");
+    let m = dy.process().machine();
+    let d = dy.diagnostics();
+    assert!(m.icount > 0);
+    assert_eq!((d.instret, d.cycles), (m.icount, m.cycles));
+    assert!(d.timings.run_ns > 0);
+
+    let mut fc = FleetController::from_binary(bin, SessionOptions::new());
+    let pids = fc.spawn(2);
+    profiler.sample_fleet(&mut fc).expect("sample_fleet");
+    assert!(fc.diagnostics().timings.run_ns > 0);
+    for pid in pids {
+        let icount = fc.with_process(pid, |p| p.machine().icount).unwrap();
+        let d = fc.process_diagnostics(pid).unwrap();
+        assert!(icount > 0, "pid {pid}");
+        assert_eq!(d.instret, icount, "pid {pid}");
+        assert!(d.timings.run_ns > 0, "pid {pid}");
+    }
+}
+
 /// The profiler ends a run by the same rule as `run_to_exit`: a trap
 /// that surfaces while trap-table redirects are installed is a missing
 /// redirect (docs/FAILURE-MODES.md), on the single-process path and for
