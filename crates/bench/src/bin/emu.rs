@@ -47,7 +47,6 @@ struct EngineRun {
     fpr: [u64; 32],
     stdout: Vec<u8>,
     blocks_translated: u64,
-    chain_links: u64,
     invalidations: u64,
 }
 
@@ -69,7 +68,6 @@ fn run(bin: &Binary, engine: EmuEngine, fuel: u64) -> EngineRun {
             fpr: m.fpr,
             stdout: m.stdout.clone(),
             blocks_translated: m.emu_blocks_translated(),
-            chain_links: m.emu_chain_links(),
             invalidations: m.emu_invalidations(),
         };
         match &mut best {
@@ -130,7 +128,7 @@ fn main() {
             "{{\"config\":\"emu\",\"n\":{n},\"reps\":{reps},\
              \"icount\":{},\"cycles\":{},\
              \"interpreter_ns\":{},\"cached_ns\":{},\"speedup\":{:.4},\
-             \"blocks_translated\":{},\"chain_links\":{},\"invalidations\":{},\
+             \"blocks_translated\":{},\"invalidations\":{},\
              \"scale\":{{\"functions\":{funcs},\"icount\":{},\
              \"interpreter_ns\":{},\"cached_ns\":{},\"speedup\":{:.4},\
              \"blocks_translated\":{}}}}}",
@@ -140,7 +138,6 @@ fn main() {
             mc.best_ns,
             m_speedup,
             mc.blocks_translated,
-            mc.chain_links,
             mc.invalidations,
             si.icount,
             si.best_ns,
@@ -159,10 +156,9 @@ fn main() {
         mi.cycles
     );
     println!(
-        "  cached      : {:>10.1} ms  ({} blocks translated, {} chain links)",
+        "  cached      : {:>10.1} ms  ({} blocks translated)",
         mc.best_ns as f64 / 1e6,
-        mc.blocks_translated,
-        mc.chain_links
+        mc.blocks_translated
     );
     println!("  speedup     : {m_speedup:>10.2}x  (identical counts, cycles, registers, stdout)");
     println!("\nCold code — many_functions({funcs}):");

@@ -13,9 +13,14 @@
 //! [`rvdyn_isa::Instruction`] values with intra-buffer branch offsets
 //! already resolved; PatchAPI wraps it with the spill frame and splices
 //! it into a trampoline.
+//!
+//! Those frames move `sp` before the body runs, so a read of the
+//! mutatee's `sp` is always an `addi` or a load/store displacement off
+//! `sp`, and [`generate_seq_with_stats`] adds the frame sizes to its
+//! immediate once it knows them: the body sees the `sp` the mutatee had.
 
 use crate::imm::load_imm;
-use crate::regalloc::RegAllocator;
+use crate::regalloc::{frame_size, RegAllocator, MAX_SPILLS};
 use crate::snippet::{BinaryOp, Snippet, UnaryOp, Var};
 use rvdyn_isa::build;
 use rvdyn_isa::{Extension, IsaProfile, Op, Reg};
@@ -63,6 +68,9 @@ impl std::error::Error for CodeGenError {}
 pub struct CodeBuffer {
     insts: Vec<Instrs>,
     next_label: u32,
+    /// Positions in `insts` of the instructions that read the mutatee's
+    /// `sp`: their immediates take the frame bias at [`Self::resolve`].
+    sp_reads: Vec<usize>,
 }
 
 #[derive(Debug)]
@@ -98,6 +106,13 @@ impl CodeBuffer {
         }
     }
 
+    /// Push `i`, an `addi`, load or store whose `rs1` is the mutatee's
+    /// `sp`.
+    fn push_sp_read(&mut self, i: rvdyn_isa::Instruction) {
+        self.sp_reads.push(self.insts.len());
+        self.push(i);
+    }
+
     fn fresh_label(&mut self) -> u32 {
         self.next_label += 1;
         self.next_label
@@ -105,8 +120,15 @@ impl CodeBuffer {
 
     /// Resolve labels to byte offsets and produce final instructions
     /// (each 4 bytes wide; snippet code is never compressed so offsets are
-    /// trivially stable).
-    fn resolve(self) -> Result<Vec<rvdyn_isa::Instruction>, CodeGenError> {
+    /// trivially stable), adding `sp_bias` to every read of the mutatee's
+    /// `sp`.
+    fn resolve(mut self, sp_bias: i64) -> Result<Vec<rvdyn_isa::Instruction>, CodeGenError> {
+        debug_assert!((0..=MAX_SP_BIAS).contains(&sp_bias));
+        for &at in &self.sp_reads {
+            if let Instrs::Inst(i) = &mut self.insts[at] {
+                i.imm += sp_bias;
+            }
+        }
         // First pass: byte offset of each element; labels occupy 0 bytes.
         let mut offsets = Vec::with_capacity(self.insts.len());
         let mut label_off = std::collections::HashMap::new();
@@ -159,6 +181,24 @@ pub struct Emitter<'a> {
 /// Does `v` fit a 12-bit signed immediate (I/S-format)?
 fn fits12(v: i64) -> bool {
     (-2048..2048).contains(&v)
+}
+
+/// Caller-saved registers, integer and FP: the most a call snippet's
+/// save frame holds.
+const CALLER_SAVED: usize = 38;
+
+/// The most `sp` sits below the mutatee's while a snippet body runs: a
+/// spill frame for every scratch candidate plus a save frame for every
+/// caller-saved register.
+const MAX_SP_BIAS: i64 = frame_size(MAX_SPILLS) + frame_size(CALLER_SAVED);
+
+/// `sp ± c` (or `sp`) as `c`, when `c` can absorb the frame bias as a
+/// 12-bit immediate: a read of the mutatee's `sp` that is one `addi` or a
+/// load/store displacement.
+fn sp_offset(s: &Snippet) -> Option<i64> {
+    let (x, c) = offset_operand(s).unwrap_or((s, 0));
+    let sp = matches!(x, Snippet::ReadReg(r) if *r == Reg::X2);
+    (sp && (-2048..2048 - MAX_SP_BIAS).contains(&c)).then_some(c)
 }
 
 /// Split `v` into `(upper, lo)` with `upper + lo == v` (wrapping), `lo`
@@ -346,6 +386,11 @@ impl<'a> Emitter<'a> {
     /// Lower an expression into a scratch register the caller owns (may
     /// overwrite) and must release.
     fn expr(&mut self, s: &Snippet) -> Result<Reg, CodeGenError> {
+        if let Some(c) = sp_offset(s) {
+            let r = self.acquire()?;
+            self.buf.push_sp_read(build::addi(r, Reg::X2, c));
+            return Ok(r);
+        }
         match s {
             Snippet::Const(v) => {
                 let r = self.acquire()?;
@@ -420,13 +465,13 @@ impl<'a> Emitter<'a> {
     }
 
     /// Lower an expression whose value is only read, once, right away:
-    /// a mutatee register is read in place and constant 0 is `x0`, with
-    /// no instruction. The result is released like [`Self::expr`]'s
-    /// (releasing a register the allocator did not hand out is a no-op),
-    /// but must not be written.
+    /// a mutatee register other than `sp` is read in place and constant 0
+    /// is `x0`, with no instruction. The result is released like
+    /// [`Self::expr`]'s (releasing a register the allocator did not hand
+    /// out is a no-op), but must not be written.
     fn operand(&mut self, s: &Snippet) -> Result<Reg, CodeGenError> {
         match s {
-            Snippet::ReadReg(r) => Ok(*r),
+            Snippet::ReadReg(r) if *r != Reg::X2 => Ok(*r),
             Snippet::Const(0) => Ok(Reg::X0),
             _ => self.expr(s),
         }
@@ -520,10 +565,14 @@ impl<'a> Emitter<'a> {
 
     /// A computed address as `(base, displacement)`, folding a constant
     /// `± c` into the displacement. The base may be read in place when
-    /// `in_place` (nothing evaluated before its use can change it).
+    /// `in_place` (nothing evaluated before its use can change it); the
+    /// mutatee's `sp` always is, as nothing a snippet runs changes it.
     fn address(&mut self, addr: &Snippet, in_place: bool) -> Result<(Reg, i64), CodeGenError> {
         if let Snippet::Const(c) = addr {
             return self.absolute(*c as u64);
+        }
+        if let Some(c) = sp_offset(addr) {
+            return Ok((Reg::X2, c));
         }
         let (x, c) = offset_operand(addr).unwrap_or((addr, 0));
         let r = if in_place {
@@ -639,7 +688,7 @@ impl<'a> Emitter<'a> {
             (8, _) => Op::Ld,
             (w, _) => return Err(CodeGenError::BadWidth(w)),
         };
-        self.buf.push(build::i_type(op, rd, base, off));
+        self.push_based(build::i_type(op, rd, base, off), base);
         Ok(())
     }
 
@@ -651,8 +700,18 @@ impl<'a> Emitter<'a> {
             8 => Op::Sd,
             w => return Err(CodeGenError::BadWidth(w)),
         };
-        self.buf.push(build::s_type(op, base, val, off));
+        self.push_based(build::s_type(op, base, val, off), base);
         Ok(())
+    }
+
+    /// Push a load or store off `base`; a base of `sp` is the mutatee's
+    /// ([`Self::address`]).
+    fn push_based(&mut self, i: rvdyn_isa::Instruction, base: Reg) {
+        if base == Reg::X2 {
+            self.buf.push_sp_read(i);
+        } else {
+            self.buf.push(i);
+        }
     }
 
     /// Emit a function call and return the scratch register holding the
@@ -684,8 +743,7 @@ impl<'a> Emitter<'a> {
             .into_iter()
             .filter(|r| !tmps.contains(r))
             .collect();
-        let slots = preserve.len() + tmps.len();
-        let frame = ((slots * 8 + 15) & !15) as i64;
+        let frame = frame_size(preserve.len() + tmps.len());
         if frame > 0 {
             self.buf.push(build::addi(Reg::X2, Reg::X2, -frame));
             for (i, &r) in preserve.iter().chain(tmps.iter()).enumerate() {
@@ -732,9 +790,11 @@ impl<'a> Emitter<'a> {
 
     /// Finish: resolve internal branches and return the instruction list
     /// (without the spill frame — the caller composes that from
-    /// [`RegAllocator::frame`]).
-    pub fn finish(self) -> Result<Vec<rvdyn_isa::Instruction>, CodeGenError> {
-        self.buf.resolve()
+    /// [`RegAllocator::frame`]). `sp_bias` is how far the caller's frames
+    /// move `sp` down before the body runs; reads of the mutatee's `sp`
+    /// add it back.
+    pub fn finish(self, sp_bias: i64) -> Result<Vec<rvdyn_isa::Instruction>, CodeGenError> {
+        self.buf.resolve(sp_bias)
     }
 }
 
@@ -780,21 +840,6 @@ pub fn generate_seq_with_stats<'s>(
     profile: IsaProfile,
 ) -> Result<(Vec<rvdyn_isa::Instruction>, LowerStats), CodeGenError> {
     let contains_call = snippets.clone().any(|s| s.contains_call());
-    let mut alloc = RegAllocator::new(dead, mode);
-    alloc.reserve(snippets.clone().fold(rvdyn_isa::RegSet::EMPTY, |set, s| {
-        set.union(s.named_registers())
-    }));
-    let mut em = Emitter::new(&mut alloc, profile);
-    for s in snippets {
-        em.emit(s)?;
-    }
-    let body = em.finish()?;
-    let stats = LowerStats {
-        spills: alloc.spill_count(),
-        dead_scratch: alloc.dead_grants(),
-    };
-    let (pro, epi) = alloc.frame();
-
     // A snippet containing a Call lets the callee clobber the entire
     // caller-saved set, so every *live* caller-saved register (integer
     // and FP, including ra) is preserved in an outer stack frame — the
@@ -808,11 +853,29 @@ pub fn generate_seq_with_stats<'s>(
     } else {
         Vec::new()
     };
+    let save_frame = frame_size(call_saves.len());
+
+    let mut alloc = RegAllocator::new(dead, mode);
+    alloc.reserve(snippets.clone().fold(rvdyn_isa::RegSet::EMPTY, |set, s| {
+        set.union(s.named_registers())
+    }));
+    let mut em = Emitter::new(&mut alloc, profile);
+    for s in snippets {
+        em.emit(s)?;
+    }
+    // The save frame and the spill prologue both move `sp` before the
+    // body runs.
+    let sp_bias = save_frame + em.alloc.frame_bytes();
+    let body = em.finish(sp_bias)?;
+    let stats = LowerStats {
+        spills: alloc.spill_count(),
+        dead_scratch: alloc.dead_grants(),
+    };
+    let (pro, epi) = alloc.frame();
 
     let mut out = Vec::new();
     if !call_saves.is_empty() {
-        let frame = ((call_saves.len() * 8 + 15) & !15) as i64;
-        out.push(build::addi(Reg::X2, Reg::X2, -frame));
+        out.push(build::addi(Reg::X2, Reg::X2, -save_frame));
         for (i, &r) in call_saves.iter().enumerate() {
             let off = (i * 8) as i64;
             out.push(match r.class() {
@@ -825,7 +888,6 @@ pub fn generate_seq_with_stats<'s>(
     out.extend(body);
     out.extend(epi);
     if !call_saves.is_empty() {
-        let frame = ((call_saves.len() * 8 + 15) & !15) as i64;
         for (i, &r) in call_saves.iter().enumerate() {
             let off = (i * 8) as i64;
             out.push(match r.class() {
@@ -833,7 +895,7 @@ pub fn generate_seq_with_stats<'s>(
                 rvdyn_isa::RegClass::Fpr => build::fld(r, Reg::X2, off),
             });
         }
-        out.push(build::addi(Reg::X2, Reg::X2, frame));
+        out.push(build::addi(Reg::X2, Reg::X2, save_frame));
     }
     Ok((out, stats))
 }
@@ -1104,6 +1166,62 @@ mod tests {
         for &(r, v) in &saved {
             assert_eq!(st.get(r), v, "{r:?} clobbered");
         }
+    }
+
+    #[test]
+    fn sp_reads_see_the_mutatee_sp_under_both_frames() {
+        // `v = sp + 8; w = sp` after a call, with no integer register
+        // dead: the body runs under a save frame for the live
+        // caller-saved registers and a spill frame, and must still read
+        // the `sp` the point had. (FP registers are dead: the reference
+        // evaluator runs integer code only.)
+        let v = Var {
+            addr: 0x8000,
+            size: 8,
+        };
+        let w = Var {
+            addr: 0x8008,
+            size: 8,
+        };
+        let sp = || Snippet::ReadReg(Reg::X2);
+        let snippet = Snippet::Seq(vec![
+            Snippet::Call {
+                target: 0x104,
+                args: vec![],
+            },
+            Snippet::WriteVar(
+                v,
+                Box::new(Snippet::bin(BinaryOp::Add, sp(), Snippet::Const(8))),
+            ),
+            Snippet::WriteVar(w, Box::new(sp())),
+        ]);
+        for mode in [RegAllocMode::DeadRegisters, RegAllocMode::ForceSpill] {
+            let (body, stats) =
+                generate_with_stats(&snippet, RegSet::ALL_FPR, mode, IsaProfile::rv64gc()).unwrap();
+            assert!(stats.spills > 0);
+            // 0x100: jump over the callee; 0x104: the callee, `ret`.
+            let mut code = vec![build::jal(Reg::X0, 8), build::jalr(Reg::X0, Reg::X1, 0)];
+            code.extend(body);
+            let mut st = IntState::new(0);
+            st.set(Reg::X2, 0x9000);
+            let mut mem = FlatMemory::new(0x8000, 0x2000);
+            run(&code, &mut st, &mut mem);
+            assert_eq!(mem.load(0x8000, 8), 0x9008, "{mode:?}");
+            assert_eq!(mem.load(0x8008, 8), 0x9000, "{mode:?}");
+            assert_eq!(st.get(Reg::X2), 0x9000, "sp not restored");
+        }
+    }
+
+    #[test]
+    fn sp_bias_bound_covers_the_largest_frames() {
+        let caller_saved = (0..64u8)
+            .map(Reg::from_index)
+            .filter(|r| r.is_caller_saved())
+            .count();
+        assert_eq!(caller_saved, CALLER_SAVED);
+        let mut alloc = RegAllocator::new(RegSet::EMPTY, RegAllocMode::ForceSpill);
+        while alloc.acquire().is_some() {}
+        assert_eq!(alloc.frame_bytes(), frame_size(MAX_SPILLS));
     }
 
     #[test]

@@ -44,6 +44,15 @@ pub struct RegAllocator {
 /// then argument registers. `ra`/`sp`/`gp`/`tp` are never used as scratch.
 const CANDIDATES: [u8; 14] = [5, 6, 7, 28, 29, 30, 31, 10, 11, 12, 13, 14, 15, 16];
 
+/// The most registers one snippet can spill: every scratch candidate.
+pub const MAX_SPILLS: usize = CANDIDATES.len();
+
+/// Bytes of a stack frame holding `slots` 8-byte registers, 16-byte
+/// aligned per the RISC-V ABI.
+pub const fn frame_size(slots: usize) -> i64 {
+    ((slots * 8 + 15) & !15) as i64
+}
+
 impl RegAllocator {
     /// Build an allocator for a point where `dead` registers are free
     /// (as computed by liveness; pass `RegSet::EMPTY` when liveness is
@@ -135,6 +144,11 @@ impl RegAllocator {
         }
     }
 
+    /// Bytes the spill prologue moves `sp` down by (0 without spills).
+    pub fn frame_bytes(&self) -> i64 {
+        frame_size(self.spilled.len())
+    }
+
     /// The spill frame: `(prologue, epilogue)` instruction sequences that
     /// save and restore every spilled register on a private stack frame.
     /// Empty when nothing was spilled — the zero-cost dead-register path.
@@ -142,8 +156,7 @@ impl RegAllocator {
         if self.spilled.is_empty() {
             return (Vec::new(), Vec::new());
         }
-        // 16-byte aligned frame per the RISC-V ABI.
-        let frame = ((self.spilled.len() * 8 + 15) & !15) as i64;
+        let frame = self.frame_bytes();
         let mut pro = Vec::with_capacity(self.spilled.len() + 1);
         let mut epi = Vec::with_capacity(self.spilled.len() + 1);
         let mut addi = Instruction::new(0, 0, 4, Op::Addi);

@@ -6,10 +6,12 @@
 //!
 //! The trees cover every `BinaryOp` and `UnaryOp`, nested `If` and
 //! `Seq`, `ReadMem`/`WriteMem` at `expr ± const`, `var = var op c`
-//! updates, and register writes inside expressions (which decide when a
-//! register may be read in place). Constants include the 12-bit edges
-//! (−2048, 2047, 2048) and values with bit 11 set; addresses include
-//! values below 2^12, just under 2^31 and above 2^32.
+//! updates, register writes inside expressions (which decide when a
+//! register may be read in place), and reads of `sp`, which must see the
+//! `sp` the point had under any spill frame. Constants include the 12-bit
+//! edges (−2048, 2047, 2048) and values with bit 11 set; addresses include
+//! values below 2^12, just under 2^31 and above 2^32, and `sp + c` up to
+//! the 12-bit edge.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -24,6 +26,8 @@ use std::collections::HashMap;
 
 /// The stack pointer the code runs with; spill frames live just below.
 const SP: u64 = 0x4000_0000_0000;
+/// Bytes below `SP` that hold the spill frame (and more).
+const FRAME_WINDOW: u64 = 4096;
 /// Where the lowered code is laid out.
 const CODE: u64 = 0x100;
 
@@ -57,10 +61,13 @@ impl MemoryBus for Mem {
 
 /// The reference: the `Snippet` AST evaluated directly, in the
 /// emitter's operand order (the operand needing more scratch registers
-/// first; address before value).
+/// first; address before value). `sp` reads as [`SP`] throughout.
 struct Reference {
     regs: [u64; 32],
     mem: Mem,
+    /// Whether an access touched the stack just below `SP`, where the
+    /// spill frame lives: no snippet may, so such a case is skipped.
+    below_sp: bool,
 }
 
 fn sext(v: u64, size: u8) -> u64 {
@@ -95,6 +102,11 @@ impl Reference {
         self.regs[r.num() as usize]
     }
 
+    fn access(&mut self, a: u64, size: u8) {
+        let frame = SP - FRAME_WINDOW..SP;
+        self.below_sp |= frame.contains(&a) || frame.contains(&a.wrapping_add(size as u64 - 1));
+    }
+
     fn eval(&mut self, s: &Snippet) -> u64 {
         match s {
             Snippet::Const(c) => *c as u64,
@@ -102,6 +114,7 @@ impl Reference {
             Snippet::ReadVar(v) => self.mem.load(v.addr, v.size),
             Snippet::ReadMem { addr, size } => {
                 let a = self.eval(addr);
+                self.access(a, *size);
                 sext(self.mem.load(a, *size), *size)
             }
             Snippet::Bin(op, a, b) => {
@@ -141,6 +154,7 @@ impl Reference {
             Snippet::WriteMem { addr, val, size } => {
                 let a = self.eval(addr);
                 let x = self.eval(val);
+                self.access(a, *size);
                 self.mem.store(a, *size, x);
             }
             Snippet::IncrementVar(var) => {
@@ -235,8 +249,9 @@ const ADDRESSES: [u64; 13] = [
 ];
 
 /// Registers snippets name: scratch candidates (t0–t3, a0–a2) and
-/// registers the allocator never uses (ra, gp, tp, s0–s2, a7). Not `sp`:
-/// the spill frame moves it under the snippet body.
+/// registers the allocator never uses (ra, gp, tp, s0–s2, a7). `sp` is
+/// also read ([`Gen::read_reg`]), never written: the spill frame below it
+/// must survive the snippet.
 const NAMED: [u8; 14] = [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 17, 18, 28];
 
 const BINOPS: [BinaryOp; 15] = [
@@ -309,13 +324,31 @@ impl Gen<'_> {
         })
     }
 
-    /// `e ± c`, `c + e`, or an absolute address.
+    /// A register to read: `sp` one time in six.
+    fn read_reg(&mut self) -> Reg {
+        if self.below(6) == 0 {
+            Reg::X2
+        } else {
+            self.reg()
+        }
+    }
+
+    /// `e ± c`, `c + e`, `sp + c` (a stack slot, up to the 12-bit edge),
+    /// or an absolute address.
     fn address(&mut self, depth: u32) -> Snippet {
         let c = Snippet::Const(self.konst());
-        match self.below(4) {
+        match self.below(5) {
             0 => Snippet::bin(BinaryOp::Add, self.expr(depth), c),
             1 => Snippet::bin(BinaryOp::Sub, self.expr(depth), c),
             2 => Snippet::bin(BinaryOp::Add, c, self.expr(depth)),
+            3 => {
+                let slot = self.pick(&[0, 8, 16, 1024, 1632, 2040, 2047, 2048, 4096]);
+                Snippet::bin(
+                    BinaryOp::Add,
+                    Snippet::ReadReg(Reg::X2),
+                    Snippet::Const(slot),
+                )
+            }
             _ => Snippet::Const(self.pick(&ADDRESSES) as i64),
         }
     }
@@ -325,7 +358,7 @@ impl Gen<'_> {
         if leaf {
             return match self.below(3) {
                 0 => Snippet::Const(self.konst()),
-                1 => Snippet::ReadReg(self.reg()),
+                1 => Snippet::ReadReg(self.read_reg()),
                 _ => Snippet::ReadVar(self.var()),
             };
         }
@@ -465,8 +498,11 @@ proptest! {
         regs[0] = 0;
         regs[2] = SP;
 
-        let mut reference = Reference { regs, mem: Mem::default() };
+        let mut reference = Reference { regs, mem: Mem::default(), below_sp: false };
         reference.exec(&snippet);
+        if reference.below_sp {
+            return Ok(());
+        }
 
         let mut st = IntState::new(CODE);
         for n in 1..32u8 {
@@ -484,7 +520,7 @@ proptest! {
             }
         }
         // Memory agrees everywhere outside the spill frame.
-        let frame = SP - 4096..SP;
+        let frame = SP - FRAME_WINDOW..SP;
         for a in mem.0.keys().chain(reference.mem.0.keys()) {
             if !frame.contains(a) {
                 prop_assert_eq!(mem.byte(*a), reference.mem.byte(*a), "byte {:#x} under {:?}\n{:?}", a, mode, code);

@@ -49,7 +49,7 @@ impl fmt::Display for Stage {
 }
 
 /// A pipeline failure, with stage and (where known) pc/address context.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Error {
     /// ELF / symbol-table failure while opening or re-serialising.
     Symtab { stage: Stage, source: SymtabError },

@@ -538,46 +538,36 @@ impl FleetController {
         self.session.end_stage(timer);
     }
 
-    /// Record a terminal result for `pid`: fold its run into the
-    /// per-process diagnostics, then emit the fleet exit/failure
-    /// telemetry.
-    fn finish_process(&mut self, pid: u32, result: Result<i64, Error>) {
-        self.record_process_run(pid);
-        match &result {
-            Ok(code) => self
-                .session
-                .emit(TelemetryEvent::FleetProcessExited { pid, code: *code }),
-            Err(_) => self
-                .session
-                .emit(TelemetryEvent::FleetProcessFailed { pid }),
-        }
-        if let Some(st) = self.states.get_mut(&pid) {
-            st.result = Some(result);
-        }
-    }
-
-    /// Fold the final machine counters and buffered engine events of
-    /// the process under `pid` into its per-process diagnostics: the
-    /// run-stage record of [`FleetController::run_all`] and the fleet
-    /// profiler alike.
-    pub(crate) fn record_process_run(&mut self, pid: u32) {
+    /// Record a terminal result for `pid`: fold its final machine
+    /// counters and buffered engine events into its per-process
+    /// diagnostics, then record the result and emit the fleet
+    /// exit/failure telemetry — unless the process already ended (a
+    /// failed commit the profiler sampled anyway), whose first outcome
+    /// stands. [`FleetController::run_all`] and the fleet profiler end
+    /// every process here.
+    pub(crate) fn finish_process(&mut self, pid: u32, result: Result<i64, Error>) {
         if let Some(p) = self.set.get_mut(pid) {
             for ev in p.machine_mut().take_emu_events() {
                 self.session.emit(session::adapt_emu(ev));
             }
-            let (icount, cycles) = (p.machine().icount, p.machine().cycles);
-            let (bt, inv, cl) = (
-                p.machine().emu_blocks_translated(),
-                p.machine().emu_invalidations(),
-                p.machine().emu_chain_links(),
-            );
-            let faults = p.faults_injected();
             if let Some(st) = self.states.get_mut(&pid) {
-                st.diag.record_run(icount, cycles);
-                st.diag.record_emu(bt, inv, cl);
-                st.diag.faults_injected = faults;
+                st.diag.record_run(p.machine().icount, p.machine().cycles);
+                st.diag.record_emu(p.machine());
+                st.diag.faults_injected = p.faults_injected();
             }
         }
+        let Some(st) = self.states.get_mut(&pid) else {
+            return;
+        };
+        if st.result.is_some() {
+            return;
+        }
+        let event = match &result {
+            Ok(code) => TelemetryEvent::FleetProcessExited { pid, code: *code },
+            Err(_) => TelemetryEvent::FleetProcessFailed { pid },
+        };
+        st.result = Some(result);
+        self.session.emit(event);
     }
 
     /// Read an instrumentation variable from the process under `pid`.
@@ -733,7 +723,8 @@ mod tests {
             ],
         };
         // Captured from the hand-written serialiser the key tables
-        // replaced; the failed row carries the schema's only negative.
+        // replaced (less the since-dropped `emu.chain_links`); the
+        // failed row carries the schema's only negative.
         let expected = concat!(
             r#"{"schema":"rvdyn-diagnostics-v1","fleet":{"processes":2,"events_dispatched":5,"#,
             r#""faults_injected":1,"processes_failed":1},"per_process":[{"pid":0,"exited":1,"#,
@@ -747,7 +738,7 @@ mod tests {
             r#""run":{"instret":500,"cycles":700,"counts_reconstructed":0},"#,
             r#""faults":{"injected":0},"cache":{"analysis_cache_hits":0,"#,
             r#""analysis_cache_misses":0,"analysis_cache_evictions":0},"#,
-            r#""emu":{"blocks_translated":0,"invalidations":0,"chain_links":0},"#,
+            r#""emu":{"blocks_translated":0,"invalidations":0},"#,
             r#""tools":{"trace_points_planned":0,"trace_records":0,"trace_dropped":0,"#,
             r#""profile_samples":0,"profile_max_depth":0},"timings_ns":{"open":0,"parse":0,"#,
             r#""instrument":0,"relocate":0,"commit":0,"run":900}}},{"pid":1,"exited":0,"#,
@@ -761,7 +752,7 @@ mod tests {
             r#""run":{"instret":0,"cycles":0,"counts_reconstructed":0},"#,
             r#""faults":{"injected":1},"cache":{"analysis_cache_hits":0,"#,
             r#""analysis_cache_misses":0,"analysis_cache_evictions":0},"#,
-            r#""emu":{"blocks_translated":0,"invalidations":0,"chain_links":0},"#,
+            r#""emu":{"blocks_translated":0,"invalidations":0},"#,
             r#""tools":{"trace_points_planned":0,"trace_records":0,"trace_dropped":0,"#,
             r#""profile_samples":0,"profile_max_depth":0},"timings_ns":{"open":0,"parse":0,"#,
             r#""instrument":0,"relocate":0,"commit":80,"run":0}}}]}"#,

@@ -680,11 +680,7 @@ impl Session {
         for ev in machine.take_emu_events() {
             self.tele.emit(adapt_emu(ev));
         }
-        self.diag.record_emu(
-            machine.emu_blocks_translated(),
-            machine.emu_invalidations(),
-            machine.emu_chain_links(),
-        );
+        self.diag.record_emu(machine);
     }
 
     pub(crate) fn emit(&self, ev: TelemetryEvent) {

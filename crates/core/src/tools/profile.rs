@@ -331,16 +331,15 @@ impl Profiler {
                         }
                         next_live.push(pid);
                     }
+                    // Terminal: the process exited, failed, or vanished
+                    // from the set mid-run.
                     Ok((Ok(None), exit)) => {
-                        fc.record_process_run(pid);
-                        outcomes.insert(pid, Ok(exit.unwrap_or(0)));
+                        let result = Ok(exit.unwrap_or(0));
+                        fc.finish_process(pid, result.clone());
+                        outcomes.insert(pid, result);
                     }
-                    Ok((Err(e), _)) => {
-                        fc.record_process_run(pid);
-                        outcomes.insert(pid, Err(e));
-                    }
-                    Err(e) => {
-                        // The pid vanished from the set mid-run.
+                    Ok((Err(e), _)) | Err(e) => {
+                        fc.finish_process(pid, Err(e.clone()));
                         outcomes.insert(pid, Err(e));
                     }
                 }

@@ -190,6 +190,12 @@ impl CodeMap {
     pub(crate) fn decoded(&self) -> usize {
         self.chunks.iter().flatten().map(|c| c.insts.len()).sum()
     }
+
+    /// Dispatcher entries counted at `idx` so far.
+    #[cfg(test)]
+    pub(crate) fn entries(&self, idx: usize) -> u32 {
+        self.entry(idx).map_or(0, |(_, e)| u32::from(e.entries))
+    }
 }
 
 #[cfg(test)]

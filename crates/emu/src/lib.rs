@@ -23,9 +23,9 @@
 //! Execution has **two engines** behind one contract ([`EmuEngine`],
 //! documented in `docs/EMULATOR.md`): the decode-dispatch
 //! [interpreter](machine::Machine::step) and a decoded-basic-block
-//! [translation cache](translate) with direct-branch chaining (the DBT
-//! back end), which interprets a block until it has been entered
-//! [`TIER_UP`] times and translates it then. They are bit-identical in
+//! [translation cache](translate) (the DBT back end), which interprets a
+//! block until it has been entered [`TIER_UP`] times and translates it
+//! then. They are bit-identical in
 //! architectural state, retired counts, modelled cycles and trap pcs;
 //! the `RVDYN_EMU` environment variable selects the default.
 

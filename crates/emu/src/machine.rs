@@ -3,7 +3,7 @@
 //!
 //! Instruction *semantics* live in `crate::exec` (`Machine::exec`) and
 //! are shared by both execution engines; the translation-cached engine —
-//! decoded basic blocks, direct-branch chaining, generation-based
+//! decoded basic blocks, one dispatcher over the code map, precise
 //! invalidation — lives in [`crate::translate`]. Which engine
 //! [`Machine::run`] uses is selected by [`Machine::engine`]
 //! ([`EmuEngine`], default from the `RVDYN_EMU` environment variable).
@@ -373,11 +373,6 @@ impl Machine {
     /// Translated blocks invalidated by writes into executable text.
     pub fn emu_invalidations(&self) -> u64 {
         self.tcache.invalidations
-    }
-
-    /// Direct-branch chain links installed between cached blocks.
-    pub fn emu_chain_links(&self) -> u64 {
-        self.tcache.chain_links
     }
 
     /// Drain the engine's buffered [`EmuEvent`]s (block translations and

@@ -4,8 +4,7 @@
 //! probe and a giant opcode match for every retired instruction. Real
 //! dynamic binary translators (MAMBO-V on RISC-V, DynamoRIO, Dyninst's
 //! own dynamic path) amortise that cost by translating *basic blocks*
-//! once, caching the result, and chaining blocks together so straight
-//! line and loop execution never returns to the dispatcher.
+//! once and caching the result.
 //!
 //! This module is that engine for `rvdyn-emu`, with the full contract
 //! written down in `docs/EMULATOR.md`:
@@ -21,19 +20,18 @@
 //!   semantic core (`crate::exec`) so the two engines cannot drift.
 //!   Unconditional direct jumps (`jal x0`) are followed at translation
 //!   time, fusing a loop body and its header into one *superblock* so
-//!   the hot path of a loop is a single self-chaining block.
-//! * **Cache** — blocks live in a slot vector; the per-pc code map
+//!   the hot path of a loop is a single block that re-enters itself.
+//! * **Dispatch** — blocks live in a slot vector; the per-pc code map
 //!   (`crate::codemap`) that also holds the decode cache and the entry
-//!   counts records which slot starts at each pc. Dead slots are
-//!   recycled through a free list.
-//! * **Chain** — a block ending in a direct branch remembers the slot of
-//!   its taken/fallthrough successor, validated against the cache
-//!   *generation*, so loops run block-to-block without map lookups.
+//!   counts records which slot starts at each pc, so every block exit
+//!   returns to one dispatcher that finds the next block with one array
+//!   index. Dead slots are recycled through a free list.
 //! * **Invalidate** — any write into executable text (a debugger
 //!   `write_mem`, a dynamic springboard patch, a `FaultPlan` corruption,
-//!   or the mutatee's own stores) kills every overlapping block and bumps
-//!   the generation, severing all chain links at once. The next
-//!   execution re-decodes from current bytes.
+//!   or the mutatee's own stores) kills every overlapping block and
+//!   clears its code-map slot; the next execution re-decodes from current
+//!   bytes. A store that kills translated text ends the running block
+//!   right after it, so no stale step runs.
 //!
 //! The engine is **bit-identical** to the interpreter: same architectural
 //! state, same retired-instruction counts, same modelled cycles, same
@@ -56,7 +54,8 @@ pub enum EmuEngine {
     /// Decode-dispatch interpretation, one instruction at a time.
     #[default]
     Interpreter,
-    /// Decoded-basic-block translation cache with direct-branch chaining.
+    /// Decoded-basic-block translation cache: cold blocks are
+    /// interpreted, hot ones translated.
     Cached,
 }
 
@@ -123,19 +122,10 @@ const MAX_BLOCK_STEPS: usize = 64;
 /// snapshot cheap.
 const MAX_SPAN: u64 = 4096;
 
-/// A chain edge to a successor block, valid only while the cache
-/// generation still equals `gen` (any invalidation bumps the generation
-/// and thereby severs every link in one step).
-#[derive(Debug, Clone, Copy)]
-struct ChainLink {
-    slot: u32,
-    generation: u64,
-}
-
-/// One translated basic block (or superblock): pre-lowered steps plus
-/// chaining state. A block that followed an unconditional jump covers a
-/// byte *span* `[lo, hi)` that may start before its entry pc; the span
-/// is what invalidation overlap-checks against.
+/// One translated basic block (or superblock): pre-lowered steps and
+/// their precomputed totals. A block that followed an unconditional jump
+/// covers a byte *span* `[lo, hi)` that may start before its entry pc;
+/// the span is what invalidation overlap-checks against.
 #[derive(Default)]
 pub(crate) struct DecodedBlock {
     /// Entry pc.
@@ -172,8 +162,6 @@ pub(crate) struct DecodedBlock {
     /// entered when even its worst case cannot cross the limit, so the
     /// stop always lands on the interpreter's exact pc.
     cyc_ub: u64,
-    /// Direct successors: `[0]` = taken edge, `[1]` = fallthrough.
-    chain: [Option<ChainLink>; 2],
     /// Source bytes at translation time (the coherence witness checked
     /// when [`Machine::verify_translations`] is armed).
     bytes: Vec<u8>,
@@ -182,37 +170,31 @@ pub(crate) struct DecodedBlock {
     dead: bool,
 }
 
-/// The decoded-basic-block cache: slots, free list, the generation
-/// counter, and the engine's diagnostics counters. Which slot starts at
-/// a pc is recorded in the machine's [`CodeMap`].
+/// The decoded-basic-block cache: slots, free list and the engine's
+/// diagnostics counters. Which slot starts at a pc is recorded in the
+/// machine's [`CodeMap`].
 #[derive(Default)]
 pub(crate) struct TranslationCache {
     blocks: Vec<DecodedBlock>,
     free: Vec<u32>,
-    /// Bumped on every invalidation and flush; chain links and (pc,
-    /// generation) cache keys are only valid at the generation they were
-    /// created in.
-    pub(crate) generation: u64,
     /// Total blocks ever translated (diagnostics `emu.blocks_translated`).
     pub(crate) blocks_translated: u64,
-    /// Total blocks killed by text writes (diagnostics `emu.invalidations`).
+    /// Total blocks killed by text writes (diagnostics
+    /// `emu.invalidations`). A running block compares it across each of
+    /// its stores: a change means the store killed translated text.
     pub(crate) invalidations: u64,
-    /// Total chain links installed (diagnostics `emu.chain_links`).
-    pub(crate) chain_links: u64,
     /// Buffered lifecycle events (bounded by [`EVENT_CAP`]).
     pub(crate) events: Vec<EmuEvent>,
 }
 
 impl TranslationCache {
     /// Kill every live block overlapping `[addr, addr+len)` and clear its
-    /// slot from `code`. Any kill bumps the generation, severing all
-    /// chain links cache-wide.
+    /// slot from `code`.
     pub(crate) fn kill_range(&mut self, code: &mut CodeMap, addr: u64, len: u64) {
         if self.blocks.len() == self.free.len() {
             return;
         }
         let hi = addr + len;
-        let mut killed = false;
         for (i, b) in self.blocks.iter_mut().enumerate() {
             if !b.dead && b.lo < hi && b.hi > addr {
                 b.dead = true;
@@ -226,11 +208,7 @@ impl TranslationCache {
                 if self.events.len() < EVENT_CAP {
                     self.events.push(EmuEvent::BlockInvalidated { pc: b.pc });
                 }
-                killed = true;
             }
-        }
-        if killed {
-            self.generation += 1;
         }
     }
 
@@ -240,7 +218,6 @@ impl TranslationCache {
     pub(crate) fn flush(&mut self) {
         self.blocks.clear();
         self.free.clear();
-        self.generation += 1;
     }
 }
 
@@ -305,8 +282,6 @@ enum UopK {
     LdAdd,
     /// `ld rd, imm(rs1)` then `mul d, x, rd` (either operand order).
     LdMul,
-    /// `ld rd, imm(rs1)` then `addi d, rd, imm2`.
-    LdAddi,
     /// The `-O0` read-modify-write triad: `ld rd, imm(rs1)`, `addi rd,
     /// rd, imm2`, `sd rd, imm(rs1)`. The store re-uses the head's
     /// already-faulted-in address, so it can never fault.
@@ -318,8 +293,6 @@ enum UopK {
     /// `rs2`/`rs3`, y in `imm2`) — legal for any operands because the
     /// integer tail and the FP head touch disjoint state.
     FldMul,
-    /// `fld rd, imm(rs1)` then `fmadd.d rd, rs2, rs3, rd`.
-    FldFmadd,
     /// The FP accumulate triad: `fld rd, imm(rs1)`, `fmadd.d rd, rs2,
     /// rs3, rd`, `fsd rd, imm(rs1)`.
     FldFmaddFsd,
@@ -413,18 +386,6 @@ impl Step {
     }
 }
 
-/// How a block handed control back.
-enum BlockExit {
-    /// Continue at `self.pc` through the dispatcher (indirect jump,
-    /// redirect, or a self-invalidation mid-block).
-    Dispatch,
-    /// Continue at `self.pc` == `target`; the edge is a direct one and
-    /// may be chained through `chain[idx]`.
-    Chained { idx: usize, target: u64 },
-    /// Execution is over.
-    Stop(StopReason),
-}
-
 /// The translation-time superinstruction peephole: merge hot adjacent
 /// pairs and read-modify-write triads into one [`Step`] so the executor
 /// pays one dispatch for two or three retired instructions — with no
@@ -512,16 +473,12 @@ fn fuse_steps(steps: &mut Vec<Step>) {
                 continue;
             }
         }
-        // Pairs: the tail must read the loaded register, so its operands
-        // fit in the head's free fields.
+        // Pairs: the tail's destination goes in `rs2`, its other operand
+        // in `rs3` (and `imm2`).
         let fused = if lk == UopK::Ld && mk == UopK::Add && (mrs1 == lrd || mrs2 == lrd) {
             Some((UopK::LdAdd, if mrs1 == lrd { mrs2 } else { mrs1 }, 0i32))
         } else if lk == UopK::Ld && mk == UopK::Mul && (mrs1 == lrd || mrs2 == lrd) {
             Some((UopK::LdMul, if mrs1 == lrd { mrs2 } else { mrs1 }, 0))
-        } else if lk == UopK::Ld && mk == UopK::Addi && mrs1 == lrd {
-            Some((UopK::LdAddi, 0, mimm as i32))
-        } else if lk == UopK::Fld && mk == UopK::FmaddD && mrd == lrd && mrs3 == lrd {
-            Some((UopK::FldFmadd, 0, 0))
         } else if lk == UopK::Fld && mk == UopK::Mul {
             // d in rs2, x in rs3, y in imm2.
             Some((UopK::FldMul, mrs1, mrs2 as i32))
@@ -531,17 +488,9 @@ fn fuse_steps(steps: &mut Vec<Step>) {
         if let Some((kind, x, imm2)) = fused {
             let h = &mut steps[i];
             h.kind = kind;
-            match kind {
-                UopK::FldFmadd => {
-                    h.rs2 = mrs1;
-                    h.rs3 = mrs2;
-                }
-                _ => {
-                    h.rs2 = mrd;
-                    h.rs3 = x;
-                    h.imm2 = imm2;
-                }
-            }
+            h.rs2 = mrd;
+            h.rs3 = x;
+            h.imm2 = imm2;
             h.ic = 2;
             h.cost += mcost;
             h.size += msize;
@@ -688,9 +637,10 @@ fn compile_step(inst: &Instruction, pc: u64, cost: &CostModel) -> Step {
 }
 
 impl Machine {
-    /// The cached engine's top-level loop: dispatch → (interpret or
-    /// translate) → execute → chain, bit-identical to repeated
-    /// [`Machine::step`].
+    /// The cached engine's dispatcher, which every block exit returns
+    /// to: check the fuel and cycle edges, find the block at `self.pc` in
+    /// the code map, then interpret, translate or execute it —
+    /// bit-identical to repeated [`Machine::step`].
     pub(crate) fn run_cached(&mut self) -> StopReason {
         loop {
             if let Some(fuel) = self.fuel {
@@ -713,7 +663,7 @@ impl Machine {
                 }
                 continue;
             };
-            let mut slot = match self.code.block(at) {
+            let slot = match self.code.block(at) {
                 Some(s) => s,
                 None if self.code.enter(at) < TIER_UP => {
                     if let Some(r) = self.interpret_block() {
@@ -726,73 +676,30 @@ impl Machine {
                     Err(r) => return r,
                 },
             };
-            // Inner chained loop: direct branches hop block-to-block
-            // without touching the dispatcher or the pc map.
-            loop {
-                let nsteps = self.tcache.blocks[slot as usize].insts as usize;
-                if let Some(fuel) = self.fuel {
-                    let left = fuel.saturating_sub(self.icount);
-                    if left == 0 {
-                        return StopReason::FuelExhausted;
-                    }
-                    if (left as usize) < nsteps {
-                        // Near the fuel edge: interpret one instruction
-                        // so exhaustion lands on the exact same pc.
-                        if let Some(r) = self.step() {
-                            return r;
-                        }
-                        break;
-                    }
-                }
-                if let Some(limit) = self.stop_at_cycles {
-                    if self.cycles >= limit {
-                        return StopReason::CycleLimit { pc: self.pc };
-                    }
-                    let ub = self.tcache.blocks[slot as usize].cyc_ub;
-                    if self.cycles.saturating_add(ub) >= limit {
-                        // Near the cycle edge: interpret one instruction
-                        // so the sample stop lands on the exact same pc
-                        // (the same rule as the fuel edge above).
-                        if let Some(r) = self.step() {
-                            return r;
-                        }
-                        break;
-                    }
-                }
-                match self.exec_block(slot) {
-                    BlockExit::Stop(r) => return r,
-                    BlockExit::Dispatch => break,
-                    BlockExit::Chained { idx, target } => {
-                        let generation = self.tcache.generation;
-                        let b = &self.tcache.blocks[slot as usize];
-                        if b.dead {
-                            break;
-                        }
-                        if let Some(l) = b.chain[idx] {
-                            if l.generation == generation {
-                                slot = l.slot;
-                                continue;
-                            }
-                        }
-                        match self.code.index(target).and_then(|t| self.code.block(t)) {
-                            Some(next) => {
-                                self.tcache.blocks[slot as usize].chain[idx] = Some(ChainLink {
-                                    slot: next,
-                                    generation,
-                                });
-                                self.tcache.chain_links += 1;
-                                slot = next;
-                            }
-                            // Successor not translated yet: let the
-                            // dispatcher count (and maybe translate)
-                            // it; the link is installed the next time
-                            // this edge fires.
-                            None => break,
-                        }
-                    }
-                }
+            let b = &self.tcache.blocks[slot as usize];
+            let stop = if self.pass_fits(b.insts, b.cyc_ub) {
+                self.exec_block(slot)
+            } else {
+                // Near the fuel or cycle edge: interpret one instruction
+                // so the stop lands on the interpreter's exact pc.
+                self.step()
+            };
+            if let Some(r) = stop {
+                return r;
             }
         }
+    }
+
+    /// Whether a full pass of a block retiring `insts` instructions and
+    /// charging at most `cyc_ub` cycles stays inside the fuel and the
+    /// cycle limit, so no stop can fall inside it.
+    #[inline]
+    fn pass_fits(&self, insts: u64, cyc_ub: u64) -> bool {
+        self.fuel
+            .is_none_or(|f| f.saturating_sub(self.icount) >= insts)
+            && self
+                .stop_at_cycles
+                .is_none_or(|limit| self.cycles.saturating_add(cyc_ub) < limit)
     }
 
     /// The cold tier: run the block at `self.pc` through
@@ -896,7 +803,6 @@ impl Machine {
             pre_cyc,
             pre_taken,
             cyc_ub,
-            chain: [None, None],
             bytes,
             dead: false,
         };
@@ -926,9 +832,10 @@ impl Machine {
 
     /// Execute one cached block. Steps are moved out of the slot for the
     /// duration (and restored unless the block killed itself), so an
-    /// invalidation fired by one of its own stores is safe.
-    fn exec_block(&mut self, slot: u32) -> BlockExit {
-        let generation0 = self.tcache.generation;
+    /// invalidation fired by one of its own stores is safe. `None` means
+    /// execution continues at `self.pc`.
+    fn exec_block(&mut self, slot: u32) -> Option<StopReason> {
+        let inv0 = self.tcache.invalidations;
         if self.verify_translations {
             let (entry, lo, len) = {
                 let b = &self.tcache.blocks[slot as usize];
@@ -939,7 +846,7 @@ impl Machine {
                 Err(_) => false,
             };
             if !ok {
-                return BlockExit::Stop(StopReason::CacheIncoherent { pc: entry });
+                return Some(StopReason::CacheIncoherent { pc: entry });
             }
         }
         let (steps, bend, pre, entry, insts, cyc_ub) = {
@@ -953,49 +860,27 @@ impl Machine {
                 b.cyc_ub,
             )
         };
-        // Tight-loop fast path: a block whose taken or fallthrough edge
-        // targets its own entry (e.g. a fused loop body) re-runs here
-        // without bouncing through the chained dispatcher — no slot
-        // re-index, no chain-link validation, no steps take/restore per
-        // iteration. The re-entry conditions mirror the dispatcher's:
-        // the cache generation is unchanged (so this block is provably
-        // still live) and enough fuel remains for a full pass.
-        let mut self_linked = [false, false];
-        let exit = loop {
-            let e = self.run_steps(&steps, bend, generation0, pre);
-            if let BlockExit::Chained { idx, target } = e {
-                if target == entry
-                    && self.tcache.generation == generation0
-                    && self
-                        .fuel
-                        .is_none_or(|f| f.saturating_sub(self.icount) >= insts)
-                    && self
-                        .stop_at_cycles
-                        .is_none_or(|limit| self.cycles.saturating_add(cyc_ub) < limit)
-                {
-                    // Record the self-edge as a chain link (once), so
-                    // the emu.chain_links diagnostic still counts it.
-                    if !self_linked[idx] {
-                        self_linked[idx] = true;
-                        let b = &mut self.tcache.blocks[slot as usize];
-                        if b.chain[idx].is_none() {
-                            b.chain[idx] = Some(ChainLink {
-                                slot,
-                                generation: generation0,
-                            });
-                            self.tcache.chain_links += 1;
-                        }
-                    }
-                    continue;
-                }
+        // Tight-loop fast path: a block that exits to its own entry (e.g.
+        // a fused loop body) re-runs here without a trip through the
+        // dispatcher — no code-map lookup, no steps take/restore per
+        // iteration. The re-entry conditions are the dispatcher's: no
+        // store killed translated text (so this block is provably still
+        // the one at its entry) and a full pass fits the fuel and cycles.
+        let stop = loop {
+            let stop = self.run_steps(&steps, bend, inv0, pre);
+            if stop.is_some()
+                || self.pc != entry
+                || self.tcache.invalidations != inv0
+                || !self.pass_fits(insts, cyc_ub)
+            {
+                break stop;
             }
-            break e;
         };
         let b = &mut self.tcache.blocks[slot as usize];
         if !b.dead {
             b.steps = steps;
         }
-        exit
+        stop
     }
 
     /// Credit the architectural counters for `steps[from..to]` exactly —
@@ -1026,9 +911,9 @@ impl Machine {
         &mut self,
         steps: &[Step],
         bend: u64,
-        generation0: u64,
+        inv0: u64,
         pre: (u64, u64, u64),
-    ) -> BlockExit {
+    ) -> Option<StopReason> {
         // First step index whose retirement has not been credited yet.
         // 0 means the precomputed block totals apply; a mid-block
         // fallback bumps it past everything it settled itself.
@@ -1049,7 +934,7 @@ impl Machine {
                                 }
                                 self.credit_range(steps, acct_from, idx);
                                 self.pc = st.addr;
-                                return BlockExit::Stop(StopReason::MemFault {
+                                return Some(StopReason::MemFault {
                                     pc: st.addr,
                                     addr: f.addr,
                                     write: f.write,
@@ -1082,20 +967,33 @@ impl Machine {
                     }
                 }};
             }
+            // `rd = f(rs1, rs2)`, for a register-register step.
+            macro_rules! rr {
+                (|$b:ident| $v:expr) => {{
+                    let $b = self.gpr[(st.rs2 & 31) as usize];
+                    wr!($v)
+                }};
+            }
+            // A `size`-byte load from `rs1 + imm`.
+            macro_rules! load {
+                ($size:expr) => {
+                    mem_retry!(self.mem.load(rs1v.wrapping_add(st.imm as u64), $size))
+                };
+            }
             macro_rules! store_arm {
                 ($sz:expr) => {{
                     let addr = rs1v.wrapping_add(st.imm as u64);
                     let val = self.gpr[(st.rs2 & 31) as usize];
                     mem_retry!(self.mem.store(addr, $sz, val));
                     self.invalidate(addr, $sz as u64);
-                    if self.tcache.generation != generation0 {
-                        // The store landed in translated text (possibly
-                        // this very block): credit everything retired so
-                        // far — the store included — and re-dispatch at
-                        // the next instruction so stale steps never run.
+                    if self.tcache.invalidations != inv0 {
+                        // The store killed translated text (possibly this
+                        // very block): credit everything retired so far —
+                        // the store included — and re-dispatch at the
+                        // next instruction so stale steps never run.
                         self.credit_range(steps, acct_from, idx + 1);
                         self.pc = st.addr.wrapping_add(st.size as u64);
-                        return BlockExit::Dispatch;
+                        return None;
                     }
                 }};
             }
@@ -1114,119 +1012,37 @@ impl Machine {
                 UopK::Slliw => wr!(sw((rs1v as u32).wrapping_shl(imm as u32) as u64)),
                 UopK::Srliw => wr!(sw(((rs1v as u32) >> (imm as u32)) as u64)),
                 UopK::Sraiw => wr!(sw((((rs1v as i32) >> (imm as u32)) as u32) as u64)),
-                UopK::Add => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(rs1v.wrapping_add(b));
-                }
-                UopK::Sub => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(rs1v.wrapping_sub(b));
-                }
-                UopK::Sll => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(rs1v.wrapping_shl((b & 63) as u32));
-                }
-                UopK::Slt => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(((rs1v as i64) < (b as i64)) as u64);
-                }
-                UopK::Sltu => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!((rs1v < b) as u64);
-                }
-                UopK::Xor => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(rs1v ^ b);
-                }
-                UopK::Srl => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(rs1v.wrapping_shr((b & 63) as u32));
-                }
-                UopK::Sra => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(((rs1v as i64) >> ((b & 63) as u32)) as u64);
-                }
-                UopK::Or => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(rs1v | b);
-                }
-                UopK::And => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(rs1v & b);
-                }
-                UopK::Addw => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(sw(rs1v.wrapping_add(b)));
-                }
-                UopK::Subw => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(sw(rs1v.wrapping_sub(b)));
-                }
-                UopK::Sllw => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(sw(((rs1v as u32) << (b & 31)) as u64));
-                }
-                UopK::Srlw => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(sw(((rs1v as u32) >> (b & 31)) as u64));
-                }
-                UopK::Sraw => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(sw((((rs1v as i32) >> (b & 31)) as u32) as u64));
-                }
-                UopK::Mul => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(rs1v.wrapping_mul(b));
-                }
-                UopK::Mulw => {
-                    let b = self.gpr[(st.rs2 & 31) as usize];
-                    wr!(sw(rs1v.wrapping_mul(b)));
-                }
+                UopK::Add => rr!(|b| rs1v.wrapping_add(b)),
+                UopK::Sub => rr!(|b| rs1v.wrapping_sub(b)),
+                UopK::Sll => rr!(|b| rs1v.wrapping_shl((b & 63) as u32)),
+                UopK::Slt => rr!(|b| ((rs1v as i64) < (b as i64)) as u64),
+                UopK::Sltu => rr!(|b| (rs1v < b) as u64),
+                UopK::Xor => rr!(|b| rs1v ^ b),
+                UopK::Srl => rr!(|b| rs1v.wrapping_shr((b & 63) as u32)),
+                UopK::Sra => rr!(|b| ((rs1v as i64) >> ((b & 63) as u32)) as u64),
+                UopK::Or => rr!(|b| rs1v | b),
+                UopK::And => rr!(|b| rs1v & b),
+                UopK::Addw => rr!(|b| sw(rs1v.wrapping_add(b))),
+                UopK::Subw => rr!(|b| sw(rs1v.wrapping_sub(b))),
+                UopK::Sllw => rr!(|b| sw(((rs1v as u32) << (b & 31)) as u64)),
+                UopK::Srlw => rr!(|b| sw(((rs1v as u32) >> (b & 31)) as u64)),
+                UopK::Sraw => rr!(|b| sw((((rs1v as i32) >> (b & 31)) as u32) as u64)),
+                UopK::Mul => rr!(|b| rs1v.wrapping_mul(b)),
+                UopK::Mulw => rr!(|b| sw(rs1v.wrapping_mul(b))),
                 UopK::Li => wr!(imm as u64),
-                UopK::Lb => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    let raw = mem_retry!(self.mem.load(addr, 1));
-                    wr!(raw as u8 as i8 as i64 as u64);
-                }
-                UopK::Lh => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    let raw = mem_retry!(self.mem.load(addr, 2));
-                    wr!(raw as u16 as i16 as i64 as u64);
-                }
-                UopK::Lw => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    let raw = mem_retry!(self.mem.load(addr, 4));
-                    wr!(raw as u32 as i32 as i64 as u64);
-                }
-                UopK::Ld => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    wr!(mem_retry!(self.mem.load(addr, 8)));
-                }
-                UopK::Lbu => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    wr!(mem_retry!(self.mem.load(addr, 1)));
-                }
-                UopK::Lhu => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    wr!(mem_retry!(self.mem.load(addr, 2)));
-                }
-                UopK::Lwu => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    wr!(mem_retry!(self.mem.load(addr, 4)));
-                }
+                UopK::Lb => wr!(load!(1) as u8 as i8 as i64 as u64),
+                UopK::Lh => wr!(load!(2) as u16 as i16 as i64 as u64),
+                UopK::Lw => wr!(load!(4) as u32 as i32 as i64 as u64),
+                UopK::Ld => wr!(load!(8)),
+                UopK::Lbu => wr!(load!(1)),
+                UopK::Lhu => wr!(load!(2)),
+                UopK::Lwu => wr!(load!(4)),
                 UopK::Sb => store_arm!(1),
                 UopK::Sh => store_arm!(2),
                 UopK::Sw => store_arm!(4),
                 UopK::Sd => store_arm!(8),
-                UopK::Fld => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    self.fpr[(st.rd & 31) as usize] = mem_retry!(self.mem.load(addr, 8));
-                }
-                UopK::Flw => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    let raw = mem_retry!(self.mem.load(addr, 4));
-                    self.fpr[(st.rd & 31) as usize] = nan_box32(raw as u32);
-                }
+                UopK::Fld => self.fpr[(st.rd & 31) as usize] = load!(8),
+                UopK::Flw => self.fpr[(st.rd & 31) as usize] = nan_box32(load!(4) as u32),
                 UopK::Fsd => {
                     let addr = rs1v.wrapping_add(imm as u64);
                     let v = self.fpr[(st.rs2 & 31) as usize];
@@ -1245,9 +1061,7 @@ impl Machine {
                 // are exactly the unfused head's; the tail is plain
                 // register arithmetic and cannot fault.
                 UopK::LdAdd => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    let raw = mem_retry!(self.mem.load(addr, 8));
-                    wr!(raw);
+                    wr!(load!(8));
                     let v = self.gpr[(st.rs3 & 31) as usize]
                         .wrapping_add(self.gpr[(st.rd & 31) as usize]);
                     if st.rs2 != 0 {
@@ -1255,20 +1069,9 @@ impl Machine {
                     }
                 }
                 UopK::LdMul => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    let raw = mem_retry!(self.mem.load(addr, 8));
-                    wr!(raw);
+                    wr!(load!(8));
                     let v = self.gpr[(st.rs3 & 31) as usize]
                         .wrapping_mul(self.gpr[(st.rd & 31) as usize]);
-                    if st.rs2 != 0 {
-                        self.gpr[(st.rs2 & 31) as usize] = v;
-                    }
-                }
-                UopK::LdAddi => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    let raw = mem_retry!(self.mem.load(addr, 8));
-                    wr!(raw);
-                    let v = self.gpr[(st.rd & 31) as usize].wrapping_add(st.imm2 as i64 as u64);
                     if st.rs2 != 0 {
                         self.gpr[(st.rs2 & 31) as usize] = v;
                     }
@@ -1285,16 +1088,14 @@ impl Machine {
                     debug_assert!(r.is_ok(), "store-back to a just-loaded address");
                     let _ = r;
                     self.invalidate(addr, 8);
-                    if self.tcache.generation != generation0 {
+                    if self.tcache.invalidations != inv0 {
                         self.credit_range(steps, acct_from, idx + 1);
                         self.pc = st.addr.wrapping_add(st.size as u64);
-                        return BlockExit::Dispatch;
+                        return None;
                     }
                 }
                 UopK::LdAddSlli => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    let raw = mem_retry!(self.mem.load(addr, 8));
-                    wr!(raw);
+                    wr!(load!(8));
                     let t = self.gpr[(st.rs3 & 31) as usize]
                         .wrapping_add(self.gpr[(st.rd & 31) as usize]);
                     let v = t.wrapping_shl(st.imm2 as u32);
@@ -1303,22 +1104,12 @@ impl Machine {
                     }
                 }
                 UopK::FldMul => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    let raw = mem_retry!(self.mem.load(addr, 8));
-                    self.fpr[(st.rd & 31) as usize] = raw;
+                    self.fpr[(st.rd & 31) as usize] = load!(8);
                     let v = self.gpr[(st.rs3 & 31) as usize]
                         .wrapping_mul(self.gpr[(st.imm2 & 31) as usize]);
                     if st.rs2 != 0 {
                         self.gpr[(st.rs2 & 31) as usize] = v;
                     }
-                }
-                UopK::FldFmadd => {
-                    let addr = rs1v.wrapping_add(imm as u64);
-                    let raw = mem_retry!(self.mem.load(addr, 8));
-                    self.fpr[(st.rd & 31) as usize] = raw;
-                    let a = f64::from_bits(self.fpr[(st.rs2 & 31) as usize]);
-                    let b = f64::from_bits(self.fpr[(st.rs3 & 31) as usize]);
-                    self.fpr[(st.rd & 31) as usize] = a.mul_add(b, f64::from_bits(raw)).to_bits();
                 }
                 UopK::FldFmaddFsd => {
                     let addr = rs1v.wrapping_add(imm as u64);
@@ -1372,17 +1163,12 @@ impl Machine {
                     if take {
                         self.taken_transfers += 1;
                         self.cycles += st.cost_taken as u64;
-                        let target = imm as u64;
-                        self.pc = target;
-                        return BlockExit::Chained { idx: 0, target };
+                        self.pc = imm as u64;
+                        return None;
                     }
-                    let next = st.addr.wrapping_add(st.size as u64);
                     self.cycles += st.cost as u64;
-                    self.pc = next;
-                    return BlockExit::Chained {
-                        idx: 1,
-                        target: next,
-                    };
+                    self.pc = st.addr.wrapping_add(st.size as u64);
+                    return None;
                 }
                 UopK::Jal => {
                     settle_pre!();
@@ -1390,9 +1176,8 @@ impl Machine {
                     self.icount += 1;
                     self.taken_transfers += 1;
                     self.cycles += st.cost_taken as u64;
-                    let target = imm as u64;
-                    self.pc = target;
-                    return BlockExit::Chained { idx: 0, target };
+                    self.pc = imm as u64;
+                    return None;
                 }
                 UopK::Jalr => {
                     settle_pre!();
@@ -1403,7 +1188,7 @@ impl Machine {
                     self.taken_transfers += 1;
                     self.cycles += st.cost_taken as u64;
                     self.pc = target;
-                    return BlockExit::Dispatch;
+                    return None;
                 }
                 UopK::JumpThrough => {
                     // Accounted for in the block's precomputed totals;
@@ -1429,28 +1214,28 @@ impl Machine {
                                 self.taken_transfers += 1;
                                 self.icount += 1;
                                 self.cycles += st.cost_taken as u64;
-                                return BlockExit::Dispatch;
+                                return None;
                             }
                             Ok(crate::exec::Effect::Stop(r)) => {
                                 if let StopReason::Break(at) = r {
                                     if self.trap_redirects.contains_key(&at)
                                         && self.resolve_redirect(at)
                                     {
-                                        return BlockExit::Dispatch;
+                                        return None;
                                     }
                                 }
                                 if let StopReason::Exited(_) = r {
                                     self.icount += 1;
                                     self.cycles += st.cost as u64;
                                 }
-                                return BlockExit::Stop(r);
+                                return Some(r);
                             }
                             Err(f) => {
                                 if f.addr >= STACK_TOP - STACK_SIZE && f.addr < STACK_TOP {
                                     self.mem.map(f.addr & !0xFFF, 0x1000);
                                     continue;
                                 }
-                                return BlockExit::Stop(StopReason::MemFault {
+                                return Some(StopReason::MemFault {
                                     pc: st.addr,
                                     addr: f.addr,
                                     write: f.write,
@@ -1458,10 +1243,10 @@ impl Machine {
                             }
                         }
                     }
-                    if self.tcache.generation != generation0 {
-                        // A cold-path store invalidated translated text:
-                        // same abort rule as the specialised store.
-                        return BlockExit::Dispatch;
+                    if self.tcache.invalidations != inv0 {
+                        // A cold-path store killed translated text: same
+                        // abort rule as the specialised store.
+                        return None;
                     }
                     // This step settled its own accounting.
                     acct_from = idx + 1;
@@ -1469,7 +1254,7 @@ impl Machine {
             }
         }
         // Fell off the end of a size-capped block (or past an inline
-        // syscall): fall through to the next pc, chainable as edge 1.
+        // syscall): fall through to the next pc.
         let n = steps.len();
         if acct_from < n {
             if acct_from == 0 {
@@ -1487,10 +1272,7 @@ impl Machine {
             }
         }
         self.pc = bend;
-        BlockExit::Chained {
-            idx: 1,
-            target: bend,
-        }
+        None
     }
 }
 
@@ -1545,7 +1327,6 @@ mod tests {
         assert_eq!(a.gpr, b.gpr);
         assert_eq!(a.taken_transfers, b.taken_transfers);
         assert!(b.emu_blocks_translated() > 0);
-        assert!(b.emu_chain_links() > 0, "loop back-edge must chain");
     }
 
     #[test]
@@ -1617,6 +1398,88 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
         assert!(b.emu_blocks_translated() > 0, "the loop must be hot");
         assert!(b.emu_invalidations() > 0, "the store must kill the block");
+    }
+
+    #[test]
+    fn a_store_killing_another_block_leaves_the_loop_fast_path() {
+        // A hot self-loop stores into a *different* translated block on
+        // its last pass: the store must end the loop's pass right after
+        // it, and the victim must translate again, from the new bytes.
+        let patch = build::addi(Reg::x(10), Reg::x(10), 100);
+        let code = asm(&[
+            build::addi(Reg::x(10), Reg::x(10), 1), // 0x1000 B: the victim
+            build::jalr(Reg::X0, Reg::x(1), 0),
+            build::lui(Reg::x(6), 0x1000), // 0x1008 entry: x6 = 0x1000
+            build::addi(Reg::x(9), Reg::X0, TIER_UP as i64 + 1),
+            build::jal(Reg::x(1), -0x10), // 0x1010 P: call B until hot
+            build::addi(Reg::x(9), Reg::x(9), -1),
+            build::b_type(Op::Bne, Reg::x(9), Reg::X0, -8),
+            build::addi(Reg::x(8), Reg::X0, 2 * TIER_UP as i64),
+            build::i_type(Op::Lw, Reg::x(7), Reg::x(6), 0x50), // the patch
+            build::i_type(Op::Sltiu, Reg::x(11), Reg::x(8), 2), // 0x1024 L
+            build::addi(Reg::x(11), Reg::x(11), -1),
+            build::i_type(Op::Andi, Reg::x(11), Reg::x(11), 0x4C),
+            build::add(Reg::x(11), Reg::x(11), Reg::x(6)), // last pass ? B : D
+            build::s_type(Op::Sw, Reg::x(11), Reg::x(7), 0),
+            build::addi(Reg::x(8), Reg::x(8), -1), // 0x1038
+            build::b_type(Op::Bne, Reg::x(8), Reg::X0, -0x18),
+            build::jal(Reg::x(1), -0x40), // B once more, patched
+            build::addi(Reg::x(17), Reg::X0, EXIT_SYSCALL as i64),
+            build::ecall(), // exit(x10)
+            build::nop(),   // 0x104C D: scratch data
+            patch,          // 0x1050: data
+        ]);
+        let run = |engine| {
+            let mut m = machine_with(&code, 0x1000, engine);
+            m.pc = 0x1008;
+            (stop_state(&mut m), m)
+        };
+        let (interp, _) = run(EmuEngine::Interpreter);
+        let (cached, mut m) = run(EmuEngine::Cached);
+        assert_eq!(interp.0, StopReason::Exited(TIER_UP as i64 + 101));
+        assert_eq!(interp, cached, "both engines end in the same state");
+        let events = m.take_emu_events();
+        let loop_translations = events
+            .iter()
+            .filter(|e| matches!(e, EmuEvent::BlockTranslated { pc: 0x1024, .. }))
+            .count();
+        assert_eq!(
+            loop_translations, 1,
+            "the loop runs translated, never killed"
+        );
+        assert_eq!(m.emu_invalidations(), 1, "the last pass killed B");
+        // The loop's pass ended at the store: the pc after it was
+        // dispatched once, though it starts no block of its own.
+        let after_store = m.code.index(0x1038).unwrap();
+        assert_eq!(m.code.entries(after_store), 1);
+        // B: translated, killed, and translated on its next entry — the
+        // only entry counted after the kill — from the patched bytes.
+        let at_b = m.code.index(0x1000).unwrap();
+        assert_eq!(m.code.entries(at_b), TIER_UP + 1);
+        let b_events: Vec<_> = events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    EmuEvent::BlockTranslated { pc: 0x1000, .. }
+                        | EmuEvent::BlockInvalidated { pc: 0x1000 }
+                )
+            })
+            .collect();
+        assert!(
+            matches!(
+                b_events[..],
+                [
+                    EmuEvent::BlockTranslated { .. },
+                    EmuEvent::BlockInvalidated { .. },
+                    EmuEvent::BlockTranslated { .. }
+                ]
+            ),
+            "{b_events:?}"
+        );
+        let slot = m.code.block(at_b).expect("B is translated again");
+        let word = encode32(&patch).unwrap().to_le_bytes();
+        assert_eq!(m.tcache.blocks[slot as usize].bytes[..4], word);
     }
 
     /// `addi x10, x10, 1; ebreak` at 0x1000 on `engine`.

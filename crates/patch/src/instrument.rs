@@ -95,7 +95,7 @@ impl Default for PatchLayout {
 }
 
 /// Instrumentation failure.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum InstrumentError {
     /// The point's function was not found in the parse.
     UnknownFunction(u64),

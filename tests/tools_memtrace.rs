@@ -14,7 +14,8 @@ use common::{stmt_program, ProgramStrategy, Stmt};
 use proptest::prelude::*;
 use rvdyn::tools::{MemTracer, TraceOptions, TraceReader};
 use rvdyn::{
-    BinaryEditor, DynamicInstrumenter, EmuEngine, FleetController, SessionOptions, TraceRecord,
+    BinaryEditor, DynamicInstrumenter, EmuEngine, FleetController, RegAllocMode, SessionOptions,
+    TraceRecord,
 };
 use rvdyn_emu::{load_binary, MemOp, StopReason};
 use rvdyn_symtab::Binary;
@@ -34,20 +35,17 @@ fn oracle_records(bin: &Binary, pcs: &[u64]) -> Vec<TraceRecord> {
     m.take_mem_oracle()
         .into_iter()
         .filter(|op| set.contains(&op.pc))
-        .map(
-            |MemOp {
-                 pc,
-                 addr,
-                 len,
-                 is_store,
-             }| TraceRecord {
-                pc,
-                addr,
-                len,
-                is_store,
-            },
-        )
+        .map(record)
         .collect()
+}
+
+fn record(op: MemOp) -> TraceRecord {
+    TraceRecord {
+        pc: op.pc,
+        addr: op.addr,
+        len: op.len,
+        is_store: op.is_store,
+    }
 }
 
 /// Instrument `bin` with a full-program tracer under `opts`, run it to
@@ -83,6 +81,37 @@ fn matmul_trace_matches_oracle_on_both_engines() {
             "{engine:?}: record count vs oracle"
         );
         assert_eq!(records, expected, "{engine:?}: trace vs oracle");
+    }
+}
+
+/// At a point that spills, the record snippet runs under the spill
+/// frame, which moves `sp`; the addresses it records for the mutatee's
+/// `sp`-relative accesses must still be the ones the mutatee used.
+#[test]
+fn spilling_points_record_sp_relative_addresses() {
+    // Every access of this call chain is `sp`-relative; it stops at the
+    // leaf's `ebreak` with all frames live.
+    let bin = rvdyn_asm::nested_call_program(&[16, 32, 0], false);
+    let mut m = load_binary(&bin);
+    m.arm_mem_oracle();
+    assert!(matches!(m.run(), StopReason::Break(_)));
+    let expected: Vec<TraceRecord> = m.take_mem_oracle().into_iter().map(record).collect();
+    assert_eq!(expected.len(), 10);
+    for engine in [EmuEngine::Interpreter, EmuEngine::Cached] {
+        let opts = SessionOptions::new()
+            .mode(RegAllocMode::ForceSpill)
+            .engine(engine);
+        let mut dy = DynamicInstrumenter::create_with(bin.clone(), opts);
+        let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+        dy.commit().expect("commit");
+        assert!(dy.diagnostics().spills > 0, "every point spills");
+        let stop = dy.run_to_exit();
+        assert!(
+            matches!(stop, Err(rvdyn::Error::UncleanExit { .. })),
+            "{stop:?}"
+        );
+        let drained = tracer.drain_dynamic(&mut dy).expect("drain");
+        assert_eq!(drained.records, expected, "{engine:?}");
     }
 }
 

@@ -10,8 +10,9 @@
 
 use proptest::prelude::*;
 use rvdyn::{
-    CodeObject, DynamicInstrumenter, EmuEngine, Error, Event, FleetController, ParseOptions,
-    PointKind, Process, Profile, ProfileOptions, Profiler, SessionOptions, Snippet, StackWalker,
+    CodeObject, DynamicInstrumenter, EmuEngine, Error, Event, FaultPlan, FleetController,
+    ParseOptions, PointKind, Process, Profile, ProfileOptions, Profiler, SessionOptions, Snippet,
+    StackWalker,
 };
 use rvdyn_stackwalker::{FpStepper, SpHeightStepper};
 use rvdyn_symtab::Binary;
@@ -348,13 +349,45 @@ fn surfaced_trap_with_redirects_is_a_redirect_miss_when_sampling() {
     fc.commit_all().unwrap();
     fc.with_process(pids[1], |p| sabotage(p, main)).unwrap();
     let out = profiler.sample_fleet(&mut fc).expect("sample_fleet");
+    // The profile and the fleet controller record the same ends.
     for pid in pids {
-        match &out.outcomes[&pid] {
-            Err(Error::RedirectMiss { pc }) if pid == 1 => assert_eq!(*pc, main),
-            Ok(0) if pid != 1 => {}
-            other => panic!("pid {pid}: unexpected outcome {other:?}"),
+        for outcome in [out.outcomes.get(&pid), fc.result(pid)] {
+            match outcome {
+                Some(Err(Error::RedirectMiss { pc })) if pid == 1 => assert_eq!(*pc, main),
+                Some(Ok(0)) if pid != 1 => {}
+                other => panic!("pid {pid}: unexpected outcome {other:?}"),
+            }
         }
     }
+    let summary = fc.summary();
+    assert_eq!(summary.processes_failed, 1);
+    let codes: Vec<_> = summary.per_process.iter().map(|r| r.exit_code).collect();
+    assert_eq!(codes, [Some(0), None, Some(0)]);
+}
+
+/// A process that failed its commit keeps that failure as its fleet
+/// result when the profiler samples the fleet anyway.
+#[test]
+fn sampling_keeps_a_failed_commit_as_the_fleet_result() {
+    let mut fc =
+        FleetController::from_binary(rvdyn_asm::matmul_program(4, 1), SessionOptions::new());
+    let pids = fc.spawn(2);
+    let counter = fc.alloc_var(8);
+    let pts = fc.find_points("matmul", PointKind::FuncEntry).unwrap();
+    fc.insert(&pts, Snippet::increment(counter));
+    // Write 0 is the data-area zero-fill; write 1 the first region.
+    fc.set_fault_plan(pids[1], FaultPlan::new().corrupt_write(1, 0))
+        .unwrap();
+    fc.commit_all().unwrap();
+    Profiler::new(ProfileOptions::default())
+        .sample_fleet(&mut fc)
+        .expect("sample_fleet");
+    assert!(matches!(fc.result(pids[0]), Some(Ok(0))));
+    assert!(matches!(
+        fc.result(pids[1]),
+        Some(Err(Error::PatchVerifyFailed { .. }))
+    ));
+    assert_eq!(fc.summary().processes_failed, 1);
 }
 
 /// The other half of that rule: the mutatee's own `ebreak` stays an
