@@ -36,6 +36,7 @@ use crate::dynamic::{coalesce_writes, resume, Stop};
 use crate::error::Error;
 use crate::session::{self, Session, SessionOptions};
 use crate::telemetry::{TelemetryEvent, TimedStage};
+use crate::tools::profile::SampledRun;
 use rvdyn_codegen::snippet::{Snippet, Var};
 use rvdyn_patch::{Point, PointKind};
 use rvdyn_proccontrol::{FaultPlan, Process, ProcessSet};
@@ -70,6 +71,9 @@ enum JobOutcome {
     },
     /// A run job finished one `cont` leg, classified by [`resume`].
     Stopped(Stop),
+    /// A sampling job ran one process's whole profiling loop to its
+    /// terminal stop.
+    Sampled(SampledRun),
 }
 
 /// Controller-side state for one fleet process.
@@ -472,9 +476,9 @@ impl FleetController {
                     st.diag.patch_regions_written += verified;
                     st.committed = true;
                 }
-                // A run outcome cannot arrive here (commit_all drains
-                // its own dispatches), but stay total.
-                JobOutcome::Stopped(_) => {}
+                // A run or sampling outcome cannot arrive here
+                // (commit_all drains its own dispatches), but stay total.
+                JobOutcome::Stopped(_) | JobOutcome::Sampled(_) => {}
             }
         }
         self.session.end_stage(timer);
@@ -512,8 +516,8 @@ impl FleetController {
                 JobOutcome::Stopped(Stop::Done(result)) => Some(result),
                 JobOutcome::Stopped(Stop::Resume) => None,
                 JobOutcome::Stopped(Stop::CycleLimit(_)) => {
-                    // run_all has no sampling policy — the profiler owns
-                    // its own resumable loop via `with_process`. A cycle
+                    // run_all has no sampling policy — the profiler runs
+                    // its own loop as one job per process. A cycle
                     // interrupt arriving here is a leftover armed
                     // interval: disarm it and let the process run on.
                     if let Some(p) = self.set.get_mut(c.pid) {
@@ -521,8 +525,9 @@ impl FleetController {
                     }
                     None
                 }
-                // Commit outcomes cannot arrive here; stay total.
-                JobOutcome::Committed { .. } => None,
+                // Commit and sampling outcomes cannot arrive here; stay
+                // total.
+                JobOutcome::Committed { .. } | JobOutcome::Sampled(_) => None,
             };
             match terminal {
                 None => {
@@ -536,6 +541,45 @@ impl FleetController {
             }
         }
         self.session.end_stage(timer);
+    }
+
+    /// Run `job` — the fleet profiler's sampling loop — against every
+    /// process as one job per pid on the worker pool, and return each
+    /// pid's run, pid-ascending, once all have ended. Each completion
+    /// counts as one dispatched event and records its job's wall-clock
+    /// as the pid's run timing; the caller ends each pid through
+    /// [`FleetController::finish_process`]. A pid whose process is not
+    /// in the set reports [`Error::FleetProcessLost`].
+    pub(crate) fn sample_all(
+        &mut self,
+        job: impl Fn(&mut Process) -> SampledRun + Send + Sync + 'static,
+    ) -> BTreeMap<u32, SampledRun> {
+        let job = Arc::new(job);
+        let mut runs = BTreeMap::new();
+        for pid in self.pids() {
+            let job = job.clone();
+            if !self.set.dispatch(pid, move |p| JobOutcome::Sampled(job(p))) {
+                let lost = SampledRun {
+                    profile: Default::default(),
+                    samples: Vec::new(),
+                    result: Err(Error::FleetProcessLost { pid }),
+                };
+                runs.insert(pid, lost);
+            }
+        }
+        while let Some(c) = self.set.next_completion() {
+            self.events_dispatched += 1;
+            self.session
+                .emit(TelemetryEvent::FleetEventDispatched { pid: c.pid });
+            if let Some(st) = self.states.get_mut(&c.pid) {
+                st.diag.timings.record(TimedStage::Run, c.nanos);
+            }
+            // Only sampling jobs are in flight here; stay total.
+            if let JobOutcome::Sampled(run) = c.outcome {
+                runs.insert(c.pid, run);
+            }
+        }
+        runs
     }
 
     /// Record a terminal result for `pid`: fold its final machine

@@ -13,11 +13,13 @@
 //! binary and interval produce the same interrupt pcs on both execution
 //! engines (pinned by `tests/tools_profile.rs`).
 //!
-//! The fleet variant ([`Profiler::sample_fleet`]) round-robins one
-//! sampling leg per live process per turn through
-//! [`FleetController::with_process`], aggregating an overall profile
-//! plus per-pid profiles; a process that faults records its typed error
-//! without disturbing the other N−1 (fault isolation, `docs/FLEET.md`).
+//! The fleet variant ([`Profiler::sample_fleet`]) hands each process's
+//! whole sampling loop to the fleet's worker pool as one job, so N
+//! mutatees are sampled in parallel (one after another with
+//! `threads(1)`), then folds the per-pid profiles on the controller
+//! thread in pid order into an overall profile plus per-pid profiles; a
+//! process that faults records its typed error without disturbing the
+//! other N−1 (fault isolation, `docs/FLEET.md`).
 //!
 //! Sampling skew caveat (documented in `docs/TOOLS.md`): the interrupt
 //! stops *before* the instruction at the sampled pc executes, so a
@@ -33,7 +35,7 @@ use rvdyn_parse::CodeObject;
 use rvdyn_proccontrol::Process;
 use rvdyn_stackwalker::{Frame, StackWalker};
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Sampling knobs for [`Profiler`].
 #[derive(Debug, Clone)]
@@ -188,11 +190,21 @@ pub struct FleetProfile {
     pub outcomes: BTreeMap<u32, Result<i64, Error>>,
 }
 
+/// What one fleet process's sampling job reports back to the
+/// controller: its profile, the pc and walked depth of every sample
+/// (emitted as telemetry once the job ends), and how its run ended.
+pub(crate) struct SampledRun {
+    pub(crate) profile: Profile,
+    pub(crate) samples: Vec<(u64, usize)>,
+    pub(crate) result: Result<i64, Error>,
+}
+
 /// The sampling profiler. Holds only options and the stackwalker; all
 /// mutatee state lives in the host.
 pub struct Profiler {
     opts: ProfileOptions,
-    walker: StackWalker,
+    /// Shared by every sampling job of a fleet run.
+    walker: Arc<StackWalker>,
 }
 
 impl Profiler {
@@ -200,7 +212,7 @@ impl Profiler {
     pub fn new(opts: ProfileOptions) -> Profiler {
         Profiler {
             opts,
-            walker: StackWalker::new(),
+            walker: Arc::new(StackWalker::new()),
         }
     }
 
@@ -208,37 +220,42 @@ impl Profiler {
     /// translation for instrumented mutatees, or a custom stepper
     /// pipeline).
     pub fn with_walker(mut self, walker: StackWalker) -> Profiler {
-        self.walker = walker;
+        self.walker = Arc::new(walker);
         self
     }
 
-    /// One sampling leg: arm the next interval, resume, classify the
-    /// stop. Returns `Ok(Some(event))` to keep sampling, `Ok(None)` on
-    /// clean exit (stored in `exit`).
-    fn leg(
+    /// Sample `p` to its terminal stop against `co`: arm the next
+    /// interval, resume, and at each cycle interrupt walk the stack, fold
+    /// it into `profile` and report its pc and depth to `taken`.
+    /// Breakpoint/step stops pass through untallied; past `max_samples`
+    /// the mutatee runs on unsampled. The interrupt is disarmed on
+    /// return, whatever ended the run.
+    fn sample_to_end(
         &self,
         p: &mut Process,
         co: &CodeObject,
         profile: &mut Profile,
-        sampling_done: bool,
-    ) -> Result<Option<(u64, usize)>, Error> {
-        if sampling_done {
-            p.machine_mut().stop_at_cycles = None;
-        } else {
-            let now = p.machine().cycles;
-            p.machine_mut().stop_at_cycles = Some(now + self.opts.interval_cycles.max(1));
-        }
-        match resume(p, co) {
-            Stop::CycleLimit(pc) => {
-                let frames = self.walker.walk_process(p, co);
-                let depth = frames.len();
-                profile.add_sample(pc, &frames);
-                Ok(Some((pc, depth)))
+        mut taken: impl FnMut(u64, usize),
+    ) -> Result<i64, Error> {
+        let result = loop {
+            if profile.samples >= self.opts.max_samples {
+                p.machine_mut().stop_at_cycles = None;
+            } else {
+                let now = p.machine().cycles;
+                p.machine_mut().stop_at_cycles = Some(now + self.opts.interval_cycles.max(1));
             }
-            Stop::Resume => Ok(Some((p.pc(), 0))),
-            Stop::Done(Ok(_)) => Ok(None),
-            Stop::Done(Err(e)) => Err(e),
-        }
+            match resume(p, co) {
+                Stop::CycleLimit(pc) => {
+                    let frames = self.walker.walk_process(p, co);
+                    profile.add_sample(pc, &frames);
+                    taken(pc, frames.len());
+                }
+                Stop::Resume => {}
+                Stop::Done(result) => break result,
+            }
+        };
+        p.machine_mut().stop_at_cycles = None;
+        result
     }
 
     /// Sample a raw stopped [`Process`] to completion against `co`.
@@ -246,19 +263,7 @@ impl Profiler {
     /// surface as typed errors (with the sampling interrupt disarmed).
     pub fn sample_process(&self, p: &mut Process, co: &CodeObject) -> Result<ProfiledRun, Error> {
         let mut profile = Profile::default();
-        loop {
-            let done = profile.samples >= self.opts.max_samples;
-            match self.leg(p, co, &mut profile, done) {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(e) => {
-                    p.machine_mut().stop_at_cycles = None;
-                    return Err(e);
-                }
-            }
-        }
-        p.machine_mut().stop_at_cycles = None;
-        let exit_code = p.exit_code().unwrap_or(0);
+        let exit_code = self.sample_to_end(p, co, &mut profile, |_, _| {})?;
         Ok(ProfiledRun { profile, exit_code })
     }
 
@@ -268,22 +273,12 @@ impl Profiler {
     /// every sample emits [`TelemetryEvent::SampleTaken`].
     pub fn sample_dynamic(&self, dy: &mut DynamicInstrumenter) -> Result<ProfiledRun, Error> {
         let analysis = dy.analysis().clone();
-        let co = analysis.code();
         let mut profile = Profile::default();
         let timer = dy.session_mut().begin_stage(TimedStage::Run);
-        let result = loop {
-            let done = profile.samples >= self.opts.max_samples;
-            let (session, process) = dy.parts_mut();
-            match self.leg(process, co, &mut profile, done) {
-                Ok(Some((pc, depth))) if depth > 0 => {
-                    session.emit(TelemetryEvent::SampleTaken { pc, depth });
-                }
-                Ok(Some(_)) => {}
-                Ok(None) => break Ok(dy.process().exit_code().unwrap_or(0)),
-                Err(e) => break Err(e),
-            }
-        };
-        dy.process_mut().machine_mut().stop_at_cycles = None;
+        let (session, process) = dy.parts_mut();
+        let result = self.sample_to_end(process, analysis.code(), &mut profile, |pc, depth| {
+            session.emit(TelemetryEvent::SampleTaken { pc, depth })
+        });
         dy.finish_run(timer, &result);
         let diag = dy.session_mut().diag_mut();
         diag.profile_samples += profile.samples;
@@ -294,67 +289,53 @@ impl Profiler {
         })
     }
 
-    /// Sample every committed fleet process to its terminal event,
-    /// round-robin: one sampling leg per live pid per turn, so all N
-    /// mutatees make progress together and the aggregate profile
-    /// interleaves them fairly. Per-pid errors (a `FaultPlan` firing, a
-    /// lost process) terminate only that pid's sampling.
+    /// Sample every fleet process to its terminal event. Each pid's
+    /// whole sampling loop is one job on the fleet's worker pool, so the
+    /// N mutatees are sampled in parallel (inline, pid by pid, with
+    /// `threads(1)`); the jobs share this profiler's walker. The
+    /// controller thread then folds the results in pid order: it emits
+    /// each pid's [`TelemetryEvent::SampleTaken`] events, ends the pid
+    /// through the fleet's terminal-result path and merges its profile,
+    /// so every profile and outcome is the same for any worker count.
+    /// Per-pid errors (a `FaultPlan` firing, a lost process) terminate
+    /// only that pid's sampling.
     pub fn sample_fleet(&self, fc: &mut FleetController) -> Result<FleetProfile, Error> {
         let analysis = fc.session_mut().analysis().clone();
-        let co = analysis.code();
+        let sampler = Profiler {
+            opts: self.opts.clone(),
+            walker: self.walker.clone(),
+        };
+        let timer = fc.session_mut().begin_stage(TimedStage::Run);
+        let runs = fc.sample_all(move |p| {
+            let mut profile = Profile::default();
+            let mut samples = Vec::new();
+            let result = sampler.sample_to_end(p, analysis.code(), &mut profile, |pc, depth| {
+                samples.push((pc, depth))
+            });
+            SampledRun {
+                profile,
+                samples,
+                result,
+            }
+        });
         let mut per: BTreeMap<u32, Profile> = BTreeMap::new();
         let mut outcomes: BTreeMap<u32, Result<i64, Error>> = BTreeMap::new();
-        let mut live: Vec<u32> = fc.pids();
-        let timer = fc.session_mut().begin_stage(TimedStage::Run);
-        while !live.is_empty() {
-            let mut next_live = Vec::with_capacity(live.len());
-            for pid in live {
-                let profile = per.entry(pid).or_default();
-                let done = profile.samples >= self.opts.max_samples;
-                let start = Instant::now();
-                let leg = fc.with_process(pid, |p| {
-                    let r = self.leg(p, co, profile, done);
-                    if r.is_err() || matches!(r, Ok(None)) {
-                        p.machine_mut().stop_at_cycles = None;
-                    }
-                    (r, p.exit_code())
-                });
-                if let Some(diag) = fc.process_diag_mut(pid) {
-                    let nanos = start.elapsed().as_nanos() as u64;
-                    diag.timings.record(TimedStage::Run, nanos);
-                }
-                match leg {
-                    Ok((Ok(Some((pc, depth))), _)) => {
-                        if depth > 0 {
-                            fc.session_mut()
-                                .emit(TelemetryEvent::SampleTaken { pc, depth });
-                        }
-                        next_live.push(pid);
-                    }
-                    // Terminal: the process exited, failed, or vanished
-                    // from the set mid-run.
-                    Ok((Ok(None), exit)) => {
-                        let result = Ok(exit.unwrap_or(0));
-                        fc.finish_process(pid, result.clone());
-                        outcomes.insert(pid, result);
-                    }
-                    Ok((Err(e), _)) | Err(e) => {
-                        fc.finish_process(pid, Err(e.clone()));
-                        outcomes.insert(pid, Err(e));
-                    }
-                }
+        let mut total = Profile::default();
+        for (pid, run) in runs {
+            for (pc, depth) in run.samples {
+                fc.session_mut()
+                    .emit(TelemetryEvent::SampleTaken { pc, depth });
             }
-            live = next_live;
+            fc.finish_process(pid, run.result.clone());
+            outcomes.insert(pid, run.result);
+            if let Some(diag) = fc.process_diag_mut(pid) {
+                diag.profile_samples += run.profile.samples;
+                diag.profile_max_depth = diag.profile_max_depth.max(run.profile.max_depth);
+            }
+            total.merge(&run.profile);
+            per.insert(pid, run.profile);
         }
         fc.session_mut().end_stage(timer);
-        let mut total = Profile::default();
-        for (pid, p) in &per {
-            total.merge(p);
-            if let Some(diag) = fc.process_diag_mut(*pid) {
-                diag.profile_samples += p.samples;
-                diag.profile_max_depth = diag.profile_max_depth.max(p.max_depth);
-            }
-        }
         let diag = fc.session_mut().diag_mut();
         diag.profile_samples += total.samples;
         diag.profile_max_depth = diag.profile_max_depth.max(total.max_depth);

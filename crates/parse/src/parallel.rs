@@ -34,43 +34,48 @@ pub fn parse_parallel<S: CodeSource + ?Sized>(
     let known: RwLock<BTreeSet<u64>> = RwLock::new(seed);
     let results: Mutex<BTreeMap<u64, Function>> = Mutex::new(BTreeMap::new());
 
-    std::thread::scope(|scope| {
-        for _ in 0..nworkers {
-            scope.spawn(|| {
-                let mut local: Vec<(u64, Function)> = Vec::new();
-                loop {
-                    let batch = wl.next_batch();
-                    if batch.is_empty() {
-                        break;
-                    }
+    let worker = || {
+        let mut local: Vec<(u64, Function)> = Vec::new();
+        loop {
+            let batch = wl.next_batch();
+            if batch.is_empty() {
+                break;
+            }
 
-                    // No worker can insert while this batch holds the
-                    // read lock, so the whole batch parses against one
-                    // view of the set.
-                    let mut unseen: BTreeSet<u64> = BTreeSet::new();
-                    {
-                        let k = known.read().expect("known-entry lock poisoned");
-                        for &entry in &batch {
-                            if src.is_code(entry) {
-                                let (f, callees) = parse_function(src, entry, &k, opts);
-                                unseen.extend(callees.into_iter().filter(|c| !k.contains(c)));
-                                local.push((entry, f));
-                            }
-                        }
+            // No worker can insert while this batch holds the
+            // read lock, so the whole batch parses against one
+            // view of the set.
+            let mut unseen: BTreeSet<u64> = BTreeSet::new();
+            {
+                let k = known.read().expect("known-entry lock poisoned");
+                for &entry in &batch {
+                    if src.is_code(entry) {
+                        let (f, callees) = parse_function(src, entry, &k, opts);
+                        unseen.extend(callees.into_iter().filter(|c| !k.contains(c)));
+                        local.push((entry, f));
                     }
-                    // Queue only the callees this worker added to the
-                    // set; whoever added the others queued them.
-                    let mut discovered: Vec<u64> = Vec::new();
-                    if !unseen.is_empty() {
-                        let mut k = known.write().expect("known-entry lock poisoned");
-                        discovered.extend(unseen.into_iter().filter(|&c| k.insert(c)));
-                    }
-                    wl.complete(batch.len(), discovered);
                 }
-                if !local.is_empty() {
-                    results.lock().unwrap().extend(local);
-                }
-            });
+            }
+            // Queue only the callees this worker added to the
+            // set; whoever added the others queued them.
+            let mut discovered: Vec<u64> = Vec::new();
+            if !unseen.is_empty() {
+                let mut k = known.write().expect("known-entry lock poisoned");
+                discovered.extend(unseen.into_iter().filter(|&c| k.insert(c)));
+            }
+            wl.complete(batch.len(), discovered);
+        }
+        if !local.is_empty() {
+            results.lock().unwrap().extend(local);
+        }
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (0..nworkers).map(|_| scope.spawn(worker)).collect();
+        // Join explicitly, as `par_batches` in rvdyn-patch does and for
+        // the same reason: each helper's malloc arena is then free for
+        // the next phase's threads.
+        for h in helpers {
+            h.join().expect("parse worker panicked");
         }
     });
 

@@ -12,7 +12,8 @@
 //!   [`EventQueue::pop`] until an item arrives. This is the only
 //!   synchronisation primitive the fleet machinery uses.
 //! * [`ProcessSet`] — owns N processes keyed by a controller-assigned
-//!   pid and a fixed worker pool. The controller *dispatches* a job (any
+//!   pid and a worker pool of fixed size, started at the first dispatch
+//!   and kept until the set drops. The controller *dispatches* a job (any
 //!   `FnOnce(&mut Process) -> O`) against a pid: the process migrates
 //!   onto a worker, the job runs to its next stop/trap/exit (or performs
 //!   a patch commit), and a [`Completion`] carrying the outcome — and
@@ -20,6 +21,14 @@
 //!   parks in [`ProcessSet::next_completion`] and reacts to events in
 //!   arrival order, exactly the poll/park loop a `waitpid(-1)`-style
 //!   debugger runs.
+//!
+//! Starting the workers at the first dispatch rather than in
+//! [`ProcessSet::new`] matters for memory: glibc gives every thread that
+//! allocates its own malloc arena and keeps freed memory resident in it.
+//! A fleet controller builds its set before it plans the patch, and the
+//! plan phase runs helper threads of its own; workers started later
+//! reuse the arenas those helpers returned on exit instead of holding
+//! extra ones alongside them.
 //!
 //! With `threads == 1` no workers are spawned at all: `dispatch` runs
 //! the job inline and queues the completion, so dispatch order *is*
@@ -131,46 +140,52 @@ type Job<O> = Option<(u32, Process, Box<dyn FnOnce(&mut Process) -> O + Send>)>;
 pub struct ProcessSet<O: Send + 'static> {
     idle: BTreeMap<u32, Process>,
     in_flight: usize,
+    /// Pool size: 1 runs jobs inline; more starts that many workers at
+    /// the first dispatch.
+    threads: usize,
     jobs: Arc<EventQueue<Job<O>>>,
     done: Arc<EventQueue<(Completion<O>, Process)>>,
+    /// The started workers: empty until the first dispatch, and always
+    /// empty in inline mode.
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl<O: Send + 'static> ProcessSet<O> {
-    /// A set multiplexed over `threads` workers. `threads <= 1` spawns
-    /// no threads: jobs run inline at dispatch, making completion order
-    /// equal dispatch order (the strictly deterministic mode).
+    /// A set multiplexed over `threads` workers, started at the first
+    /// [`ProcessSet::dispatch`]. `threads <= 1` spawns no threads: jobs
+    /// run inline at dispatch, making completion order equal dispatch
+    /// order (the strictly deterministic mode).
     pub fn new(threads: usize) -> ProcessSet<O> {
-        let jobs: Arc<EventQueue<Job<O>>> = Arc::new(EventQueue::new());
-        let done: Arc<EventQueue<(Completion<O>, Process)>> = Arc::new(EventQueue::new());
-        let workers = if threads <= 1 {
-            Vec::new()
-        } else {
-            (0..threads)
-                .map(|_| {
-                    let jobs = jobs.clone();
-                    let done = done.clone();
-                    std::thread::spawn(move || {
-                        while let Some((pid, mut process, job)) = jobs.pop() {
-                            let completion = run_job(pid, &mut process, job);
-                            done.push((completion, process));
-                        }
-                    })
-                })
-                .collect()
-        };
         ProcessSet {
             idle: BTreeMap::new(),
             in_flight: 0,
-            jobs,
-            done,
-            workers,
+            threads: threads.max(1),
+            jobs: Arc::new(EventQueue::new()),
+            done: Arc::new(EventQueue::new()),
+            workers: Vec::new(),
         }
     }
 
-    /// Worker threads serving this set (1 when running inline).
+    /// Worker threads serving this set (1 when running inline), whether
+    /// or not they have started yet.
     pub fn threads(&self) -> usize {
-        self.workers.len().max(1)
+        self.threads
+    }
+
+    /// Start the worker pool (on the first dispatch).
+    fn start_workers(&mut self) {
+        self.workers = (0..self.threads)
+            .map(|_| {
+                let jobs = self.jobs.clone();
+                let done = self.done.clone();
+                std::thread::spawn(move || {
+                    while let Some((pid, mut process, job)) = jobs.pop() {
+                        let completion = run_job(pid, &mut process, job);
+                        done.push((completion, process));
+                    }
+                })
+            })
+            .collect();
     }
 
     /// Add `process` to the set under `pid` (idle). Replaces and returns
@@ -220,11 +235,14 @@ impl<O: Send + 'static> ProcessSet<O> {
             return false;
         };
         self.in_flight += 1;
-        if self.workers.is_empty() {
+        if self.threads <= 1 {
             // Inline mode: completion order == dispatch order.
             let completion = run_job(pid, &mut process, Box::new(job));
             self.done.push((completion, process));
         } else {
+            if self.workers.is_empty() {
+                self.start_workers();
+            }
             self.jobs.push(Some((pid, process, Box::new(job))));
         }
         true
@@ -246,6 +264,8 @@ impl<O: Send + 'static> ProcessSet<O> {
 }
 
 impl<O: Send + 'static> Drop for ProcessSet<O> {
+    /// Stop and join every started worker. Joining waits for each thread
+    /// to exit, which hands its malloc arena back for later threads.
     fn drop(&mut self) {
         for _ in &self.workers {
             self.jobs.push(None);
@@ -348,6 +368,30 @@ mod tests {
             .map(|c| c.pid)
             .collect();
         assert_eq!(order, vec![7, 2, 3, 1]);
+    }
+
+    #[test]
+    fn workers_start_at_the_first_dispatch() {
+        let mut set: ProcessSet<()> = ProcessSet::new(4);
+        set.insert(0, Process::launch(&fib_program(2)));
+        assert_eq!(set.threads(), 4);
+        assert!(set.workers.is_empty(), "no worker before a dispatch");
+        assert!(set.dispatch(0, |_| ()));
+        assert_eq!(set.threads(), 4);
+        assert_eq!(set.workers.len(), 4);
+        assert!(set.next_completion().is_some());
+        // Later dispatches reuse the pool.
+        assert!(set.dispatch(0, |_| ()));
+        assert_eq!(set.workers.len(), 4);
+        assert!(set.next_completion().is_some());
+
+        // A set dropped before any dispatch has nothing to stop: no
+        // shutdown sentinel is queued and no thread is joined.
+        let unused: ProcessSet<()> = ProcessSet::new(4);
+        let jobs = unused.jobs.clone();
+        assert!(unused.workers.is_empty());
+        drop(unused);
+        assert!(jobs.is_empty());
     }
 
     #[test]

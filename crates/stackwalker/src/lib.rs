@@ -25,9 +25,9 @@
 //! running mutatee at a planted breakpoint and, on each hit, walks the
 //! stack with the stepper chain to profile recursion depth. The walker
 //! operates on any stopped [`rvdyn_proccontrol::Process`], which
-//! includes every member of a `FleetController` fleet — `with_process`
-//! hands a tool the raw process, so a whole-workload sampler walks all
-//! N mutatees from one event loop (see `docs/FLEET.md`).
+//! includes every member of a `FleetController` fleet: the fleet
+//! profiler shares one walker across the sampling jobs it runs on the
+//! fleet's workers, one job per process (see `docs/FLEET.md`).
 
 use rvdyn_dataflow::{stackheight::Height, StackHeight};
 use rvdyn_isa::Reg;
@@ -71,7 +71,9 @@ impl WalkTarget for Process {
 }
 
 /// A frame stepper: given the current frame, produce the caller's frame.
-pub trait FrameStepper {
+/// Steppers are `Send + Sync` so one walker can serve sampling jobs on
+/// several threads at once.
+pub trait FrameStepper: Send + Sync {
     /// A short identifier for diagnostics.
     fn name(&self) -> &'static str;
 
@@ -173,8 +175,15 @@ pub struct StackWalker {
     /// Optional pc translation applied before frame resolution — used to
     /// map patch-area (relocated) addresses back to original code when
     /// walking an *instrumented* process (PatchAPI's `RelocationIndex`).
-    translate: Option<Box<dyn Fn(u64) -> u64>>,
+    translate: Option<Box<dyn Fn(u64) -> u64 + Send + Sync>>,
 }
+
+// A fleet profiler shares one walker across its sampling jobs; this
+// fails to compile if a stepper or the translator loses `Send + Sync`.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<StackWalker>();
+};
 
 impl Default for StackWalker {
     fn default() -> StackWalker {
@@ -203,7 +212,10 @@ impl StackWalker {
     /// Install a pc translator (e.g.
     /// `move |pc| reloc_index.to_original(pc)`) so walks through
     /// instrumented code resolve frames against the original binary.
-    pub fn with_translation(mut self, f: impl Fn(u64) -> u64 + 'static) -> StackWalker {
+    pub fn with_translation(
+        mut self,
+        f: impl Fn(u64) -> u64 + Send + Sync + 'static,
+    ) -> StackWalker {
         self.translate = Some(Box::new(f));
         self
     }

@@ -52,7 +52,8 @@ fn usage() -> ! {
          \x20             the stack with the RISC-V frame steppers, and print\n\
          \x20             the folded flame-style profile with per-function\n\
          \x20             self/total counts; N>1 samples a fleet of N\n\
-         \x20             processes round-robin — see docs/TOOLS.md)\n\
+         \x20             processes, one sampling job per process on\n\
+         \x20             --threads workers — see docs/TOOLS.md)\n\
          cache <elf> [elf…]\n\
                      (open every file twice through one shared analysis\n\
                       cache: prints each file's content key and whether\n\

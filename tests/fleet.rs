@@ -7,12 +7,13 @@
 //! written down in `docs/FLEET.md`.
 
 use rvdyn::telemetry::CollectSink;
-use rvdyn::tools::{MemTracer, TraceOptions};
+use rvdyn::tools::{FuncCounts, MemTracer, TraceOptions};
 use rvdyn::{
-    DynamicInstrumenter, Error, FaultPlan, FleetController, PointKind, ProfileOptions, Profiler,
-    SessionOptions, Snippet, TelemetryEvent,
+    DynamicInstrumenter, Error, Event, FaultPlan, FleetController, PointKind, Process, Profile,
+    ProfileOptions, Profiler, SessionOptions, Snippet, TelemetryEvent,
 };
 use rvdyn_asm::matmul_program;
+use std::collections::BTreeMap;
 
 /// Drive one sequential single-process session over the same binary and
 /// snippet the fleet uses; returns (exit_code, counter, process) so
@@ -304,4 +305,218 @@ fn dead_process_does_not_perturb_other_fleet_profiles() {
         live_samples += out.per_process[&pid].samples;
     }
     assert_eq!(out.profile.samples, live_samples);
+}
+
+/// Everything a [`Profile`] holds, in comparable form.
+type ProfileKey = (
+    u64,
+    u64,
+    BTreeMap<String, u64>,
+    BTreeMap<String, FuncCounts>,
+    Vec<u64>,
+);
+
+fn profile_key(p: &Profile) -> ProfileKey {
+    (
+        p.samples,
+        p.max_depth,
+        p.folded.clone(),
+        p.funcs.clone(),
+        p.sample_pcs.clone(),
+    )
+}
+
+const SAMPLED_PIDS: usize = 6;
+
+fn sampling_profiler() -> Profiler {
+    Profiler::new(ProfileOptions {
+        interval_cycles: 1_500,
+        max_samples: 1 << 20,
+    })
+}
+
+/// A committed fleet of matmul(8, 2) processes with every load and
+/// store traced, sampled to the end; `arm` runs on the controller
+/// before the commit and `tamper` after it.
+fn sampled_fleet(
+    threads: usize,
+    arm: impl FnOnce(&mut FleetController),
+    tamper: impl FnOnce(&mut FleetController),
+) -> (FleetController, rvdyn::FleetProfile) {
+    let mut fc =
+        FleetController::from_binary(matmul_program(8, 2), SessionOptions::new().threads(threads));
+    fc.spawn(SAMPLED_PIDS);
+    MemTracer::plan_fleet(&mut fc, &TraceOptions::default()).unwrap();
+    arm(&mut fc);
+    fc.commit_all().unwrap();
+    tamper(&mut fc);
+    let out = sampling_profiler().sample_fleet(&mut fc).unwrap();
+    (fc, out)
+}
+
+/// Everything a sampled fleet reports that must not depend on the
+/// worker count: per-pid profiles, the merged profile, the profiler's
+/// outcomes and the fleet's results (as their rendered forms), the
+/// dispatched-event total, and the rollup without its wall-clock
+/// timings and without the plan phase's worker count, which is the
+/// thread count by definition.
+fn sampled_observables(
+    fc: &FleetController,
+    out: &rvdyn::FleetProfile,
+) -> (
+    BTreeMap<u32, ProfileKey>,
+    ProfileKey,
+    Vec<String>,
+    u64,
+    String,
+) {
+    let per = out
+        .per_process
+        .iter()
+        .map(|(pid, p)| (*pid, profile_key(p)))
+        .collect();
+    let ends = fc
+        .pids()
+        .iter()
+        .map(|pid| format!("{pid}: {:?} / {:?}", out.outcomes.get(pid), fc.result(*pid)))
+        .collect();
+    let mut summary = fc.summary();
+    for row in &mut summary.per_process {
+        row.diag.timings = Default::default();
+        row.diag.instrument_workers = 0;
+    }
+    (
+        per,
+        profile_key(&out.profile),
+        ends,
+        fc.events_dispatched(),
+        summary.to_json(),
+    )
+}
+
+/// The fleet profiler runs each pid's sampling loop as one job on the
+/// worker pool. Whatever the worker count, every per-pid profile, the
+/// merged profile, every outcome and the rollup are those of the inline
+/// (`threads(1)`) run — and each per-pid profile is the one
+/// `sample_dynamic` takes of an identically instrumented single process.
+#[test]
+fn fleet_profiles_are_identical_at_every_worker_count() {
+    let runs: Vec<_> = [1usize, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            let (fc, out) = sampled_fleet(threads, |_| {}, |_| {});
+            for pid in fc.pids() {
+                assert!(matches!(out.outcomes.get(&pid), Some(Ok(0))), "pid {pid}");
+                assert!(matches!(fc.result(pid), Some(Ok(0))), "pid {pid}");
+            }
+            // One commit and one sampling completion per pid.
+            assert_eq!(fc.events_dispatched(), 2 * SAMPLED_PIDS as u64);
+            sampled_observables(&fc, &out)
+        })
+        .collect();
+    assert_eq!(runs[0], runs[1], "threads(2) differs from threads(1)");
+    assert_eq!(runs[0], runs[2], "threads(4) differs from threads(1)");
+
+    let mut dy = DynamicInstrumenter::create(matmul_program(8, 2));
+    MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).unwrap();
+    dy.commit().unwrap();
+    let single = sampling_profiler().sample_dynamic(&mut dy).unwrap();
+    assert_eq!(single.exit_code, 0);
+    assert!(single.profile.samples > 10, "too few samples to compare");
+    let (per, merged, ..) = &runs[0];
+    for (pid, p) in per {
+        assert_eq!(
+            *p,
+            profile_key(&single.profile),
+            "pid {pid} vs sample_dynamic"
+        );
+    }
+    assert_eq!(merged.0, single.profile.samples * SAMPLED_PIDS as u64);
+}
+
+/// Failure isolation under a 4-worker sampler: a pid whose commit was
+/// corrupted keeps `PatchVerifyFailed` as its fleet result, a pid with a
+/// stray trap over its entry reports `RedirectMiss`, and every other
+/// pid's profile is exactly its profile from an undisturbed inline run.
+/// The disturbed fleet also reports exactly what it reports inline: one
+/// pid has run most of its course before sampling starts, so its job
+/// ends first on the workers and its samples differ from its
+/// neighbours', which pins the merged profile to pid order rather than
+/// completion order.
+#[test]
+fn sampling_on_workers_isolates_failed_pids() {
+    const CORRUPTED: u32 = 1;
+    const ADVANCED: u32 = 2;
+    const SABOTAGED: u32 = 4;
+    let disturbed = |threads: usize| {
+        let mut entry = 0;
+        let (fc, out) = sampled_fleet(
+            threads,
+            |fc| {
+                // Write 0 is the data-area zero-fill; write 1 the first region.
+                fc.set_fault_plan(CORRUPTED, FaultPlan::new().corrupt_write(1, 0))
+                    .unwrap();
+            },
+            |fc| {
+                // A bare 4-byte ebreak over the entry instruction, with a
+                // redirect table that has no entry for it.
+                entry = fc
+                    .with_process(SABOTAGED, |p: &mut Process| {
+                        let pc = p.pc();
+                        p.write_mem(pc, &0x0010_0073u32.to_le_bytes());
+                        p.machine_mut()
+                            .trap_redirects
+                            .insert(0xdead_0000, 0xdead_0004);
+                        pc
+                    })
+                    .unwrap();
+                fc.with_process(ADVANCED, |p| {
+                    p.machine_mut().stop_at_cycles = Some(400_000);
+                    assert!(matches!(p.cont(), Ok(Event::CycleLimit(_))));
+                })
+                .unwrap();
+            },
+        );
+        (fc, out, entry)
+    };
+    let (fc, out, entry) = disturbed(4);
+
+    assert!(
+        matches!(
+            fc.result(CORRUPTED),
+            Some(Err(Error::PatchVerifyFailed { .. }))
+        ),
+        "corrupted pid: {:?}",
+        fc.result(CORRUPTED)
+    );
+    for outcome in [out.outcomes.get(&SABOTAGED), fc.result(SABOTAGED)] {
+        match outcome {
+            Some(Err(Error::RedirectMiss { pc })) => assert_eq!(*pc, entry),
+            other => panic!("sabotaged pid: expected RedirectMiss, got {other:?}"),
+        }
+    }
+    let (_, clean) = sampled_fleet(1, |_| {}, |_| {});
+    let advanced = out.per_process[&ADVANCED].samples;
+    assert!(matches!(out.outcomes.get(&ADVANCED), Some(Ok(0))));
+    assert!(advanced > 0 && advanced < clean.per_process[&ADVANCED].samples);
+    for pid in fc.pids() {
+        if [CORRUPTED, ADVANCED, SABOTAGED].contains(&pid) {
+            continue;
+        }
+        assert!(matches!(out.outcomes.get(&pid), Some(Ok(0))), "pid {pid}");
+        assert!(matches!(fc.result(pid), Some(Ok(0))), "pid {pid}");
+        assert_eq!(
+            profile_key(&out.per_process[&pid]),
+            profile_key(&clean.per_process[&pid]),
+            "pid {pid}: profile perturbed by a failed neighbour"
+        );
+    }
+    assert_eq!(fc.summary().processes_failed, 2);
+
+    let (inline_fc, inline_out, _) = disturbed(1);
+    assert_eq!(
+        sampled_observables(&fc, &out),
+        sampled_observables(&inline_fc, &inline_out),
+        "the disturbed fleet differs between threads(4) and threads(1)"
+    );
 }
