@@ -7,9 +7,10 @@
 //! ways, over the *same* binary, snippet, and engine:
 //!
 //! - **sequential** — PROCESSES independent [`DynamicInstrumenter`]
-//!   sessions, one after another, each paying the full pipeline: parse,
-//!   snippet lowering/relocation, verified patch commit, run to exit.
-//!   This is what a tool without a fleet controller has to do.
+//!   sessions (each a fleet of one), one after another, each paying the
+//!   full pipeline: parse, snippet lowering/relocation, verified patch
+//!   commit, run to exit. This is what a tool that instruments one
+//!   process at a time has to do.
 //! - **fleet** — one [`FleetController`]: the front half is parsed
 //!   once, the patch is planned once, and the N verified deliveries
 //!   plus N runs are multiplexed through the controller's event loop

@@ -18,10 +18,6 @@ use rvdyn_patch::{PatchLayout, Point, PointKind};
 use rvdyn_symtab::Binary;
 use std::sync::Arc;
 
-/// The editor's error type — an alias for the unified pipeline
-/// [`Error`] taxonomy (kept so pre-taxonomy call sites still name it).
-pub type EditorError = Error;
-
 /// Open a binary, analyze it, queue snippet insertions, write a new
 /// binary — the static-instrumentation workflow of Figure 1.
 pub struct BinaryEditor {

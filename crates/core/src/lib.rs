@@ -49,11 +49,13 @@
 //! See [`DynamicInstrumenter`]: create or attach to a process, insert the
 //! same snippets at the same abstract points, and continue execution —
 //! the patch is applied through the process-control interface instead of
-//! being written to a file.
+//! being written to a file. [`FleetController`] does the same for N
+//! processes at once, and is the one live delivery path: a
+//! `DynamicInstrumenter` is a fleet of one.
 //!
 //! ## Sessions and telemetry
 //!
-//! Both entry points are thin delivery shells over the shared [`Session`]
+//! Both delivery paths are thin shells over the shared [`Session`]
 //! core, configured through [`SessionOptions`]. A session keeps live
 //! [`Diagnostics`] — counters *and* per-stage wall-clock timings — and
 //! can stream [`telemetry::TelemetryEvent`]s to any
@@ -89,7 +91,7 @@ pub use analysis::{
 };
 pub use diag::Diagnostics;
 pub use dynamic::DynamicInstrumenter;
-pub use editor::{run_binary, run_elf, run_elf_with, BinaryEditor, EditorError, RunOutput};
+pub use editor::{run_binary, run_elf, run_elf_with, BinaryEditor, RunOutput};
 pub use error::{Error, Stage};
 pub use fleet::{FleetController, FleetSummary, ProcessReport};
 pub use session::{BlockCounter, Session, SessionOptions};

@@ -1,22 +1,24 @@
 //! The shared instrumentation-session core.
 //!
 //! [`BinaryEditor`](crate::BinaryEditor) (static rewriting) and
-//! [`DynamicInstrumenter`](crate::DynamicInstrumenter) (live-process
-//! patching) differ only in *delivery* — everything upstream of it
+//! [`FleetController`](crate::FleetController) (live-process patching,
+//! of which a [`DynamicInstrumenter`](crate::DynamicInstrumenter) is a
+//! fleet of one) differ only in *delivery* — everything upstream of it
 //! (open, parse, point lookup, variable allocation, the pending-snippet
 //! queue, snippet lowering, relocation, springboard planning,
 //! diagnostics, telemetry) is one pipeline. [`Session`] owns that shared
-//! surface so the two entry points are thin delivery shells, telemetry is
+//! surface so the two delivery paths are thin shells, telemetry is
 //! wired exactly once, and a future entry point (e.g. attach-with-gaps)
 //! inherits the whole surface for free.
 //!
 //! Configuration happens up front through the [`SessionOptions`] builder:
 //! patch layout, register-allocation mode, parse options, the
-//! conservative-relocation policy, the telemetry sink, the worker-thread
-//! count for the parallel pipeline stages ([`SessionOptions::threads`] —
-//! output bytes are bit-identical for every value), and — for the
-//! dynamic path — the debug-interface fault plan
-//! ([`SessionOptions::fault_plan`]).
+//! conservative-relocation policy, the telemetry sink, the execution
+//! engine, and the worker-thread count for the parallel pipeline stages
+//! ([`SessionOptions::threads`] — output bytes are bit-identical for
+//! every value). A debug-interface fault plan is not a session option:
+//! it is armed on the process it targets
+//! ([`Process::set_fault_plan`](rvdyn_proccontrol::Process::set_fault_plan)).
 //!
 //! ## Observer-enum layering
 //!
@@ -43,7 +45,7 @@ use rvdyn_parse::{nesting_depths, CodeObject, EdgeKind, ParseEvent, ParseOptions
 use rvdyn_patch::instrument::PatchResult;
 use rvdyn_patch::placement::{plan_block_counters_with_depths, BlockCountPlan, CounterPlacement};
 use rvdyn_patch::{find_points, Instrumenter, PatchEvent, PatchLayout, Point, PointKind};
-use rvdyn_proccontrol::{FaultPlan, ProcEvent};
+use rvdyn_proccontrol::ProcEvent;
 use rvdyn_symtab::Binary;
 use std::sync::Arc;
 
@@ -64,7 +66,6 @@ pub struct SessionOptions {
     pub(crate) parse: ParseOptions,
     pub(crate) allow_unresolved: bool,
     pub(crate) sink: Option<SharedSink>,
-    pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) placement: CounterPlacement,
     pub(crate) threads: usize,
     pub(crate) engine: EmuEngine,
@@ -78,7 +79,6 @@ impl Default for SessionOptions {
             parse: ParseOptions::default(),
             allow_unresolved: true,
             sink: None,
-            fault_plan: None,
             placement: CounterPlacement::EveryBlock,
             threads: 1,
             // `RVDYN_EMU` selects the execution engine fleet-wide the
@@ -144,19 +144,6 @@ impl SessionOptions {
         self
     }
 
-    /// Arm a deterministic [`FaultPlan`] on the dynamic path's debug
-    /// interface (corrupt/short/dropped writes, delayed stop events,
-    /// dropped trap-redirect resolutions). The faults fire inside the
-    /// *real* delivery and run machinery, so commit read-back
-    /// verification, `RedirectMiss` surfacing, and stop-event recovery
-    /// are exercised end to end; injected faults are counted in
-    /// [`Diagnostics::faults_injected`](crate::Diagnostics). Ignored by
-    /// the static path, which has no debug interface.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Fan both parallelisable pipeline stages — CFG parsing and the
     /// instrumenter's plan phase — out over `threads` workers (default
     /// 1: everything inline). The patch-area layout stays sequential and
@@ -212,18 +199,17 @@ pub struct Session {
     var_bytes: u64,
     diag: Diagnostics,
     tele: Telemetry,
-    fault_plan: Option<FaultPlan>,
     placement: CounterPlacement,
     threads: usize,
     engine: EmuEngine,
 }
 
 /// Handle to one per-function basic-block counting request, returned by
-/// [`Session::count_blocks`] (via the `BinaryEditor` / `DynamicInstrumenter`
-/// wrappers). Holds the allocated counter variables and, under
-/// [`CounterPlacement::Optimal`], the reconstruction plan; feed it back to
-/// `block_counts` after the run to obtain exact per-block execution
-/// counts.
+/// [`Session::count_blocks`] (via the `BinaryEditor` / `FleetController`
+/// / `DynamicInstrumenter` wrappers). Holds the allocated counter
+/// variables and, under [`CounterPlacement::Optimal`], the
+/// reconstruction plan; feed it back to `block_counts` after the run to
+/// obtain exact per-block execution counts.
 pub struct BlockCounter {
     func: u64,
     /// Block start addresses, in address order (the order counts are
@@ -372,7 +358,6 @@ impl Session {
             var_bytes: 0,
             diag,
             tele,
-            fault_plan: opts.fault_plan,
             placement: opts.placement,
             threads: opts.threads,
             engine: opts.engine,
@@ -656,13 +641,8 @@ impl Session {
         self.tele.sink.clone()
     }
 
-    /// The armed fault plan, if any, for the dynamic delivery shell.
-    pub(crate) fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault_plan
-    }
-
     /// The configured execution engine, for the delivery shells to stamp
-    /// onto the machines they build.
+    /// onto the machines they run.
     pub(crate) fn engine(&self) -> EmuEngine {
         self.engine
     }
@@ -674,8 +654,8 @@ impl Session {
     }
 
     /// Fold the machine's drained engine events and counters into the
-    /// telemetry stream and diagnostics (both delivery shells call this
-    /// once per completed run).
+    /// telemetry stream and diagnostics (the static path calls this once
+    /// per completed run).
     pub(crate) fn record_emu(&mut self, machine: &mut rvdyn_emu::Machine) {
         for ev in machine.take_emu_events() {
             self.tele.emit(adapt_emu(ev));
@@ -744,8 +724,8 @@ fn adapt_patch(ev: PatchEvent) -> TelemetryEvent {
 /// Translate an execution-engine event into the telemetry vocabulary.
 /// Engine events are buffered on the machine during the run (keeping
 /// the hot loop sink-free) and drained afterwards by
-/// [`Session::record_emu`] — or, on the fleet path, by the controller
-/// thread as each process's completion is consumed.
+/// [`Session::record_emu`] — or, on the live path, by the fleet
+/// controller's thread as each process's run ends.
 pub(crate) fn adapt_emu(ev: EmuEvent) -> TelemetryEvent {
     match ev {
         EmuEvent::BlockTranslated { pc, insts } => TelemetryEvent::BlockTranslated { pc, insts },
@@ -754,7 +734,8 @@ pub(crate) fn adapt_emu(ev: EmuEvent) -> TelemetryEvent {
 }
 
 /// Translate a debug-interface event into the telemetry vocabulary
-/// (used by the dynamic delivery shell's process observer).
+/// (used by the observer the fleet controller installs on each process
+/// it attaches).
 pub(crate) fn adapt_proc(ev: ProcEvent) -> TelemetryEvent {
     match ev {
         ProcEvent::BreakpointSet { addr } => TelemetryEvent::BreakpointSet { addr },

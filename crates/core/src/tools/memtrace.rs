@@ -25,7 +25,7 @@
 //! [`TraceSink`](super::TraceSink) serialization.
 
 use super::trace::TraceRecord;
-use crate::dynamic::DynamicInstrumenter;
+use crate::dynamic::{DynamicInstrumenter, PID};
 use crate::editor::{BinaryEditor, RunOutput};
 use crate::error::Error;
 use crate::fleet::FleetController;
@@ -210,12 +210,13 @@ impl MemTracer {
         Self::plan(ed.session_mut(), opts)
     }
 
-    /// Plan tracing on a live [`DynamicInstrumenter`] process.
+    /// Plan tracing on a live [`DynamicInstrumenter`] process (a fleet
+    /// of one: [`MemTracer::plan_fleet`]).
     pub fn plan_dynamic(
         dy: &mut DynamicInstrumenter,
         opts: &TraceOptions,
     ) -> Result<MemTracer, Error> {
-        Self::plan(dy.session_mut(), opts)
+        Self::plan_fleet(dy.fleet_mut(), opts)
     }
 
     /// Plan tracing fleet-wide: one plan, every process gets its own
@@ -281,12 +282,10 @@ impl MemTracer {
         Ok(d)
     }
 
-    /// Drain the live (or exited-but-attached) dynamic process.
+    /// Drain the live (or exited-but-attached) dynamic process
+    /// ([`MemTracer::drain_fleet`] on its one pid).
     pub fn drain_dynamic(&self, dy: &mut DynamicInstrumenter) -> Result<Drained, Error> {
-        let (session, process) = dy.parts_mut();
-        let d = self.drain_with(&mut |a| process.read_u64(a))?;
-        Self::fold(session, &d);
-        Ok(d)
+        self.drain_fleet(dy.fleet_mut(), PID)
     }
 
     /// Drain one fleet member's ring; the per-process diagnostics (and

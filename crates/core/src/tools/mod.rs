@@ -17,10 +17,10 @@
 //!   emulator's shadow call stack at the interrupt pc.
 //!
 //! Both tools run against every delivery host — [`BinaryEditor`]
-//! (static), [`DynamicInstrumenter`] (live process) and
-//! [`FleetController`] (N processes, fault-isolated) — and report
-//! through the standard `tools.*` diagnostics counters and telemetry
-//! events.
+//! (static), [`FleetController`] (N processes, fault-isolated) and
+//! [`DynamicInstrumenter`] (a fleet of one, whose `_dynamic` entry
+//! points call the `_fleet` ones) — and report through the standard
+//! `tools.*` diagnostics counters and telemetry events.
 //!
 //! [`BinaryEditor`]: crate::BinaryEditor
 //! [`DynamicInstrumenter`]: crate::DynamicInstrumenter

@@ -251,11 +251,6 @@ impl Memory {
         }
     }
 
-    /// Total mapped bytes (diagnostics).
-    pub fn mapped_bytes(&self) -> usize {
-        self.pages.len() * PAGE_SIZE
-    }
-
     /// Iterate every mapped page as `(base_address, bytes)`, ascending by
     /// address. Used by tests (the engine-differential suite compares
     /// whole memory images) and debug tooling.

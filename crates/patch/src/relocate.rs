@@ -131,16 +131,6 @@ pub struct Insertions {
     pub not_taken_edge: BTreeMap<u64, Vec<Instruction>>,
 }
 
-impl Insertions {
-    /// Only before-instruction insertions (the common case).
-    pub fn before_only(before: BTreeMap<u64, Vec<Instruction>>) -> Insertions {
-        Insertions {
-            before,
-            ..Default::default()
-        }
-    }
-}
-
 struct Slot {
     item: Item,
     size: u64,

@@ -194,12 +194,6 @@ impl<O: Send + 'static> ProcessSet<O> {
         self.idle.insert(pid, process)
     }
 
-    /// Remove and return the idle process under `pid`. `None` if the pid
-    /// is unknown or its process is in flight.
-    pub fn remove(&mut self, pid: u32) -> Option<Process> {
-        self.idle.remove(&pid)
-    }
-
     /// Borrow the idle process under `pid` (`None` while in flight).
     pub fn get(&self, pid: u32) -> Option<&Process> {
         self.idle.get(&pid)

@@ -46,8 +46,8 @@ pub struct WriteFault {
 /// A deterministic schedule of debug-interface faults.
 ///
 /// Construct with [`FaultPlan::new`] and the builder methods, then hand
-/// to `Process::set_fault_plan` (or `SessionOptions::fault_plan` on the
-/// facade). Each armed fault fires exactly once, at the Nth matching
+/// to `Process::set_fault_plan` (on a fleet member, the facade's
+/// `FleetController::set_fault_plan`). Each armed fault fires exactly once, at the Nth matching
 /// operation, and is then disarmed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {

@@ -330,11 +330,6 @@ impl Process {
         Ok(())
     }
 
-    /// Whether a user breakpoint is currently installed at `addr`.
-    pub fn has_breakpoint(&self, addr: u64) -> bool {
-        self.breakpoints.contains_key(&addr)
-    }
-
     /// Continue execution until the next event.
     ///
     /// A stop event withheld by a `delay_stop` fault is delivered here,

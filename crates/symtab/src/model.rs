@@ -150,10 +150,6 @@ impl Binary {
         self.sections.iter().find(|s| s.name == name)
     }
 
-    pub fn section_by_name_mut(&mut self, name: &str) -> Option<&mut Section> {
-        self.sections.iter_mut().find(|s| s.name == name)
-    }
-
     /// All executable sections (code regions for ParseAPI).
     pub fn code_sections(&self) -> impl Iterator<Item = &Section> {
         self.sections.iter().filter(|s| s.is_code())

@@ -179,13 +179,9 @@ fn corrupt_write_invalidates_hot_cached_blocks() {
     assert!(warm_blocks > 0);
 
     let plan = FaultPlan::new().corrupt_write(1, 0);
-    let mut dy = DynamicInstrumenter::attach_with(
-        bin,
-        p,
-        SessionOptions::new()
-            .engine(EmuEngine::Cached)
-            .fault_plan(plan),
-    );
+    p.set_fault_plan(plan);
+    let mut dy =
+        DynamicInstrumenter::attach_with(bin, p, SessionOptions::new().engine(EmuEngine::Cached));
     let counter = dy.alloc_var(8);
     let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
     dy.insert(&pts, Snippet::increment(counter));

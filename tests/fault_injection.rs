@@ -21,7 +21,8 @@ use rvdyn_asm::{many_functions_program, matmul_program, tiny_function_program};
 fn corrupted_patch_write_is_a_verify_failure() {
     let bin = matmul_program(4, 1);
     let plan = FaultPlan::new().corrupt_write(1, 0);
-    let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().fault_plan(plan));
+    let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new());
+    dy.process_mut().set_fault_plan(plan);
     let counter = dy.alloc_var(8);
     let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
     dy.insert(&pts, Snippet::increment(counter));
@@ -45,7 +46,8 @@ fn corrupted_patch_write_is_a_verify_failure() {
 fn short_patch_write_is_a_verify_failure() {
     let bin = matmul_program(4, 1);
     let plan = FaultPlan::new().short_write(1, 1);
-    let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().fault_plan(plan));
+    let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new());
+    dy.process_mut().set_fault_plan(plan);
     let counter = dy.alloc_var(8);
     let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
     dy.insert(&pts, Snippet::increment(counter));
@@ -62,7 +64,8 @@ fn dropped_redirect_resolution_is_a_redirect_miss() {
     let bin = tiny_function_program(50);
     let tiny = bin.symbol_by_name("tiny").unwrap().value;
     let plan = FaultPlan::new().drop_redirect(3);
-    let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().fault_plan(plan));
+    let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new());
+    dy.process_mut().set_fault_plan(plan);
     let counter = dy.alloc_var(8);
     let pts = dy.find_points("tiny", PointKind::FuncEntry).unwrap();
     dy.insert(&pts, Snippet::increment(counter));
@@ -117,10 +120,9 @@ fn run_loop_recovers_from_delayed_stop() {
     let main = bin.symbol_by_name("main").unwrap().value;
     let sink = CollectSink::new();
     let plan = FaultPlan::new().delay_stop(0);
-    let opts = SessionOptions::new()
-        .fault_plan(plan)
-        .telemetry(sink.clone());
+    let opts = SessionOptions::new().telemetry(sink.clone());
     let mut dy = DynamicInstrumenter::create_with(bin, opts);
+    dy.process_mut().set_fault_plan(plan);
     let counter = dy.alloc_var(8);
     let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
     dy.insert(&pts, Snippet::increment(counter));
@@ -150,10 +152,8 @@ fn corrupted_write_fails_at_the_same_region_for_any_thread_count() {
     let fail_addr = |threads: usize| {
         let bin = many_functions_program(16);
         let plan = FaultPlan::new().corrupt_write(2, 0);
-        let mut dy = DynamicInstrumenter::create_with(
-            bin,
-            SessionOptions::new().threads(threads).fault_plan(plan),
-        );
+        let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().threads(threads));
+        dy.process_mut().set_fault_plan(plan);
         let counter = dy.alloc_var(8);
         let mut pts = Vec::new();
         for i in 0..16 {
@@ -189,8 +189,8 @@ fn dropped_redirect_under_worker_pool_matches_sequential() {
     let bin = tiny_function_program(50);
     let tiny = bin.symbol_by_name("tiny").unwrap().value;
     let plan = FaultPlan::new().drop_redirect(3);
-    let mut dy =
-        DynamicInstrumenter::create_with(bin, SessionOptions::new().threads(4).fault_plan(plan));
+    let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().threads(4));
+    dy.process_mut().set_fault_plan(plan);
     let counter = dy.alloc_var(8);
     let pts = dy.find_points("tiny", PointKind::FuncEntry).unwrap();
     dy.insert(&pts, Snippet::increment(counter));
@@ -246,8 +246,9 @@ fn plan_phase_worker_errors_propagate_as_the_same_typed_error() {
 #[test]
 fn empty_fault_plan_is_inert() {
     let bin = matmul_program(4, 2);
-    let opts = SessionOptions::new().fault_plan(FaultPlan::new());
+    let opts = SessionOptions::new();
     let mut dy = DynamicInstrumenter::create_with(bin, opts);
+    dy.process_mut().set_fault_plan(FaultPlan::new());
     let counter = dy.alloc_var(8);
     let pts = dy.find_points("matmul", PointKind::FuncEntry).unwrap();
     dy.insert(&pts, Snippet::increment(counter));

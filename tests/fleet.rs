@@ -1,16 +1,18 @@
 //! Fleet-scale dynamic instrumentation, end to end through the public
 //! API: one [`FleetController`] must instrument N mutatees with the
-//! exact bytes a sequential [`DynamicInstrumenter`] session delivers,
-//! isolate injected faults to the targeted process, produce identical
-//! results at every worker count, and survive a process dying in the
-//! middle of a fleet-wide patch commit. The contract under test is
-//! written down in `docs/FLEET.md`.
+//! exact bytes a sequential [`DynamicInstrumenter`] session delivers and
+//! the static rewriter writes into a file, isolate injected faults to
+//! the targeted process, produce identical results at every worker
+//! count, and survive a process dying in the middle of a fleet-wide
+//! patch commit. The contract under test is written down in
+//! `docs/FLEET.md`.
 
 use rvdyn::telemetry::CollectSink;
 use rvdyn::tools::{FuncCounts, MemTracer, TraceOptions};
 use rvdyn::{
-    DynamicInstrumenter, Error, Event, FaultPlan, FleetController, PointKind, Process, Profile,
-    ProfileOptions, Profiler, SessionOptions, Snippet, TelemetryEvent,
+    Binary, BinaryEditor, Diagnostics, DynamicInstrumenter, EmuEngine, Error, Event, FaultPlan,
+    FleetController, PointKind, Process, Profile, ProfileOptions, Profiler, SessionOptions,
+    Snippet, TelemetryEvent,
 };
 use rvdyn_asm::matmul_program;
 use std::collections::BTreeMap;
@@ -40,7 +42,10 @@ fn instrumented_fleet(n: usize, opts: SessionOptions) -> (FleetController, Vec<u
 
 /// The tentpole parity claim: a fleet of 100 processes ends up with
 /// patch regions *bit-identical* to a sequential session's, in every
-/// process, and every process computes the same result.
+/// process, and every process computes the same result. A sequential
+/// session is itself a fleet of one, so the regions are also checked
+/// against an independent delivery: the same counter written into a
+/// file by the static rewriter and loaded as a fresh image.
 #[test]
 fn fleet_of_100_matches_sequential_sessions_bit_for_bit() {
     let (seq_code, seq_counter, seq) = sequential_reference();
@@ -52,6 +57,18 @@ fn fleet_of_100_matches_sequential_sessions_bit_for_bit() {
 
     let regions = fleet.commit_regions().to_vec();
     assert!(!regions.is_empty(), "commit must deliver patch regions");
+    let elf = {
+        let mut ed = BinaryEditor::from_binary(matmul_program(8, 2), SessionOptions::new());
+        let c = ed.alloc_var(8);
+        let pts = ed.find_points("matmul", PointKind::FuncEntry).unwrap();
+        ed.insert(&pts, Snippet::increment(c));
+        ed.rewrite().unwrap()
+    };
+    let image = rvdyn_emu::load_binary(&Binary::parse(&elf).unwrap());
+    for (addr, bytes) in &regions {
+        let static_bytes = image.read_mem(*addr, bytes.len()).unwrap();
+        assert_eq!(static_bytes, *bytes, "region {addr:#x} vs static image");
+    }
     for pid in &pids {
         assert!(
             matches!(fleet.result(*pid), Some(Ok(code)) if *code == seq_code),
@@ -152,6 +169,103 @@ fn worker_count_does_not_change_any_observable_outcome() {
     assert_eq!(seq1, seq4, "per-process outcomes must be thread-invariant");
     assert_eq!(events1, events4, "event totals must be thread-invariant");
     assert_eq!((failed1, failed4), (0, 0));
+}
+
+/// The counters each process owns, as the controller totals them.
+fn process_owned(d: &Diagnostics) -> [u64; 6] {
+    [
+        d.instret,
+        d.cycles,
+        d.patch_regions_written as u64,
+        d.faults_injected,
+        d.emu_blocks_translated,
+        d.emu_invalidations,
+    ]
+}
+
+/// What the fleet took over from the single-process path, on 3-pid
+/// matmul fleets with an entry counter: removing the instrumentation
+/// before the run, attaching a process stopped mid-run, controller
+/// diagnostics that total the per-pid rows at any worker count, and
+/// drained trace records counted once.
+#[test]
+fn fleet_removes_attaches_and_totals_its_processes() {
+    let bin = matmul_program(8, 2);
+    let main = bin.symbol_by_name("main").unwrap().value;
+
+    // Removed before the run: no call is counted, every pid exits clean.
+    let (mut fleet, pids, c) = instrumented_fleet(3, SessionOptions::new());
+    fleet.commit_all().unwrap();
+    fleet.remove_instrumentation();
+    fleet.run_all();
+    for pid in &pids {
+        assert!(matches!(fleet.result(*pid), Some(Ok(0))), "pid {pid}");
+        assert_eq!(fleet.read_var(*pid, c), Some(0), "pid {pid}");
+    }
+
+    for threads in [1usize, 4] {
+        let opts = SessionOptions::new()
+            .threads(threads)
+            .engine(EmuEngine::Cached);
+        let mut fleet = FleetController::from_binary(bin.clone(), opts);
+        let spawned = fleet.spawn(2);
+        // A process run to a breakpoint on `main`, then attached.
+        let mut p = Process::launch(&bin);
+        p.set_breakpoint(main).unwrap();
+        assert_eq!(p.cont().unwrap(), Event::Breakpoint(main));
+        p.remove_breakpoint(main).unwrap();
+        let attached = fleet.attach(p);
+        assert_eq!(fleet.pids(), vec![spawned[0], spawned[1], attached]);
+        // One pid stops on a breakpoint whose stop is delayed: a fault
+        // for the totals to carry.
+        fleet
+            .with_process(spawned[0], |p| p.set_breakpoint(main))
+            .unwrap()
+            .unwrap();
+        fleet
+            .set_fault_plan(spawned[0], FaultPlan::new().delay_stop(0))
+            .unwrap();
+        let c = fleet.alloc_var(8);
+        let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
+        fleet.insert(&pts, Snippet::increment(c));
+        fleet.commit_all().unwrap();
+        fleet.run_all();
+
+        let mut sums = [0u64; 6];
+        for pid in fleet.pids() {
+            assert!(matches!(fleet.result(pid), Some(Ok(0))), "pid {pid}");
+            assert_eq!(
+                fleet.read_var(pid, c),
+                Some(2),
+                "threads {threads} pid {pid}"
+            );
+            let row = process_owned(fleet.process_diagnostics(pid).unwrap());
+            for (sum, v) in sums.iter_mut().zip(row) {
+                *sum += v;
+            }
+        }
+        let totals = fleet.diagnostics();
+        assert_eq!(process_owned(totals), sums, "threads {threads}");
+        assert_eq!(totals.faults_injected, 1, "threads {threads}");
+        assert!(totals.instret > 0 && totals.emu_blocks_translated > 0);
+    }
+
+    // Drained trace records land once on the controller and once on
+    // their pid's row.
+    let (mut fleet, pids, c) = instrumented_fleet(3, SessionOptions::new());
+    let tracer = MemTracer::plan_fleet(&mut fleet, &TraceOptions::default()).unwrap();
+    fleet.commit_all().unwrap();
+    fleet.run_all();
+    let mut drained = 0;
+    for pid in &pids {
+        assert_eq!(fleet.read_var(*pid, c), Some(2), "pid {pid}");
+        let records = tracer.drain_fleet(&mut fleet, *pid).unwrap().records.len() as u64;
+        assert!(records > 0, "pid {pid}");
+        let row = fleet.process_diagnostics(*pid).unwrap();
+        assert_eq!(row.trace_records, records, "pid {pid}");
+        drained += records;
+    }
+    assert_eq!(fleet.diagnostics().trace_records, drained);
 }
 
 /// A process that exits *before* the fleet-wide commit reaches it is a
