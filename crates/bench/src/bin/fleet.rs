@@ -17,6 +17,11 @@
 //!   over its worker pool (`RVDYN_THREADS` sizes the pool, exactly as
 //!   it does for the plan phase).
 //!
+//! The legs run in [`ROUNDS`] interleaved rounds of (sequential,
+//! fleet), and the speedup compares each leg's median time, so a burst
+//! of host load that lands on one round moves neither median much. The
+//! rounds are printed (and listed in the JSON) next to the medians.
+//!
 //! Before anything is reported the harness asserts both legs agree:
 //! every process, in either leg, must exit 0 with the identical
 //! instrumentation counter value — a run that diverged never reports a
@@ -27,6 +32,10 @@
 
 use rvdyn::{DynamicInstrumenter, FleetController, PointKind, SessionOptions, Snippet};
 use std::time::Instant;
+
+/// Interleaved (sequential, fleet) rounds; odd, so each median is one
+/// round's time.
+const ROUNDS: usize = 5;
 
 fn usage() -> ! {
     eprintln!("usage: fleet [--json] [PROCESSES]");
@@ -61,6 +70,70 @@ fn run_one(binary: rvdyn::Binary, opts: SessionOptions) -> (i64, u64) {
     (code, di.read_var(counter).expect("counter readable"))
 }
 
+/// The sequential leg: `n` full-pipeline sessions, one after another,
+/// each checked against `reference`. Returns its wall-clock time.
+fn sequential_leg(
+    binary: &rvdyn::Binary,
+    opts: &SessionOptions,
+    n: usize,
+    reference: (i64, u64),
+) -> u64 {
+    let t0 = Instant::now();
+    for i in 0..n {
+        let got = run_one(binary.clone(), opts.clone());
+        assert_eq!(got, reference, "sequential run {i} diverged");
+    }
+    t0.elapsed().as_nanos() as u64
+}
+
+/// The fleet leg: one controller over `n` mutatees, every process
+/// checked against `reference`. Returns its wall-clock time, the events
+/// its loop dispatched, and the time of its shared front half.
+fn fleet_leg(
+    binary: &rvdyn::Binary,
+    opts: &SessionOptions,
+    n: usize,
+    (ref_code, ref_counter): (i64, u64),
+) -> (u64, u64, u64) {
+    let t0 = Instant::now();
+    let mut fleet = FleetController::from_binary(binary.clone(), opts.clone());
+    let pids = fleet.spawn(n);
+    let counter = fleet.alloc_var(8);
+    let pts = fleet
+        .find_points("matmul", PointKind::FuncEntry)
+        .expect("points");
+    fleet.insert(&pts, Snippet::increment(counter));
+    fleet.commit_all().expect("fleet commit");
+    fleet.run_all();
+    let fleet_ns = t0.elapsed().as_nanos() as u64;
+
+    // Parity: every fleet process must agree with the sequential runs.
+    for pid in &pids {
+        assert!(
+            matches!(fleet.result(*pid), Some(Ok(code)) if *code == ref_code),
+            "fleet pid {pid} diverged: {:?}",
+            fleet.result(*pid)
+        );
+        assert_eq!(
+            fleet.read_var(*pid, counter),
+            Some(ref_counter),
+            "fleet pid {pid} counter diverged"
+        );
+    }
+    let summary = fleet.summary();
+    assert_eq!(summary.processes_failed, 0, "no fleet process may fail");
+    assert_eq!(summary.processes, n);
+    let t = &fleet.diagnostics().timings;
+    let shared_front_ns = t.open_ns + t.parse_ns + t.instrument_ns;
+    (fleet_ns, summary.events_dispatched, shared_front_ns)
+}
+
+/// The middle of `xs` once sorted.
+fn median(mut xs: Vec<u64>) -> u64 {
+    xs.sort_unstable();
+    xs[xs.len() / 2]
+}
+
 fn main() {
     let mut json = false;
     let args: Vec<String> = std::env::args()
@@ -89,67 +162,40 @@ fn main() {
     let ncpu = std::thread::available_parallelism().map_or(1, |p| p.get());
     let binary = rvdyn_asm::matmul_program(16, 2);
 
-    eprintln!("fleet: {n} mutatees, {threads} worker thread(s), {engine:?} engine — measuring…");
+    eprintln!(
+        "fleet: {n} mutatees, {threads} worker thread(s), {engine:?} engine, \
+         {ROUNDS} rounds — measuring…"
+    );
 
-    // Untimed warmup: one lifecycle per leg, to fault in code paths and
-    // capture the reference (exit code, counter) both legs must match.
-    let (ref_code, ref_counter) = run_one(binary.clone(), opts.clone());
-    assert_eq!(ref_code, 0, "warmup mutatee must exit cleanly");
+    // Untimed warmup: one lifecycle, to fault in code paths and capture
+    // the reference (exit code, counter) both legs must match.
+    let reference = run_one(binary.clone(), opts.clone());
+    assert_eq!(reference.0, 0, "warmup mutatee must exit cleanly");
 
-    // Leg 1: N sequential full-pipeline sessions.
-    let t0 = Instant::now();
-    for i in 0..n {
-        let (code, counter) = run_one(binary.clone(), opts.clone());
-        assert_eq!(
-            (code, counter),
-            (ref_code, ref_counter),
-            "sequential run {i} diverged"
-        );
+    let mut rounds: Vec<(u64, u64)> = Vec::with_capacity(ROUNDS);
+    let (mut events_dispatched, mut shared_front_ns) = (0, 0);
+    for _ in 0..ROUNDS {
+        let sequential_ns = sequential_leg(&binary, &opts, n, reference);
+        let (fleet_ns, events, front) = fleet_leg(&binary, &opts, n, reference);
+        rounds.push((sequential_ns, fleet_ns));
+        (events_dispatched, shared_front_ns) = (events, front);
     }
-    let sequential_ns = t0.elapsed().as_nanos() as u64;
-
-    // Leg 2: one fleet controller over the same N mutatees.
-    let t0 = Instant::now();
-    let mut fleet = FleetController::from_binary(binary, opts);
-    let pids = fleet.spawn(n);
-    let counter = fleet.alloc_var(8);
-    let pts = fleet
-        .find_points("matmul", PointKind::FuncEntry)
-        .expect("points");
-    fleet.insert(&pts, Snippet::increment(counter));
-    fleet.commit_all().expect("fleet commit");
-    fleet.run_all();
-    let fleet_ns = t0.elapsed().as_nanos() as u64;
-
-    // Parity: every fleet process must agree with the sequential runs.
-    for pid in &pids {
-        assert!(
-            matches!(fleet.result(*pid), Some(Ok(code)) if *code == ref_code),
-            "fleet pid {pid} diverged: {:?}",
-            fleet.result(*pid)
-        );
-        assert_eq!(
-            fleet.read_var(*pid, counter),
-            Some(ref_counter),
-            "fleet pid {pid} counter diverged"
-        );
-    }
-    let summary = fleet.summary();
-    assert_eq!(summary.processes_failed, 0, "no fleet process may fail");
-    assert_eq!(summary.processes, n);
-
+    let sequential_ns = median(rounds.iter().map(|r| r.0).collect());
+    let fleet_ns = median(rounds.iter().map(|r| r.1).collect());
     let speedup = sequential_ns as f64 / fleet_ns as f64;
-    let d = fleet.diagnostics();
-    let shared_front_ns = d.timings.open_ns + d.timings.parse_ns + d.timings.instrument_ns;
 
     if json {
+        let rounds_json: Vec<String> = rounds
+            .iter()
+            .map(|(s, f)| format!("{{\"sequential_ns\":{s},\"fleet_ns\":{f}}}"))
+            .collect();
         println!(
             "{{\"config\":\"fleet\",\"processes\":{},\"threads\":{},\
              \"engine\":\"{}\",\"ncpu\":{},\
              \"sequential_ns\":{},\"fleet_ns\":{},\
              \"sequential_ns_per_process\":{},\"fleet_ns_per_process\":{},\
              \"shared_front_half_ns\":{},\"events_dispatched\":{},\
-             \"speedup\":{:.3}}}",
+             \"speedup\":{:.3},\"rounds\":[{}]}}",
             n,
             threads,
             match engine {
@@ -162,14 +208,23 @@ fn main() {
             sequential_ns / n as u64,
             fleet_ns / n as u64,
             shared_front_ns,
-            summary.events_dispatched,
-            speedup
+            events_dispatched,
+            speedup,
+            rounds_json.join(",")
         );
         return;
     }
 
     println!("\nFleet-scale instrumentation — {n} mutatees ({threads} worker thread(s)):\n");
-    println!("  config       total       per-process");
+    println!("  round   sequential        fleet");
+    for (i, (s, f)) in rounds.iter().enumerate() {
+        println!(
+            "  {i:>5}   {:>8.1}ms   {:>8.1}ms",
+            *s as f64 / 1e6,
+            *f as f64 / 1e6
+        );
+    }
+    println!("\n  median       total       per-process");
     println!(
         "  sequential   {:>9.1}ms   {:>8.1}µs",
         sequential_ns as f64 / 1e6,
@@ -181,10 +236,10 @@ fn main() {
         fleet_ns as f64 / n as f64 / 1e3,
     );
     println!(
-        "\n  fleet speedup: {speedup:.2}x   events dispatched: {}   \
+        "\n  fleet speedup (medians): {speedup:.2}x   events dispatched: {}   \
          shared front half: {:.2}ms (paid once, not {n}×)",
-        summary.events_dispatched,
+        events_dispatched,
         shared_front_ns as f64 / 1e6,
     );
-    println!("(all {n} fleet processes verified: exit 0, counter identical to sequential)");
+    println!("(all {n} fleet processes verified in every round: exit 0, counter identical to sequential)");
 }

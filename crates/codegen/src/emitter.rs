@@ -9,10 +9,13 @@
 //! `var = var op c` loads and stores through one address; and an
 //! [`Snippet::If`] on a comparison is one compare-and-branch. Values live
 //! in scratch registers from the [`RegAllocator`], which never hands out a
-//! register the snippet names. The output is a list of
-//! [`rvdyn_isa::Instruction`] values with intra-buffer branch offsets
-//! already resolved; PatchAPI wraps it with the spill frame and splices
-//! it into a trampoline.
+//! register the snippet names. A [`Snippet::Let`] holds its value in one
+//! such register for the whole body, which reads it in place as
+//! [`Snippet::Local`]; while bound, the register is never the
+//! destination of another value and is never released. The output is a
+//! list of [`rvdyn_isa::Instruction`] values with intra-buffer branch
+//! offsets already resolved; PatchAPI wraps it with the spill frame and
+//! splices it into a trampoline.
 //!
 //! Those frames move `sp` before the body runs, so a read of the
 //! mutatee's `sp` is always an `addi` or a load/store displacement off
@@ -40,6 +43,8 @@ pub enum CodeGenError {
     /// An internal branch target ended up out of B-format range
     /// (snippet too large).
     BranchOutOfRange,
+    /// A [`Snippet::Local`] read outside every [`Snippet::Let`] of its id.
+    UnboundLocal(u32),
 }
 
 impl fmt::Display for CodeGenError {
@@ -56,6 +61,9 @@ impl fmt::Display for CodeGenError {
             CodeGenError::BadWidth(w) => write!(f, "unsupported access width {w}"),
             CodeGenError::BranchOutOfRange => {
                 write!(f, "internal snippet branch exceeds ±4 KiB")
+            }
+            CodeGenError::UnboundLocal(id) => {
+                write!(f, "snippet reads local {id} outside any binding of it")
             }
         }
     }
@@ -176,6 +184,8 @@ pub struct Emitter<'a> {
     alloc: &'a mut RegAllocator,
     profile: IsaProfile,
     uses_call: bool,
+    /// The registers of the enclosing [`Snippet::Let`]s, innermost last.
+    locals: Vec<(u32, Reg)>,
 }
 
 /// Does `v` fit a 12-bit signed immediate (I/S-format)?
@@ -308,6 +318,7 @@ impl<'a> Emitter<'a> {
             alloc,
             profile,
             uses_call: false,
+            locals: Vec::new(),
         }
     }
 
@@ -324,7 +335,7 @@ impl<'a> Emitter<'a> {
             Snippet::WriteReg(rd, val) => {
                 let r = self.operand(val)?;
                 self.buf.push(build::mv(*rd, r));
-                self.alloc.release(r);
+                self.release(r);
                 Ok(())
             }
             Snippet::WriteVar(var, val) => {
@@ -339,16 +350,16 @@ impl<'a> Emitter<'a> {
                 let v = self.operand(val)?;
                 let (base, off) = self.absolute(var.addr)?;
                 self.store(v, base, off, var.size)?;
-                self.alloc.release(base);
-                self.alloc.release(v);
+                self.release(base);
+                self.release(v);
                 Ok(())
             }
             Snippet::WriteMem { addr, val, size } => {
                 let (base, off) = self.address(addr, !disturbs_registers(val))?;
                 let v = self.operand(val)?;
                 self.store(v, base, off, *size)?;
-                self.alloc.release(v);
-                self.alloc.release(base);
+                self.release(v);
+                self.release(base);
                 Ok(())
             }
             // The canonical counter: lui a, %hi(var); ld u, %lo(var)(a);
@@ -371,13 +382,19 @@ impl<'a> Emitter<'a> {
             }
             Snippet::Call { target, args } => {
                 let r = self.emit_call(*target, args)?;
-                self.alloc.release(r);
+                self.release(r);
+                Ok(())
+            }
+            Snippet::Let { id, value, body } => {
+                self.bind(*id, value)?;
+                self.emit(body)?;
+                self.unbind();
                 Ok(())
             }
             // Expression used as a statement: evaluate for effect.
             other => {
                 let r = self.expr(other)?;
-                self.alloc.release(r);
+                self.release(r);
                 Ok(())
             }
         }
@@ -431,7 +448,7 @@ impl<'a> Emitter<'a> {
                     return Ok(r);
                 }
                 let (ra, rb) = self.operands(a, b)?;
-                let r = if self.alloc.holds(ra) {
+                let r = if self.reusable(ra) {
                     ra
                 } else {
                     self.owned(rb)?
@@ -439,7 +456,7 @@ impl<'a> Emitter<'a> {
                 self.bin_op(*op, r, ra, rb)?;
                 for x in [ra, rb] {
                     if x != r {
-                        self.alloc.release(x);
+                        self.release(x);
                     }
                 }
                 Ok(r)
@@ -447,6 +464,18 @@ impl<'a> Emitter<'a> {
             Snippet::Call { target, args } => {
                 // The call's value is the callee's a0.
                 self.emit_call(*target, args)
+            }
+            Snippet::Local(id) => {
+                let src = self.local(*id)?;
+                let r = self.acquire()?;
+                self.buf.push(build::mv(r, src));
+                Ok(r)
+            }
+            Snippet::Let { id, value, body } => {
+                self.bind(*id, value)?;
+                let r = self.expr(body)?;
+                self.unbind();
+                Ok(r)
             }
             Snippet::If { .. }
             | Snippet::Seq(_)
@@ -465,15 +494,55 @@ impl<'a> Emitter<'a> {
     }
 
     /// Lower an expression whose value is only read, once, right away:
-    /// a mutatee register other than `sp` is read in place and constant 0
-    /// is `x0`, with no instruction. The result is released like
-    /// [`Self::expr`]'s (releasing a register the allocator did not hand
-    /// out is a no-op), but must not be written.
+    /// a mutatee register other than `sp` and a bound local are read in
+    /// place and constant 0 is `x0`, with no instruction. The result is
+    /// released like [`Self::expr`]'s (releasing a register the allocator
+    /// did not hand out, or a bound one, is a no-op), but must not be
+    /// written.
     fn operand(&mut self, s: &Snippet) -> Result<Reg, CodeGenError> {
         match s {
             Snippet::ReadReg(r) if *r != Reg::X2 => Ok(*r),
             Snippet::Const(0) => Ok(Reg::X0),
+            Snippet::Local(id) => self.local(*id),
             _ => self.expr(s),
+        }
+    }
+
+    /// Evaluate `value` into a register bound to `id` until the matching
+    /// [`Self::unbind`].
+    fn bind(&mut self, id: u32, value: &Snippet) -> Result<(), CodeGenError> {
+        let r = self.expr(value)?;
+        self.locals.push((id, r));
+        Ok(())
+    }
+
+    /// End the innermost binding and free its register.
+    fn unbind(&mut self) {
+        if let Some((_, r)) = self.locals.pop() {
+            self.release(r);
+        }
+    }
+
+    /// The register bound to `id` by the innermost enclosing binding.
+    fn local(&self, id: u32) -> Result<Reg, CodeGenError> {
+        self.locals
+            .iter()
+            .rev()
+            .find(|&&(i, _)| i == id)
+            .map(|&(_, r)| r)
+            .ok_or(CodeGenError::UnboundLocal(id))
+    }
+
+    /// Is `r` a scratch register this snippet holds and may overwrite:
+    /// handed out, and bound to no local?
+    fn reusable(&self, r: Reg) -> bool {
+        self.alloc.holds(r) && self.locals.iter().all(|&(_, b)| b != r)
+    }
+
+    /// Give `r` back to the allocator, unless a local is bound to it.
+    fn release(&mut self, r: Reg) {
+        if self.locals.iter().all(|&(_, b)| b != r) {
+            self.alloc.release(r);
         }
     }
 
@@ -497,10 +566,11 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// `r` itself when it is a scratch register this snippet holds, else
-    /// a fresh one: the destination for a value computed from `r`.
+    /// `r` itself when it is a scratch register this snippet may
+    /// overwrite ([`Self::reusable`]), else a fresh one: the destination
+    /// for a value computed from `r`.
     fn owned(&mut self, r: Reg) -> Result<Reg, CodeGenError> {
-        if self.alloc.holds(r) {
+        if self.reusable(r) {
             Ok(r)
         } else {
             self.acquire()
@@ -533,7 +603,7 @@ impl<'a> Emitter<'a> {
                 let k = self.acquire()?;
                 self.buf.extend(load_imm(k, c));
                 self.bin_op(op, rd, rs, k)?;
-                self.alloc.release(k);
+                self.release(k);
             }
         }
         Ok(())
@@ -546,8 +616,8 @@ impl<'a> Emitter<'a> {
         self.load(u, base, off, var.size, false)?;
         self.apply_const(op, u, u, c)?;
         self.store(u, base, off, var.size)?;
-        self.alloc.release(u);
-        self.alloc.release(base);
+        self.release(u);
+        self.release(base);
         Ok(())
     }
 
@@ -587,7 +657,7 @@ impl<'a> Emitter<'a> {
         let a = self.acquire()?;
         self.buf.extend(load_imm(a, upper));
         self.buf.push(build::add(a, a, r));
-        self.alloc.release(r);
+        self.release(r);
         Ok((a, lo))
     }
 
@@ -615,8 +685,8 @@ impl<'a> Emitter<'a> {
             rs2,
             label,
         });
-        self.alloc.release(rs1);
-        self.alloc.release(rs2);
+        self.release(rs1);
+        self.release(rs2);
         Ok(())
     }
 
@@ -757,7 +827,7 @@ impl<'a> Emitter<'a> {
                 .push(build::ld(Reg::x(10 + i as u8), Reg::X2, slot as i64));
         }
         for t in tmps {
-            self.alloc.release(t);
+            self.release(t);
         }
         // li ra, target ; jalr ra, 0(ra)
         self.buf.extend(load_imm(Reg::X1, target as i64));
@@ -1210,6 +1280,66 @@ mod tests {
             assert_eq!(mem.load(0x8008, 8), 0x9000, "{mode:?}");
             assert_eq!(st.get(Reg::X2), 0x9000, "sp not restored");
         }
+    }
+
+    #[test]
+    fn a_binding_survives_a_call_and_a_spill() {
+        // let 0 = a0 + 5 in { call; v = local 0 }, where the callee
+        // overwrites every scratch candidate and a7.
+        let v = Var {
+            addr: 0x8000,
+            size: 8,
+        };
+        let s = Snippet::bind(
+            0,
+            Snippet::bin(
+                BinaryOp::Add,
+                Snippet::ReadReg(Reg::x(10)),
+                Snippet::Const(5),
+            ),
+            Snippet::Seq(vec![
+                Snippet::Call {
+                    target: 0x104,
+                    args: vec![],
+                },
+                Snippet::WriteVar(v, Box::new(Snippet::Local(0))),
+            ]),
+        );
+        let clobber: Vec<_> = [5, 6, 7, 28, 29, 30, 31, 10, 11, 12, 13, 14, 15, 16, 17]
+            .into_iter()
+            .map(|n| build::addi(Reg::x(n), Reg::X0, -1))
+            .collect();
+        for mode in [RegAllocMode::DeadRegisters, RegAllocMode::ForceSpill] {
+            // Every register is dead, so only the call's own frame can
+            // keep the binding (FP ones too: the evaluator runs integer
+            // code only).
+            let dead = RegSet::ALL_GPR.union(RegSet::ALL_FPR);
+            let (body, _) = generate(&s, dead, mode, IsaProfile::rv64gc()).unwrap();
+            // 0x100: jump over the callee at 0x104, which returns.
+            let mut code = vec![build::jal(Reg::X0, 4 * (clobber.len() as i64 + 2))];
+            code.extend(clobber.iter().copied());
+            code.push(build::jalr(Reg::X0, Reg::X1, 0));
+            code.extend(body);
+            let mut st = IntState::new(0);
+            st.set(Reg::X2, 0x9000);
+            st.set(Reg::x(10), 7);
+            let mut mem = FlatMemory::new(0x8000, 0x2000);
+            run(&code, &mut st, &mut mem);
+            assert_eq!(mem.load(0x8000, 8), 12, "{mode:?}");
+            assert_eq!(st.get(Reg::X2), 0x9000, "{mode:?}: sp not restored");
+        }
+    }
+
+    #[test]
+    fn unbound_local_is_an_error() {
+        let s = Snippet::bind(1, Snippet::Const(1), Snippet::Local(0));
+        let err = generate(
+            &s,
+            dead_all(),
+            RegAllocMode::DeadRegisters,
+            IsaProfile::rv64gc(),
+        );
+        assert_eq!(err.unwrap_err(), CodeGenError::UnboundLocal(0));
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! tools written against it port to a new ISA for free, which is the whole
 //! point of Dyninst's design. [`crate::Emitter`] lowers it to RV64
 //! instructions.
+//!
+//! [`Snippet::Let`] evaluates a value once into a snippet-local scratch
+//! register, and [`Snippet::Local`] reads it anywhere in the binding's
+//! body: a snippet that reads one variable four times loads it once. The
+//! emitter never hands a bound register out for another value and never
+//! frees it before its body ends; a spill frame or a call preserves it
+//! like any other scratch register in use.
 
 use rvdyn_isa::{Reg, RegSet};
 
@@ -94,6 +101,17 @@ pub enum Snippet {
     /// Call a mutatee (or instrumentation-library) function by absolute
     /// address with up to 8 integer arguments.
     Call { target: u64, args: Vec<Snippet> },
+    /// Evaluate `value` once, then run `body` with [`Snippet::Local`]`(id)`
+    /// reading that value. The node's own value is the body's. A `Let`
+    /// of an `id` already bound shadows the outer binding in its body.
+    Let {
+        id: u32,
+        value: Box<Snippet>,
+        body: Box<Snippet>,
+    },
+    /// The value bound to `id` by the innermost enclosing
+    /// [`Snippet::Let`]; lowering one outside any such binding fails.
+    Local(u32),
     /// No-op.
     Nop,
 }
@@ -123,12 +141,21 @@ impl Snippet {
         Snippet::Bin(op, Box::new(a), Box::new(b))
     }
 
+    /// Convenience: `let id = value in body`.
+    pub fn bind(id: u32, value: Snippet, body: Snippet) -> Snippet {
+        Snippet::Let {
+            id,
+            value: Box::new(value),
+            body: Box::new(body),
+        }
+    }
+
     /// Number of scratch registers needed to evaluate this snippet
     /// (Sethi–Ullman-style bound; the emitter requests this many from the
     /// register allocator up front).
     pub fn scratch_needs(&self) -> u32 {
         match self {
-            Snippet::Const(_) | Snippet::ReadReg(_) | Snippet::Nop => 1,
+            Snippet::Const(_) | Snippet::ReadReg(_) | Snippet::Local(_) | Snippet::Nop => 1,
             Snippet::ReadVar(_) => 2,
             Snippet::WriteVar(_, v) => v.scratch_needs().max(1) + 1,
             Snippet::WriteReg(_, v) => v.scratch_needs(),
@@ -154,6 +181,8 @@ impl Snippet {
             Snippet::Call { args, .. } => {
                 args.iter().map(|s| s.scratch_needs()).max().unwrap_or(0) + 1
             }
+            // The bound register is held while the body runs.
+            Snippet::Let { value, body, .. } => value.scratch_needs().max(body.scratch_needs() + 1),
         }
     }
 
@@ -167,7 +196,10 @@ impl Snippet {
             }
             Snippet::ReadMem { addr, .. } => addr.contains_call(),
             Snippet::WriteMem { addr, val, .. } => addr.contains_call() || val.contains_call(),
-            Snippet::Bin(_, a, b) => a.contains_call() || b.contains_call(),
+            Snippet::Bin(_, a, b)
+            | Snippet::Let {
+                value: a, body: b, ..
+            } => a.contains_call() || b.contains_call(),
             Snippet::If { cond, then_, else_ } => {
                 cond.contains_call()
                     || then_.contains_call()
@@ -195,7 +227,10 @@ impl Snippet {
             Snippet::WriteMem {
                 addr: a, val: b, ..
             }
-            | Snippet::Bin(_, a, b) => a.named_registers().union(b.named_registers()),
+            | Snippet::Bin(_, a, b)
+            | Snippet::Let {
+                value: a, body: b, ..
+            } => a.named_registers().union(b.named_registers()),
             Snippet::If { cond, then_, else_ } => {
                 let arms = cond.named_registers().union(then_.named_registers());
                 else_
@@ -203,9 +238,11 @@ impl Snippet {
                     .map_or(arms, |e| arms.union(e.named_registers()))
             }
             Snippet::Seq(v) | Snippet::Call { args: v, .. } => all(v),
-            Snippet::Const(_) | Snippet::ReadVar(_) | Snippet::IncrementVar(_) | Snippet::Nop => {
-                RegSet::EMPTY
-            }
+            Snippet::Const(_)
+            | Snippet::ReadVar(_)
+            | Snippet::IncrementVar(_)
+            | Snippet::Local(_)
+            | Snippet::Nop => RegSet::EMPTY,
         }
     }
 
@@ -219,7 +256,10 @@ impl Snippet {
             Snippet::WriteMem { addr, val, .. } => {
                 addr.mutates_registers() || val.mutates_registers()
             }
-            Snippet::Bin(_, a, b) => a.mutates_registers() || b.mutates_registers(),
+            Snippet::Bin(_, a, b)
+            | Snippet::Let {
+                value: a, body: b, ..
+            } => a.mutates_registers() || b.mutates_registers(),
             Snippet::If { cond, then_, else_ } => {
                 cond.mutates_registers()
                     || then_.mutates_registers()
@@ -273,6 +313,23 @@ mod tests {
         ]);
         assert!(s.contains_call());
         assert!(!Snippet::Nop.contains_call());
+    }
+
+    #[test]
+    fn bindings_are_walked_like_their_parts() {
+        let call = Snippet::Call {
+            target: 0x1000,
+            args: vec![],
+        };
+        let write = Snippet::WriteReg(Reg::x(10), Box::new(Snippet::Local(0)));
+        let s = Snippet::bind(0, Snippet::ReadReg(Reg::x(11)), write);
+        assert!(s.mutates_registers() && !s.contains_call());
+        assert_eq!(s.named_registers(), RegSet::of(&[Reg::x(10), Reg::x(11)]));
+        assert!(Snippet::bind(0, call, Snippet::Local(0)).contains_call());
+        // The bound value stays held while the body needs two more.
+        let sum = Snippet::bin(BinaryOp::Add, Snippet::Local(0), Snippet::Const(1));
+        let pair = Snippet::bin(BinaryOp::Mul, sum.clone(), sum);
+        assert_eq!(Snippet::bind(0, Snippet::Const(1), pair).scratch_needs(), 4);
     }
 
     #[test]

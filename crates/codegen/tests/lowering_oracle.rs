@@ -8,10 +8,13 @@
 //! `Seq`, `ReadMem`/`WriteMem` at `expr ± const`, `var = var op c`
 //! updates, register writes inside expressions (which decide when a
 //! register may be read in place), and reads of `sp`, which must see the
-//! `sp` the point had under any spill frame. Constants include the 12-bit
-//! edges (−2048, 2047, 2048) and values with bit 11 set; addresses include
-//! values below 2^12, just under 2^31 and above 2^32, and `sp + c` up to
-//! the 12-bit edge.
+//! `sp` the point had under any spill frame. `Let` bindings appear as
+//! statements and as expressions, nested (and shadowing, as ids repeat)
+//! up to two deep, and their `Local` reads appear as operands, in `If`
+//! conditions and arms, and as `Local ± c` address bases. Constants
+//! include the 12-bit edges (−2048, 2047, 2048) and values with bit 11
+//! set; addresses include values below 2^12, just under 2^31 and above
+//! 2^32, and `sp + c` up to the 12-bit edge.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -65,6 +68,8 @@ impl MemoryBus for Mem {
 struct Reference {
     regs: [u64; 32],
     mem: Mem,
+    /// The values of the enclosing `Let`s, innermost last.
+    locals: Vec<(u32, u64)>,
     /// Whether an access touched the stack just below `SP`, where the
     /// spill frame lives: no snippet may, so such a case is skipped.
     below_sp: bool,
@@ -130,6 +135,17 @@ impl Reference {
             Snippet::Un(UnaryOp::Neg, a) => self.eval(a).wrapping_neg(),
             Snippet::Un(UnaryOp::Not, a) => !self.eval(a),
             Snippet::Call { .. } => unreachable!("no calls generated"),
+            Snippet::Local(id) => {
+                let bound = self.locals.iter().rev().find(|(i, _)| i == id);
+                bound.expect("generated reads are bound").1
+            }
+            Snippet::Let { id, value, body } => {
+                let v = self.eval(value);
+                self.locals.push((*id, v));
+                let x = self.eval(body);
+                self.locals.pop();
+                x
+            }
             stmt => {
                 self.exec(stmt);
                 0
@@ -167,6 +183,12 @@ impl Reference {
                 } else if let Some(e) = else_ {
                     self.exec(e);
                 }
+            }
+            Snippet::Let { id, value, body } => {
+                let v = self.eval(value);
+                self.locals.push((*id, v));
+                self.exec(body);
+                self.locals.pop();
             }
             expr => {
                 self.eval(expr);
@@ -282,6 +304,8 @@ const HOT: [u8; 4] = [1, 5, 8, 10];
 struct Gen<'r> {
     rng: &'r mut TestRng,
     near: Vec<i64>,
+    /// The ids bound where the tree is being generated, innermost last.
+    scope: Vec<u32>,
 }
 
 impl Gen<'_> {
@@ -324,6 +348,31 @@ impl Gen<'_> {
         })
     }
 
+    /// A read of a bound id, when one is in scope.
+    fn local(&mut self) -> Option<Snippet> {
+        if self.scope.is_empty() {
+            return None;
+        }
+        let i = self.below(self.scope.len());
+        Some(Snippet::Local(self.scope[i]))
+    }
+
+    /// `let id = value in body`, with `id` (from a small pool, so inner
+    /// bindings shadow outer ones) in scope while `body` is generated.
+    /// At most two bindings are live at once, which keeps the tree within
+    /// the scratch registers the named ones leave; past that, `body`
+    /// alone.
+    fn binding(&mut self, value: Snippet, body: impl FnOnce(&mut Self) -> Snippet) -> Snippet {
+        if self.scope.len() >= 2 {
+            return body(self);
+        }
+        let id = self.below(3) as u32;
+        self.scope.push(id);
+        let body = body(self);
+        self.scope.pop();
+        Snippet::bind(id, value, body)
+    }
+
     /// A register to read: `sp` one time in six.
     fn read_reg(&mut self) -> Reg {
         if self.below(6) == 0 {
@@ -334,10 +383,14 @@ impl Gen<'_> {
     }
 
     /// `e ± c`, `c + e`, `sp + c` (a stack slot, up to the 12-bit edge),
-    /// or an absolute address.
+    /// `local + c`, or an absolute address.
     fn address(&mut self, depth: u32) -> Snippet {
         let c = Snippet::Const(self.konst());
-        match self.below(5) {
+        match self.below(6) {
+            5 if !self.scope.is_empty() => {
+                let l = self.local().expect("an id is in scope");
+                Snippet::bin(BinaryOp::Add, l, c)
+            }
             0 => Snippet::bin(BinaryOp::Add, self.expr(depth), c),
             1 => Snippet::bin(BinaryOp::Sub, self.expr(depth), c),
             2 => Snippet::bin(BinaryOp::Add, c, self.expr(depth)),
@@ -356,14 +409,23 @@ impl Gen<'_> {
     fn expr(&mut self, depth: u32) -> Snippet {
         let leaf = depth == 0 || self.below(3) == 0;
         if leaf {
-            return match self.below(3) {
+            return match self.below(4) {
                 0 => Snippet::Const(self.konst()),
                 1 => Snippet::ReadReg(self.read_reg()),
-                _ => Snippet::ReadVar(self.var()),
+                2 => Snippet::ReadVar(self.var()),
+                _ => match self.local() {
+                    Some(l) => l,
+                    None => Snippet::ReadVar(self.var()),
+                },
             };
         }
         let d = depth - 1;
-        match self.below(13) {
+        match self.below(14) {
+            // A binding in expression position: its body's value.
+            12 => {
+                let value = self.expr(d);
+                self.binding(value, |g| g.expr(d))
+            }
             0..=3 => Snippet::bin(self.pick(&BINOPS), self.expr(d), self.expr(d)),
             4 | 5 => Snippet::bin(
                 self.pick(&BINOPS),
@@ -399,19 +461,26 @@ impl Gen<'_> {
         let leaf = depth == 0 || self.below(2) == 0;
         if !leaf {
             let d = depth - 1;
-            return if self.below(2) == 0 {
-                let n = self.below(4);
-                Snippet::Seq((0..n).map(|_| self.stmt(d)).collect())
-            } else {
-                let cond = if self.below(3) == 0 {
-                    self.expr(2)
-                } else {
-                    Snippet::bin(self.pick(&BINOPS[9..]), self.expr(2), self.expr(2))
-                };
-                Snippet::If {
-                    cond: Box::new(cond),
-                    then_: Box::new(self.stmt(d)),
-                    else_: (self.below(2) == 0).then(|| Box::new(self.stmt(d))),
+            return match self.below(3) {
+                0 => {
+                    let n = self.below(4);
+                    Snippet::Seq((0..n).map(|_| self.stmt(d)).collect())
+                }
+                1 => {
+                    let value = self.expr(2);
+                    self.binding(value, |g| g.stmt(d))
+                }
+                _ => {
+                    let cond = if self.below(3) == 0 {
+                        self.expr(2)
+                    } else {
+                        Snippet::bin(self.pick(&BINOPS[9..]), self.expr(2), self.expr(2))
+                    };
+                    Snippet::If {
+                        cond: Box::new(cond),
+                        then_: Box::new(self.stmt(d)),
+                        else_: (self.below(2) == 0).then(|| Box::new(self.stmt(d))),
+                    }
                 }
             };
         }
@@ -475,6 +544,7 @@ impl Strategy for Cases {
         let mut g = Gen {
             rng,
             near: Vec::new(),
+            scope: Vec::new(),
         };
         let regs: Vec<u64> = (0..32).map(|_| g.value() as u64).collect();
         g.near = NAMED.iter().map(|&n| regs[n as usize] as i64).collect();
@@ -498,7 +568,7 @@ proptest! {
         regs[0] = 0;
         regs[2] = SP;
 
-        let mut reference = Reference { regs, mem: Mem::default(), below_sp: false };
+        let mut reference = Reference { regs, mem: Mem::default(), locals: Vec::new(), below_sp: false };
         reference.exec(&snippet);
         if reference.below_sp {
             return Ok(());

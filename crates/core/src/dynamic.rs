@@ -163,9 +163,12 @@ impl DynamicInstrumenter {
     /// Apply all queued insertions to the live process through
     /// [`FleetController::commit_all`]: lower and relocate (the timed
     /// `instrument` stage), then deliver (the timed `commit` stage) —
-    /// zero the data area, write the patch as coalesced contiguous
+    /// map the data area, write the patch as coalesced contiguous
     /// regions, read each region back to verify delivery, plant
-    /// springboards, register trap-table redirects.
+    /// springboards, register trap-table redirects. A later commit from
+    /// the same layout lays its code out after this one's, and leaves
+    /// its variables alone; one that instruments a function an earlier
+    /// commit relocated is [`Error::AlreadyRelocated`].
     ///
     /// A region whose read-back disagrees with what was written surfaces
     /// as [`Error::PatchVerifyFailed`], which stays the process's result.

@@ -110,6 +110,11 @@ pub enum Error {
     /// stopped making sense. Corrupt trace files are *data* for the
     /// reader to reject, never a panic — see `docs/FAILURE-MODES.md`.
     TraceCorrupt { offset: u64, reason: String },
+    /// A live commit would instrument the function at `func`, which an
+    /// earlier commit already relocated: its new copy would carry only
+    /// the new snippets and silently drop the earlier ones. Remove the
+    /// instrumentation first, or instrument the function in one commit.
+    AlreadyRelocated { func: u64 },
     /// Per-block count recovery failed for the function at `func`: a
     /// counter variable could not be read back, or the placed counter
     /// values violate the CFG flow equations (a negative reconstructed
@@ -130,6 +135,7 @@ impl Error {
             Error::Instrument { .. }
             | Error::SpringboardClobber { .. }
             | Error::UnresolvedIndirects { .. }
+            | Error::AlreadyRelocated { .. }
             | Error::PatchVerifyFailed { .. } => Stage::Instrument,
             Error::Proc { .. }
             | Error::MutateeFault { .. }
@@ -153,7 +159,9 @@ impl Error {
             | Error::RedirectMiss { pc }
             | Error::CacheIncoherent { pc }
             | Error::SpringboardClobber { pc, .. } => Some(*pc),
-            Error::UnresolvedIndirects { func, .. } => Some(*func),
+            Error::UnresolvedIndirects { func, .. } | Error::AlreadyRelocated { func } => {
+                Some(*func)
+            }
             Error::PatchVerifyFailed { addr } => Some(*addr),
             Error::CounterReconstruct { addr, .. } => Some(*addr),
             _ => None,
@@ -187,6 +195,12 @@ impl fmt::Display for Error {
                 "[instrument] function {func:#x} has {count} unresolved \
                  indirect transfer(s); refusing to relocate (opt in with \
                  allow_unresolved)"
+            ),
+            Error::AlreadyRelocated { func } => write!(
+                f,
+                "[instrument] function {func:#x} was relocated by an earlier \
+                 commit; instrumenting it again would drop that commit's \
+                 snippets (remove the instrumentation first)"
             ),
             Error::RedirectMiss { pc } => {
                 write!(f, "[run] trap springboard at {pc:#x} has no redirect entry")

@@ -42,16 +42,16 @@ use rvdyn_parse::CodeObject;
 use rvdyn_patch::{Point, PointKind, RelocationIndex};
 use rvdyn_proccontrol::{Event, FaultPlan, ProcError, Process, ProcessSet};
 use rvdyn_symtab::Binary;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The patch, frozen once by the template session's apply and shared
 /// (behind an `Arc`) by every per-process commit job.
 struct CommitPlan {
-    /// Patch data area base (zero-filled before the regions land).
+    /// Patch data area base (mapped before the regions land).
     data_addr: u64,
-    /// Bytes to zero at `data_addr`.
-    data_len: usize,
+    /// Bytes of data area to map at `data_addr`.
+    data_len: u64,
     /// Coalesced contiguous patch regions, in address order.
     regions: Vec<(u64, Vec<u8>)>,
     /// Trap-springboard redirects to install after a verified commit.
@@ -213,6 +213,12 @@ pub struct FleetController {
     events_dispatched: u64,
     /// The frozen commit plan, once [`FleetController::commit_all`] ran.
     commit: Option<Arc<CommitPlan>>,
+    /// For each patch code base a commit laid code out from, where that
+    /// code ends: the next commit from the same base goes there, after
+    /// code a process may still be running.
+    text_ends: BTreeMap<u64, u64>,
+    /// Entries of the functions committed instrumentation relocated.
+    relocated: BTreeSet<u64>,
     /// Inverse writes of every committed patch (springboard originals).
     undo: Vec<(u64, Vec<u8>)>,
     /// Patch-area → original pc translation, merged across commits.
@@ -239,6 +245,8 @@ impl FleetController {
             next_pid: 0,
             events_dispatched: 0,
             commit: None,
+            text_ends: BTreeMap::new(),
+            relocated: BTreeSet::new(),
             undo: Vec::new(),
             reloc_index: RelocationIndex::default(),
         }
@@ -299,6 +307,12 @@ impl FleetController {
         self.states.keys().copied().collect()
     }
 
+    /// Pids without a terminal result, ascending.
+    fn live_pids(&self) -> Vec<u32> {
+        let live = self.states.iter().filter(|(_, s)| s.result.is_none());
+        live.map(|(pid, _)| *pid).collect()
+    }
+
     /// Completions the event loop has consumed so far.
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
@@ -348,7 +362,7 @@ impl FleetController {
 
     /// Allocate a bulk data region fleet-wide (see
     /// [`Session::alloc_region`]): every process gets its own copy of
-    /// the region at the same address, zero-filled by the next
+    /// the region at the same address, mapped zero-filled by the next
     /// [`FleetController::commit_all`].
     pub fn alloc_region(&mut self, len: u64) -> u64 {
         self.session.alloc_region(len)
@@ -457,10 +471,19 @@ impl FleetController {
     /// Lower and relocate the queued snippets **once** on the template
     /// session (the timed `instrument` stage, fanned over the session's
     /// worker pool), then deliver the identical patch into every live
-    /// process concurrently (the timed `commit` stage): zero the data
-    /// area, write the coalesced regions, read each region back to
-    /// verify, install the trap-table redirects. Each verified region
-    /// emits [`TelemetryEvent::PatchRegionWritten`].
+    /// process concurrently (the timed `commit` stage): map the data
+    /// area (fresh pages read zero, and the variables of earlier commits
+    /// keep their values), write the coalesced regions, read each region
+    /// back to verify, install the trap-table redirects. Each verified
+    /// region emits [`TelemetryEvent::PatchRegionWritten`].
+    ///
+    /// Each commit lays its code out after the code earlier commits laid
+    /// out from the same patch code base, which a stopped process may be
+    /// running. A commit that
+    /// instruments a function an earlier commit relocated would replace
+    /// that copy and drop its snippets, so it is refused with
+    /// [`Error::AlreadyRelocated`] until
+    /// [`FleetController::remove_instrumentation`].
     ///
     /// Returns `Err` only when the *plan* fails (nothing was delivered
     /// anywhere). Per-process delivery failures are recorded per pid —
@@ -469,8 +492,16 @@ impl FleetController {
     /// [`Error::FleetProcessLost`] for a process that exited before
     /// delivery — and leave the rest of the fleet fully committed.
     pub fn commit_all(&mut self) -> Result<(), Error> {
-        let result = self.session.apply()?;
+        let funcs = self.session.pending_functions();
+        if let Some(&func) = funcs.iter().find(|f| self.relocated.contains(f)) {
+            return Err(Error::AlreadyRelocated { func });
+        }
+        let base = self.session.layout().patch_text;
+        let text = self.text_ends.get(&base).copied().unwrap_or(base);
+        let result = self.session.apply_at(text)?;
         self.session.clear_pending();
+        self.text_ends.insert(base, result.code_end);
+        self.relocated.extend(funcs);
         self.undo.extend(result.undo_writes().iter().cloned());
         self.reloc_index.merge(&result.reloc_index);
 
@@ -486,7 +517,7 @@ impl FleetController {
             });
         let plan = Arc::new(CommitPlan {
             data_addr: self.session.layout().patch_data,
-            data_len: self.session.var_bytes().max(8) as usize,
+            data_len: self.session.var_bytes().max(8),
             regions,
             trap_table: result.trap_table.clone(),
             code_span,
@@ -497,13 +528,7 @@ impl FleetController {
         // Seed every live process's diagnostics with the shared
         // instrument totals (the plan is one artifact, delivered N
         // times), then fan the deliveries out.
-        let live: Vec<u32> = self
-            .states
-            .iter()
-            .filter(|(_, s)| s.result.is_none())
-            .map(|(pid, _)| *pid)
-            .collect();
-        for pid in &live {
+        for pid in &self.live_pids() {
             if let Some(st) = self.states.get_mut(pid) {
                 st.diag.record_patch(&result);
             }
@@ -563,8 +588,10 @@ impl FleetController {
     /// springboards are overwritten with the original instructions and
     /// the trap redirects cleared, so execution stops entering the patch
     /// area (which remains mapped but unreachable). Counters keep their
-    /// values and stay readable.
+    /// values and stay readable, and a later commit may instrument the
+    /// same functions again.
     pub fn remove_instrumentation(&mut self) {
+        self.relocated.clear();
         let undo = std::mem::take(&mut self.undo);
         for pid in self.states.keys() {
             if let Some(p) = self.set.get_mut(*pid) {
@@ -588,12 +615,7 @@ impl FleetController {
     /// or after a commit whose plan failed) runs uninstrumented.
     pub fn run_all(&mut self) {
         let timer = self.session.begin_stage(TimedStage::Run);
-        let runnable: Vec<u32> = self
-            .states
-            .iter()
-            .filter(|(_, s)| s.result.is_none())
-            .map(|(pid, _)| *pid)
-            .collect();
+        let runnable = self.live_pids();
         let analysis = self.session.analysis().clone();
         let run_leg = move |p: &mut Process| JobOutcome::Stopped(resume(p, analysis.code()));
         for pid in runnable {
@@ -639,10 +661,13 @@ impl FleetController {
     }
 
     /// Run `job` — the fleet profiler's sampling loop — against every
-    /// process as one job per pid on the worker pool, and return each
-    /// pid's run, pid-ascending, once all have ended. Each completion
-    /// counts as one dispatched event and records its job's wall-clock
-    /// as the pid's run timing; the caller ends each pid through
+    /// process without a terminal result, as one job per pid on the
+    /// worker pool, and return each pid's run, pid-ascending, once all
+    /// have ended. As in [`FleetController::run_all`], a pid that already
+    /// ended (its commit failed) does not run: its run is its recorded
+    /// result, with no samples. Each completion counts as one dispatched
+    /// event and records its job's wall-clock as the pid's run timing;
+    /// the caller ends each pid through
     /// [`FleetController::finish_process`]. A pid whose process is not
     /// in the set reports [`Error::FleetProcessLost`].
     pub(crate) fn sample_all(
@@ -651,16 +676,23 @@ impl FleetController {
     ) -> BTreeMap<u32, SampledRun> {
         let job = Arc::new(job);
         let mut runs = BTreeMap::new();
-        for pid in self.pids() {
-            let job = job.clone();
-            if !self.set.dispatch(pid, move |p| JobOutcome::Sampled(job(p))) {
-                let lost = SampledRun {
-                    profile: Default::default(),
-                    samples: Vec::new(),
-                    result: Err(Error::FleetProcessLost { pid }),
-                };
-                runs.insert(pid, lost);
-            }
+        for (&pid, st) in &self.states {
+            let result = match &st.result {
+                Some(ended) => ended.clone(),
+                None => {
+                    let job = job.clone();
+                    if self.set.dispatch(pid, move |p| JobOutcome::Sampled(job(p))) {
+                        continue;
+                    }
+                    Err(Error::FleetProcessLost { pid })
+                }
+            };
+            let run = SampledRun {
+                profile: Default::default(),
+                samples: Vec::new(),
+                result,
+            };
+            runs.insert(pid, run);
         }
         while let Some(c) = self.set.next_completion() {
             self.events_dispatched += 1;
@@ -681,11 +713,13 @@ impl FleetController {
     /// [`TelemetryEvent::RunExit`], fold its final machine counters and
     /// buffered engine events into its per-process diagnostics (and the
     /// controller's totals), then record the result and emit the fleet
-    /// exit/failure telemetry — unless the process already ended (a
-    /// failed commit the profiler sampled anyway), whose first outcome
-    /// stands. [`FleetController::run_all`] and the fleet profiler end
-    /// every run here.
+    /// exit/failure telemetry. A pid that already ended did not run, and
+    /// keeps its first outcome. [`FleetController::run_all`] and the
+    /// fleet profiler end every run here.
     pub(crate) fn finish_process(&mut self, pid: u32, result: Result<i64, Error>) {
+        if self.result(pid).is_some() {
+            return;
+        }
         let reason: &'static str = match &result {
             Ok(_) => "exited",
             Err(Error::RedirectMiss { .. }) => "break",
@@ -708,9 +742,6 @@ impl FleetController {
         let Some(st) = self.states.get_mut(&pid) else {
             return;
         };
-        if st.result.is_some() {
-            return;
-        }
         let event = match &result {
             Ok(code) => TelemetryEvent::FleetProcessExited { pid, code: *code },
             Err(_) => TelemetryEvent::FleetProcessFailed { pid },
@@ -768,7 +799,7 @@ fn commit_into(p: &mut Process, plan: &CommitPlan) -> JobOutcome {
             lost: true,
         };
     }
-    p.write_mem(plan.data_addr, &vec![0u8; plan.data_len]);
+    p.map_mem(plan.data_addr, plan.data_len);
     let mut verified = 0usize;
     let mut failed: Option<u64> = None;
     for (addr, bytes) in &plan.regions {

@@ -433,20 +433,25 @@ impl Session {
     /// (rounded up to 8-byte granularity) and return its base address.
     /// The region participates in the same zero-initialised data
     /// delivery as [`Session::alloc_var`] slots — the static rewriter
-    /// sizes `.rvdyn.data` to cover it and the dynamic commit zero-fills
-    /// it — so tools can stake out in-mutatee buffers (e.g. the memory
-    /// tracer's record ring) without their own delivery path.
+    /// sizes `.rvdyn.data` to cover it and the live commit maps it
+    /// zero-filled — so tools can stake out in-mutatee buffers (e.g. the
+    /// memory tracer's record ring) without their own delivery path.
     pub fn alloc_region(&mut self, len: u64) -> u64 {
         let addr = self.layout.patch_data + self.var_bytes;
         self.var_bytes += (len + 7) & !7;
         addr
     }
 
-    /// Queue `snippet` at each point.
+    /// Queue `snippet` at each point (the last point takes it without a
+    /// copy).
     pub fn insert(&mut self, points: &[Point], snippet: Snippet) {
-        for p in points {
+        let Some((last, rest)) = points.split_last() else {
+            return;
+        };
+        for p in rest {
             self.pending.push((*p, snippet.clone()));
         }
+        self.pending.push((*last, snippet));
     }
 
     /// Queue basic-block counting for the named function under the
@@ -565,11 +570,15 @@ impl Session {
     /// The queue is left intact (the static path may re-apply); delivery
     /// paths that consume the queue call [`Session::clear_pending`].
     pub fn apply(&mut self) -> Result<PatchResult, Error> {
+        self.apply_at(self.layout.patch_text)
+    }
+
+    /// [`Session::apply`] with the patch code laid out from `text`
+    /// instead of the layout's base: the live path puts each commit's
+    /// code after the code of the commits before it.
+    pub(crate) fn apply_at(&mut self, text: u64) -> Result<PatchResult, Error> {
         if !self.allow_unresolved {
-            let mut funcs: Vec<u64> = self.pending.iter().map(|(p, _)| p.func).collect();
-            funcs.sort_unstable();
-            funcs.dedup();
-            for func in funcs {
+            for func in self.pending_functions() {
                 if let Some(f) = self.code().functions.get(&func) {
                     let count = f
                         .blocks
@@ -586,8 +595,12 @@ impl Session {
 
         let timer = self.tele.begin(TimedStage::Instrument);
         let analysis = self.analysis.clone();
+        let layout = PatchLayout {
+            patch_text: text,
+            ..self.layout
+        };
         let mut ins = Instrumenter::new(analysis.binary(), analysis.code())
-            .with_layout(self.layout)
+            .with_layout(layout)
             .with_mode(self.mode)
             .with_threads(self.threads);
         // Keep the instrumenter's own allocations (if any) clear of ours.
@@ -618,6 +631,15 @@ impl Session {
     /// Drop the pending snippet queue (after a delivery consumed it).
     pub fn clear_pending(&mut self) {
         self.pending.clear();
+    }
+
+    /// Entries of the functions the queued snippets instrument (each one
+    /// is relocated), ascending.
+    pub(crate) fn pending_functions(&self) -> Vec<u64> {
+        let mut funcs: Vec<u64> = self.pending.iter().map(|(p, _)| p.func).collect();
+        funcs.sort_unstable();
+        funcs.dedup();
+        funcs
     }
 
     /// Record the mutatee's final retired-instruction/cycle totals.

@@ -4,15 +4,24 @@
 //! [`MemTracer`]'s planners scan the shared [`Analysis`](crate::Analysis)'s
 //! CFG for plain integer and floating-point loads/stores, and queues a
 //! compact record-emitting snippet before each one. The snippet appends
-//! a 16-byte `[effective address][pc | width | direction]` record into a
-//! ring buffer staked out in the patch data area
+//! a 16-byte `[effective address][site index]` record into a ring buffer
+//! staked out in the patch data area
 //! ([`Session::alloc_region`](crate::Session::alloc_region)). The ring's
 //! cursor counts every access; the record is stored only while the
 //! cursor is below capacity, so the ring never wraps, a drained trace is
 //! always a faithful *prefix* of the access stream, and the drain
-//! computes the dropped count from the cursor. Records bake the
-//! **original** pc, so traces read identically whether the site executed
-//! in place or from its relocated copy in the patch area.
+//! computes the dropped count from the cursor. The site index names an
+//! entry of the tracer's site table, which holds the **original** pc,
+//! width and direction, so traces read identically whether the site
+//! executed in place or from its relocated copy in the patch area.
+//!
+//! The snippet loads the cursor once into a snippet-local register
+//! ([`Snippet::Let`]) and the ring starts on a 4 KiB boundary, so at a
+//! point that needs no spill, under the default layout, a record is 13
+//! instructions while the ring has room (`lui; ld` the cursor, `lui;
+//! bge` the capacity, `lui; add` the slot, two `sd`s with their values,
+//! `addi; lui; sd` the cursor; one more for a site index past 2047) and
+//! 7 once it is full.
 //!
 //! The tracer deliberately matches the emulator's memory-op oracle
 //! ([`rvdyn_emu::Machine::arm_mem_oracle`]) instruction-for-instruction:
@@ -32,7 +41,7 @@ use crate::fleet::FleetController;
 use crate::session::Session;
 use crate::telemetry::TelemetryEvent;
 use rvdyn_codegen::snippet::{BinaryOp, Snippet, Var};
-use rvdyn_isa::{Instruction, Op};
+use rvdyn_isa::{Instruction, Op, Reg};
 use rvdyn_patch::{Point, PointKind};
 
 /// Planning knobs for [`MemTracer`].
@@ -55,10 +64,13 @@ impl Default for TraceOptions {
     }
 }
 
-/// One instrumented load/store site.
+/// One instrumented load/store site: what a record's site index stands
+/// for.
 #[derive(Debug, Clone, Copy)]
 struct TraceSite {
     pc: u64,
+    len: u8,
+    is_store: bool,
 }
 
 /// What a drain recovered from one mutatee.
@@ -102,10 +114,13 @@ pub(crate) fn mem_ref(inst: &Instruction) -> Option<(u8, bool)> {
     })
 }
 
-fn meta_word(pc: u64, len: u8, is_store: bool) -> i64 {
-    debug_assert!(pc < (1 << 48), "text addresses fit 48 bits");
-    (pc | ((len as u64) << 48) | ((is_store as u64) << 56)) as i64
-}
+/// The snippet-local ids a record binds: the cursor, and its slot's
+/// address.
+const CURSOR: u32 = 0;
+const SLOT: u32 = 1;
+
+/// Alignment of the ring's base: a multiple of 4 KiB is one `lui`.
+const RING_ALIGN: u64 = 4096;
 
 fn add(a: Snippet, b: Snippet) -> Snippet {
     Snippet::Bin(BinaryOp::Add, Box::new(a), Box::new(b))
@@ -123,86 +138,91 @@ impl MemTracer {
             None => session.code().functions.keys().copied().collect(),
         };
 
-        let cursor = session.alloc_var(8);
+        // The ring first, on a 4 KiB boundary, then the cursor.
         let cap_bytes = opts.capacity.max(1) * 16;
+        let next = session.layout().patch_data + session.var_bytes();
+        session.alloc_region(next.wrapping_neg() % RING_ALIGN);
         let base = session.alloc_region(cap_bytes);
+        let mut tracer = MemTracer {
+            sites: Vec::new(),
+            cursor: session.alloc_var(8),
+            base,
+            cap_bytes,
+        };
 
         // Collect the sites: every plain load/store in every selected
         // function, in address order (BTreeMap iteration order).
-        let mut plan: Vec<(Point, Snippet, u64)> = Vec::new();
-        {
-            let code = session.code();
-            for entry in &entries {
-                let f = &code.functions[entry];
-                for b in f.blocks.values() {
-                    for inst in &b.insts {
-                        let Some((len, is_store)) = mem_ref(inst) else {
-                            continue;
-                        };
-                        let (Some(rs1), imm) = (inst.rs1, inst.imm) else {
-                            continue;
-                        };
-                        // Effective address of the access, computed from
-                        // the pre-instrumentation register value the
-                        // trampoline preserves.
-                        let ea = add(Snippet::ReadReg(rs1), Snippet::Const(imm));
-                        // Store the record while the cursor is below
-                        // capacity; count the access either way.
-                        let record = |off: i64, val: Snippet| Snippet::WriteMem {
-                            addr: Box::new(add(
-                                Snippet::Const(base as i64 + off),
-                                Snippet::ReadVar(cursor),
-                            )),
-                            val: Box::new(val),
-                            size: 8,
-                        };
-                        let meta = meta_word(inst.address, len, is_store);
-                        let snippet = Snippet::Seq(vec![
-                            Snippet::If {
-                                cond: Box::new(Snippet::Bin(
-                                    BinaryOp::LtS,
-                                    Box::new(Snippet::ReadVar(cursor)),
-                                    Box::new(Snippet::Const(cap_bytes as i64)),
-                                )),
-                                then_: Box::new(Snippet::Seq(vec![
-                                    record(0, ea),
-                                    record(8, Snippet::Const(meta)),
-                                ])),
-                                else_: None,
-                            },
-                            Snippet::WriteVar(
-                                cursor,
-                                Box::new(add(Snippet::ReadVar(cursor), Snippet::Const(16))),
-                            ),
-                        ]);
-                        let point = Point {
-                            func: f.entry,
-                            addr: inst.address,
-                            kind: PointKind::InstBefore(inst.address),
-                        };
-                        plan.push((point, snippet, inst.address));
-                    }
-                }
+        let mut plan: Vec<(Point, Snippet)> = Vec::new();
+        let code = session.code();
+        for entry in &entries {
+            let f = &code.functions[entry];
+            for inst in f.blocks.values().flat_map(|b| &b.insts) {
+                let Some((len, is_store)) = mem_ref(inst) else {
+                    continue;
+                };
+                let Some(rs1) = inst.rs1 else {
+                    continue;
+                };
+                let point = Point {
+                    func: f.entry,
+                    addr: inst.address,
+                    kind: PointKind::InstBefore(inst.address),
+                };
+                plan.push((point, tracer.record(tracer.sites.len(), rs1, inst.imm)));
+                tracer.sites.push(TraceSite {
+                    pc: inst.address,
+                    len,
+                    is_store,
+                });
             }
         }
-
-        let mut sites = Vec::with_capacity(plan.len());
-        for (point, snippet, pc) in plan {
+        for (point, snippet) in plan {
             session.insert(std::slice::from_ref(&point), snippet);
-            sites.push(TraceSite { pc });
         }
 
-        session.diag_mut().trace_points_planned = sites.len() as u64;
+        session.diag_mut().trace_points_planned = tracer.sites.len() as u64;
         session.emit(TelemetryEvent::TraceStarted {
-            points: sites.len(),
+            points: tracer.sites.len(),
             capacity: opts.capacity.max(1),
         });
-        Ok(MemTracer {
-            sites,
-            cursor,
-            base,
-            cap_bytes,
-        })
+        Ok(tracer)
+    }
+
+    /// The record snippet of site `index`, an access of `rs1 + imm`:
+    /// bind the cursor; while the ring has room, store the effective
+    /// address and `index` in the cursor's slot; count the access either
+    /// way.
+    fn record(&self, index: usize, rs1: Reg, imm: i64) -> Snippet {
+        let cur = || Snippet::Local(CURSOR);
+        // The pre-instrumentation register value the trampoline
+        // preserves, stored in place when the offset is 0.
+        let ea = match imm {
+            0 => Snippet::ReadReg(rs1),
+            _ => add(Snippet::ReadReg(rs1), Snippet::Const(imm)),
+        };
+        let store = |off: i64, val: Snippet| Snippet::WriteMem {
+            addr: Box::new(add(Snippet::Local(SLOT), Snippet::Const(off))),
+            val: Box::new(val),
+            size: 8,
+        };
+        let slot = add(Snippet::Const(self.base as i64), cur());
+        let body = Snippet::Seq(vec![
+            Snippet::If {
+                cond: Box::new(Snippet::bin(
+                    BinaryOp::LtS,
+                    cur(),
+                    Snippet::Const(self.cap_bytes as i64),
+                )),
+                then_: Box::new(Snippet::bind(
+                    SLOT,
+                    slot,
+                    Snippet::Seq(vec![store(0, ea), store(8, Snippet::Const(index as i64))]),
+                )),
+                else_: None,
+            },
+            Snippet::WriteVar(self.cursor, Box::new(add(cur(), Snippet::Const(16)))),
+        ]);
+        Snippet::bind(CURSOR, Snippet::ReadVar(self.cursor), body)
     }
 
     /// Plan tracing on a static [`BinaryEditor`] (rewrite path).
@@ -240,7 +260,9 @@ impl MemTracer {
         self.cap_bytes / 16
     }
 
-    /// Decode the ring through an arbitrary u64-at-address view.
+    /// Decode the ring through an arbitrary u64-at-address view, mapping
+    /// each record's site index through the site table. An index outside
+    /// the table is [`Error::TraceCorrupt`] at that word's ring offset.
     fn drain_with(&self, read_u64: &mut dyn FnMut(u64) -> Option<u64>) -> Result<Drained, Error> {
         let unreadable = |addr: u64| Error::Proc {
             source: rvdyn_proccontrol::ProcError::BadAddress(addr),
@@ -253,13 +275,23 @@ impl MemTracer {
         let mut off = 0u64;
         while off < used {
             let addr = read_u64(self.base + off).ok_or_else(|| unreadable(self.base + off))?;
-            let meta =
+            let index =
                 read_u64(self.base + off + 8).ok_or_else(|| unreadable(self.base + off + 8))?;
+            let site = usize::try_from(index)
+                .ok()
+                .and_then(|i| self.sites.get(i))
+                .ok_or_else(|| Error::TraceCorrupt {
+                    offset: off + 8,
+                    reason: format!(
+                        "ring record names site {index}, but {} sites were planned",
+                        self.sites.len()
+                    ),
+                })?;
             records.push(TraceRecord {
-                pc: meta & 0xFFFF_FFFF_FFFF,
+                pc: site.pc,
                 addr,
-                len: ((meta >> 48) & 0xFF) as u8,
-                is_store: (meta >> 56) & 1 != 0,
+                len: site.len,
+                is_store: site.is_store,
             });
             off += 16;
         }
@@ -300,5 +332,113 @@ impl MemTracer {
         }
         Self::fold(fc.session_mut(), &d);
         Ok(d)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rvdyn_codegen::emitter::generate;
+    use rvdyn_codegen::regalloc::RegAllocMode;
+    use rvdyn_isa::semantics::{eval_int, EvalOutcome, FlatMemory, IntState, MemoryBus};
+    use rvdyn_isa::{IsaProfile, RegSet};
+
+    /// The default ring at the default data area, its cursor behind it.
+    fn tracer() -> MemTracer {
+        let cap_bytes = TraceOptions::default().capacity * 16;
+        MemTracer {
+            sites: Vec::new(),
+            cursor: Var {
+                addr: 0xC_0000 + cap_bytes,
+                size: 8,
+            },
+            base: 0xC_0000,
+            cap_bytes,
+        }
+    }
+
+    /// Run site 5's record for an access of `24(a0)` with every other
+    /// register dead, the cursor at `cursor`: the instructions it retires
+    /// and the memory it leaves.
+    fn run_record(cursor: u64) -> (usize, FlatMemory) {
+        let t = tracer();
+        let mut dead = RegSet::ALL_GPR;
+        dead.remove(Reg::x(10));
+        let (code, spills) = generate(
+            &t.record(5, Reg::x(10), 24),
+            dead,
+            RegAllocMode::DeadRegisters,
+            IsaProfile::rv64gc(),
+        )
+        .unwrap();
+        assert_eq!(spills, 0);
+        let mut st = IntState::new(0);
+        st.set(Reg::x(10), 0x1000);
+        let mut mem = FlatMemory::new(t.base, (t.cap_bytes + 8) as usize);
+        mem.store(t.cursor.addr, 8, cursor);
+        let (mut ip, mut retired) = (0usize, 0);
+        while ip < code.len() {
+            let mut inst = code[ip];
+            inst.address = 4 * ip as u64;
+            st.pc = inst.address;
+            retired += 1;
+            ip = match eval_int(&inst, &mut st, &mut mem) {
+                EvalOutcome::Next => ip + 1,
+                EvalOutcome::Jump(to) => (to / 4) as usize,
+                other => panic!("unexpected {other:?}"),
+            };
+        }
+        (retired, mem)
+    }
+
+    #[test]
+    fn site_index_outside_the_table_is_trace_corrupt() {
+        let mut t = tracer();
+        t.sites.push(TraceSite {
+            pc: 0x1_0400,
+            len: 4,
+            is_store: true,
+        });
+        // Two records in a one-site table: site 0, then `second`.
+        let drain = |t: &MemTracer, second: u64| {
+            let words = [
+                (t.cursor.addr, 32),
+                (t.base, 0x2000),
+                (t.base + 8, 0),
+                (t.base + 16, 0x2008),
+                (t.base + 24, second),
+            ];
+            t.drain_with(&mut |a| words.iter().find(|w| w.0 == a).map(|w| w.1))
+        };
+        let d = drain(&t, 0).unwrap();
+        let site = |addr| TraceRecord {
+            pc: 0x1_0400,
+            addr,
+            len: 4,
+            is_store: true,
+        };
+        assert_eq!(d.records, [site(0x2000), site(0x2008)]);
+        for bad in [1, u64::MAX] {
+            match drain(&t, bad) {
+                Err(Error::TraceCorrupt { offset: 24, .. }) => {}
+                other => panic!("site {bad}: expected TraceCorrupt at 24, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_is_13_instructions_with_room_and_7_when_full() {
+        let (retired, mut mem) = run_record(0x30);
+        assert_eq!(retired, 13);
+        let base = tracer().base;
+        assert_eq!(mem.load(base + 0x30, 8), 0x1018);
+        assert_eq!(mem.load(base + 0x38, 8), 5);
+        assert_eq!(mem.load(tracer().cursor.addr, 8), 0x40);
+
+        let full = tracer().cap_bytes;
+        let (retired, mut mem) = run_record(full);
+        assert_eq!(retired, 7);
+        assert_eq!(mem.load(tracer().cursor.addr, 8), full + 16);
+        assert!(mem.bytes[..full as usize].iter().all(|&b| b == 0));
     }
 }

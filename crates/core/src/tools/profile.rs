@@ -271,10 +271,12 @@ impl Profiler {
         })
     }
 
-    /// Sample every fleet process to its terminal event. Each pid's
-    /// whole sampling loop is one job on the fleet's worker pool, so the
-    /// N mutatees are sampled in parallel (inline, pid by pid, with
-    /// `threads(1)`); the jobs share this profiler's walker. The
+    /// Sample every fleet process without a terminal result to its
+    /// terminal event; a process that already has one (its commit
+    /// failed) is not run, and reports that result with no samples.
+    /// Each pid's whole sampling loop is one job on the fleet's worker
+    /// pool, so the N mutatees are sampled in parallel (inline, pid by
+    /// pid, with `threads(1)`); the jobs share this profiler's walker. The
     /// controller thread then folds the results in pid order: it emits
     /// each pid's [`TelemetryEvent::SampleTaken`] events, ends the pid
     /// through the fleet's terminal-result path and merges its profile,

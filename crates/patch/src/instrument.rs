@@ -361,6 +361,9 @@ pub struct PatchResult {
     pub plans_built: usize,
     /// Worker threads the plan phase actually used (1 = inline, no pool).
     pub instrument_workers: usize,
+    /// End of the code this patch lays out in the patch code area (its
+    /// base when nothing was relocated), 8-byte aligned.
+    pub code_end: u64,
     /// Raw (address, bytes) writes for dynamic instrumentation.
     writes: Vec<(u64, Vec<u8>)>,
     /// The original bytes each springboard overwrote, for removal.
@@ -999,6 +1002,7 @@ impl<'b> Instrumenter<'b> {
             redirects_registered,
             plans_built,
             instrument_workers: nworkers,
+            code_end,
             writes,
             undo,
             reloc_index: RelocationIndex { entries: index },

@@ -287,6 +287,15 @@ impl Process {
         });
     }
 
+    /// Map zero-filled memory over `[addr, addr+len)` where none is
+    /// mapped yet; mapped bytes keep their values. This is how a live
+    /// commit provides its data area. It writes nothing, so it is no
+    /// `write_mem`: no [`FaultPlan`] write fault counts it, and it
+    /// emits no event.
+    pub fn map_mem(&mut self, addr: u64, len: u64) {
+        self.machine.mem.map(addr, len);
+    }
+
     /// The machine, for inspection (cycle counts, stdout, …).
     pub fn machine(&self) -> &Machine {
         &self.machine

@@ -178,7 +178,8 @@ fn corrupt_write_invalidates_hot_cached_blocks() {
     let warm_blocks = p.machine().emu_blocks_translated();
     assert!(warm_blocks > 0);
 
-    let plan = FaultPlan::new().corrupt_write(1, 0);
+    // Write 0 is the first patch region.
+    let plan = FaultPlan::new().corrupt_write(0, 0);
     p.set_fault_plan(plan);
     let mut dy =
         DynamicInstrumenter::attach_with(bin, p, SessionOptions::new().engine(EmuEngine::Cached));

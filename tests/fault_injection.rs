@@ -14,13 +14,13 @@ use rvdyn::{
 };
 use rvdyn_asm::{many_functions_program, matmul_program, tiny_function_program};
 
-/// Write 0 of a commit is the data-area zero-fill; write 1 is the first
-/// verified patch region. Corrupting one byte of it must fail read-back
+/// Write 0 of a commit is its first verified patch region (the data area
+/// is mapped, not written). Corrupting one byte of it must fail read-back
 /// verification as `PatchVerifyFailed` at that region's address.
 #[test]
 fn corrupted_patch_write_is_a_verify_failure() {
     let bin = matmul_program(4, 1);
-    let plan = FaultPlan::new().corrupt_write(1, 0);
+    let plan = FaultPlan::new().corrupt_write(0, 0);
     let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new());
     dy.process_mut().set_fault_plan(plan);
     let counter = dy.alloc_var(8);
@@ -45,7 +45,7 @@ fn corrupted_patch_write_is_a_verify_failure() {
 #[test]
 fn short_patch_write_is_a_verify_failure() {
     let bin = matmul_program(4, 1);
-    let plan = FaultPlan::new().short_write(1, 1);
+    let plan = FaultPlan::new().short_write(0, 1);
     let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new());
     dy.process_mut().set_fault_plan(plan);
     let counter = dy.alloc_var(8);
@@ -146,12 +146,13 @@ fn run_loop_recovers_from_delayed_stop() {
 /// Delivery faults against a parallel-planned patch: because the layout
 /// phase emits bit-identical writes for any thread count, a corrupted
 /// write must fail verification at the *same region address* whether the
-/// plans were built sequentially or on a 4-worker pool.
+/// plans were built sequentially or on a 4-worker pool. Write 1 is the
+/// second patch region.
 #[test]
 fn corrupted_write_fails_at_the_same_region_for_any_thread_count() {
     let fail_addr = |threads: usize| {
         let bin = many_functions_program(16);
-        let plan = FaultPlan::new().corrupt_write(2, 0);
+        let plan = FaultPlan::new().corrupt_write(1, 0);
         let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().threads(threads));
         dy.process_mut().set_fault_plan(plan);
         let counter = dy.alloc_var(8);

@@ -12,7 +12,7 @@ use rvdyn::tools::{FuncCounts, MemTracer, TraceOptions};
 use rvdyn::{
     Binary, BinaryEditor, Diagnostics, DynamicInstrumenter, EmuEngine, Error, Event, FaultPlan,
     FleetController, PointKind, Process, Profile, ProfileOptions, Profiler, SessionOptions,
-    Snippet, TelemetryEvent,
+    Snippet, TelemetryEvent, Var,
 };
 use rvdyn_asm::matmul_program;
 use std::collections::BTreeMap;
@@ -107,9 +107,9 @@ fn targeted_fault_hits_one_process_and_spares_the_rest() {
     let (_, seq_counter, _) = sequential_reference();
     let (mut fleet, pids, c) = instrumented_fleet(8, SessionOptions::new());
     let victim = pids[3];
-    // Write 0 is the data-area zero-fill; write 1 the first region.
+    // Write 0 is the first patch region.
     fleet
-        .set_fault_plan(victim, FaultPlan::new().corrupt_write(1, 0))
+        .set_fault_plan(victim, FaultPlan::new().corrupt_write(0, 0))
         .unwrap();
     fleet.commit_all().unwrap();
     fleet.run_all();
@@ -329,7 +329,7 @@ fn fault_in_one_process_leaves_other_traces_intact() {
     let tracer = MemTracer::plan_fleet(&mut fleet, &TraceOptions::default()).unwrap();
     let victim = pids[2];
     fleet
-        .set_fault_plan(victim, FaultPlan::new().corrupt_write(1, 0))
+        .set_fault_plan(victim, FaultPlan::new().corrupt_write(0, 0))
         .unwrap();
     fleet.commit_all().unwrap();
     fleet.run_all();
@@ -567,8 +567,8 @@ fn sampling_on_workers_isolates_failed_pids() {
         let (fc, out) = sampled_fleet(
             threads,
             |fc| {
-                // Write 0 is the data-area zero-fill; write 1 the first region.
-                fc.set_fault_plan(CORRUPTED, FaultPlan::new().corrupt_write(1, 0))
+                // Write 0 is the first patch region.
+                fc.set_fault_plan(CORRUPTED, FaultPlan::new().corrupt_write(0, 0))
                     .unwrap();
             },
             |fc| {
@@ -585,7 +585,7 @@ fn sampling_on_workers_isolates_failed_pids() {
                     })
                     .unwrap();
                 fc.with_process(ADVANCED, |p| {
-                    p.machine_mut().stop_at_cycles = Some(400_000);
+                    p.machine_mut().stop_at_cycles = Some(200_000);
                     assert!(matches!(p.cont(), Ok(Event::CycleLimit(_))));
                 })
                 .unwrap();
@@ -633,4 +633,105 @@ fn sampling_on_workers_isolates_failed_pids() {
         sampled_observables(&inline_fc, &inline_out),
         "the disturbed fleet differs between threads(4) and threads(1)"
     );
+}
+
+/// Resume `pid` in short legs until it stops inside relocated code with
+/// `var` reading `n`, and return that pc.
+fn stop_in_relocated_code(fc: &mut FleetController, pid: u32, var: Var, n: u64) -> u64 {
+    let index = fc.reloc_index().clone();
+    fc.with_process(pid, |p| loop {
+        let now = p.machine().cycles;
+        p.machine_mut().stop_at_cycles = Some(now + 100);
+        match p.cont() {
+            Ok(Event::CycleLimit(pc))
+                if index.is_relocated(pc) && p.read_u64(var.addr) == Some(n) =>
+            {
+                p.machine_mut().stop_at_cycles = None;
+                return pc;
+            }
+            Ok(Event::CycleLimit(_)) => {}
+            other => panic!("the run ended before the stop: {other:?}"),
+        }
+    })
+    .unwrap()
+}
+
+/// A matmul(8, 6) process with a `matmul` entry counter committed, then
+/// stopped inside the relocated `matmul` halfway through its six calls.
+fn stopped_in_relocated_matmul(engine: EmuEngine) -> (FleetController, u32, Var, u64) {
+    let mut fc =
+        FleetController::from_binary(matmul_program(8, 6), SessionOptions::new().engine(engine));
+    let pid = fc.spawn(1)[0];
+    let calls = fc.alloc_var(8);
+    let pts = fc.find_points("matmul", PointKind::FuncEntry).unwrap();
+    fc.insert(&pts, Snippet::increment(calls));
+    fc.commit_all().unwrap();
+    let pc = stop_in_relocated_code(&mut fc, pid, calls, 3);
+    (fc, pid, calls, pc)
+}
+
+/// A later live commit lays its code out after the code of the commits
+/// before it and maps, rather than rewrites, the data area: a process
+/// stopped inside a copy an earlier commit relocated runs on through it,
+/// and the earlier commit's counter keeps its value and keeps counting.
+#[test]
+fn a_later_commit_leaves_earlier_code_and_variables_in_place() {
+    for engine in [EmuEngine::Interpreter, EmuEngine::Cached] {
+        let (mut fc, pid, calls, pc) = stopped_in_relocated_matmul(engine);
+        let first = fc.commit_regions().to_vec();
+        let main_calls = fc.alloc_var(8);
+        let pts = fc.find_points("main", PointKind::FuncEntry).unwrap();
+        fc.insert(&pts, Snippet::increment(main_calls));
+        fc.commit_all().unwrap();
+        assert_eq!(fc.read_var(pid, calls), Some(3), "{engine:?}");
+        // No byte of the first commit's patch area is written again.
+        let patch_area = |r: &&(u64, Vec<u8>)| r.0 >= rvdyn::PatchLayout::default().patch_text;
+        let first_end = first
+            .iter()
+            .filter(patch_area)
+            .map(|(a, b)| a + b.len() as u64);
+        let first_end = first_end.max().unwrap();
+        assert!(pc < first_end, "{engine:?}: stopped at {pc:#x}");
+        for (addr, _) in fc.commit_regions().iter().filter(patch_area) {
+            assert!(
+                *addr >= first_end,
+                "{engine:?}: {addr:#x} overwrites commit 1"
+            );
+        }
+        fc.run_all();
+        assert!(
+            matches!(fc.result(pid), Some(Ok(0))),
+            "{engine:?}: {:?}",
+            fc.result(pid)
+        );
+        assert_eq!(fc.read_var(pid, calls), Some(6), "{engine:?}");
+    }
+}
+
+/// A later live commit that instruments a function an earlier commit
+/// relocated is refused, so the earlier snippets are never dropped;
+/// once the instrumentation is removed, the function may be instrumented
+/// again, and its new copy goes after the old one.
+#[test]
+fn recommitting_a_relocated_function_is_refused_until_removal() {
+    for engine in [EmuEngine::Interpreter, EmuEngine::Cached] {
+        let (mut fc, pid, calls, _) = stopped_in_relocated_matmul(engine);
+        let matmul = fc.find_points("matmul", PointKind::FuncEntry).unwrap();
+        let again = fc.alloc_var(8);
+        fc.insert(&matmul, Snippet::increment(again));
+        match fc.commit_all() {
+            Err(Error::AlreadyRelocated { func }) => assert_eq!(func, matmul[0].func),
+            other => panic!("{engine:?}: expected AlreadyRelocated, got {other:?}"),
+        }
+        fc.remove_instrumentation();
+        fc.commit_all().unwrap();
+        fc.run_all();
+        assert!(
+            matches!(fc.result(pid), Some(Ok(0))),
+            "{engine:?}: {:?}",
+            fc.result(pid)
+        );
+        assert_eq!(fc.read_var(pid, calls), Some(3), "{engine:?}");
+        assert_eq!(fc.read_var(pid, again), Some(3), "{engine:?}");
+    }
 }

@@ -366,7 +366,9 @@ fn surfaced_trap_with_redirects_is_a_redirect_miss_when_sampling() {
 }
 
 /// A process that failed its commit keeps that failure as its fleet
-/// result when the profiler samples the fleet anyway.
+/// result when the profiler samples the fleet: the profiler does not run
+/// its torn patch, reports the failure as its outcome, and takes no
+/// samples of it.
 #[test]
 fn sampling_keeps_a_failed_commit_as_the_fleet_result() {
     let mut fc =
@@ -375,11 +377,11 @@ fn sampling_keeps_a_failed_commit_as_the_fleet_result() {
     let counter = fc.alloc_var(8);
     let pts = fc.find_points("matmul", PointKind::FuncEntry).unwrap();
     fc.insert(&pts, Snippet::increment(counter));
-    // Write 0 is the data-area zero-fill; write 1 the first region.
-    fc.set_fault_plan(pids[1], FaultPlan::new().corrupt_write(1, 0))
+    // Write 0 is the first patch region.
+    fc.set_fault_plan(pids[1], FaultPlan::new().corrupt_write(0, 0))
         .unwrap();
     fc.commit_all().unwrap();
-    Profiler::new(ProfileOptions::default())
+    let out = Profiler::new(ProfileOptions::default())
         .sample_fleet(&mut fc)
         .expect("sample_fleet");
     assert!(matches!(fc.result(pids[0]), Some(Ok(0))));
@@ -388,6 +390,12 @@ fn sampling_keeps_a_failed_commit_as_the_fleet_result() {
         Some(Err(Error::PatchVerifyFailed { .. }))
     ));
     assert_eq!(fc.summary().processes_failed, 1);
+    assert!(matches!(
+        out.outcomes.get(&pids[1]),
+        Some(Err(Error::PatchVerifyFailed { .. }))
+    ));
+    assert_eq!(out.per_process[&pids[1]].samples, 0);
+    assert_eq!(out.profile.samples, out.per_process[&pids[0]].samples);
 }
 
 /// The other half of that rule: the mutatee's own `ebreak` stays an
