@@ -21,5 +21,5 @@ pub use assembler::{AsmError, Assembler, Label};
 pub use programs::{
     atomics_program, deep_call_program, fib_program, indirect_entry_program,
     many_functions_program, matmul_program, memcpy_program, nested_call_program, switch_program,
-    switch_rel_program, tailcall_program, tiny_function_program, Layout,
+    switch_rel_program, tailcall_program, tiny_function_program, tiny_indirect_program, Layout,
 };

@@ -745,10 +745,25 @@ pub fn indirect_entry_program(iters: u64) -> Binary {
 
 /// The §3.1.2 worst case as a reusable mutatee: `tiny` is a real 2-byte
 /// function (a single `c.j` tail call to `bump`), so instrumenting it
-/// forces the 2-byte trap springboard and exercises the trap-redirect
-/// runtime. `main` calls `tiny(i)` for `i in 0..iters` and stores
-/// `Σ (i + 3)` at `result`.
+/// forces the 2-byte trap springboard. `main` calls `tiny(i)` with a
+/// direct `jal` for `i in 0..iters` and stores `Σ (i + 3)` at `result`;
+/// instrumentation rewrites that call to enter `tiny`'s relocated copy,
+/// so the trap is planted but not taken.
 pub fn tiny_function_program(iters: u64) -> Binary {
+    tiny_program(iters, false)
+}
+
+/// [`tiny_function_program`] with `main` calling `tiny` through a
+/// register (`la`, then `jalr ra`). An indirect call cannot be
+/// retargeted, so every call into an instrumented `tiny` goes through
+/// its trap springboard: the mutatee that exercises the trap-redirect
+/// runtime.
+pub fn tiny_indirect_program(iters: u64) -> Binary {
+    tiny_program(iters, true)
+}
+
+/// The tiny-function mutatee, calling `tiny` indirectly or directly.
+fn tiny_program(iters: u64, indirect: bool) -> Binary {
     let layout = Layout::default();
     let result = layout.data;
     let mut a = Assembler::new(layout.text);
@@ -773,7 +788,12 @@ pub fn tiny_function_program(iters: u64) -> Binary {
     let done = a.label();
     a.bge(S1, S0, done);
     a.mv(A0, S1);
-    a.call(l_tiny);
+    if indirect {
+        a.la(T1, l_tiny);
+        a.jalr(RA, T1, 0);
+    } else {
+        a.call(l_tiny);
+    }
     a.add(Reg::x(18), Reg::x(18), A0);
     a.addi(S1, S1, 1);
     a.jump(head);

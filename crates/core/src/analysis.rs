@@ -8,14 +8,14 @@
 //! the pipeline accordingly:
 //!
 //! * [`Analysis`] — the complete front-half artifact (binary model +
-//!   CFG with each function's loops + function-name index), immutable
-//!   and shared behind an `Arc`. Any number of concurrent
-//!   [`Session`](crate::Session)s can run their request-specific back
-//!   halves (liveness of the functions they instrument, placement,
-//!   lowering, layout, delivery) against one `Arc<Analysis>` from
-//!   different threads. Liveness is solved in the plan phase, for the
-//!   functions a request instruments only, because a request touches a
-//!   handful of a binary's functions.
+//!   CFG with each function's loops + function-name index + the direct
+//!   call sites by callee), immutable and shared behind an `Arc`. Any
+//!   number of concurrent [`Session`](crate::Session)s can run their
+//!   request-specific back halves (liveness of the functions they
+//!   instrument, placement, lowering, layout, delivery) against one
+//!   `Arc<Analysis>` from different threads. Liveness is solved in the
+//!   plan phase, for the functions a request instruments only, because
+//!   a request touches a handful of a binary's functions.
 //! * [`AnalysisKey`] — a SHA-256 over the binary's *semantic* content:
 //!   the entry point, the ISA profile material, allocatable section
 //!   bytes ordered by address (a zero-filled NOBITS section by its
@@ -37,6 +37,7 @@
 use crate::diag::Diagnostics;
 use crate::error::Error;
 use rvdyn_parse::{CodeObject, ParseEvent, ParseOptions};
+use rvdyn_patch::CallSites;
 use rvdyn_symtab::Binary;
 use std::collections::HashMap;
 use std::fmt;
@@ -398,15 +399,16 @@ impl fmt::Display for AnalysisKey {
 pub struct AnalysisTimings {
     /// Nanoseconds modelling the ELF (`Binary::parse`).
     pub open_ns: u64,
-    /// Nanoseconds building the CFG (natural loops included) and the
-    /// name index.
+    /// Nanoseconds building the CFG (natural loops included), the name
+    /// index and the call-site index.
     pub parse_ns: u64,
 }
 
 /// The immutable front half of the pipeline for one binary: the binary
-/// model, its CFG with every function's natural loops, and the
-/// function-name index. Construct with [`Analysis::compute`] (or through
-/// an [`AnalysisCache`]) and share behind an `Arc` — every
+/// model, its CFG with every function's natural loops, the
+/// function-name index, and the direct call sites by callee. Construct
+/// with [`Analysis::compute`] (or through an [`AnalysisCache`]) and
+/// share behind an `Arc` — every
 /// [`Session::from_analysis`](crate::Session::from_analysis) against the
 /// same artifact skips the ELF modelling and CFG construction entirely,
 /// from any number of threads at once. Per-function liveness is not
@@ -424,6 +426,8 @@ pub struct Analysis {
     /// Function entry by symbol name; the lowest entry wins a shared
     /// name. Unnamed (gap-parsed) functions are absent.
     names: HashMap<String, u64>,
+    /// Direct call sites by callee.
+    call_sites: CallSites,
     timings: AnalysisTimings,
     /// The parse-stage counters of `code`, every other field zero: the
     /// diagnostics every session on this analysis starts from.
@@ -492,6 +496,7 @@ impl Analysis {
                 names.entry(n.clone()).or_insert(f.entry);
             }
         }
+        let call_sites = CallSites::of(&code);
 
         let parse_ns = (parse_start.elapsed().as_nanos() as u64).max(1);
         let mut parse_diag = Diagnostics::default();
@@ -503,6 +508,7 @@ impl Analysis {
             binary,
             code,
             names,
+            call_sites,
             timings: AnalysisTimings { open_ns, parse_ns },
             parse_diag,
         })
@@ -531,6 +537,14 @@ impl Analysis {
     /// name (found by gap parsing) cannot be looked up.
     pub fn function_entry(&self, name: &str) -> Option<u64> {
         self.names.get(name).copied()
+    }
+
+    /// Every direct call site of the CFG by callee: what instrumentation
+    /// reads to let original code call a relocated function's copy.
+    /// Indexed once, with the CFG, and shared by every session on this
+    /// analysis.
+    pub(crate) fn call_sites(&self) -> &CallSites {
+        &self.call_sites
     }
 
     /// What the front half cost to compute, in wall-clock nanoseconds.

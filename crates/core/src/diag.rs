@@ -67,6 +67,10 @@ pub struct Diagnostics {
     /// Position-independent function plans the plan phase built (one per
     /// instrumented function; the finish phase consumed all of them).
     pub plans_built: usize,
+    /// Direct calls that enter a relocated function's copy without its
+    /// springboard: calls relocated with their caller, plus call sites
+    /// rewritten in original code.
+    pub calls_retargeted: usize,
 
     // -- fault injection --
     /// Debug-interface faults injected by an armed `FaultPlan` (0 in
@@ -152,6 +156,7 @@ impl Diagnostics {
         self.redirects_registered = r.redirects_registered;
         self.instrument_workers = r.instrument_workers;
         self.plans_built = r.plans_built;
+        self.calls_retargeted = r.calls_retargeted;
     }
 
     /// Fill the run-stage counters from the mutatee's final machine state.
@@ -215,6 +220,7 @@ pub const KEYS: &[Key<Diagnostics>] = &[
         d.instrument_workers as u64
     }),
     ("instrument.plans_built", |d| d.plans_built as u64),
+    ("instrument.calls_retargeted", |d| d.calls_retargeted as u64),
     ("instrument.springboards.compressed_jump", |d| {
         d.springboards.compressed_jump as u64
     }),
@@ -432,6 +438,7 @@ mod tests {
             counters_elided: 18,
             instrument_workers: 19,
             plans_built: 20,
+            calls_retargeted: 42,
             faults_injected: 21,
             analysis_cache_hits: 22,
             analysis_cache_misses: 23,
@@ -459,7 +466,8 @@ mod tests {
 
     /// `to_json` for [`distinct`], as the hand-written serialiser
     /// printed it before the key table replaced it (less the
-    /// `emu.chain_links` member the schema has since dropped).
+    /// `emu.chain_links` member the schema has since dropped, plus the
+    /// later `instrument.calls_retargeted`).
     const DISTINCT_JSON: &str = concat!(
         r#"{"schema":"rvdyn-diagnostics-v1","#,
         r#""parse":{"functions":1,"blocks":2,"instructions":3,"unresolved_indirects":4,"#,
@@ -467,6 +475,7 @@ mod tests {
         r#""instrument":{"points":7,"dead_register_points":8,"spills":9,"#,
         r#""patch_regions_written":14,"clobbers_audited":15,"redirects_registered":16,"#,
         r#""counters_placed":17,"counters_elided":18,"instrument_workers":19,"plans_built":20,"#,
+        r#""calls_retargeted":42,"#,
         r#""springboards":{"compressed_jump":10,"jal":11,"auipc_jalr":12,"trap":13}},"#,
         r#""run":{"instret":25,"cycles":26,"counts_reconstructed":27},"#,
         r#""faults":{"injected":21},"#,

@@ -197,9 +197,12 @@ impl DynamicInstrumenter {
     }
 
     /// Remove all committed instrumentation from the live process: the
-    /// springboards are overwritten with the original instructions, so
-    /// execution stops entering the patch area (which remains mapped but
-    /// unreachable). Counters keep their values and stay readable.
+    /// springboards and rewritten call sites are overwritten with the
+    /// original instructions, so execution stops entering the patch area
+    /// from original code (see
+    /// [`FleetController::remove_instrumentation`] for a frame already
+    /// running in a relocated copy). Counters keep their values and stay
+    /// readable.
     pub fn remove_instrumentation(&mut self) {
         self.fleet.remove_instrumentation();
     }

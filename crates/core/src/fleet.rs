@@ -219,7 +219,8 @@ pub struct FleetController {
     text_ends: BTreeMap<u64, u64>,
     /// Entries of the functions committed instrumentation relocated.
     relocated: BTreeSet<u64>,
-    /// Inverse writes of every committed patch (springboard originals).
+    /// Inverse writes of every committed patch (springboard and
+    /// rewritten call-site originals).
     undo: Vec<(u64, Vec<u8>)>,
     /// Patch-area → original pc translation, merged across commits.
     reloc_index: RelocationIndex,
@@ -498,7 +499,7 @@ impl FleetController {
         }
         let base = self.session.layout().patch_text;
         let text = self.text_ends.get(&base).copied().unwrap_or(base);
-        let result = self.session.apply_at(text)?;
+        let result = self.session.apply_at(text, &self.relocated)?;
         self.session.clear_pending();
         self.text_ends.insert(base, result.code_end);
         self.relocated.extend(funcs);
@@ -585,11 +586,14 @@ impl FleetController {
     }
 
     /// Remove all committed instrumentation from every process: the
-    /// springboards are overwritten with the original instructions and
-    /// the trap redirects cleared, so execution stops entering the patch
-    /// area (which remains mapped but unreachable). Counters keep their
-    /// values and stay readable, and a later commit may instrument the
-    /// same functions again.
+    /// springboards and rewritten call sites are overwritten with the
+    /// original instructions and the trap redirects cleared, so execution
+    /// stops entering the patch area from original code (the area stays
+    /// mapped). A frame already running in a relocated copy runs on in it
+    /// until it returns, and its calls keep entering the copies of the
+    /// callees its commit relocated. Counters keep their values and stay
+    /// readable, and a later commit may instrument the same functions
+    /// again.
     pub fn remove_instrumentation(&mut self) {
         self.relocated.clear();
         let undo = std::mem::take(&mut self.undo);
@@ -981,8 +985,9 @@ mod tests {
             ],
         };
         // Captured from the hand-written serialiser the key tables
-        // replaced (less the since-dropped `emu.chain_links`); the
-        // failed row carries the schema's only negative.
+        // replaced (less the since-dropped `emu.chain_links`, plus the
+        // later `instrument.calls_retargeted`); the failed row carries
+        // the schema's only negative.
         let expected = concat!(
             r#"{"schema":"rvdyn-diagnostics-v1","fleet":{"processes":2,"events_dispatched":5,"#,
             r#""faults_injected":1,"processes_failed":1},"per_process":[{"pid":0,"exited":1,"#,
@@ -992,6 +997,7 @@ mod tests {
             r#""dead_register_points":0,"spills":0,"patch_regions_written":3,"#,
             r#""clobbers_audited":0,"redirects_registered":0,"counters_placed":0,"#,
             r#""counters_elided":0,"instrument_workers":0,"plans_built":0,"#,
+            r#""calls_retargeted":0,"#,
             r#""springboards":{"compressed_jump":0,"jal":0,"auipc_jalr":0,"trap":0}},"#,
             r#""run":{"instret":500,"cycles":700,"counts_reconstructed":0},"#,
             r#""faults":{"injected":0},"cache":{"analysis_cache_hits":0,"#,
@@ -1006,6 +1012,7 @@ mod tests {
             r#""dead_register_points":0,"spills":0,"patch_regions_written":2,"#,
             r#""clobbers_audited":0,"redirects_registered":0,"counters_placed":0,"#,
             r#""counters_elided":0,"instrument_workers":0,"plans_built":0,"#,
+            r#""calls_retargeted":0,"#,
             r#""springboards":{"compressed_jump":0,"jal":0,"auipc_jalr":0,"trap":0}},"#,
             r#""run":{"instret":0,"cycles":0,"counts_reconstructed":0},"#,
             r#""faults":{"injected":1},"cache":{"analysis_cache_hits":0,"#,

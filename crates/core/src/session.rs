@@ -47,6 +47,7 @@ use rvdyn_patch::placement::{plan_block_counters_with_depths, BlockCountPlan, Co
 use rvdyn_patch::{find_points, Instrumenter, PatchEvent, PatchLayout, Point, PointKind};
 use rvdyn_proccontrol::ProcEvent;
 use rvdyn_symtab::Binary;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Construction-time configuration for a [`Session`], shared by both
@@ -570,13 +571,19 @@ impl Session {
     /// The queue is left intact (the static path may re-apply); delivery
     /// paths that consume the queue call [`Session::clear_pending`].
     pub fn apply(&mut self) -> Result<PatchResult, Error> {
-        self.apply_at(self.layout.patch_text)
+        self.apply_at(self.layout.patch_text, &BTreeSet::new())
     }
 
     /// [`Session::apply`] with the patch code laid out from `text`
-    /// instead of the layout's base: the live path puts each commit's
-    /// code after the code of the commits before it.
-    pub(crate) fn apply_at(&mut self, text: u64) -> Result<PatchResult, Error> {
+    /// instead of the layout's base, leaving alone the call sites in
+    /// `relocated`, the functions earlier commits relocated: the live
+    /// path puts each commit's code after the code of the commits before
+    /// it.
+    pub(crate) fn apply_at(
+        &mut self,
+        text: u64,
+        relocated: &BTreeSet<u64>,
+    ) -> Result<PatchResult, Error> {
         if !self.allow_unresolved {
             for func in self.pending_functions() {
                 if let Some(f) = self.code().functions.get(&func) {
@@ -602,7 +609,9 @@ impl Session {
         let mut ins = Instrumenter::new(analysis.binary(), analysis.code())
             .with_layout(layout)
             .with_mode(self.mode)
-            .with_threads(self.threads);
+            .with_threads(self.threads)
+            .with_call_sites(analysis.call_sites())
+            .with_relocated(relocated);
         // Keep the instrumenter's own allocations (if any) clear of ours.
         ins.alloc_region(self.var_bytes);
         ins.insert_all(&self.pending);
@@ -740,6 +749,7 @@ fn adapt_patch(ev: PatchEvent) -> TelemetryEvent {
         PatchEvent::RedirectRegistered { from, to } => {
             TelemetryEvent::RedirectRegistered { from, to }
         }
+        PatchEvent::CallRetargeted { site, to } => TelemetryEvent::CallRetargeted { site, to },
     }
 }
 

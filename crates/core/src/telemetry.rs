@@ -207,6 +207,12 @@ pub enum TelemetryEvent {
     /// The clobber audit registered a redirect covering the overwritten
     /// original instruction at `from` with its relocated copy at `to`.
     RedirectRegistered { from: u64, to: u64 },
+    /// The direct call at original address `site` enters the relocated
+    /// function entry `to` without the callee's springboard: a call
+    /// relocated with its caller, or a call site rewritten in original
+    /// code. Replayed in entry-address order, so the stream is identical
+    /// for every worker count.
+    CallRetargeted { site: u64, to: u64 },
     /// An armed `FaultPlan` fault fired on the debug-interface operation
     /// touching `addr`.
     FaultInjected { addr: u64 },
@@ -320,6 +326,9 @@ impl fmt::Display for TelemetryEvent {
             }
             RedirectRegistered { from, to } => {
                 write!(f, "redirect registered {from:#x} -> {to:#x}")
+            }
+            CallRetargeted { site, to } => {
+                write!(f, "call at {site:#x} retargeted to {to:#x}")
             }
             FaultInjected { addr } => write!(f, "fault injected at {addr:#x}"),
             BreakpointSet { addr } => write!(f, "breakpoint set at {addr:#x}"),

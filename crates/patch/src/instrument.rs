@@ -20,32 +20,54 @@
 //!    [`RelocationPlan`] whose branch/jump targets are slot indices.
 //! 2. **Base assignment** (sequential): patch-area bases are assigned in
 //!    stable entry-address order, and each plan is re-relaxed at its
-//!    final base to a whole-area fixpoint.
+//!    final base to a whole-area fixpoint. A call from one relocated
+//!    function to another enters the callee's relocated entry, so the
+//!    fixpoint also covers the callee table — each plan's relocated
+//!    entry — that those calls are sized against.
 //! 3. **Finish** (parallel, same pool): each function's code is emitted
-//!    at its base, and its springboards are planned and audited.
+//!    at its base against the one shared callee table, and its
+//!    springboards are planned and audited.
 //! 4. **Merge** (sequential): the main thread concatenates the code,
 //!    replays the buffered events and merges the trap table, audit and
-//!    relocation index, all in entry-address order.
+//!    relocation index, all in entry-address order. It then rewrites
+//!    the direct call sites in original code that call a relocated
+//!    function ([`CallSites`]) to enter its copy, where a `jal` reaches.
 //!
-//! Every output-bearing decision depends only on a function's own plan
-//! and the bases, which are assigned sequentially, so the rewritten
-//! bytes are bit-identical for any worker count; failures are surfaced
-//! lowest-address first so even the error is deterministic, and
-//! observers see the same event stream as a sequential pass.
+//! Every output-bearing decision depends only on a function's own plan,
+//! the bases and the callee table, which are assigned sequentially, so
+//! the rewritten bytes are bit-identical for any worker count; failures
+//! are surfaced lowest-address first so even the error is deterministic,
+//! and observers see the same event stream as a sequential pass.
+//!
+//! ## Springboards and retargeted calls
+//!
+//! Every relocated function keeps a springboard at its original entry,
+//! for the calls that cannot enter the copy directly: indirect calls,
+//! calls whose `jal` cannot reach the patch area, calls from code that an
+//! earlier live commit relocated, and the program entry. Direct calls
+//! skip it: a call inside the patch area to a function of the same pass
+//! (recursion included) is emitted against the callee's relocated entry,
+//! and a 4-byte `jal` call site in original code that no relocation
+//! covers is rewritten in place — one 4-byte write, with its original
+//! bytes in [`PatchResult::undo_writes`] — unless it overlaps a
+//! springboard. Compressed call sites, `auipc; jalr` pairs and indirect
+//! calls are never rewritten.
 
+use crate::callsites::CallSites;
 use crate::points::{Point, PointKind};
-use crate::relocate::{relocated_addr, Insertions, RelocationPlan};
+use crate::relocate::{reaches, relocated_addr, Insertions, RelocationPlan, JAL_REACH};
 use crate::springboard::{plan_springboard, Springboard, SpringboardKind, SpringboardStats};
 use rvdyn_codegen::emitter::{generate_seq_with_stats, CodeGenError};
 use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
 use rvdyn_dataflow::Liveness;
-use rvdyn_isa::{IsaProfile, RegSet};
+use rvdyn_isa::encode::encode32;
+use rvdyn_isa::{build, IsaProfile, RegSet};
 use rvdyn_parse::worklist::Worklist;
 use rvdyn_parse::{CodeObject, EdgeKind, Function};
 use rvdyn_symtab::{Binary, Section, SHF_ALLOC, SHF_EXECINSTR, SHF_WRITE};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;
 use std::time::Instant;
@@ -73,6 +95,11 @@ pub enum PatchEvent {
     /// lands on the overwritten original instruction at `from` is carried
     /// to its relocated copy at `to`.
     RedirectRegistered { from: u64, to: u64 },
+    /// The direct call at original address `site` enters the relocated
+    /// function entry `to` instead of the callee's springboard: a call
+    /// relocated with its caller, or a call site rewritten in original
+    /// code. Replayed in entry-address order.
+    CallRetargeted { site: u64, to: u64 },
 }
 
 /// Where instrumented code and data land in the mutatee's address space.
@@ -364,9 +391,14 @@ pub struct PatchResult {
     /// End of the code this patch lays out in the patch code area (its
     /// base when nothing was relocated), 8-byte aligned.
     pub code_end: u64,
+    /// Direct calls that enter a relocated entry instead of a
+    /// springboard: calls relocated with their caller plus call sites
+    /// rewritten in original code.
+    pub calls_retargeted: usize,
     /// Raw (address, bytes) writes for dynamic instrumentation.
     writes: Vec<(u64, Vec<u8>)>,
-    /// The original bytes each springboard overwrote, for removal.
+    /// The original bytes each springboard and rewritten call site
+    /// overwrote, for removal.
     undo: Vec<(u64, Vec<u8>)>,
     /// Patch-area → original address translation.
     pub reloc_index: RelocationIndex,
@@ -374,14 +406,16 @@ pub struct PatchResult {
 
 impl PatchResult {
     /// The memory writes that implement this instrumentation on a live
-    /// process (patch area content + springboards).
+    /// process (patch area content, springboards and rewritten call
+    /// sites).
     pub fn memory_writes(&self) -> &[(u64, Vec<u8>)] {
         &self.writes
     }
 
     /// The inverse writes: restoring these bytes removes every
-    /// springboard, returning the mutatee to uninstrumented execution
-    /// (the patch area becomes unreachable dead code). This is Dyninst's
+    /// springboard and rewritten call site, returning the mutatee to
+    /// uninstrumented execution (the patch area becomes unreachable dead
+    /// code, except to a frame still running in it). This is Dyninst's
     /// "remove instrumentation" operation.
     pub fn undo_writes(&self) -> &[(u64, Vec<u8>)] {
         &self.undo
@@ -434,6 +468,8 @@ struct Finished {
     /// Bytes of relocated code emitted (before alignment padding), or
     /// the error that stopped emission.
     emitted: Result<usize, InstrumentError>,
+    /// How many of the batch's `calls` this function retargeted.
+    calls: usize,
     /// How many of the batch's `redirects` this function registered.
     redirects: usize,
     /// The audit failure that ended the function after its redirects.
@@ -452,6 +488,9 @@ struct FinishedBatch {
     springs: Vec<(u64, Springboard)>,
     /// Trap-table entries the trap springboards execute through.
     traps: Vec<(u64, u64)>,
+    /// `(call site, relocated callee entry)` of the relocated calls that
+    /// enter another relocated entry, in slot order per function.
+    calls: Vec<(u64, u64)>,
     /// Redirects the clobber audits registered, in audit order, each
     /// once per function.
     redirects: Vec<(u64, u64)>,
@@ -518,6 +557,11 @@ pub struct Instrumenter<'b> {
     /// from [`Instrumenter::insert_all`] are borrowed, not copied.
     requests: Vec<(Point, Cow<'b, Snippet>)>,
     var_cursor: u64,
+    /// The parse's direct call sites, when the caller keeps the index;
+    /// otherwise [`Instrumenter::apply`] builds it.
+    call_sites: Option<&'b CallSites>,
+    /// Functions an earlier live commit relocated.
+    relocated: Option<&'b BTreeSet<u64>>,
 }
 
 impl<'b> Instrumenter<'b> {
@@ -530,7 +574,26 @@ impl<'b> Instrumenter<'b> {
             threads: 1,
             requests: Vec::new(),
             var_cursor: 0,
+            call_sites: None,
+            relocated: None,
         }
+    }
+
+    /// Read the direct call sites to rewrite from `sites`, an index of
+    /// this parse built once ([`CallSites::of`]), instead of indexing
+    /// the whole parse on every apply.
+    pub fn with_call_sites(mut self, sites: &'b CallSites) -> Self {
+        self.call_sites = Some(sites);
+        self
+    }
+
+    /// Name the functions earlier commits into the same process
+    /// relocated. Their original code no longer runs from its entry,
+    /// which may hold a springboard, so call sites in it are left as
+    /// they are.
+    pub fn with_relocated(mut self, funcs: &'b BTreeSet<u64>) -> Self {
+        self.relocated = Some(funcs);
+        self
     }
 
     /// Override the patch-area layout.
@@ -620,6 +683,7 @@ impl<'b> Instrumenter<'b> {
         fe: u64,
         requests: &[usize],
         profile: IsaProfile,
+        callees: &[(u64, u64)],
         events: &mut Vec<PatchEvent>,
     ) -> Result<FunctionPlan, InstrumentError> {
         let f = self
@@ -662,10 +726,12 @@ impl<'b> Instrumenter<'b> {
 
         // Build the symbolic relocation and pre-relax it at the patch
         // area's base — the best position-independent size estimate, and
-        // the one the first laid-out function gets exactly.
+        // the one the first laid-out function gets exactly. `callees`
+        // puts every function of the pass there too, so no call to one
+        // widens against the callee's original address first.
         let reloc_start = Instant::now();
         let mut reloc = RelocationPlan::build(f, &lowered)?;
-        reloc.relax_at(self.layout.patch_text);
+        reloc.relax_at(self.layout.patch_text, callees);
         let plan_ns = (reloc_start.elapsed().as_nanos() as u64).max(1);
 
         // Springboard scratch sets, captured while liveness is in scope.
@@ -697,28 +763,42 @@ impl<'b> Instrumenter<'b> {
     }
 
     /// Finish one laid-out plan: emit its code at its base (appending to
-    /// `batch.code`, which starts at a plan base), plan its entry and
-    /// indirect-target springboards and audit each one's clobbers. Runs
-    /// on a worker (or inline).
-    fn finish_plan(&self, plan: &FunctionPlan, profile: IsaProfile, batch: &mut FinishedBatch) {
+    /// `batch.code`, which starts at a plan base) against the pass's
+    /// final `callees` table, plan its entry and indirect-target
+    /// springboards and audit each one's clobbers. Runs on a worker (or
+    /// inline).
+    fn finish_plan(
+        &self,
+        plan: &FunctionPlan,
+        profile: IsaProfile,
+        callees: &[(u64, u64)],
+        batch: &mut FinishedBatch,
+    ) {
         let fe = plan.entry;
         let mut fin = Finished {
             emit_ns: 0,
             emitted: Ok(0),
+            calls: 0,
             redirects: 0,
             error: None,
         };
         let start = batch.code.len();
+        let calls_start = batch.calls.len();
         let emit_start = Instant::now();
-        let pairs = match plan.reloc.emit_into(plan.base, &mut batch.code) {
+        let emitted = plan
+            .reloc
+            .emit_into(plan.base, callees, &mut batch.code, &mut batch.calls);
+        let pairs = match emitted {
             Ok(pairs) => pairs,
             Err(e) => {
                 batch.code.truncate(start);
+                batch.calls.truncate(calls_start);
                 fin.emitted = Err(e.into());
                 batch.functions.push(fin);
                 return;
             }
         };
+        fin.calls = batch.calls.len() - calls_start;
         fin.emit_ns = (emit_start.elapsed().as_nanos() as u64).max(1);
         let bytes = batch.code.len() - start;
         fin.emitted = Ok(bytes);
@@ -808,11 +888,18 @@ impl<'b> Instrumenter<'b> {
         let nworkers = self.threads.max(1).min(plans_built.max(1));
         let mut events: Vec<Vec<PatchEvent>> = Vec::new();
         let mut plans: Vec<FunctionPlan> = Vec::with_capacity(plans_built);
+        // The callee table, `(entry, relocated entry)` per plan in entry
+        // order: every relocated entry estimated at the patch area's base
+        // until base assignment places it.
+        let mut callees: Vec<(u64, u64)> = groups
+            .iter()
+            .map(|&(fe, _)| (fe, self.layout.patch_text))
+            .collect();
         let built = par_batches(groups, nworkers, |batch| {
             let mut events = Vec::new();
             let plans: Vec<_> = batch
                 .into_iter()
-                .map(|(fe, reqs)| self.build_plan(fe, &order[reqs], profile, &mut events))
+                .map(|(fe, reqs)| self.build_plan(fe, &order[reqs], profile, &callees, &mut events))
                 .collect();
             (events, plans)
         });
@@ -827,14 +914,26 @@ impl<'b> Instrumenter<'b> {
         // Assign patch-area bases in entry-address order, re-relaxing
         // each plan at its final base until the whole-area assignment is
         // a fixpoint: a function that widens shifts everything after it,
-        // and slot sizes are monotone, so the loop terminates.
+        // and slot sizes are monotone, so the loop terminates. The callee
+        // table starts from the pre-relaxed sizes and follows each plan's
+        // base; a pass ends the loop only when no slot widened and no
+        // relocated entry moved, so every call was sized against the
+        // table the finish phase emits against.
         let layout_start = Instant::now();
+        let mut cursor = self.layout.patch_text;
+        for (plan, callee) in plans.iter().zip(&mut callees) {
+            callee.1 = plan.reloc.entry_at(cursor);
+            cursor += (plan.reloc.code_size() + 7) & !7;
+        }
         let code_end = loop {
             let mut cursor = self.layout.patch_text;
             let mut changed = false;
-            for plan in &mut plans {
+            for (i, plan) in plans.iter_mut().enumerate() {
                 plan.base = cursor;
-                changed |= plan.reloc.relax_at(cursor);
+                changed |= plan.reloc.relax_at(cursor, &callees);
+                let entry = plan.reloc.entry_at(cursor);
+                changed |= callees[i].1 != entry;
+                callees[i].1 = entry;
                 cursor += (plan.reloc.code_size() + 7) & !7;
             }
             if !changed {
@@ -857,7 +956,7 @@ impl<'b> Instrumenter<'b> {
         let batches = par_batches(plans.iter().collect(), nworkers, |plans| {
             let mut batch = FinishedBatch::default();
             for plan in plans {
-                self.finish_plan(plan, profile, &mut batch);
+                self.finish_plan(plan, profile, &callees, &mut batch);
             }
             batch
         });
@@ -879,11 +978,13 @@ impl<'b> Instrumenter<'b> {
         // distinct.
         let mut audited: Vec<u64> = Vec::new();
         let mut redirects: Vec<(u64, u64)> = Vec::new();
+        let mut calls_retargeted = 0usize;
         let mut events = events.into_iter().flatten();
         let mut plans_in_order = plans.iter();
         for batch in batches {
             patch_code.extend_from_slice(&batch.code);
             index.extend_from_slice(&batch.index);
+            let mut calls = batch.calls.iter();
             let mut registered = batch.redirects.iter();
             for fin in batch.functions {
                 let plan = plans_in_order.next().expect("one finish result per plan");
@@ -903,6 +1004,10 @@ impl<'b> Instrumenter<'b> {
                     entry: plan.entry,
                     bytes: fin.emitted?,
                 });
+                for &(site, to) in calls.by_ref().take(fin.calls) {
+                    observer(PatchEvent::CallRetargeted { site, to });
+                }
+                calls_retargeted += fin.calls;
                 for &(from, to) in registered.by_ref().take(fin.redirects) {
                     audited.push(from);
                     observer(PatchEvent::RedirectRegistered { from, to });
@@ -937,27 +1042,35 @@ impl<'b> Instrumenter<'b> {
         trap_table.dedup();
         let mut springboards = SpringboardStats::default();
 
-        // Patch springboards into the text section image, recording the
-        // bytes they replace for uninstrumentation.
+        let sites = self.call_sites_to_rewrite(&callees, &springs);
+        calls_retargeted += sites.len();
+
+        // Patch springboards and call sites into the text section image,
+        // recording the bytes they replace for uninstrumentation.
         let mut out = self.binary.clone();
         let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut undo: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (addr, sb) in springs {
+        let mut patch = |addr: u64, bytes: Vec<u8>| {
             let sec = out
                 .sections
                 .iter_mut()
                 .find(|s| s.is_code() && s.contains(addr))
                 .ok_or(InstrumentError::SpringboardOutsideCode { addr })?;
             let off = (addr - sec.addr) as usize;
-            let len = sb.bytes.len();
+            let len = bytes.len();
             undo.push((addr, sec.data[off..off + len].to_vec()));
-            sec.data[off..off + len].copy_from_slice(&sb.bytes);
-            springboards.record(&sb.kind);
-            observer(PatchEvent::SpringboardPlanted {
-                addr,
-                kind: sb.kind,
-            });
-            writes.push((addr, sb.bytes));
+            sec.data[off..off + len].copy_from_slice(&bytes);
+            writes.push((addr, bytes));
+            Ok::<(), InstrumentError>(())
+        };
+        for (addr, Springboard { kind, bytes, .. }) in springs {
+            patch(addr, bytes)?;
+            springboards.record(&kind);
+            observer(PatchEvent::SpringboardPlanted { addr, kind });
+        }
+        for (site, to, bytes) in sites {
+            patch(site, bytes)?;
+            observer(PatchEvent::CallRetargeted { site, to });
         }
 
         // New sections.
@@ -1003,9 +1116,60 @@ impl<'b> Instrumenter<'b> {
             plans_built,
             instrument_workers: nworkers,
             code_end,
+            calls_retargeted,
             writes,
             undo,
             reloc_index: RelocationIndex { entries: index },
         })
+    }
+
+    /// The direct call sites in original code to rewrite, callee by
+    /// callee in entry order, each as `(site, relocated entry, new
+    /// bytes)`: every 4-byte `jal` to a function of `callees` (the
+    /// pass's final `(entry, relocated entry)` table) whose `jal` reaches
+    /// the relocated entry, that lies in no function this pass or an
+    /// earlier commit relocated, and that overlaps none of `springs`.
+    fn call_sites_to_rewrite(
+        &self,
+        callees: &[(u64, u64)],
+        springs: &[(u64, Springboard)],
+    ) -> Vec<(u64, u64, Vec<u8>)> {
+        let built;
+        let index = match self.call_sites {
+            Some(index) => index,
+            None => {
+                built = CallSites::of(self.co);
+                &built
+            }
+        };
+        let relocated = |f: u64| {
+            relocated_addr(callees, f).is_some() || self.relocated.is_some_and(|r| r.contains(&f))
+        };
+        // A springboard is at most 8 bytes long.
+        let overlaps_springboard = |site: u64| {
+            let before = springs.partition_point(|(a, _)| *a < site + 4);
+            springs[..before]
+                .iter()
+                .rev()
+                .take_while(|(a, _)| a + 8 > site)
+                .any(|(a, sb)| a + sb.len() as u64 > site)
+        };
+        let mut out = Vec::new();
+        for &(callee, to) in callees {
+            for run in index.to(callee).chunk_by(|a, b| a.site == b.site) {
+                let c = run[0];
+                if run.iter().any(|c| relocated(c.caller))
+                    || !reaches(c.site, to, JAL_REACH)
+                    || overlaps_springboard(c.site)
+                {
+                    continue;
+                }
+                let jal = build::jal(c.rd, to.wrapping_sub(c.site) as i64);
+                if let Ok(raw) = encode32(&jal) {
+                    out.push((c.site, to, raw.to_le_bytes().to_vec()));
+                }
+            }
+        }
+        out
     }
 }

@@ -9,7 +9,11 @@
 //! (§1): instrumented functions are **relocated** — a new version with the
 //! snippets inlined is placed in a patch area, and the original entry (plus
 //! every indirect-jump target) is overwritten with a **springboard** jump
-//! to the new version. The pass is split into a *parallel plan phase*
+//! to the new version. Direct calls skip the springboard where a `jal`
+//! reaches: calls in relocated code enter the relocated callees of the same
+//! pass, and `jal` call sites in original code are rewritten to
+//! ([`CallSites`]), so springboards serve indirect calls, calls that cannot
+//! reach, and the program entry. The pass is split into a *parallel plan phase*
 //! (per-function liveness + lowering + slot-indexed relocation plans,
 //! fanned out over a worker pool), a *sequential base assignment*
 //! (deterministic patch-area addresses), a *parallel finish phase*
@@ -55,12 +59,14 @@
 //! the whole function extent), so a springboard can never spill past the
 //! code whose relocation map covers it.
 
+pub mod callsites;
 pub mod instrument;
 pub mod placement;
 pub mod points;
 pub mod relocate;
 pub mod springboard;
 
+pub use callsites::{CallSite, CallSites};
 pub use instrument::{
     audit_redirect_coverage, clobbered_addresses, InstrumentError, Instrumenter, PatchEvent,
     PatchLayout, RelocationIndex,

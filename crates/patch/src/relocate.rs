@@ -9,9 +9,16 @@
 //! * intra-function branch/jump targets follow the address map (branch
 //!   targets land on the snippet code of their target point, so e.g.
 //!   loop-head counters observe every iteration);
-//! * interprocedural `jal` calls/tail-calls keep their original absolute
-//!   targets (re-encoded for the new pc; springboards at the callee decide
-//!   whether the call enters instrumented code);
+//! * an interprocedural `jal` (call or tail call) whose callee is relocated
+//!   too — the function itself (recursion), or another function of the
+//!   same pass, listed in the callee table handed to
+//!   [`RelocationPlan::relax_at`] and [`RelocationPlan::emit`] — enters
+//!   the callee's relocated entry, its entry snippet first, so the call
+//!   skips the springboard at the callee's original entry. A linking call
+//!   that `jal` cannot reach becomes `auipc ra; jalr ra` (`ra` is dead at
+//!   a call); a tail call has no register to spare, so it is retargeted
+//!   only where a `jal` reaches. Any other call keeps its original
+//!   absolute target, where the callee's springboard (if any) decides;
 //! * every `auipc rd, imm` is replaced by an exact materialisation of the
 //!   value it produced at its original address, sidestepping the
 //!   `auipc`/`lo12` pairing problem entirely;
@@ -76,16 +83,29 @@ pub struct RelocatedFunction {
     /// (pointing at the snippet code when one is attached to the
     /// instruction).
     pub addr_map: BTreeMap<u64, u64>,
+    /// `(call site, relocated callee entry)` for every call that enters a
+    /// relocated callee instead of its original entry, in slot order;
+    /// the site is the call's original address.
+    pub calls_retargeted: Vec<(u64, u64)>,
 }
 
-/// Where a branch or jump goes, resolved when the plan is built.
+/// Reach of a conditional branch: ±4 KiB.
+const BRANCH_REACH: i64 = 1 << 12;
+/// Reach of a `jal`: ±1 MiB.
+pub(crate) const JAL_REACH: i64 = 1 << 20;
+
+/// Whether a `reach`-limited pc-relative transfer at `at` reaches `to`.
+pub(crate) fn reaches(at: u64, to: u64, reach: i64) -> bool {
+    (-reach..reach).contains(&(to.wrapping_sub(at) as i64))
+}
+
+/// Where an intra-function branch or jump goes, resolved when the plan
+/// is built.
 #[derive(Debug, Clone, Copy)]
 enum Target {
     /// The slot at this index: the first slot for the original target
     /// address (its snippet when one is attached), or a taken-edge stub.
     Slot(usize),
-    /// A fixed address outside the function (call or tail call).
-    Abs(u64),
     /// An intra-function target no slot stands for. Sized as the
     /// absolute address; emission refuses it with
     /// [`RelocateError::UnmappedTarget`].
@@ -97,7 +117,7 @@ impl Target {
     fn addr(self, slots: &[Slot], base: u64) -> u64 {
         match self {
             Target::Slot(i) => base + slots[i].offset,
-            Target::Abs(a) | Target::Unmapped(a) => a,
+            Target::Unmapped(a) => a,
         }
     }
 }
@@ -112,8 +132,12 @@ enum Item {
     /// Conditional branch. A branch with a taken-edge snippet targets
     /// its stub slot instead of its real target.
     CondBranch { inst: Instruction, target: Target },
-    /// `jal` with an intra-function or absolute (call/tail-call) target.
+    /// `jal` with an intra-function target.
     Jump { rd: Reg, target: Target },
+    /// Interprocedural `jal` (call, or tail call when `rd` is `x0`) at
+    /// original address `site` to the function entry `callee`; see
+    /// [`RelocationPlan::call_dest`] for where it goes.
+    Call { rd: Reg, callee: u64, site: u64 },
 }
 
 /// Snippet placement requests for one function's relocation.
@@ -180,6 +204,9 @@ pub(crate) fn relocated_addr(pairs: &[(u64, u64)], old: u64) -> Option<u64> {
 /// base assignment terminate deterministically.
 pub struct RelocationPlan {
     entry: u64,
+    /// The first slot for `entry` (its entry snippet when one is
+    /// attached): where a call into the relocated copy lands.
+    entry_slot: Option<usize>,
     slots: Vec<Slot>,
     /// Instructions of the plan's [`Item::Insts`] slots.
     insts: Vec<Instruction>,
@@ -193,8 +220,10 @@ impl RelocationPlan {
         let mut b = Builder::with_capacity(f, insertions);
         b.build(f, insertions)?;
         b.resolve_targets();
+        let entry_slot = b.first_slot(f.entry);
         let mut plan = RelocationPlan {
             entry: f.entry,
+            entry_slot,
             slots: b.slots,
             insts: b.insts,
         };
@@ -207,6 +236,32 @@ impl RelocationPlan {
         self.slots.last().map_or(0, |s| s.offset + s.size)
     }
 
+    /// The relocated entry address with the plan based at `base` (the
+    /// base itself when no slot stands for the entry).
+    pub fn entry_at(&self, base: u64) -> u64 {
+        self.entry_slot
+            .map_or(base, |i| base + self.slots[i].offset)
+    }
+
+    /// Where a call with link register `rd` at `at` to the function
+    /// entry `callee` goes with the plan based at `base`: the relocated
+    /// entry when the callee is this function or is listed in `callees`
+    /// (`(original entry, relocated entry)` pairs sorted by original
+    /// entry), else `callee` itself. A tail call (`rd` = `x0`) has no
+    /// register for `auipc`, so it takes the relocated entry only where
+    /// a `jal` reaches it.
+    fn call_dest(&self, rd: Reg, callee: u64, at: u64, base: u64, callees: &[(u64, u64)]) -> u64 {
+        let moved = if callee == self.entry {
+            Some(self.entry_at(base))
+        } else {
+            relocated_addr(callees, callee)
+        };
+        match moved {
+            Some(to) if !rd.is_zero() || reaches(at, to, JAL_REACH) => to,
+            _ => callee,
+        }
+    }
+
     /// Recompute every slot's offset from the slot sizes.
     fn place(&mut self) {
         let mut offset = 0;
@@ -217,10 +272,15 @@ impl RelocationPlan {
     }
 
     /// Run the size-relaxation fixpoint with the plan based at
-    /// `new_base`. Slot sizes only grow (branches widen to the inverted
-    /// form, jumps to `auipc`+`jalr`), so iterating `relax_at` over
-    /// changing bases converges. Returns whether any slot widened.
-    pub fn relax_at(&mut self, new_base: u64) -> bool {
+    /// `new_base` and the other relocated callees at `callees`
+    /// (`(original entry, relocated entry)` pairs sorted by original
+    /// entry). A call to this function or to one in `callees` goes to the
+    /// relocated entry — a tail call only where a `jal` reaches it — and
+    /// is sized against that address only. Slot sizes only grow
+    /// (branches widen to the inverted form, jumps and calls to
+    /// `auipc`+`jalr`), so iterating `relax_at` over changing bases
+    /// converges. Returns whether any slot widened.
+    pub fn relax_at(&mut self, new_base: u64, callees: &[(u64, u64)]) -> bool {
         let mut any = false;
         loop {
             // Every slot is checked against the offsets from the start of
@@ -228,18 +288,18 @@ impl RelocationPlan {
             let mut changed = false;
             for i in 0..self.slots.len() {
                 let s = &self.slots[i];
-                let (target, reach) = match s.item {
-                    Item::CondBranch { target, .. } => (target, 1 << 12),
-                    Item::Jump { target, .. } => (target, 1 << 20),
+                let at = new_base + s.offset;
+                let (to, reach) = match s.item {
+                    Item::CondBranch { target, .. } => {
+                        (target.addr(&self.slots, new_base), BRANCH_REACH)
+                    }
+                    Item::Jump { target, .. } => (target.addr(&self.slots, new_base), JAL_REACH),
+                    Item::Call { rd, callee, .. } => {
+                        (self.call_dest(rd, callee, at, new_base, callees), JAL_REACH)
+                    }
                     _ => continue,
                 };
-                let at = new_base + s.offset;
-                let delta = target.addr(&self.slots, new_base).wrapping_sub(at) as i64;
-                let need = if (-reach..reach).contains(&delta) {
-                    4
-                } else {
-                    8
-                };
+                let need = if reaches(at, to, reach) { 4 } else { 8 };
                 if need > s.size {
                     self.slots[i].size = need;
                     changed = true;
@@ -253,35 +313,39 @@ impl RelocationPlan {
         }
     }
 
-    /// Resolve every slot's target against `new_base` and encode. The
-    /// caller must have called [`RelocationPlan::relax_at`] with the same
-    /// base (sizes are assumed stable).
-    pub fn emit(&self, new_base: u64) -> Result<RelocatedFunction, RelocateError> {
+    /// Resolve every slot's target against `new_base` and `callees`, and
+    /// encode. The caller must have called [`RelocationPlan::relax_at`]
+    /// with the same base and callees (sizes are assumed stable).
+    pub fn emit(
+        &self,
+        new_base: u64,
+        callees: &[(u64, u64)],
+    ) -> Result<RelocatedFunction, RelocateError> {
         let mut code = Vec::new();
-        let pairs = self.emit_into(new_base, &mut code)?;
+        let mut calls_retargeted = Vec::new();
+        let pairs = self.emit_into(new_base, callees, &mut code, &mut calls_retargeted)?;
         Ok(RelocatedFunction {
             code,
-            new_entry: relocated_addr(&pairs, self.entry).unwrap_or(new_base),
+            new_entry: self.entry_at(new_base),
             addr_map: pairs.into_iter().collect(),
+            calls_retargeted,
         })
     }
 
-    /// Encode the plan at `new_base`, appending the bytes to `code`, and
-    /// return the `(original, relocated)` address pairs sorted by
-    /// original address. As for [`RelocationPlan::emit`], sizes must be
-    /// relaxed at `new_base`.
+    /// Encode the plan at `new_base`, appending the bytes to `code` and
+    /// each retargeted call's `(site, relocated callee entry)` to
+    /// `calls`, and return the `(original, relocated)` address pairs
+    /// sorted by original address. As for [`RelocationPlan::emit`], sizes
+    /// must be relaxed at `new_base` against `callees`.
     pub(crate) fn emit_into(
         &self,
         new_base: u64,
+        callees: &[(u64, u64)],
         code: &mut Vec<u8>,
+        calls: &mut Vec<(u64, u64)>,
     ) -> Result<Vec<(u64, u64)>, RelocateError> {
         let start = code.len();
         code.reserve(self.code_size() as usize);
-        let enc_err = |e: rvdyn_isa::encode::EncodeError| RelocateError::Encode(e.to_string());
-        let put = |code: &mut Vec<u8>, i: &Instruction| -> Result<(), RelocateError> {
-            code.extend_from_slice(&encode32(i).map_err(enc_err)?.to_le_bytes());
-            Ok(())
-        };
         let mut pairs = Vec::new();
         for s in &self.slots {
             let at = new_base + s.offset;
@@ -323,20 +387,14 @@ impl RelocationPlan {
                 }
                 Item::Jump { rd, target } => {
                     let t = self.resolved(*target, new_base, at)?;
-                    let delta = t.wrapping_sub(at) as i64;
-                    if s.size == 4 {
-                        put(code, &build::jal(*rd, delta))?;
-                    } else {
-                        // Far jump: auipc + jalr through rd (works only for a
-                        // linking jump, which has a register to clobber).
-                        if rd.is_zero() {
-                            return Err(RelocateError::JumpOutOfRange { at, target: t });
-                        }
-                        let (hi, lo) = rvdyn_codegen::imm::pcrel_parts(at, t)
-                            .ok_or(RelocateError::JumpOutOfRange { at, target: t })?;
-                        put(code, &build::auipc(*rd, hi))?;
-                        put(code, &build::jalr(*rd, *rd, lo))?;
+                    put_jump(code, *rd, at, t, s.size)?;
+                }
+                Item::Call { rd, callee, site } => {
+                    let t = self.call_dest(*rd, *callee, at, new_base, callees);
+                    if t != *callee {
+                        calls.push((*site, t));
                     }
+                    put_jump(code, *rd, at, t, s.size)?;
                 }
             }
             debug_assert_eq!(
@@ -362,15 +420,39 @@ impl RelocationPlan {
     }
 }
 
-/// Relocate `f` to `new_base`, splicing `insertions`.
+/// Encode a `size`-byte jump with link register `rd` at `at` to `to`: a
+/// `jal`, or `auipc rd; jalr rd` for a far one, which only a linking jump
+/// has a register to clobber for.
+fn put_jump(code: &mut Vec<u8>, rd: Reg, at: u64, to: u64, size: u64) -> Result<(), RelocateError> {
+    if size == 4 {
+        return put(code, &build::jal(rd, to.wrapping_sub(at) as i64));
+    }
+    let out_of_range = RelocateError::JumpOutOfRange { at, target: to };
+    if rd.is_zero() {
+        return Err(out_of_range);
+    }
+    let (hi, lo) = rvdyn_codegen::imm::pcrel_parts(at, to).ok_or(out_of_range)?;
+    put(code, &build::auipc(rd, hi))?;
+    put(code, &build::jalr(rd, rd, lo))
+}
+
+/// Append the 4-byte encoding of `i` to `code`.
+fn put(code: &mut Vec<u8>, i: &Instruction) -> Result<(), RelocateError> {
+    let raw = encode32(i).map_err(|e| RelocateError::Encode(e.to_string()))?;
+    code.extend_from_slice(&raw.to_le_bytes());
+    Ok(())
+}
+
+/// Relocate `f` to `new_base`, splicing `insertions`. Recursive calls
+/// enter the relocated copy; every other call keeps its original target.
 pub fn relocate_function(
     f: &Function,
     insertions: &Insertions,
     new_base: u64,
 ) -> Result<RelocatedFunction, RelocateError> {
     let mut plan = RelocationPlan::build(f, insertions)?;
-    plan.relax_at(new_base);
-    plan.emit(new_base)
+    plan.relax_at(new_base, &[]);
+    plan.emit(new_base, &[])
 }
 
 /// Slot-list construction state for [`RelocationPlan::build`].
@@ -475,13 +557,18 @@ impl Builder {
                         || b.edges
                             .iter()
                             .any(|e| e.kind == EdgeKind::Jump && e.target == Some(old_target));
-                    let target = if intra {
-                        Target::Unmapped(old_target)
-                    } else {
-                        Target::Abs(old_target)
-                    };
                     let rd = inst.rd.unwrap_or(Reg::X0);
-                    self.push(old, Item::Jump { rd, target }, 4);
+                    let item = if intra {
+                        let target = Target::Unmapped(old_target);
+                        Item::Jump { rd, target }
+                    } else {
+                        Item::Call {
+                            rd,
+                            callee: old_target,
+                            site: inst.address,
+                        }
+                    };
+                    self.push(old, item, 4);
                 } else {
                     // Verbatim: keep compressed width when possible.
                     let size = if inst.compressed.is_some() && compress(inst).is_some() {
@@ -540,6 +627,13 @@ impl Builder {
         Ok(())
     }
 
+    /// The first slot for original address `old`, once
+    /// [`Builder::resolve_targets`] has run.
+    fn first_slot(&self, old: u64) -> Option<usize> {
+        let i = self.olds.binary_search_by_key(&old, |&(o, _)| o).ok()?;
+        Some(self.olds[i].1)
+    }
+
     /// Mark the first slot for every original address and point every
     /// intra-function target with a slot at it.
     fn resolve_targets(&mut self) {
@@ -569,15 +663,40 @@ mod tests {
     use rvdyn_parse::{CodeObject, ParseOptions};
 
     fn parse_one(build_fn: impl FnOnce(&mut Assembler)) -> Function {
+        parse_with_callee(build_fn, None)
+    }
+
+    /// The function at 0x1000, parsed with `callee` as a second entry.
+    fn parse_with_callee(build_fn: impl FnOnce(&mut Assembler), callee: Option<u64>) -> Function {
         let mut a = Assembler::new(0x1000);
         build_fn(&mut a);
         let code = a.finish().unwrap();
         let src = rvdyn_parse::source::RawCode {
             base: 0x1000,
             bytes: code,
-            entries: vec![0x1000],
+            entries: [0x1000].into_iter().chain(callee).collect(),
         };
         CodeObject::parse(&src, &ParseOptions::default()).functions[&0x1000].clone()
+    }
+
+    /// The first 4-byte `jal` (or `auipc; jalr` pair) in `code` at `base`
+    /// with link register `rd`: its address, size and target.
+    fn find_jump(code: &[u8], base: u64, rd: Reg) -> (u64, u64, u64) {
+        let insts: Vec<_> = rvdyn_isa::decode::InstructionIter::new(code, base)
+            .map(|x| x.unwrap())
+            .collect();
+        for (k, i) in insts.iter().enumerate() {
+            if i.op == Op::Jal && i.rd == Some(rd) {
+                return (i.address, 4, i.address.wrapping_add(i.imm as u64));
+            }
+            if i.op == Op::Auipc && i.rd == Some(rd) {
+                let j = &insts[k + 1];
+                assert_eq!((j.op, j.rs1), (Op::Jalr, Some(rd)));
+                let hi = i.address.wrapping_add(i.imm as u64);
+                return (i.address, 8, hi.wrapping_add(j.imm as u64));
+            }
+        }
+        panic!("no jump through {rd:?}");
     }
 
     #[test]
@@ -684,6 +803,92 @@ mod tests {
             .find(|i| i.op == Op::Jal && i.rd == Some(Reg::X1))
             .unwrap();
         assert_eq!(call.address.wrapping_add(call.imm as u64), 0x1008);
+    }
+
+    #[test]
+    fn recursive_call_enters_the_relocated_entry_snippet() {
+        let f = parse_one(|a| {
+            let entry = a.here_label();
+            let end = a.label();
+            a.addi(Reg::x(10), Reg::x(10), -1);
+            a.beq(Reg::x(10), Reg::X0, end);
+            a.call(entry);
+            a.bind(end);
+            a.ret();
+        });
+        let mut ins = Insertions::default();
+        ins.before.insert(0x1000, vec![build::nop(), build::nop()]);
+        let r = relocate_function(&f, &ins, 0x8_0000).unwrap();
+        assert_eq!(r.new_entry, 0x8_0000, "the entry snippet comes first");
+        let (_, size, target) = find_jump(&r.code, 0x8_0000, Reg::X1);
+        assert_eq!((size, target), (4, r.new_entry));
+        assert_eq!(r.calls_retargeted, vec![(0x1008, r.new_entry)]);
+    }
+
+    /// A call to a function the callee table relocates is sized against
+    /// the relocated entry only: 4 MiB from its original callee, the
+    /// copy still calls the nearby relocated entry with one `jal`, and
+    /// widens to `auipc ra; jalr ra` only when that entry is far.
+    #[test]
+    fn call_into_the_callee_table_is_sized_against_the_relocated_entry() {
+        let callee = 0x1008;
+        let f = parse_with_callee(
+            |a| {
+                let l = a.label();
+                a.call(l);
+                a.ret();
+                a.bind(l);
+                a.ret();
+            },
+            Some(callee),
+        );
+        let base = 0x40_0000;
+        let place = |table: &[(u64, u64)]| {
+            let mut plan = RelocationPlan::build(&f, &Insertions::default()).unwrap();
+            plan.relax_at(base, table);
+            let r = plan.emit(base, table).unwrap();
+            (find_jump(&r.code, base, Reg::X1), r.calls_retargeted)
+        };
+        let near = base + 0x1000;
+        assert_eq!(
+            place(&[(callee, near)]),
+            ((base, 4, near), vec![(0x1000, near)])
+        );
+        // The same callee unrelocated: its original entry is 4 MiB away.
+        assert_eq!(place(&[]), ((base, 8, callee), vec![]));
+        let far = base + (8 << 20);
+        assert_eq!(
+            place(&[(callee, far)]),
+            ((base, 8, far), vec![(0x1000, far)])
+        );
+    }
+
+    /// A tail call has no register for `auipc`: when its callee's copy is
+    /// out of a `jal`'s reach, it keeps its original target.
+    #[test]
+    fn tail_call_out_of_reach_of_its_retarget_keeps_its_original_target() {
+        let callee = 0x1008;
+        let f = parse_with_callee(
+            |a| {
+                let l = a.label();
+                a.addi(Reg::x(10), Reg::x(10), 1);
+                a.tail(l);
+                a.bind(l);
+                a.ret();
+            },
+            Some(callee),
+        );
+        let base = 0x8_0000;
+        let place = |table: &[(u64, u64)]| {
+            let mut plan = RelocationPlan::build(&f, &Insertions::default()).unwrap();
+            plan.relax_at(base, table);
+            let r = plan.emit(base, table).unwrap();
+            (find_jump(&r.code, base, Reg::X0).2, r.calls_retargeted)
+        };
+        let near = base + 0x1000;
+        assert_eq!(place(&[(callee, near)]), (near, vec![(0x1004, near)]));
+        let far = base + (4 << 20);
+        assert_eq!(place(&[(callee, far)]), (callee, vec![]));
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! be used. Dyninst will … ultimately resorting to the inefficient 2-byte
 //! trap instructions in the worst case."
 //!
-//! The mutatee is `rvdyn_asm::tiny_function_program`: its hot function is
-//! a single 2-byte `c.j` tail call — a real 2-byte function. Instrumenting
-//! it forces the trap springboard; the rewritten ELF carries a
-//! `.rvdyn.traps` table, and the execution substrate resolves the trap
-//! exactly as the injected SIGTRAP handler would on hardware.
+//! The mutatee is `rvdyn_asm::tiny_indirect_program`: its hot function is
+//! a single 2-byte `c.j` tail call — a real 2-byte function — that `main`
+//! calls through a register. Instrumenting it forces the trap
+//! springboard, and the indirect call cannot be retargeted, so every call
+//! takes the trap; the rewritten ELF carries a `.rvdyn.traps` table, and
+//! the execution substrate resolves the trap exactly as the injected
+//! SIGTRAP handler would on hardware.
 
-use rvdyn_asm::tiny_function_program;
+use rvdyn_asm::tiny_indirect_program;
 use rvdyn_codegen::snippet::Snippet;
 use rvdyn_emu::{load_binary, StopReason};
 use rvdyn_parse::{CodeObject, ParseOptions};
@@ -19,7 +21,7 @@ use rvdyn_symtab::Binary;
 #[test]
 fn two_byte_function_forces_trap_and_still_counts() {
     let iters = 50u64;
-    let bin = tiny_function_program(iters);
+    let bin = tiny_indirect_program(iters);
     let tiny_addr = bin.symbol_by_name("tiny").unwrap().value;
     let result_addr = bin.symbol_by_name("result").unwrap().value;
 

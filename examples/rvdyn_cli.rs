@@ -26,7 +26,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rvdyn_cli [--json] [--trace] [--threads N] [--engine E] <command> ...\n\
          \n\
-         gen <matmul|fib|switch|memcpy|atomics|indirect|tiny|many> <out.elf> [args…]\n\
+         gen <matmul|fib|switch|memcpy|atomics|indirect|tiny|tiny-indirect|many> <out.elf> [args…]\n\
          info <elf>\n\
          disasm <elf> [function]\n\
          cfg <elf> <function> [--dot]\n\
@@ -135,6 +135,7 @@ fn main() {
                 "atomics" => rvdyn_asm::atomics_program(num(&args, 3).unwrap_or(100)),
                 "indirect" => rvdyn_asm::indirect_entry_program(num(&args, 3).unwrap_or(32)),
                 "tiny" => rvdyn_asm::tiny_function_program(num(&args, 3).unwrap_or(32)),
+                "tiny-indirect" => rvdyn_asm::tiny_indirect_program(num(&args, 3).unwrap_or(32)),
                 "many" => rvdyn_asm::many_functions_program(num(&args, 3).unwrap_or(64) as usize),
                 other => {
                     eprintln!("unknown program {other:?}");

@@ -276,6 +276,7 @@ proptest! {
                                 | TelemetryEvent::PointLowered { .. }
                                 | TelemetryEvent::FunctionRelocated { .. }
                                 | TelemetryEvent::SpringboardPlanted { .. }
+                                | TelemetryEvent::CallRetargeted { .. }
                         )
                     })
                     .map(|e| format!("{e:?}"))

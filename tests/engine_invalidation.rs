@@ -11,7 +11,7 @@ use rvdyn::{
     BinaryEditor, DynamicInstrumenter, EmuEngine, Error, Event, FaultPlan, PointKind, Process,
     SessionOptions, Snippet,
 };
-use rvdyn_asm::{matmul_program, tiny_function_program};
+use rvdyn_asm::{matmul_program, tiny_indirect_program};
 use rvdyn_emu::{EmuEvent, TIER_UP};
 
 /// Breakpoint hits at `matmul`'s entry that leave its blocks hot: the
@@ -81,8 +81,9 @@ fn springboard_write_into_hot_block_redirects_on_both_engines() {
 }
 
 /// Same shape through the *trap* springboard path: the 2-byte `tiny`
-/// function forces an ebreak springboard, so every post-commit call
-/// resolves through the trap-redirect table — inside the cached engine's
+/// function forces an ebreak springboard, and `main` calls it through a
+/// register, so every post-commit call resolves through the trap-redirect
+/// table — inside the cached engine's
 /// block dispatcher, not the interpreter loop. Two warmups: *cold* stops
 /// at `tiny`'s 5th entry, so its block is still interpreted; *hot* stops
 /// at the call's return site after `TIER_UP + 2` calls, so the commit's
@@ -90,7 +91,7 @@ fn springboard_write_into_hot_block_redirects_on_both_engines() {
 #[test]
 fn trap_springboard_into_hot_block_resolves_on_both_engines() {
     let iters = 40u64;
-    let bin = tiny_function_program(iters);
+    let bin = tiny_indirect_program(iters);
     let tiny = bin.symbol_by_name("tiny").unwrap().value;
     let return_site = BinaryEditor::open(&bin.to_bytes().unwrap())
         .unwrap()
@@ -110,7 +111,7 @@ fn trap_springboard_into_hot_block_resolves_on_both_engines() {
     for (form, at, warm_hits, counted) in forms {
         let mut counters = Vec::new();
         for engine in [EmuEngine::Interpreter, EmuEngine::Cached] {
-            let bin = tiny_function_program(iters);
+            let bin = tiny_indirect_program(iters);
             let mut p = Process::launch(&bin);
             p.machine_mut().engine = engine;
             warm_to(&mut p, at, warm_hits);
@@ -178,7 +179,8 @@ fn corrupt_write_invalidates_hot_cached_blocks() {
     let warm_blocks = p.machine().emu_blocks_translated();
     assert!(warm_blocks > 0);
 
-    // Write 0 is the first patch region.
+    // Write 0 is the first patch region: `main`'s rewritten call to
+    // `matmul`, in a block the warmup made hot.
     let plan = FaultPlan::new().corrupt_write(0, 0);
     p.set_fault_plan(plan);
     let mut dy =

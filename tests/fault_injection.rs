@@ -12,11 +12,13 @@ use rvdyn::{
     DynamicInstrumenter, Error, Event, FaultPlan, PointKind, Process, SessionOptions, Snippet,
     TelemetryEvent,
 };
-use rvdyn_asm::{many_functions_program, matmul_program, tiny_function_program};
+use rvdyn_asm::{many_functions_program, matmul_program, tiny_indirect_program};
 
 /// Write 0 of a commit is its first verified patch region (the data area
-/// is mapped, not written). Corrupting one byte of it must fail read-back
-/// verification as `PatchVerifyFailed` at that region's address.
+/// is mapped, not written): here `main`'s call to `matmul`, rewritten to
+/// enter the relocated copy. Corrupting one byte of it must fail
+/// read-back verification as `PatchVerifyFailed` at that region's
+/// address.
 #[test]
 fn corrupted_patch_write_is_a_verify_failure() {
     let bin = matmul_program(4, 1);
@@ -56,12 +58,12 @@ fn short_patch_write_is_a_verify_failure() {
 }
 
 /// Dropping the Nth trap-redirect resolution: the mutatee's 2-byte
-/// function uses the trap springboard, so every call resolves through the
-/// redirect table. Dropping resolution 3 surfaces the trap as a real
+/// function uses the trap springboard, and `main` calls it through a
+/// register, so every call resolves through the redirect table. Dropping resolution 3 surfaces the trap as a real
 /// `RedirectMiss` at the springboard pc, after exactly 3 counted visits.
 #[test]
 fn dropped_redirect_resolution_is_a_redirect_miss() {
-    let bin = tiny_function_program(50);
+    let bin = tiny_indirect_program(50);
     let tiny = bin.symbol_by_name("tiny").unwrap().value;
     let plan = FaultPlan::new().drop_redirect(3);
     let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new());
@@ -147,7 +149,8 @@ fn run_loop_recovers_from_delayed_stop() {
 /// phase emits bit-identical writes for any thread count, a corrupted
 /// write must fail verification at the *same region address* whether the
 /// plans were built sequentially or on a 4-worker pool. Write 1 is the
-/// second patch region.
+/// second patch region: `f_0`'s entry springboard, after `main`'s
+/// rewritten call to `f_0`.
 #[test]
 fn corrupted_write_fails_at_the_same_region_for_any_thread_count() {
     let fail_addr = |threads: usize| {
@@ -187,7 +190,7 @@ fn corrupted_write_fails_at_the_same_region_for_any_thread_count() {
 /// surfaces at the same pc after the same number of counted visits.
 #[test]
 fn dropped_redirect_under_worker_pool_matches_sequential() {
-    let bin = tiny_function_program(50);
+    let bin = tiny_indirect_program(50);
     let tiny = bin.symbol_by_name("tiny").unwrap().value;
     let plan = FaultPlan::new().drop_redirect(3);
     let mut dy = DynamicInstrumenter::create_with(bin, SessionOptions::new().threads(4));

@@ -107,7 +107,8 @@ fn targeted_fault_hits_one_process_and_spares_the_rest() {
     let (_, seq_counter, _) = sequential_reference();
     let (mut fleet, pids, c) = instrumented_fleet(8, SessionOptions::new());
     let victim = pids[3];
-    // Write 0 is the first patch region.
+    // Write 0 is the first patch region: `main`'s rewritten call to
+    // `matmul`.
     fleet
         .set_fault_plan(victim, FaultPlan::new().corrupt_write(0, 0))
         .unwrap();
@@ -567,7 +568,8 @@ fn sampling_on_workers_isolates_failed_pids() {
         let (fc, out) = sampled_fleet(
             threads,
             |fc| {
-                // Write 0 is the first patch region.
+                // Write 0 is the first patch region: `_start`'s
+                // rewritten call to `main`.
                 fc.set_fault_plan(CORRUPTED, FaultPlan::new().corrupt_write(0, 0))
                     .unwrap();
             },

@@ -188,6 +188,7 @@ fn telemetry_event_order_is_deterministic() {
                         | TelemetryEvent::PointLowered { .. }
                         | TelemetryEvent::FunctionRelocated { .. }
                         | TelemetryEvent::SpringboardPlanted { .. }
+                        | TelemetryEvent::CallRetargeted { .. }
                 )
             })
             .map(|e| format!("{e:?}"))
@@ -201,6 +202,10 @@ fn telemetry_event_order_is_deterministic() {
             .count()
             == 16,
         "one PlanBuilt per instrumented function"
+    );
+    assert!(
+        baseline.iter().any(|s| s.starts_with("CallRetargeted")),
+        "main's call to f_0 enters its copy"
     );
     for t in [2, 4, 8] {
         assert_eq!(trace(t), baseline, "event order differs at threads={t}");

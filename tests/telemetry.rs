@@ -125,6 +125,10 @@ fn static_pipeline_streams_events_to_the_sink() {
         sink.count(|e| matches!(e, TelemetryEvent::SpringboardPlanted { .. })),
         d.springboards.total()
     );
+    assert_eq!(
+        sink.count(|e| matches!(e, TelemetryEvent::CallRetargeted { .. })),
+        d.calls_retargeted
+    );
     assert!(sink.count(|e| matches!(e, TelemetryEvent::FunctionRelocated { .. })) > 0);
     // The run loop reported a clean exit.
     assert_eq!(

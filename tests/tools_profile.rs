@@ -377,7 +377,8 @@ fn sampling_keeps_a_failed_commit_as_the_fleet_result() {
     let counter = fc.alloc_var(8);
     let pts = fc.find_points("matmul", PointKind::FuncEntry).unwrap();
     fc.insert(&pts, Snippet::increment(counter));
-    // Write 0 is the first patch region.
+    // Write 0 is the first patch region: `main`'s rewritten call to
+    // `matmul`.
     fc.set_fault_plan(pids[1], FaultPlan::new().corrupt_write(0, 0))
         .unwrap();
     fc.commit_all().unwrap();
