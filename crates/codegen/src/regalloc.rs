@@ -42,7 +42,7 @@ pub struct RegAllocator {
 
 /// Candidate scratch registers, in preference order: temporaries first,
 /// then argument registers. `ra`/`sp`/`gp`/`tp` are never used as scratch.
-const CANDIDATES: [u8; 14] = [5, 6, 7, 28, 29, 30, 31, 10, 11, 12, 13, 14, 15, 16];
+pub const CANDIDATES: [u8; 14] = [5, 6, 7, 28, 29, 30, 31, 10, 11, 12, 13, 14, 15, 16];
 
 /// The most registers one snippet can spill: every scratch candidate.
 pub const MAX_SPILLS: usize = CANDIDATES.len();

@@ -67,8 +67,13 @@ pub enum Snippet {
     /// trampoline preserves).
     ReadReg(Reg),
     /// Write a mutatee register. **Use with care** — this changes mutatee
-    /// state, which is legitimate for some tools (fault injection) but not
-    /// for passive tracing.
+    /// state, which is legitimate for some tools (fault injection). A
+    /// passive tool may write only a register that liveness proves dead
+    /// at the point and that the original code does not touch until the
+    /// tool's own later snippets have read it back: the memory tracer
+    /// keeps a block's record slot pointer that way. The plan phase never
+    /// takes a register that any snippet of a function writes as scratch
+    /// at any point of that function, so no other snippet clobbers it.
     WriteReg(Reg, Box<Snippet>),
     /// Read an instrumentation variable.
     ReadVar(Var),
@@ -246,28 +251,46 @@ impl Snippet {
         }
     }
 
-    /// Mutatee registers this snippet writes (beyond scratch): tools use
-    /// this to check a snippet is side-effect-free.
-    pub fn mutates_registers(&self) -> bool {
+    /// Mutatee registers this snippet writes ([`Snippet::WriteReg`]); the
+    /// plan phase takes none of them as scratch anywhere in a function
+    /// that carries the snippet.
+    pub fn written_registers(&self) -> RegSet {
+        let all = |v: &[Snippet]| {
+            v.iter()
+                .fold(RegSet::EMPTY, |set, s| set.union(s.written_registers()))
+        };
         match self {
-            Snippet::WriteReg(..) => true,
-            Snippet::WriteVar(_, v) | Snippet::Un(_, v) => v.mutates_registers(),
-            Snippet::ReadMem { addr, .. } => addr.mutates_registers(),
-            Snippet::WriteMem { addr, val, .. } => {
-                addr.mutates_registers() || val.mutates_registers()
+            Snippet::WriteReg(r, v) => v.written_registers().union(RegSet::of(&[*r])),
+            Snippet::WriteVar(_, v) | Snippet::Un(_, v) | Snippet::ReadMem { addr: v, .. } => {
+                v.written_registers()
             }
-            Snippet::Bin(_, a, b)
+            Snippet::WriteMem {
+                addr: a, val: b, ..
+            }
+            | Snippet::Bin(_, a, b)
             | Snippet::Let {
                 value: a, body: b, ..
-            } => a.mutates_registers() || b.mutates_registers(),
+            } => a.written_registers().union(b.written_registers()),
             Snippet::If { cond, then_, else_ } => {
-                cond.mutates_registers()
-                    || then_.mutates_registers()
-                    || else_.as_ref().is_some_and(|e| e.mutates_registers())
+                let arms = cond.written_registers().union(then_.written_registers());
+                else_
+                    .as_ref()
+                    .map_or(arms, |e| arms.union(e.written_registers()))
             }
-            Snippet::Seq(v) => v.iter().any(|s| s.mutates_registers()),
-            _ => false,
+            Snippet::Seq(v) | Snippet::Call { args: v, .. } => all(v),
+            Snippet::Const(_)
+            | Snippet::ReadReg(_)
+            | Snippet::ReadVar(_)
+            | Snippet::IncrementVar(_)
+            | Snippet::Local(_)
+            | Snippet::Nop => RegSet::EMPTY,
         }
+    }
+
+    /// Does this snippet write a mutatee register (beyond scratch)? Tools
+    /// use this to check a snippet is side-effect-free.
+    pub fn mutates_registers(&self) -> bool {
+        !self.written_registers().is_empty()
     }
 }
 
@@ -341,5 +364,10 @@ mod tests {
         assert!(!Snippet::increment(v).mutates_registers());
         let w = Snippet::WriteReg(rvdyn_isa::Reg::x(10), Box::new(Snippet::Const(0)));
         assert!(w.mutates_registers());
+        // Only the written register counts, not the ones read.
+        let copy = Snippet::WriteReg(Reg::x(31), Box::new(Snippet::ReadReg(Reg::x(5))));
+        let s = Snippet::Seq(vec![Snippet::increment(v), copy]);
+        assert_eq!(s.written_registers(), RegSet::of(&[Reg::x(31)]));
+        assert_eq!(Snippet::increment(v).written_registers(), RegSet::EMPTY);
     }
 }

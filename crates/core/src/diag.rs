@@ -108,6 +108,9 @@ pub struct Diagnostics {
     // -- tools (memory tracer / sampling profiler; see docs/TOOLS.md) --
     /// Load/store sites the memory tracer instrumented.
     pub trace_points_planned: u64,
+    /// Of those, the sites planned into runs that share one cursor update
+    /// per basic block.
+    pub trace_runs: u64,
     /// Trace records recovered from the mutatee's ring buffer.
     pub trace_records: u64,
     /// Trace records lost because the in-mutatee ring filled up.
@@ -243,6 +246,7 @@ pub const KEYS: &[Key<Diagnostics>] = &[
     ("emu.blocks_translated", |d| d.emu_blocks_translated),
     ("emu.invalidations", |d| d.emu_invalidations),
     ("tools.trace_points_planned", |d| d.trace_points_planned),
+    ("tools.trace_runs", |d| d.trace_runs),
     ("tools.trace_records", |d| d.trace_records),
     ("tools.trace_dropped", |d| d.trace_dropped),
     ("tools.profile_samples", |d| d.profile_samples),
@@ -449,6 +453,7 @@ mod tests {
             emu_blocks_translated: 28,
             emu_invalidations: 29,
             trace_points_planned: 31,
+            trace_runs: 43,
             trace_records: 32,
             trace_dropped: 33,
             profile_samples: 34,
@@ -467,7 +472,7 @@ mod tests {
     /// `to_json` for [`distinct`], as the hand-written serialiser
     /// printed it before the key table replaced it (less the
     /// `emu.chain_links` member the schema has since dropped, plus the
-    /// later `instrument.calls_retargeted`).
+    /// later `instrument.calls_retargeted` and `tools.trace_runs`).
     const DISTINCT_JSON: &str = concat!(
         r#"{"schema":"rvdyn-diagnostics-v1","#,
         r#""parse":{"functions":1,"blocks":2,"instructions":3,"unresolved_indirects":4,"#,
@@ -482,7 +487,8 @@ mod tests {
         r#""cache":{"analysis_cache_hits":22,"analysis_cache_misses":23,"#,
         r#""analysis_cache_evictions":24},"#,
         r#""emu":{"blocks_translated":28,"invalidations":29},"#,
-        r#""tools":{"trace_points_planned":31,"trace_records":32,"trace_dropped":33,"#,
+        r#""tools":{"trace_points_planned":31,"trace_runs":43,"trace_records":32,"#,
+        r#""trace_dropped":33,"#,
         r#""profile_samples":34,"profile_max_depth":35},"#,
         r#""timings_ns":{"open":36,"parse":37,"instrument":38,"relocate":39,"commit":40,"#,
         r#""run":41}}"#,

@@ -166,7 +166,7 @@ impl BinaryEditor {
                 stage: Stage::Rewrite,
                 source,
             })?;
-        for r in &stats.regions {
+        for r in stats.written() {
             self.session.emit(TelemetryEvent::PatchRegionWritten {
                 addr: r.vaddr,
                 len: r.file_size as usize,

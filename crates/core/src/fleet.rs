@@ -1003,7 +1003,8 @@ mod tests {
             r#""faults":{"injected":0},"cache":{"analysis_cache_hits":0,"#,
             r#""analysis_cache_misses":0,"analysis_cache_evictions":0},"#,
             r#""emu":{"blocks_translated":0,"invalidations":0},"#,
-            r#""tools":{"trace_points_planned":0,"trace_records":0,"trace_dropped":0,"#,
+            r#""tools":{"trace_points_planned":0,"trace_runs":0,"trace_records":0,"#,
+            r#""trace_dropped":0,"#,
             r#""profile_samples":0,"profile_max_depth":0},"timings_ns":{"open":0,"parse":0,"#,
             r#""instrument":0,"relocate":0,"commit":0,"run":900}}},{"pid":1,"exited":0,"#,
             r#""exit_code":-1,"failed":1,"diagnostics":{"schema":"rvdyn-diagnostics-v1","#,
@@ -1018,7 +1019,8 @@ mod tests {
             r#""faults":{"injected":1},"cache":{"analysis_cache_hits":0,"#,
             r#""analysis_cache_misses":0,"analysis_cache_evictions":0},"#,
             r#""emu":{"blocks_translated":0,"invalidations":0},"#,
-            r#""tools":{"trace_points_planned":0,"trace_records":0,"trace_dropped":0,"#,
+            r#""tools":{"trace_points_planned":0,"trace_runs":0,"trace_records":0,"#,
+            r#""trace_dropped":0,"#,
             r#""profile_samples":0,"profile_max_depth":0},"timings_ns":{"open":0,"parse":0,"#,
             r#""instrument":0,"relocate":0,"commit":80,"run":0}}}]}"#,
         );

@@ -396,6 +396,11 @@ impl Session {
         self.mode = mode;
     }
 
+    /// The register-allocation mode generated snippets are lowered in.
+    pub fn mode(&self) -> RegAllocMode {
+        self.mode
+    }
+
     /// Override the patch-area layout.
     pub fn set_layout(&mut self, layout: PatchLayout) {
         self.layout = layout;

@@ -273,9 +273,14 @@ pub enum TelemetryEvent {
     /// and the rest of the fleet is unaffected.
     FleetProcessFailed { pid: u32 },
     /// The memory-access tracer finished planning: `points` load/store
-    /// sites were instrumented, draining into an in-mutatee ring of
+    /// sites were instrumented, `runs` of them in runs that share one
+    /// cursor update per basic block, draining into an in-mutatee ring of
     /// `capacity` records (see `docs/TOOLS.md`).
-    TraceStarted { points: usize, capacity: u64 },
+    TraceStarted {
+        points: usize,
+        runs: usize,
+        capacity: u64,
+    },
     /// A trace buffer was drained from the mutatee: `records` records
     /// recovered, `dropped` lost to ring exhaustion.
     TraceDrained { records: u64, dropped: u64 },
@@ -371,9 +376,14 @@ impl fmt::Display for TelemetryEvent {
                 write!(f, "fleet: process {pid} exited ({code})")
             }
             FleetProcessFailed { pid } => write!(f, "fleet: process {pid} failed"),
-            TraceStarted { points, capacity } => {
-                write!(f, "trace started: {points} point(s), ring of {capacity}")
-            }
+            TraceStarted {
+                points,
+                runs,
+                capacity,
+            } => write!(
+                f,
+                "trace started: {points} point(s), {runs} in runs, ring of {capacity}"
+            ),
             TraceDrained { records, dropped } => {
                 write!(f, "trace drained: {records} record(s), {dropped} dropped")
             }

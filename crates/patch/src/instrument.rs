@@ -17,7 +17,11 @@
 //!    relocation planning runs independently on a worker pool (the batch
 //!    worklist shared with the parallel parser), producing one
 //!    position-independent `FunctionPlan` per function — a
-//!    [`RelocationPlan`] whose branch/jump targets are slot indices.
+//!    [`RelocationPlan`] whose branch/jump targets are slot indices. A
+//!    point's scratch pool is its dead registers less every register
+//!    that a snippet of the function writes ([`Snippet::WriteReg`]), so
+//!    a value one snippet leaves in a dead register survives the other
+//!    snippets until a later one reads it.
 //! 2. **Base assignment** (sequential): patch-area bases are assigned in
 //!    stable entry-address order, and each plan is re-relaxed at its
 //!    final base to a whole-area fixpoint. A call from one relocated
@@ -692,6 +696,11 @@ impl<'b> Instrumenter<'b> {
             .get(&fe)
             .ok_or(InstrumentError::UnknownFunction(fe))?;
         let lv = Liveness::analyze(f);
+        // A register any snippet of the function writes is never scratch
+        // in it: its writer may read it back at a later point.
+        let written = requests.iter().fold(RegSet::EMPTY, |set, &i| {
+            set.union(self.requests[i].1.written_registers())
+        });
 
         // Lower each point's snippets with its dead-register pool.
         // Edge snippets use the dead set before the branch, which is a
@@ -703,7 +712,7 @@ impl<'b> Instrumenter<'b> {
         let point = |i: &usize| &self.requests[*i].0;
         for run in requests.chunk_by(|a, b| request_key(point(a)) == request_key(point(b))) {
             let p = point(&run[0]);
-            let dead = lv.dead_before(f, p.addr);
+            let dead = lv.dead_before(f, p.addr).minus(written);
             let snippets = run.iter().map(|&i| &*self.requests[i].1);
             let (code, stats) = generate_seq_with_stats(snippets, dead, self.mode, profile)?;
             spills += stats.spills;

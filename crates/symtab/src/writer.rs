@@ -61,9 +61,15 @@ pub struct WriteStats {
 }
 
 impl WriteStats {
-    /// Number of contiguous spans serialised.
+    /// The spans that carry file bytes: a segment that is all NOBITS
+    /// (`.bss`) is mapped, not written.
+    pub fn written(&self) -> impl Iterator<Item = &WriteRegion> {
+        self.regions.iter().filter(|r| r.file_size > 0)
+    }
+
+    /// Number of spans serialised with file bytes.
     pub fn regions_written(&self) -> usize {
-        self.regions.len()
+        self.written().count()
     }
 }
 

@@ -142,7 +142,26 @@ pub fn stmt_program_hot(stmts: &[Stmt], seed: u64) -> Binary {
     assemble(stmts, seed, 2 * TIER_UP)
 }
 
+/// A mutatee whose `main` calls `work(1)` once and stores its `a0` at
+/// the `result` data slot, with `work`'s code (its `ret` included) from
+/// `body`.
+pub fn work_program(body: impl FnOnce(&mut Assembler)) -> Binary {
+    assemble_with(1, 1, body)
+}
+
 fn assemble(stmts: &[Stmt], seed: u64, calls: u32) -> Binary {
+    // work(a0 = seed): the deterministic walk. s0 = LCG state, s1 = acc.
+    assemble_with(seed, calls, |a| {
+        a.mv(S0, A0);
+        a.li(S1, 0);
+        let mut id = 1i64;
+        emit_seq(a, stmts, &mut id);
+        a.mv(A0, S1);
+        a.ret();
+    })
+}
+
+fn assemble_with(seed: u64, calls: u32, work: impl FnOnce(&mut Assembler)) -> Binary {
     let layout = Layout::default();
     let result = layout.data;
     let mut a = Assembler::new(layout.text);
@@ -191,15 +210,9 @@ fn assemble(stmts: &[Stmt], seed: u64, calls: u32) -> Binary {
     a.ret();
     let main_size = a.here() - main_addr;
 
-    // work(a0 = seed): the deterministic walk. s0 = LCG state, s1 = acc.
     a.bind(l_work);
     let work_addr = a.here();
-    a.mv(S0, A0);
-    a.li(S1, 0);
-    let mut id = 1i64;
-    emit_seq(&mut a, stmts, &mut id);
-    a.mv(A0, S1);
-    a.ret();
+    work(&mut a);
     let work_size = a.here() - work_addr;
 
     let code = a.finish().expect("stmt program assembles");

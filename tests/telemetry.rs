@@ -84,6 +84,25 @@ fn stage_timings_are_populated_and_consistent() {
 
 // --- the event stream ------------------------------------------------------
 
+/// A static rewrite counts, and reports, only the segments it writes
+/// bytes for: matmul's `.bss` segment is mapped, not written.
+#[test]
+fn static_rewrite_counts_only_regions_with_file_bytes() {
+    let elf = rvdyn_asm::matmul_program(4, 1).to_bytes().unwrap();
+    let sink = CollectSink::new();
+    let mut ed =
+        BinaryEditor::open_with(&elf, SessionOptions::new().telemetry(sink.clone())).unwrap();
+    let c = ed.alloc_var(8);
+    let pts = ed.find_points("matmul", PointKind::FuncEntry).unwrap();
+    ed.insert(&pts, Snippet::increment(c));
+    ed.rewrite().unwrap();
+    assert_eq!(ed.diagnostics().patch_regions_written, 4);
+    let written = |e: &TelemetryEvent| matches!(e, TelemetryEvent::PatchRegionWritten { .. });
+    assert_eq!(sink.count(written), 4);
+    let empty = |e: &TelemetryEvent| matches!(e, TelemetryEvent::PatchRegionWritten { len: 0, .. });
+    assert_eq!(sink.count(empty), 0);
+}
+
 #[test]
 fn static_pipeline_streams_events_to_the_sink() {
     let elf = rvdyn_asm::matmul_program(5, 1).to_bytes().unwrap();
