@@ -75,8 +75,8 @@ fn main() {
 
     // Memtrace leg: full-program tracer, ring sized for the whole run.
     let mut dy = DynamicInstrumenter::create_with(binary.clone(), opts());
-    let tracer = MemTracer::plan_dynamic(
-        &mut dy,
+    let tracer = MemTracer::plan_fleet(
+        dy.fleet_mut(),
         &TraceOptions {
             capacity: 1 << 21,
             funcs: None,
@@ -88,7 +88,9 @@ fn main() {
     let code = dy.run_to_exit().expect("traced run");
     let trace_wall_ns = t0.elapsed().as_nanos() as u64;
     assert_eq!(code, 0, "traced mutatee must exit cleanly");
-    let drained = tracer.drain_dynamic(&mut dy).expect("drain");
+    let drained = tracer
+        .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+        .expect("drain");
     assert_eq!(drained.dropped, 0, "ring must hold the whole run");
 
     // Parity gate: the trace must equal the interpreter-side oracle.
@@ -130,9 +132,12 @@ fn main() {
         max_samples: 1 << 20,
     });
     let t0 = Instant::now();
-    let run = profiler.sample_dynamic(&mut dy).expect("sampled run");
+    let run = profiler.sample_fleet(dy.fleet_mut()).expect("sampled run");
     let profile_wall_ns = t0.elapsed().as_nanos() as u64;
-    assert_eq!(run.exit_code, 0, "sampled mutatee must exit cleanly");
+    assert!(
+        matches!(run.outcomes[&DynamicInstrumenter::PID], Ok(0)),
+        "sampled mutatee must exit cleanly"
+    );
     assert!(run.profile.samples > 0, "interval must fire");
     let samples_per_s = run.profile.samples as f64 / (profile_wall_ns as f64 / 1e9);
     let trace_overhead = trace_wall_ns as f64 / baseline_ns as f64;

@@ -12,6 +12,10 @@
 //! supported: create-and-instrument
 //! ([`DynamicInstrumenter::create`]) and attach-to-running
 //! ([`DynamicInstrumenter::attach`]).
+//!
+//! The tools have no single-process entry points: a tool reaches the
+//! process through [`DynamicInstrumenter::fleet_mut`] like any other
+//! fleet, under pid [`DynamicInstrumenter::PID`].
 
 use crate::analysis::Analysis;
 use crate::diag::Diagnostics;
@@ -27,15 +31,15 @@ use rvdyn_symtab::Binary;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The pid of a [`DynamicInstrumenter`]'s one process in its fleet.
-pub(crate) const PID: u32 = 0;
-
 /// Instrument a live process: a fleet of one.
 pub struct DynamicInstrumenter {
     fleet: FleetController,
 }
 
 impl DynamicInstrumenter {
+    /// The pid of the one process in the instrumenter's fleet.
+    pub const PID: u32 = 0;
+
     /// Figure 1 variant 1: analyze, then spawn the process (stopped at
     /// entry) ready for instrumentation.
     pub fn create(binary: Binary) -> DynamicInstrumenter {
@@ -87,8 +91,10 @@ impl DynamicInstrumenter {
         DynamicInstrumenter { fleet }
     }
 
-    /// Crate-internal: the fleet of one, for the tools' fleet paths.
-    pub(crate) fn fleet_mut(&mut self) -> &mut FleetController {
+    /// The fleet of one, for the tools' fleet entry points
+    /// (`MemTracer::plan_fleet` and `drain_fleet` with [`Self::PID`],
+    /// `Profiler::sample_fleet`).
+    pub fn fleet_mut(&mut self) -> &mut FleetController {
         &mut self.fleet
     }
 
@@ -102,14 +108,14 @@ impl DynamicInstrumenter {
     }
 
     pub fn process(&self) -> &Process {
-        self.fleet.process(PID).expect(INLINE)
+        self.fleet.process(Self::PID).expect(INLINE)
     }
 
     /// The process, mutably: breakpoints, register pokes, a
     /// [`FaultPlan`](rvdyn_proccontrol::FaultPlan) to arm
     /// ([`Process::set_fault_plan`]).
     pub fn process_mut(&mut self) -> &mut Process {
-        self.fleet.process_mut(PID).expect(INLINE)
+        self.fleet.process_mut(Self::PID).expect(INLINE)
     }
 
     /// Live counters and per-stage timings for what the pipeline has done
@@ -124,7 +130,10 @@ impl DynamicInstrumenter {
         self.fleet.session_mut().set_mode(mode);
     }
 
-    /// Override the patch-area layout (before the first commit).
+    /// Override the patch-area layout: the next commit lays its code out
+    /// from the new patch code base (after any code an earlier commit
+    /// laid out from it), and later variables are allocated in the new
+    /// data area.
     pub fn set_layout(&mut self, layout: PatchLayout) {
         self.fleet.session_mut().set_layout(layout);
     }
@@ -157,7 +166,7 @@ impl DynamicInstrumenter {
     /// the live process's memory (reconstructed through the CFG flow
     /// equations under optimal placement).
     pub fn block_counts(&mut self, counter: &BlockCounter) -> Result<BTreeMap<u64, u64>, Error> {
-        self.fleet.block_counts(PID, counter)
+        self.fleet.block_counts(Self::PID, counter)
     }
 
     /// Apply all queued insertions to the live process through
@@ -177,13 +186,13 @@ impl DynamicInstrumenter {
     /// delivered, and the queued insertions stay queued. One that exited
     /// before delivery is [`Error::FleetProcessLost`] too, as its result.
     pub fn commit(&mut self) -> Result<(), Error> {
-        if self.fleet.result(PID).is_some() {
-            return Err(Error::FleetProcessLost { pid: PID });
+        if self.fleet.result(Self::PID).is_some() {
+            return Err(Error::FleetProcessLost { pid: Self::PID });
         }
         self.fleet.commit_all()?;
         // The process had no result before this commit, so any result it
         // holds now is this delivery's.
-        match self.fleet.result(PID) {
+        match self.fleet.result(Self::PID) {
             Some(Err(e)) => Err(e.clone()),
             _ => Ok(()),
         }
@@ -222,12 +231,12 @@ impl DynamicInstrumenter {
     /// end again without running.
     pub fn run_to_exit(&mut self) -> Result<i64, Error> {
         self.fleet.run_all();
-        self.fleet.result(PID).cloned().expect(INLINE)
+        self.fleet.result(Self::PID).cloned().expect(INLINE)
     }
 
     /// Read an instrumentation variable from the live process.
     pub fn read_var(&self, var: Var) -> Option<u64> {
-        self.fleet.read_var(PID, var)
+        self.fleet.read_var(Self::PID, var)
     }
 }
 
@@ -372,7 +381,9 @@ mod tests {
         // the exit stays the process's result.
         dy.insert(&pts, Snippet::increment(counter));
         match dy.commit() {
-            Err(Error::FleetProcessLost { pid: PID }) => {}
+            Err(Error::FleetProcessLost {
+                pid: DynamicInstrumenter::PID,
+            }) => {}
             other => panic!("expected FleetProcessLost, got {other:?}"),
         }
         assert_eq!(dy.diagnostics().patch_regions_written, regions);

@@ -1,141 +1,36 @@
-//! Static binary rewriting: the `BinaryEditor` (BPatch_binaryEdit).
+//! Static binary rewriting (BPatch_binaryEdit): the static delivery of
+//! a [`Session`].
 //!
-//! The editor is a thin delivery shell over the shared [`Session`] core
-//! (see [`crate::session`]): every pipeline operation — parse, point
-//! lookup, variable allocation, the pending queue, apply, diagnostics,
-//! telemetry — lives in the session; the editor adds only the *static*
-//! delivery, serialising the patched binary model back to an ELF.
+//! A [`BinaryEditor`] *is* a [`Session`]: open, parse, point lookup,
+//! variable allocation, the pending queue, diagnostics and telemetry are
+//! the session's own methods (see [`crate::session`]). This module adds
+//! the static delivery — serialise the patched binary model back to an
+//! ELF, run it on the emulator substrate, read its counters back — as
+//! more methods of the session.
 
-use crate::analysis::{Analysis, AnalysisCache};
-use crate::diag::Diagnostics;
 use crate::error::{Error, Stage};
-use crate::session::{BlockCounter, Session, SessionOptions};
+use crate::session::{BlockCounter, Session};
 use crate::telemetry::{TelemetryEvent, TimedStage};
-use rvdyn_codegen::regalloc::RegAllocMode;
-use rvdyn_codegen::snippet::{Snippet, Var};
-use rvdyn_parse::CodeObject;
-use rvdyn_patch::{PatchLayout, Point, PointKind};
+use rvdyn_patch::instrument::PatchResult;
 use rvdyn_symtab::Binary;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Open a binary, analyze it, queue snippet insertions, write a new
-/// binary — the static-instrumentation workflow of Figure 1.
-pub struct BinaryEditor {
-    session: Session,
-}
+/// binary — the static-instrumentation workflow of Figure 1. The editor
+/// is the session: [`Session::open`] opens one, [`Session::rewrite`]
+/// writes the new ELF.
+pub type BinaryEditor = Session;
 
-impl BinaryEditor {
-    /// Parse and analyze an ELF image with default options.
-    pub fn open(elf: &[u8]) -> Result<BinaryEditor, Error> {
-        Self::open_with(elf, SessionOptions::default())
-    }
-
-    /// As [`BinaryEditor::open`] with explicit session options (layout,
-    /// allocation mode, parse options, conservatism, telemetry sink).
-    pub fn open_with(elf: &[u8], opts: SessionOptions) -> Result<BinaryEditor, Error> {
-        Ok(BinaryEditor {
-            session: Session::open(elf, opts)?,
-        })
-    }
-
-    /// As [`BinaryEditor::open_with`], reusing `cache`'s shared
-    /// front-half [`Analysis`] when the binary's content key is resident
-    /// (a hit skips CFG parsing and loop analysis entirely).
-    pub fn open_cached(
-        elf: &[u8],
-        opts: SessionOptions,
-        cache: &AnalysisCache,
-    ) -> Result<BinaryEditor, Error> {
-        Ok(BinaryEditor {
-            session: Session::open_cached(elf, opts, cache)?,
-        })
-    }
-
-    /// Use an in-memory binary model directly, with explicit session
-    /// options.
-    pub fn from_binary(binary: Binary, opts: SessionOptions) -> BinaryEditor {
-        BinaryEditor {
-            session: Session::from_binary(binary, opts),
-        }
-    }
-
-    /// Build an editor directly on a shared front-half [`Analysis`] —
-    /// no open/parse work, any number of concurrent editors per
-    /// analysis. See [`Session::from_analysis`].
-    pub fn from_analysis(analysis: Arc<Analysis>, opts: SessionOptions) -> BinaryEditor {
-        BinaryEditor {
-            session: Session::from_analysis(analysis, opts),
-        }
-    }
-
-    /// The underlying binary model.
-    pub fn binary(&self) -> &Binary {
-        self.session.binary()
-    }
-
-    /// Crate-internal: mutable session core (tool counter/telemetry hook).
-    pub(crate) fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    /// The parsed CFG.
-    pub fn code(&self) -> &CodeObject {
-        self.session.code()
-    }
-
-    /// The shared front-half analysis this editor runs against.
-    pub fn analysis(&self) -> &Arc<Analysis> {
-        self.session.analysis()
-    }
-
-    /// Live counters and per-stage timings for what the pipeline has done
-    /// so far: parse totals are available after `open`, instrument totals
-    /// after [`BinaryEditor::instrumented`] / [`BinaryEditor::rewrite`].
-    pub fn diagnostics(&self) -> &Diagnostics {
-        self.session.diagnostics()
-    }
-
-    /// The mutatee's ISA profile (§3.2.1).
-    pub fn profile(&self) -> rvdyn_isa::IsaProfile {
-        self.session.profile()
-    }
-
-    /// Select the register-allocation mode for generated snippets.
-    pub fn set_mode(&mut self, mode: RegAllocMode) {
-        self.session.set_mode(mode);
-    }
-
-    /// Override the patch-area layout.
-    pub fn set_layout(&mut self, layout: PatchLayout) {
-        self.session.set_layout(layout);
-    }
-
-    /// Function entry address by symbol name.
-    pub fn function_addr(&self, name: &str) -> Result<u64, Error> {
-        self.session.function_addr(name)
-    }
-
-    /// Enumerate points of `kind` in the named function.
-    pub fn find_points(&self, func: &str, kind: PointKind) -> Result<Vec<Point>, Error> {
-        self.session.find_points(func, kind)
-    }
-
-    /// Allocate an instrumentation variable.
-    pub fn alloc_var(&mut self, size: u8) -> Var {
-        self.session.alloc_var(size)
-    }
-
-    /// Queue `snippet` at each point.
-    pub fn insert(&mut self, points: &[Point], snippet: Snippet) {
-        self.session.insert(points, snippet);
-    }
-
-    /// Queue basic-block counting for the named function under the
-    /// session's configured
-    /// [`CounterPlacement`](rvdyn_patch::CounterPlacement); resolve the
-    /// returned handle with [`BinaryEditor::block_counts`] after a run.
-    pub fn count_blocks(&mut self, func: &str) -> Result<BlockCounter, Error> {
-        self.session.count_blocks(func)
+impl Session {
+    /// Lower every queued snippet, relocate the touched functions, plant
+    /// springboards (timed `instrument` stage with a `relocate`
+    /// sub-timing), and return the rewritten binary model with its
+    /// patch. Under the conservative policy
+    /// ([`SessionOptions::allow_unresolved`](crate::SessionOptions::allow_unresolved)`(false)`),
+    /// refuses to touch a function that still has unresolved indirect
+    /// transfers. The queue is left intact, so it may be applied again.
+    pub fn instrumented(&mut self) -> Result<PatchResult, Error> {
+        self.apply_at(self.layout().patch_text, &BTreeSet::new())
     }
 
     /// Exact per-block execution counts for a [`BlockCounter`], read from
@@ -145,21 +40,15 @@ impl BinaryEditor {
         &mut self,
         counter: &BlockCounter,
         run: &RunOutput,
-    ) -> Result<std::collections::BTreeMap<u64, u64>, Error> {
-        self.session
-            .block_counts_with(counter, &mut |v| run.read_u64(v.addr))
-    }
-
-    /// Apply all queued insertions and produce the rewritten binary model.
-    pub fn instrumented(&mut self) -> Result<rvdyn_patch::instrument::PatchResult, Error> {
-        self.session.apply()
+    ) -> Result<BTreeMap<u64, u64>, Error> {
+        self.block_counts_with(counter, &mut |v| run.read_u64(v.addr))
     }
 
     /// Serialise a patched binary model (timed `commit` stage), recording
     /// the written per-region structure in the diagnostics — the static
     /// mirror of the dynamic commit's `patch_regions_written`.
     fn serialise(&mut self, binary: &Binary) -> Result<Vec<u8>, Error> {
-        let timer = self.session.begin_stage(TimedStage::Commit);
+        let timer = self.begin_stage(TimedStage::Commit);
         let (bytes, stats) = binary
             .to_bytes_with_stats()
             .map_err(|source| Error::Symtab {
@@ -167,13 +56,13 @@ impl BinaryEditor {
                 source,
             })?;
         for r in stats.written() {
-            self.session.emit(TelemetryEvent::PatchRegionWritten {
+            self.emit(TelemetryEvent::PatchRegionWritten {
                 addr: r.vaddr,
                 len: r.file_size as usize,
             });
         }
-        self.session.diag_mut().patch_regions_written += stats.regions_written();
-        self.session.end_stage(timer);
+        self.diag_mut().patch_regions_written += stats.regions_written();
+        self.end_stage(timer);
         Ok(bytes)
     }
 
@@ -187,25 +76,24 @@ impl BinaryEditor {
     /// Full static round trip with stage attribution: apply the queued
     /// insertions (`instrument`), serialise + reload (`commit`), and
     /// execute the instrumented binary on the emulator substrate (`run`).
-    /// Run totals land in [`BinaryEditor::diagnostics`], so one session
+    /// Run totals land in [`Session::diagnostics`], so one session
     /// reports wall-clock timings for every pipeline stage.
     pub fn instrument_and_run(&mut self, fuel: u64) -> Result<RunOutput, Error> {
         let patched = self.instrumented()?;
         let elf = self.serialise(&patched.binary)?;
 
         let bin = Binary::parse(&elf)?;
-        let timer = self.session.begin_stage(TimedStage::Run);
-        let sink = self.session.sink();
-        let engine = self.session.engine();
-        let mut res = run_binary_engine(&bin, fuel, engine, &mut |label| {
+        let timer = self.begin_stage(TimedStage::Run);
+        let sink = self.sink();
+        let mut res = run_binary_engine(&bin, fuel, self.engine(), &mut |label| {
             if let Some(s) = &sink {
                 s.event(&TelemetryEvent::RunExit { reason: label });
             }
         });
-        self.session.end_stage(timer);
+        self.end_stage(timer);
         if let Ok(r) = &mut res {
-            self.session.record_run(r.icount, r.cycles);
-            self.session.record_emu(&mut r.machine);
+            self.diag_mut().record_run(r.icount, r.cycles);
+            self.record_emu(&mut r.machine);
         }
         res
     }
@@ -254,10 +142,12 @@ pub fn run_elf_with(
 ///
 /// A mutatee that faults or stops without exiting is reported as a typed
 /// error carrying the faulting pc (and address, for memory faults) — the
-/// mutator never aborts on mutatee behaviour. In an instrumented binary
-/// (one carrying trap-table redirects), a surfaced breakpoint trap means
-/// a springboard whose redirect is missing: that is
-/// [`Error::RedirectMiss`], distinct from the generic unclean exit.
+/// mutator never aborts on mutatee behaviour. A fetch fault or an
+/// illegal instruction is [`Error::MutateeFault`] at that pc, as on the
+/// live path. In an instrumented binary (one carrying trap-table
+/// redirects), a surfaced breakpoint trap means a springboard whose
+/// redirect is missing: that is [`Error::RedirectMiss`], distinct from
+/// the generic unclean exit.
 pub fn run_binary(bin: &Binary, fuel: u64) -> Result<RunOutput, Error> {
     // Free-standing runs keep the machine's own default engine, which
     // honours the `RVDYN_EMU` environment knob.
@@ -285,7 +175,8 @@ pub(crate) fn run_binary_engine(
         rvdyn_emu::StopReason::MemFault { pc, addr, .. } => {
             return Err(Error::MutateeFault { pc, addr });
         }
-        rvdyn_emu::StopReason::FetchFault { pc } => {
+        rvdyn_emu::StopReason::FetchFault { pc }
+        | rvdyn_emu::StopReason::IllegalInstruction(pc) => {
             return Err(Error::MutateeFault { pc, addr: pc });
         }
         rvdyn_emu::StopReason::Break(pc) => {
@@ -302,13 +193,6 @@ pub(crate) fn run_binary_engine(
             }
             return Err(Error::UncleanExit {
                 reason: format!("unexpected breakpoint trap at {pc:#x}"),
-                pc: m.pc,
-                icount: m.icount,
-            });
-        }
-        rvdyn_emu::StopReason::IllegalInstruction(pc) => {
-            return Err(Error::UncleanExit {
-                reason: format!("illegal instruction at {pc:#x}"),
                 pc: m.pc,
                 icount: m.icount,
             });
@@ -347,7 +231,11 @@ pub(crate) fn run_binary_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::Analysis;
+    use crate::session::SessionOptions;
+    use rvdyn_codegen::snippet::Snippet;
     use rvdyn_parse::ParseOptions;
+    use rvdyn_patch::PointKind;
 
     #[test]
     fn full_static_workflow() {

@@ -13,14 +13,16 @@
 //!   the same binary parse exactly once;
 //! * the **plan** (liveness, snippet lowering, relocation,
 //!   springboards) is also computed once, on the controller's template
-//!   session, by the same [`Session::apply`] the static editor uses —
-//!   reusing the parallel plan phase and its deterministic layout, so
-//!   every process receives the same patch bytes;
-//! * the **per-process back half** — verified patch commits, run-loop
-//!   event handling, redirect resolution — fans out over the
-//!   [`ProcessSet`] worker pool, with the controller parked in a
-//!   poll/park event loop consuming stop/trap/exit completions in
-//!   arrival order.
+//!   session, by the same code as the static
+//!   [`Session::instrumented`] — reusing the parallel plan phase and its
+//!   deterministic layout, so every process receives the same patch
+//!   bytes;
+//! * the **per-process back half** — verified patch commits, and each
+//!   process's whole run through the one live run loop
+//!   (`run_to_end`: breakpoint, step and sampling stops, redirect
+//!   resolution, the terminal event) — fans out over the [`ProcessSet`]
+//!   worker pool as one job per process, with the controller parked in
+//!   a poll/park event loop consuming the completions in arrival order.
 //!
 //! Failures are isolated per process: a [`FaultPlan`] targeted at one
 //! pid mid-fleet produces a typed error attributed to that pid (e.g.
@@ -70,11 +72,8 @@ enum JobOutcome {
         failed: Option<u64>,
         lost: bool,
     },
-    /// A run job finished one `cont` leg, classified by [`resume`].
-    Stopped(Stop),
-    /// A sampling job ran one process's whole profiling loop to its
-    /// terminal stop.
-    Sampled(SampledRun),
+    /// A run job ran one process to its terminal stop.
+    Ran(SampledRun),
 }
 
 /// Controller-side state for one fleet process.
@@ -108,7 +107,8 @@ pub struct FleetSummary {
     /// Processes spawned into the fleet.
     pub processes: usize,
     /// Completions the controller's event loop consumed and dispatched
-    /// to per-process handlers (commit outcomes + run stop events).
+    /// to per-process handlers: one per commit delivery and one per
+    /// process run.
     pub events_dispatched: u64,
     /// Total debug-interface faults injected across the fleet.
     pub faults_injected: u64,
@@ -254,9 +254,9 @@ impl FleetController {
     }
 
     /// Open and analyze an ELF image, then build the controller (see
-    /// [`Session::open`]).
+    /// [`Session::open_with`]).
     pub fn open(elf: &[u8], opts: SessionOptions) -> Result<FleetController, Error> {
-        Ok(Self::from_session(Session::open(elf, opts)?))
+        Ok(Self::from_session(Session::open_with(elf, opts)?))
     }
 
     /// Analyze an in-memory binary model, then build the controller.
@@ -608,73 +608,47 @@ impl FleetController {
     }
 
     /// Run every process that has no terminal result yet to its
-    /// terminal event through the poll/park event loop (the timed `run`
-    /// stage): each completion — stop, trap, or exit — is consumed in
-    /// arrival order; non-terminal stops (breakpoints, emulated steps,
-    /// delayed-stop recoveries) are re-dispatched; terminal events
-    /// record the per-process result. A process whose commit failed or
-    /// found it gone already holds its terminal result, so it never runs
-    /// a half-delivered patch — failure isolation works both ways. A
-    /// process that no commit reached (attached after the last commit,
-    /// or after a commit whose plan failed) runs uninstrumented.
+    /// terminal event (the timed `run` stage): each one's whole run is
+    /// one job on the worker pool, through the one live run loop, which
+    /// resumes it past breakpoints, emulated steps and delayed-stop
+    /// recoveries; the controller then records each pid's result in pid
+    /// order. A process whose commit failed or found it gone already
+    /// holds its terminal result, so it never runs a half-delivered patch
+    /// — failure isolation works both ways. A process that no commit
+    /// reached (attached after the last commit, or after a commit whose
+    /// plan failed) runs uninstrumented.
     pub fn run_all(&mut self) {
         let timer = self.session.begin_stage(TimedStage::Run);
-        let runnable = self.live_pids();
         let analysis = self.session.analysis().clone();
-        let run_leg = move |p: &mut Process| JobOutcome::Stopped(resume(p, analysis.code()));
-        for pid in runnable {
-            self.set.dispatch(pid, run_leg.clone());
-        }
-        while let Some(c) = self.set.next_completion() {
-            self.events_dispatched += 1;
-            self.session
-                .emit(TelemetryEvent::FleetEventDispatched { pid: c.pid });
-            if let Some(st) = self.states.get_mut(&c.pid) {
-                st.diag.timings.record(TimedStage::Run, c.nanos);
-            }
-            let terminal: Option<Result<i64, Error>> = match c.outcome {
-                JobOutcome::Stopped(Stop::Done(result)) => Some(result),
-                JobOutcome::Stopped(Stop::Resume) => None,
-                JobOutcome::Stopped(Stop::CycleLimit(_)) => {
-                    // run_all has no sampling policy — the profiler runs
-                    // its own loop as one job per process. A cycle
-                    // interrupt arriving here is a leftover armed
-                    // interval (a profiler that detached without
-                    // disarming): disarm it and let the process run on.
-                    if let Some(p) = self.set.get_mut(c.pid) {
-                        p.machine_mut().stop_at_cycles = None;
-                    }
-                    None
+        let runs = self.run_each(move |p| {
+            // run_all has no sampling policy: a cycle interrupt here is a
+            // leftover armed interval (a profiler that detached without
+            // disarming), so disarm it and let the process run on.
+            let result = run_to_end(p, analysis.code(), |p, tick| {
+                if tick.is_some() {
+                    p.machine_mut().stop_at_cycles = None;
                 }
-                // Commit and sampling outcomes cannot arrive here; stay
-                // total.
-                JobOutcome::Committed { .. } | JobOutcome::Sampled(_) => None,
-            };
-            match terminal {
-                None => {
-                    // Non-terminal stop: resume this process; the event
-                    // loop keeps multiplexing the others meanwhile.
-                    self.set.dispatch(c.pid, run_leg.clone());
-                }
-                Some(result) => {
-                    self.finish_process(c.pid, result);
-                }
-            }
+            });
+            SampledRun::unsampled(result)
+        });
+        for (pid, run) in runs {
+            self.finish_process(pid, run.result);
         }
         self.session.end_stage(timer);
     }
 
-    /// Run `job` — the fleet profiler's sampling loop — against every
-    /// process without a terminal result, as one job per pid on the
-    /// worker pool, and return each pid's run, pid-ascending, once all
-    /// have ended. As in [`FleetController::run_all`], a pid that already
-    /// ended (its commit failed) does not run: its run is its recorded
-    /// result, with no samples. Each completion counts as one dispatched
-    /// event and records its job's wall-clock as the pid's run timing;
-    /// the caller ends each pid through
-    /// [`FleetController::finish_process`]. A pid whose process is not
-    /// in the set reports [`Error::FleetProcessLost`].
-    pub(crate) fn sample_all(
+    /// Run `job` — a whole run of one process, with or without the
+    /// profiler's sampling — against every process without a terminal
+    /// result, as one job per pid on the worker pool, and return each
+    /// pid's run, pid-ascending, once all have ended: the dispatcher
+    /// under [`FleetController::run_all`] and the fleet profiler. A pid
+    /// that already ended (its commit failed) does not run: its run is
+    /// its recorded result, with no samples. Each completion counts as
+    /// one dispatched event and records its job's wall-clock as the
+    /// pid's run timing; the caller ends each pid through
+    /// [`FleetController::finish_process`]. A pid whose process is not in
+    /// the set reports [`Error::FleetProcessLost`].
+    pub(crate) fn run_each(
         &mut self,
         job: impl Fn(&mut Process) -> SampledRun + Send + Sync + 'static,
     ) -> BTreeMap<u32, SampledRun> {
@@ -685,18 +659,13 @@ impl FleetController {
                 Some(ended) => ended.clone(),
                 None => {
                     let job = job.clone();
-                    if self.set.dispatch(pid, move |p| JobOutcome::Sampled(job(p))) {
+                    if self.set.dispatch(pid, move |p| JobOutcome::Ran(job(p))) {
                         continue;
                     }
                     Err(Error::FleetProcessLost { pid })
                 }
             };
-            let run = SampledRun {
-                profile: Default::default(),
-                samples: Vec::new(),
-                result,
-            };
-            runs.insert(pid, run);
+            runs.insert(pid, SampledRun::unsampled(result));
         }
         while let Some(c) = self.set.next_completion() {
             self.events_dispatched += 1;
@@ -705,8 +674,8 @@ impl FleetController {
             if let Some(st) = self.states.get_mut(&c.pid) {
                 st.diag.timings.record(TimedStage::Run, c.nanos);
             }
-            // Only sampling jobs are in flight here; stay total.
-            if let JobOutcome::Sampled(run) = c.outcome {
+            // Only run jobs are in flight here; stay total.
+            if let JobOutcome::Ran(run) = c.outcome {
                 runs.insert(c.pid, run);
             }
         }
@@ -832,7 +801,7 @@ fn commit_into(p: &mut Process, plan: &CommitPlan) -> JobOutcome {
 }
 
 /// Where one `cont` leg of a live run left the mutatee.
-pub(crate) enum Stop {
+enum Stop {
     /// The run is over: the exit code, or the typed error that ended it.
     Done(Result<i64, Error>),
     /// The cycle-count interrupt fired at this pc (a sampling tick).
@@ -841,17 +810,37 @@ pub(crate) enum Stop {
     Resume,
 }
 
-/// Resume `p` until its next stop, and classify the stop against the
-/// mutatee's parsed original `code` — the one rule for how a live run
-/// ends, shared by [`FleetController::run_all`] and the profiler. The
-/// emulator resolves springboard traps through the redirect table
-/// in-loop, so a trap that surfaces while redirects are installed, over
-/// an original instruction that was not an `ebreak`, is a springboard
-/// (or stray write) whose redirect is missing ([`Error::RedirectMiss`]).
-/// Any other trap is the mutatee's own `ebreak`, at its original address
-/// or relocated into the patch area. A refused debug-interface operation
-/// records the mutatee's pc.
-pub(crate) fn resume(p: &mut Process, code: &CodeObject) -> Stop {
+/// Run `p` to its terminal stop against the mutatee's parsed original
+/// `code`: the one live run loop, under [`FleetController::run_all`] and
+/// the profiler. Before every `cont` leg it calls `each` with the pc of
+/// the cycle interrupt that ended the previous leg (`None` before the
+/// first leg and after a breakpoint or emulated step), so the caller
+/// can take a sample and arm or disarm the next interrupt.
+pub(crate) fn run_to_end(
+    p: &mut Process,
+    code: &CodeObject,
+    mut each: impl FnMut(&mut Process, Option<u64>),
+) -> Result<i64, Error> {
+    let mut tick = None;
+    loop {
+        each(p, tick);
+        tick = match resume(p, code) {
+            Stop::Done(result) => return result,
+            Stop::CycleLimit(pc) => Some(pc),
+            Stop::Resume => None,
+        };
+    }
+}
+
+/// Resume `p` until its next stop, and classify the stop — the one rule
+/// for how a live run ends. The emulator resolves springboard traps
+/// through the redirect table in-loop, so a trap that surfaces while
+/// redirects are installed, over an original instruction that was not
+/// an `ebreak`, is a springboard (or stray write) whose redirect is
+/// missing ([`Error::RedirectMiss`]). Any other trap is the mutatee's own
+/// `ebreak`, at its original address or relocated into the patch area.
+/// A refused debug-interface operation records the mutatee's pc.
+fn resume(p: &mut Process, code: &CodeObject) -> Stop {
     let error = match p.cont() {
         Ok(Event::Exited(status)) => return Stop::Done(Ok(status)),
         Ok(Event::Breakpoint(_) | Event::Stepped(_)) => return Stop::Resume,

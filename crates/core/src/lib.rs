@@ -55,8 +55,10 @@
 //!
 //! ## Sessions and telemetry
 //!
-//! Both delivery paths are thin shells over the shared [`Session`]
-//! core, configured through [`SessionOptions`]. A session keeps live
+//! The pipeline is one [`Session`], configured through
+//! [`SessionOptions`]: the static front end is the session itself
+//! ([`BinaryEditor`] is an alias of it), and every live one holds a
+//! session as its template. A session keeps live
 //! [`Diagnostics`] — counters *and* per-stage wall-clock timings — and
 //! can stream [`telemetry::TelemetryEvent`]s to any
 //! [`telemetry::TelemetrySink`] (e.g. [`telemetry::StderrSink`] for a
@@ -99,8 +101,8 @@ pub use telemetry::{
     CollectSink, SharedSink, StageTimings, StderrSink, TelemetryEvent, TelemetrySink, TimedStage,
 };
 pub use tools::{
-    Drained, FleetProfile, MemTracer, Profile, ProfileOptions, ProfiledRun, Profiler, TraceOptions,
-    TraceReader, TraceRecord, TraceSink,
+    Drained, FleetProfile, MemTracer, Profile, ProfileOptions, Profiler, TraceOptions, TraceReader,
+    TraceRecord, TraceSink,
 };
 
 // Re-export the component APIs under their Dyninst-flavoured names.

@@ -1,15 +1,18 @@
-//! The shared instrumentation-session core.
+//! The instrumentation session: one pipeline, two deliveries.
 //!
-//! [`BinaryEditor`](crate::BinaryEditor) (static rewriting) and
-//! [`FleetController`](crate::FleetController) (live-process patching,
-//! of which a [`DynamicInstrumenter`](crate::DynamicInstrumenter) is a
-//! fleet of one) differ only in *delivery* — everything upstream of it
-//! (open, parse, point lookup, variable allocation, the pending-snippet
-//! queue, snippet lowering, relocation, springboard planning,
-//! diagnostics, telemetry) is one pipeline. [`Session`] owns that shared
-//! surface so the two delivery paths are thin shells, telemetry is
-//! wired exactly once, and a future entry point (e.g. attach-with-gaps)
-//! inherits the whole surface for free.
+//! Static rewriting and live-process patching differ only in *delivery*
+//! — everything upstream of it (open, parse, point lookup, variable
+//! allocation, the pending-snippet queue, snippet lowering, relocation,
+//! springboard planning, diagnostics, telemetry) is one pipeline, and
+//! [`Session`] is it. Each delivery has one front end:
+//!
+//! * static: the session itself — [`BinaryEditor`](crate::BinaryEditor)
+//!   is an alias of [`Session`], and `crate::editor` adds the rewrite
+//!   and run methods;
+//! * live: [`FleetController`](crate::FleetController), which holds a
+//!   template session and N processes; a
+//!   [`DynamicInstrumenter`](crate::DynamicInstrumenter) is a fleet of
+//!   one.
 //!
 //! Configuration happens up front through the [`SessionOptions`] builder:
 //! patch layout, register-allocation mode, parse options, the
@@ -130,7 +133,7 @@ impl SessionOptions {
     /// Whether instrumentation may relocate a function that still has
     /// unresolved indirect transfers. Defaults to `true` (the historical
     /// behaviour); pass `false` for the conservative policy, under which
-    /// [`Session::apply`] refuses with
+    /// [`Session::instrumented`] refuses with
     /// [`Error::UnresolvedIndirects`] instead of risking orphaned control
     /// flow.
     pub fn allow_unresolved(mut self, yes: bool) -> Self {
@@ -181,9 +184,11 @@ impl SessionOptions {
     }
 }
 
-/// The shared pipeline state behind both instrumentation entry points:
-/// the (possibly shared) front-half analysis + configuration + the
-/// pending snippet queue + diagnostics + telemetry.
+/// The instrumentation pipeline: the (possibly shared) front-half
+/// analysis + configuration + the pending snippet queue + diagnostics +
+/// telemetry. It is the static front end itself
+/// ([`BinaryEditor`](crate::BinaryEditor)), and the template of every
+/// live one.
 ///
 /// The pipeline is two-phase: the *front half* — binary model, CFG,
 /// natural loops — is a pure function of the binary's content, computed
@@ -206,11 +211,11 @@ pub struct Session {
 }
 
 /// Handle to one per-function basic-block counting request, returned by
-/// [`Session::count_blocks`] (via the `BinaryEditor` / `FleetController`
-/// / `DynamicInstrumenter` wrappers). Holds the allocated counter
-/// variables and, under [`CounterPlacement::Optimal`], the
-/// reconstruction plan; feed it back to `block_counts` after the run to
-/// obtain exact per-block execution counts.
+/// [`Session::count_blocks`] (or the `FleetController` /
+/// `DynamicInstrumenter` one). Holds the allocated counter variables
+/// and, under [`CounterPlacement::Optimal`], the reconstruction plan;
+/// feed it back to `block_counts` after the run to obtain exact
+/// per-block execution counts.
 pub struct BlockCounter {
     func: u64,
     /// Block start addresses, in address order (the order counts are
@@ -246,12 +251,17 @@ impl BlockCounter {
 }
 
 impl Session {
-    /// Parse an ELF image and analyze it (timed `open` + `parse`
-    /// stages). A thin wrapper over [`Session::from_analysis`]: the
-    /// front half is computed fresh here and not shared — use
+    /// Parse and analyze an ELF image with default options.
+    pub fn open(elf: &[u8]) -> Result<Session, Error> {
+        Self::open_with(elf, SessionOptions::default())
+    }
+
+    /// Parse an ELF image and analyze it under `opts` (timed `open` +
+    /// `parse` stages). A thin wrapper over [`Session::from_analysis`]:
+    /// the front half is computed fresh here and not shared — use
     /// [`Session::open_cached`] or [`Session::from_analysis`] directly
     /// when serving many requests against few binaries.
-    pub fn open(elf: &[u8], opts: SessionOptions) -> Result<Session, Error> {
+    pub fn open_with(elf: &[u8], opts: SessionOptions) -> Result<Session, Error> {
         let tele = Telemetry {
             sink: opts.sink.clone(),
         };
@@ -386,7 +396,10 @@ impl Session {
     }
 
     /// Live counters and per-stage timings for everything the pipeline
-    /// has done so far. Clone for a point-in-time snapshot.
+    /// has done so far: parse totals after the open, instrument totals
+    /// after [`Session::instrumented`] or [`Session::rewrite`], run
+    /// totals after [`Session::instrument_and_run`]. Clone for a
+    /// point-in-time snapshot.
     pub fn diagnostics(&self) -> &Diagnostics {
         &self.diag
     }
@@ -567,23 +580,11 @@ impl Session {
         }
     }
 
-    /// Lower every queued snippet, relocate the touched functions, plant
-    /// springboards (timed `instrument` stage with a `relocate`
-    /// sub-timing), and return the patch. Under the conservative policy
-    /// ([`SessionOptions::allow_unresolved`]`(false)`), refuses to touch
-    /// a function that still has unresolved indirect transfers.
-    ///
-    /// The queue is left intact (the static path may re-apply); delivery
-    /// paths that consume the queue call [`Session::clear_pending`].
-    pub fn apply(&mut self) -> Result<PatchResult, Error> {
-        self.apply_at(self.layout.patch_text, &BTreeSet::new())
-    }
-
-    /// [`Session::apply`] with the patch code laid out from `text`
+    /// [`Session::instrumented`] with the patch code laid out from `text`
     /// instead of the layout's base, leaving alone the call sites in
     /// `relocated`, the functions earlier commits relocated: the live
-    /// path puts each commit's code after the code of the commits before
-    /// it.
+    /// commit puts each commit's code after the code of the commits
+    /// before it, and clears the queue it consumed.
     pub(crate) fn apply_at(
         &mut self,
         text: u64,
@@ -643,7 +644,7 @@ impl Session {
     }
 
     /// Drop the pending snippet queue (after a delivery consumed it).
-    pub fn clear_pending(&mut self) {
+    pub(crate) fn clear_pending(&mut self) {
         self.pending.clear();
     }
 
@@ -656,12 +657,7 @@ impl Session {
         funcs
     }
 
-    /// Record the mutatee's final retired-instruction/cycle totals.
-    pub fn record_run(&mut self, icount: u64, cycles: u64) {
-        self.diag.record_run(icount, cycles);
-    }
-
-    // -- crate-internal hooks for the delivery shells --------------------
+    // -- crate-internal hooks for the deliveries -------------------------
 
     /// Bytes allocated so far in the patch data area.
     pub(crate) fn var_bytes(&self) -> u64 {
@@ -677,8 +673,8 @@ impl Session {
         self.tele.sink.clone()
     }
 
-    /// The configured execution engine, for the delivery shells to stamp
-    /// onto the machines they run.
+    /// The configured execution engine, for the deliveries to stamp onto
+    /// the machines they run.
     pub(crate) fn engine(&self) -> EmuEngine {
         self.engine
     }
@@ -828,7 +824,7 @@ mod tests {
     #[test]
     fn fresh_cached_and_symbol_lookups_agree() {
         let elf = rvdyn_asm::many_functions_program(64).to_bytes().unwrap();
-        let fresh = Session::open(&elf, SessionOptions::new()).unwrap();
+        let fresh = Session::open_with(&elf, SessionOptions::new()).unwrap();
         let cache = AnalysisCache::new(1);
         Session::open_cached(&elf, SessionOptions::new(), &cache).unwrap();
         let warm = Session::open_cached(&elf, SessionOptions::new(), &cache).unwrap();

@@ -55,12 +55,17 @@
 //! no syscall traffic. `tests/tools_memtrace.rs` holds the two sides
 //! record-identical over randomized programs on both execution engines.
 //!
-//! After the run, `drain_*` recovers the ring through the matching
-//! host's memory view and hands back decoded [`TraceRecord`]s ready for
-//! [`TraceSink`](super::TraceSink) serialization.
+//! Each kind of delivery has one entry point per step:
+//! [`MemTracer::plan_editor`] and [`MemTracer::drain_output`] for a
+//! static session, [`MemTracer::plan_fleet`] and
+//! [`MemTracer::drain_fleet`] for a fleet — a
+//! [`DynamicInstrumenter`](crate::DynamicInstrumenter)'s process included,
+//! through its `fleet_mut` and `PID`. After the run, the drain recovers
+//! the ring through that delivery's memory view and hands back decoded
+//! [`TraceRecord`]s ready for [`TraceSink`](super::TraceSink)
+//! serialization.
 
 use super::trace::TraceRecord;
-use crate::dynamic::{DynamicInstrumenter, PID};
 use crate::editor::{BinaryEditor, RunOutput};
 use crate::error::Error;
 use crate::fleet::FleetController;
@@ -411,16 +416,7 @@ impl MemTracer {
 
     /// Plan tracing on a static [`BinaryEditor`] (rewrite path).
     pub fn plan_editor(ed: &mut BinaryEditor, opts: &TraceOptions) -> Result<MemTracer, Error> {
-        Self::plan(ed.session_mut(), opts)
-    }
-
-    /// Plan tracing on a live [`DynamicInstrumenter`] process (a fleet
-    /// of one: [`MemTracer::plan_fleet`]).
-    pub fn plan_dynamic(
-        dy: &mut DynamicInstrumenter,
-        opts: &TraceOptions,
-    ) -> Result<MemTracer, Error> {
-        Self::plan_fleet(dy.fleet_mut(), opts)
+        Self::plan(ed, opts)
     }
 
     /// Plan tracing fleet-wide: one plan, every process gets its own
@@ -529,14 +525,8 @@ impl MemTracer {
     /// Drain a finished static run's memory image.
     pub fn drain_output(&self, ed: &mut BinaryEditor, out: &RunOutput) -> Result<Drained, Error> {
         let d = self.drain_with(&mut |a| out.read_u64(a))?;
-        Self::fold(ed.session_mut(), &d);
+        Self::fold(ed, &d);
         Ok(d)
-    }
-
-    /// Drain the live (or exited-but-attached) dynamic process
-    /// ([`MemTracer::drain_fleet`] on its one pid).
-    pub fn drain_dynamic(&self, dy: &mut DynamicInstrumenter) -> Result<Drained, Error> {
-        self.drain_fleet(dy.fleet_mut(), PID)
     }
 
     /// Drain one fleet member's ring; the per-process diagnostics (and

@@ -16,11 +16,19 @@
 //!   self/total counts. Ground truth: every walked stack matches the
 //!   emulator's shadow call stack at the interrupt pc.
 //!
-//! Both tools run against every delivery host — [`BinaryEditor`]
-//! (static), [`FleetController`] (N processes, fault-isolated) and
-//! [`DynamicInstrumenter`] (a fleet of one, whose `_dynamic` entry
-//! points call the `_fleet` ones) — and report through the standard
-//! `tools.*` diagnostics counters and telemetry events.
+//! Each tool has one entry point per kind of delivery — `_editor` /
+//! `_output` for the static [`BinaryEditor`], `_fleet` for a
+//! [`FleetController`] (N processes, fault-isolated) — and a
+//! [`DynamicInstrumenter`] is reached as the fleet of one it is,
+//! through its `fleet_mut` and `PID`:
+//!
+//! | tool | static | live |
+//! |---|---|---|
+//! | [`MemTracer`] | `plan_editor`, `drain_output` | `plan_fleet`, `drain_fleet` |
+//! | [`Profiler`] | — | `sample_fleet` |
+//!
+//! Both report through the standard `tools.*` diagnostics counters and
+//! telemetry events.
 //!
 //! [`BinaryEditor`]: crate::BinaryEditor
 //! [`DynamicInstrumenter`]: crate::DynamicInstrumenter
@@ -31,5 +39,5 @@ pub mod profile;
 pub mod trace;
 
 pub use memtrace::{Drained, MemTracer, TraceOptions};
-pub use profile::{FleetProfile, FuncCounts, Profile, ProfileOptions, ProfiledRun, Profiler};
+pub use profile::{FleetProfile, FuncCounts, Profile, ProfileOptions, Profiler};
 pub use trace::{serialize_trace, TraceReader, TraceRecord, TraceSink, TRACE_MAGIC};

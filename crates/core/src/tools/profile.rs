@@ -1,17 +1,18 @@
 //! The sampling profiler: §2's "performance tool" built on the
 //! cycle-count interrupt and StackwalkerAPI.
 //!
-//! The profiler arms the machine's cycle-count interrupt
+//! The profiler runs each mutatee through the fleet's one live run loop,
+//! arming the machine's cycle-count interrupt
 //! ([`stop_at_cycles`](rvdyn_emu::Machine::stop_at_cycles)) one sampling
-//! interval ahead, resumes the mutatee, and on each
-//! [`rvdyn_proccontrol::Event::CycleLimit`] stop
-//! walks the stack with the [`StackWalker`] stepper pipeline, folds the
-//! frames into a flame-style profile, re-arms, and resumes — until the
-//! mutatee exits. Because the interrupt fires on an instruction
-//! boundary and modelled cycles are a deterministic function of the
-//! executed stream, the sample sequence is **reproducible**: the same
-//! binary and interval produce the same interrupt pcs on both execution
-//! engines (pinned by `tests/tools_profile.rs`).
+//! interval ahead before every leg; on each
+//! [`rvdyn_proccontrol::Event::CycleLimit`] stop it walks the stack with
+//! the [`StackWalker`] stepper pipeline and folds the frames into a
+//! flame-style profile — until the mutatee exits. Because the interrupt
+//! fires on an instruction boundary and modelled cycles are a
+//! deterministic function of the executed stream, the sample sequence
+//! is **reproducible**: the same binary and interval produce the same
+//! interrupt pcs on both execution engines (pinned by
+//! `tests/tools_profile.rs`).
 //!
 //! [`Profiler::sample_fleet`] hands each process's whole sampling loop
 //! to the fleet's worker pool as one job, so N mutatees are sampled in
@@ -19,20 +20,20 @@
 //! per-pid profiles on the controller thread in pid order into an
 //! overall profile plus per-pid profiles; a process that faults records
 //! its typed error without disturbing the other N−1 (fault isolation,
-//! `docs/FLEET.md`). [`Profiler::sample_dynamic`] samples a
-//! [`DynamicInstrumenter`]'s process as a fleet of one.
+//! `docs/FLEET.md`). A [`DynamicInstrumenter`]'s process is sampled as
+//! the fleet of one it is ([`DynamicInstrumenter::fleet_mut`]).
+//!
+//! [`DynamicInstrumenter`]: crate::DynamicInstrumenter
+//! [`DynamicInstrumenter::fleet_mut`]: crate::DynamicInstrumenter::fleet_mut
 //!
 //! Sampling skew caveat (documented in `docs/TOOLS.md`): the interrupt
 //! stops *before* the instruction at the sampled pc executes, so a
 //! sample attributes the cycles of the preceding instructions to the pc
 //! about to run — standard sampling semantics, ±1 instruction.
 
-use crate::dynamic::{DynamicInstrumenter, PID};
 use crate::error::Error;
-use crate::fleet::{resume, FleetController, Stop};
+use crate::fleet::{run_to_end, FleetController};
 use crate::telemetry::{TelemetryEvent, TimedStage};
-use rvdyn_parse::CodeObject;
-use rvdyn_proccontrol::Process;
 use rvdyn_stackwalker::{Frame, StackWalker};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -169,15 +170,6 @@ impl Profile {
     }
 }
 
-/// The outcome of one profiled single-process run.
-#[derive(Debug)]
-pub struct ProfiledRun {
-    /// The aggregated profile.
-    pub profile: Profile,
-    /// The mutatee's clean exit code.
-    pub exit_code: i64,
-}
-
 /// A profiled fleet run: the aggregate, the per-pid profiles, and each
 /// pid's terminal outcome.
 #[derive(Debug)]
@@ -190,13 +182,25 @@ pub struct FleetProfile {
     pub outcomes: BTreeMap<u32, Result<i64, Error>>,
 }
 
-/// What one fleet process's sampling job reports back to the
-/// controller: its profile, the pc and walked depth of every sample
-/// (emitted as telemetry once the job ends), and how its run ended.
+/// What one fleet process's run job reports back to the controller:
+/// how its run ended and, when the profiler ran it, its profile and the
+/// pc and walked depth of every sample (emitted as telemetry once the
+/// job ends).
 pub(crate) struct SampledRun {
     pub(crate) profile: Profile,
     pub(crate) samples: Vec<(u64, usize)>,
     pub(crate) result: Result<i64, Error>,
+}
+
+impl SampledRun {
+    /// A run that took no samples and ended with `result`.
+    pub(crate) fn unsampled(result: Result<i64, Error>) -> SampledRun {
+        SampledRun {
+            profile: Profile::default(),
+            samples: Vec::new(),
+            result,
+        }
+    }
 }
 
 /// The sampling profiler. Holds only options and the stackwalker; all
@@ -224,53 +228,6 @@ impl Profiler {
         self
     }
 
-    /// Sample `p` to its terminal stop against `co`: arm the next
-    /// interval, resume, and at each cycle interrupt walk the stack, fold
-    /// it into `profile` and report its pc and depth to `taken`.
-    /// Breakpoint/step stops pass through untallied; past `max_samples`
-    /// the mutatee runs on unsampled. The interrupt is disarmed on
-    /// return, whatever ended the run.
-    fn sample_to_end(
-        &self,
-        p: &mut Process,
-        co: &CodeObject,
-        profile: &mut Profile,
-        mut taken: impl FnMut(u64, usize),
-    ) -> Result<i64, Error> {
-        let result = loop {
-            if profile.samples >= self.opts.max_samples {
-                p.machine_mut().stop_at_cycles = None;
-            } else {
-                let now = p.machine().cycles;
-                p.machine_mut().stop_at_cycles = Some(now + self.opts.interval_cycles.max(1));
-            }
-            match resume(p, co) {
-                Stop::CycleLimit(pc) => {
-                    let frames = self.walker.walk_process(p, co);
-                    profile.add_sample(pc, &frames);
-                    taken(pc, frames.len());
-                }
-                Stop::Resume => {}
-                Stop::Done(result) => break result,
-            }
-        };
-        p.machine_mut().stop_at_cycles = None;
-        result
-    }
-
-    /// Sample a [`DynamicInstrumenter`]'s process to completion — the
-    /// `rvdyn_cli sample` single-process path: [`Profiler::sample_fleet`]
-    /// on its one pid. Sample counts land in the session diagnostics
-    /// (`profile_samples`, `profile_max_depth`) and every sample emits
-    /// [`TelemetryEvent::SampleTaken`].
-    pub fn sample_dynamic(&self, dy: &mut DynamicInstrumenter) -> Result<ProfiledRun, Error> {
-        let mut run = self.sample_fleet(dy.fleet_mut())?;
-        Ok(ProfiledRun {
-            profile: run.per_process.remove(&PID).expect(SAMPLED),
-            exit_code: run.outcomes.remove(&PID).expect(SAMPLED)?,
-        })
-    }
-
     /// Sample every fleet process without a terminal result to its
     /// terminal event; a process that already has one (its commit
     /// failed) is not run, and reports that result with no samples.
@@ -285,17 +242,27 @@ impl Profiler {
     /// only that pid's sampling.
     pub fn sample_fleet(&self, fc: &mut FleetController) -> Result<FleetProfile, Error> {
         let analysis = fc.session().analysis().clone();
-        let sampler = Profiler {
-            opts: self.opts.clone(),
-            walker: self.walker.clone(),
-        };
+        let (opts, walker) = (self.opts.clone(), self.walker.clone());
         let timer = fc.session_mut().begin_stage(TimedStage::Run);
-        let runs = fc.sample_all(move |p| {
-            let mut profile = Profile::default();
-            let mut samples = Vec::new();
-            let result = sampler.sample_to_end(p, analysis.code(), &mut profile, |pc, depth| {
-                samples.push((pc, depth))
+        let runs = fc.run_each(move |p| {
+            let code = analysis.code();
+            let (mut profile, mut samples) = (Profile::default(), Vec::new());
+            // At each cycle interrupt walk the stack and fold the sample;
+            // before every leg (also after a breakpoint or step stop)
+            // re-arm the interval, and past `max_samples` let the mutatee
+            // run on unsampled.
+            let result = run_to_end(p, code, |p, tick| {
+                if let Some(pc) = tick {
+                    let frames = walker.walk_process(p, code);
+                    profile.add_sample(pc, &frames);
+                    samples.push((pc, frames.len()));
+                }
+                let next = p.machine().cycles + opts.interval_cycles.max(1);
+                let sampling = profile.samples < opts.max_samples;
+                p.machine_mut().stop_at_cycles = sampling.then_some(next);
             });
+            // Disarmed whatever ended the run.
+            p.machine_mut().stop_at_cycles = None;
             SampledRun {
                 profile,
                 samples,
@@ -330,8 +297,3 @@ impl Profiler {
         })
     }
 }
-
-/// Why a fleet of one always reports its pid: `sample_all` returns a run
-/// for every pid, lost ones included, and `sample_fleet` files each run
-/// under both maps.
-const SAMPLED: &str = "a sampled fleet reports every pid";

@@ -388,12 +388,13 @@ fn main() {
             let capacity = num(&args, 4).unwrap_or(1 << 16);
             let bin = rvdyn::Binary::parse(&elf).unwrap_or_else(die);
             let mut dy = rvdyn::DynamicInstrumenter::create_with(bin, opts());
-            let tracer =
-                rvdyn::MemTracer::plan_dynamic(&mut dy, &rvdyn::TraceOptions { capacity, funcs })
-                    .unwrap_or_else(die);
+            let topts = rvdyn::TraceOptions { capacity, funcs };
+            let tracer = rvdyn::MemTracer::plan_fleet(dy.fleet_mut(), &topts).unwrap_or_else(die);
             dy.commit().unwrap_or_else(die);
             let code = dy.run_to_exit().unwrap_or_else(die);
-            let drained = tracer.drain_dynamic(&mut dy).unwrap_or_else(die);
+            let drained = tracer
+                .drain_fleet(dy.fleet_mut(), rvdyn::DynamicInstrumenter::PID)
+                .unwrap_or_else(die);
             let file = std::fs::File::create(&out_path).expect("create");
             let mut sink = rvdyn::TraceSink::new(std::io::BufWriter::new(file));
             for r in &drained.records {
@@ -452,12 +453,18 @@ fn main() {
             }
             let bin = rvdyn::Binary::parse(&elf).unwrap_or_else(die);
             let mut dy = rvdyn::DynamicInstrumenter::create_with(bin, opts());
-            let r = profiler.sample_dynamic(&mut dy).unwrap_or_else(die);
+            let mut r = profiler.sample_fleet(dy.fleet_mut()).unwrap_or_else(die);
+            let pid = rvdyn::DynamicInstrumenter::PID;
+            let outcome = r
+                .outcomes
+                .remove(&pid)
+                .expect("a sampled fleet reports every pid");
+            let exit_code = outcome.unwrap_or_else(die);
             if json {
                 println!("{}", dy.diagnostics().to_json());
                 return;
             }
-            println!("exit code: {}", r.exit_code);
+            println!("exit code: {exit_code}");
             println!(
                 "samples:   {} every {interval} cycle(s), max depth {}",
                 r.profile.samples, r.profile.max_depth

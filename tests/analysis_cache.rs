@@ -200,7 +200,7 @@ fn concurrent_sessions_share_one_cached_analysis() {
 /// block of `work`, rewrite. Returns (bytes, telemetry, session).
 fn cold_rewrite(elf: &[u8], threads: usize) -> (Vec<u8>, Vec<TelemetryEvent>, Session) {
     let sink = CollectSink::new();
-    let mut s = Session::open(
+    let mut s = Session::open_with(
         elf,
         SessionOptions::new()
             .threads(threads)
@@ -215,7 +215,7 @@ fn rewrite_work(s: &mut Session) -> Vec<u8> {
     let c = s.alloc_var(8);
     let pts = s.find_points("work", PointKind::BlockEntry).unwrap();
     s.insert(&pts, Snippet::increment(c));
-    let patched = s.apply().unwrap();
+    let patched = s.instrumented().unwrap();
     patched.binary.to_bytes().unwrap()
 }
 

@@ -512,8 +512,8 @@ fn sampled_observables(
 /// The fleet profiler runs each pid's sampling loop as one job on the
 /// worker pool. Whatever the worker count, every per-pid profile, the
 /// merged profile, every outcome and the rollup are those of the inline
-/// (`threads(1)`) run — and each per-pid profile is the one
-/// `sample_dynamic` takes of an identically instrumented single process.
+/// (`threads(1)`) run — and each per-pid profile is the one the profiler
+/// takes of an identically instrumented single process.
 #[test]
 fn fleet_profiles_are_identical_at_every_worker_count() {
     let runs: Vec<_> = [1usize, 2, 4]
@@ -533,17 +533,17 @@ fn fleet_profiles_are_identical_at_every_worker_count() {
     assert_eq!(runs[0], runs[2], "threads(4) differs from threads(1)");
 
     let mut dy = DynamicInstrumenter::create(matmul_program(8, 2));
-    MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).unwrap();
+    MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).unwrap();
     dy.commit().unwrap();
-    let single = sampling_profiler().sample_dynamic(&mut dy).unwrap();
-    assert_eq!(single.exit_code, 0);
+    let single = sampling_profiler().sample_fleet(dy.fleet_mut()).unwrap();
+    assert!(matches!(single.outcomes[&DynamicInstrumenter::PID], Ok(0)));
     assert!(single.profile.samples > 10, "too few samples to compare");
     let (per, merged, ..) = &runs[0];
     for (pid, p) in per {
         assert_eq!(
             *p,
             profile_key(&single.profile),
-            "pid {pid} vs sample_dynamic"
+            "pid {pid} vs the single process"
         );
     }
     assert_eq!(merged.0, single.profile.samples * SAMPLED_PIDS as u64);
@@ -736,5 +736,128 @@ fn recommitting_a_relocated_function_is_refused_until_removal() {
         );
         assert_eq!(fc.read_var(pid, calls), Some(3), "{engine:?}");
         assert_eq!(fc.read_var(pid, again), Some(3), "{engine:?}");
+    }
+}
+
+/// A 3-pid fleet of uninstrumented matmul(4, 2) processes whose runs
+/// stop on their own: pid 0 runs straight through, pid 1 stops at a
+/// user breakpoint on each call of `matmul`, and pid 2 stops at one on
+/// `init_arrays` and has that stop delayed (a spurious `Stepped` first).
+fn stopping_fleet(opts: SessionOptions) -> FleetController {
+    let bin = matmul_program(4, 2);
+    let matmul = bin.symbol_by_name("matmul").unwrap().value;
+    let init = bin.symbol_by_name("init_arrays").unwrap().value;
+    let mut fc = FleetController::from_binary(bin, opts);
+    fc.spawn(3);
+    fc.with_process(1, |p| p.set_breakpoint(matmul))
+        .unwrap()
+        .unwrap();
+    fc.with_process(2, |p| p.set_breakpoint(init))
+        .unwrap()
+        .unwrap();
+    fc.set_fault_plan(2, FaultPlan::new().delay_stop(0))
+        .unwrap();
+    fc
+}
+
+/// The profiler re-arms its interval before every leg of a run, also
+/// after a breakpoint stop and after a delayed stop's spurious step, so
+/// such a stop moves every later sample. The pc and walked depth of each
+/// sample of the stopping pids (from the `SampleTaken` events, which
+/// come pid by pid) are pinned as the profiler's own loop took them
+/// before it and `run_all` shared one run loop, on both engines and at
+/// threads {1, 4}.
+#[test]
+fn samples_after_breakpoint_and_delayed_stops_are_pinned() {
+    let at_breakpoints: &[(u64, usize)] = &[
+        (0x101d6, 3),
+        (0x101d6, 3),
+        (0x101d6, 3),
+        (0x101d6, 3),
+        (0x101d6, 3),
+        (0x101d6, 3),
+        (0x101d6, 3),
+        (0x101d6, 3),
+        (0x10074, 2),
+    ];
+    let after_delayed_stop: &[(u64, usize)] = &[
+        (0x101aa, 3),
+        (0x101d6, 3),
+        (0x10172, 3),
+        (0x101d6, 3),
+        (0x101d6, 3),
+        (0x1019a, 3),
+        (0x10196, 3),
+        (0x10218, 3),
+        (0x101c2, 3),
+        (0x101ba, 3),
+        (0x10088, 2),
+    ];
+    for engine in [EmuEngine::Interpreter, EmuEngine::Cached] {
+        for threads in [1usize, 4] {
+            let sink = CollectSink::new();
+            let opts = SessionOptions::new()
+                .threads(threads)
+                .engine(engine)
+                .telemetry(sink.clone());
+            let mut fc = stopping_fleet(opts);
+            let out = Profiler::new(ProfileOptions {
+                interval_cycles: 1_000,
+                max_samples: 1 << 20,
+            })
+            .sample_fleet(&mut fc)
+            .unwrap();
+            let taken: Vec<(u64, usize)> = sink
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TelemetryEvent::SampleTaken { pc, depth } => Some((pc, depth)),
+                    _ => None,
+                })
+                .collect();
+            let mut per_pid = Vec::new();
+            let mut rest = &taken[..];
+            for (pid, profile) in &out.per_process {
+                assert!(matches!(out.outcomes[pid], Ok(0)), "pid {pid}");
+                let (mine, later) = rest.split_at(profile.samples as usize);
+                let pcs: Vec<u64> = mine.iter().map(|s| s.0).collect();
+                assert_eq!(pcs, profile.sample_pcs, "pid {pid}");
+                per_pid.push(mine);
+                rest = later;
+            }
+            let case = format!("{engine:?}, threads {threads}");
+            assert_eq!(per_pid[1], at_breakpoints, "{case}");
+            assert_eq!(per_pid[2], after_delayed_stop, "{case}");
+            // Both stops moved the samples off the undisturbed run's.
+            assert_ne!(per_pid[0], per_pid[1], "{case}");
+            assert_ne!(per_pid[0], per_pid[2], "{case}");
+            assert_eq!(fc.diagnostics().faults_injected, 1, "{case}");
+        }
+    }
+}
+
+/// `run_all` runs each live pid to its end as one job, so it dispatches
+/// exactly one completion per live pid, also for pids that stop at
+/// breakpoints or have a stop delayed on the way, at threads {1, 4}. A
+/// cycle interrupt left armed (pid 0's, as a profiler that detached
+/// without disarming would leave it) is disarmed on the way, and the
+/// process runs on to its exit.
+#[test]
+fn run_all_dispatches_one_completion_per_live_pid() {
+    for threads in [1usize, 4] {
+        let mut fc = stopping_fleet(SessionOptions::new().threads(threads));
+        fc.with_process(0, |p| p.machine_mut().stop_at_cycles = Some(1_000))
+            .unwrap();
+        fc.run_all();
+        for pid in fc.pids() {
+            assert!(matches!(fc.result(pid), Some(Ok(0))), "pid {pid}");
+        }
+        let armed = fc.with_process(0, |p| p.machine().stop_at_cycles);
+        assert_eq!(armed.unwrap(), None, "threads {threads}");
+        assert_eq!(fc.diagnostics().faults_injected, 1, "threads {threads}");
+        assert_eq!(fc.events_dispatched(), 3, "threads {threads}");
+        // A second run finds no live pid, and dispatches nothing.
+        fc.run_all();
+        assert_eq!(fc.events_dispatched(), 3, "threads {threads}");
     }
 }

@@ -257,6 +257,42 @@ mod typed_errors {
     }
 
     #[test]
+    fn illegal_instruction_is_the_same_mutatee_fault_static_and_live() {
+        // `li a0, 5` and then an all-zero word, which decodes as nothing:
+        // the mutatee faults on its own code, on every delivery path.
+        use rvdyn_isa::Reg;
+        let mut a = rvdyn_asm::Assembler::new(0x1_0000);
+        a.li(Reg::x(10), 5);
+        let bad = a.here();
+        let mut code = a.finish().unwrap();
+        code.extend([0u8; 4]);
+        let mut bin = rvdyn_asm::fib_program(1);
+        bin.entry = 0x1_0000;
+        bin.sections = vec![rvdyn_symtab::Section::progbits(
+            ".text",
+            0x1_0000,
+            rvdyn_symtab::SHF_ALLOC | rvdyn_symtab::SHF_EXECINSTR,
+            code,
+        )];
+        bin.symbols.clear();
+        let elf = bin.to_bytes().unwrap();
+        let fault = |err: Error| match err {
+            Error::MutateeFault { pc, addr } => (pc, addr),
+            other => panic!("expected MutateeFault, got {other:?}"),
+        };
+        for engine in [rvdyn::EmuEngine::Interpreter, rvdyn::EmuEngine::Cached] {
+            let err = match rvdyn::run_elf_with(&elf, 1_000, engine) {
+                Err(e) => e,
+                Ok(r) => panic!("{engine:?}: exited {}", r.exit_code),
+            };
+            assert_eq!(err.stage(), Stage::Run);
+            assert_eq!(fault(err), (bad, bad), "{engine:?}");
+        }
+        let mut dy = DynamicInstrumenter::create(bin);
+        assert_eq!(fault(dy.run_to_exit().unwrap_err()), (bad, bad));
+    }
+
+    #[test]
     fn fuel_exhaustion_is_a_typed_unclean_exit() {
         let elf = rvdyn_asm::matmul_program(8, 1).to_bytes().unwrap();
         match rvdyn::run_elf(&elf, 100) {

@@ -53,8 +53,8 @@ fn record(op: MemOp) -> TraceRecord {
 /// exit on the dynamic path, and drain the ring.
 fn traced_run(bin: &Binary, opts: SessionOptions, cap: u64) -> (Vec<u64>, Vec<TraceRecord>, u64) {
     let mut dy = DynamicInstrumenter::create_with(bin.clone(), opts);
-    let tracer = MemTracer::plan_dynamic(
-        &mut dy,
+    let tracer = MemTracer::plan_fleet(
+        dy.fleet_mut(),
         &TraceOptions {
             capacity: cap,
             funcs: None,
@@ -63,7 +63,9 @@ fn traced_run(bin: &Binary, opts: SessionOptions, cap: u64) -> (Vec<u64>, Vec<Tr
     .expect("plan");
     dy.commit().expect("commit");
     assert_eq!(dy.run_to_exit().expect("run"), 0);
-    let drained = tracer.drain_dynamic(&mut dy).expect("drain");
+    let drained = tracer
+        .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+        .expect("drain");
     (tracer.pcs(), drained.records, drained.dropped)
 }
 
@@ -103,7 +105,7 @@ fn spilling_points_record_sp_relative_addresses() {
             .mode(RegAllocMode::ForceSpill)
             .engine(engine);
         let mut dy = DynamicInstrumenter::create_with(bin.clone(), opts);
-        let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+        let tracer = MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
         dy.commit().expect("commit");
         assert!(dy.diagnostics().spills > 0, "every point spills");
         let stop = dy.run_to_exit();
@@ -111,7 +113,9 @@ fn spilling_points_record_sp_relative_addresses() {
             matches!(stop, Err(rvdyn::Error::UncleanExit { .. })),
             "{stop:?}"
         );
-        let drained = tracer.drain_dynamic(&mut dy).expect("drain");
+        let drained = tracer
+            .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+            .expect("drain");
         assert_eq!(drained.records, expected, "{engine:?}");
     }
 }
@@ -124,7 +128,7 @@ fn spilling_points_record_sp_relative_addresses() {
 #[test]
 fn traced_matmul_instruction_count_is_pinned() {
     let mut dy = DynamicInstrumenter::create(rvdyn_asm::matmul_program(16, 2));
-    MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+    MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
     dy.commit().expect("commit");
     assert_eq!(dy.run_to_exit().expect("run"), 0);
     assert_eq!(dy.diagnostics().instret, 913_297);
@@ -183,11 +187,13 @@ fn tracer_planned_after_a_variable_matches_oracle() {
         .find_points("matmul", rvdyn::PointKind::FuncEntry)
         .unwrap();
     dy.insert(&pts, rvdyn::Snippet::increment(calls));
-    let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+    let tracer = MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
     dy.commit().expect("commit");
     assert_eq!(dy.run_to_exit().expect("run"), 0);
     assert_eq!(dy.read_var(calls), Some(2));
-    let drained = tracer.drain_dynamic(&mut dy).expect("drain");
+    let drained = tracer
+        .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+        .expect("drain");
     assert_eq!(drained.records, oracle_records(&bin, &tracer.pcs()));
 }
 
@@ -211,8 +217,8 @@ fn function_filter_traces_only_named_function() {
     let bin = rvdyn_asm::matmul_program(5, 2);
     let mut dy = DynamicInstrumenter::create(bin.clone());
     let matmul = bin.symbol_by_name("matmul").unwrap().value;
-    let tracer = MemTracer::plan_dynamic(
-        &mut dy,
+    let tracer = MemTracer::plan_fleet(
+        dy.fleet_mut(),
         &TraceOptions {
             capacity: 1 << 16,
             funcs: Some(vec!["matmul".into()]),
@@ -224,7 +230,9 @@ fn function_filter_traces_only_named_function() {
     assert!(tracer.pcs().iter().all(|pc| *pc >= lo && *pc < hi));
     dy.commit().expect("commit");
     assert_eq!(dy.run_to_exit().unwrap(), 0);
-    let drained = tracer.drain_dynamic(&mut dy).expect("drain");
+    let drained = tracer
+        .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+        .expect("drain");
     assert_eq!(drained.records, oracle_records(&bin, &tracer.pcs()));
     assert!(drained.records.iter().all(|r| r.pc >= lo && r.pc < hi));
 }
@@ -233,8 +241,8 @@ fn function_filter_traces_only_named_function() {
 fn unknown_function_filter_fails_loudly() {
     let bin = rvdyn_asm::matmul_program(4, 1);
     let mut dy = DynamicInstrumenter::create(bin);
-    let err = MemTracer::plan_dynamic(
-        &mut dy,
+    let err = MemTracer::plan_fleet(
+        dy.fleet_mut(),
         &TraceOptions {
             capacity: 64,
             funcs: Some(vec!["no_such_fn".into()]),
@@ -270,10 +278,12 @@ fn mid_run_commit_trace_is_engine_invariant() {
         p.remove_breakpoint(work).unwrap();
         let mut dy =
             DynamicInstrumenter::attach_with(bin.clone(), p, SessionOptions::new().engine(engine));
-        let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+        let tracer = MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
         dy.commit().expect("commit");
         assert_eq!(dy.run_to_exit().expect("run"), 0);
-        let d = tracer.drain_dynamic(&mut dy).expect("drain");
+        let d = tracer
+            .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+            .expect("drain");
         (d.records, d.dropped)
     };
     let interp = run(EmuEngine::Interpreter);
@@ -357,15 +367,19 @@ fn trace_on(bin: &Binary, path: Path, engine: EmuEngine, cap: u64) -> (MemTracer
                 "{stop:?}"
             );
             let mut dy = DynamicInstrumenter::attach_with(bin.clone(), p, opts);
-            let d = tracer.drain_dynamic(&mut dy).expect("drain");
+            let d = tracer
+                .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+                .expect("drain");
             (tracer, d)
         }
         Path::Live => {
             let mut dy = DynamicInstrumenter::create_with(bin.clone(), opts);
-            let tracer = MemTracer::plan_dynamic(&mut dy, &topts).expect("plan");
+            let tracer = MemTracer::plan_fleet(dy.fleet_mut(), &topts).expect("plan");
             dy.commit().expect("commit");
             let _ = dy.run_to_exit();
-            let d = tracer.drain_dynamic(&mut dy).expect("drain");
+            let d = tracer
+                .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+                .expect("drain");
             (tracer, d)
         }
         Path::Fleet => {
@@ -433,7 +447,7 @@ fn every_multi_access_block_is_one_run_and_traces_equal_the_oracle() {
 fn the_planner_reports_the_sites_it_batched() {
     let bin = rvdyn_asm::matmul_program(4, 1);
     let mut dy = DynamicInstrumenter::create(bin.clone());
-    let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+    let tracer = MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
     let batched: usize = tracer.runs().iter().map(Vec::len).sum();
     assert!(batched > 0);
     assert_eq!(dy.diagnostics().trace_runs, batched as u64);
@@ -441,7 +455,7 @@ fn the_planner_reports_the_sites_it_batched() {
     // Forced spilling keeps the single record at every site.
     let mut dy =
         DynamicInstrumenter::create_with(bin, SessionOptions::new().mode(RegAllocMode::ForceSpill));
-    let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+    let tracer = MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
     assert!(tracer.runs().is_empty());
     assert_eq!(dy.diagnostics().trace_runs, 0);
 }
@@ -466,7 +480,7 @@ fn a_counter_inside_a_run_keeps_its_count_and_the_trace() {
     for engine in [EmuEngine::Interpreter, EmuEngine::Cached] {
         let mut dy =
             DynamicInstrumenter::create_with(bin.clone(), SessionOptions::new().engine(engine));
-        let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+        let tracer = MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
         let run = k_loop_run(&tracer);
         // The first instruction after the run's second access that is no
         // access itself.
@@ -487,7 +501,9 @@ fn a_counter_inside_a_run_keeps_its_count_and_the_trace() {
         dy.insert(&[point], rvdyn::Snippet::increment(counter));
         dy.commit().expect("commit");
         assert_eq!(dy.run_to_exit().expect("run"), 0);
-        let d = tracer.drain_dynamic(&mut dy).expect("drain");
+        let d = tracer
+            .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+            .expect("drain");
         let expected = oracle_records(&bin, &tracer.pcs());
         assert_eq!(d.records, expected, "{engine:?}: trace vs oracle");
         let bodies = expected.iter().filter(|r| r.pc == run[0]).count();
@@ -589,13 +605,13 @@ fn no_run_takes_a_later_access_from_a_redirect_targets_first_8_bytes() {
     });
     let work = spills.symbol_by_name("work").unwrap().value;
     let mut dy = DynamicInstrumenter::create(spills.clone());
-    let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+    let tracer = MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
     assert!(tracer.runs().contains(&vec![work + 4, work + 8, work + 12]));
     programs.push(spills);
     let mut guarded_heads = 0;
     for bin in programs {
         let mut dy = DynamicInstrumenter::create(bin.clone());
-        let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+        let tracer = MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
         let mut entered: Vec<u64> = Vec::new();
         for f in dy.code().functions.values() {
             entered.push(f.entry);
@@ -619,7 +635,9 @@ fn no_run_takes_a_later_access_from_a_redirect_targets_first_8_bytes() {
         }
         dy.commit().expect("commit");
         let _ = dy.run_to_exit();
-        let d = tracer.drain_dynamic(&mut dy).expect("drain");
+        let d = tracer
+            .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+            .expect("drain");
         assert_eq!(d.records, oracle_to_stop(&bin, &tracer.pcs()));
     }
     assert!(guarded_heads > 0, "some run starts in a guarded span");
@@ -632,7 +650,7 @@ fn no_run_takes_a_later_access_from_a_redirect_targets_first_8_bytes() {
 fn a_run_cut_short_leaves_only_records_its_snippets_wrote() {
     let bin = rvdyn_asm::matmul_program(4, 1);
     let mut dy = DynamicInstrumenter::create(bin.clone());
-    let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+    let tracer = MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
     dy.commit().expect("commit");
     assert_eq!(dy.run_to_exit().expect("run"), 0);
     let half = dy.diagnostics().instret / 2;
@@ -644,11 +662,14 @@ fn a_run_cut_short_leaves_only_records_its_snippets_wrote() {
         for fuel in half..half + 100 {
             let opts = SessionOptions::new().engine(engine);
             let mut dy = DynamicInstrumenter::create_with(bin.clone(), opts);
-            let tracer = MemTracer::plan_dynamic(&mut dy, &TraceOptions::default()).expect("plan");
+            let tracer =
+                MemTracer::plan_fleet(dy.fleet_mut(), &TraceOptions::default()).expect("plan");
             dy.commit().expect("commit");
             dy.process_mut().machine_mut().fuel = Some(fuel);
             let _ = dy.process_mut().cont();
-            let d = tracer.drain_dynamic(&mut dy).expect("drain");
+            let d = tracer
+                .drain_fleet(dy.fleet_mut(), DynamicInstrumenter::PID)
+                .expect("drain");
             let n = d.records.len();
             assert!(n > 0 && n < expected.len(), "fuel {fuel}");
             assert_eq!(d.records[..], expected[..n], "{engine:?}, fuel {fuel}");

@@ -206,8 +206,8 @@ fn profiler_is_engine_identical() {
     for engine in [EmuEngine::Interpreter, EmuEngine::Cached] {
         let mut dy =
             DynamicInstrumenter::create_with(bin.clone(), SessionOptions::new().engine(engine));
-        let out = profiler.sample_dynamic(&mut dy).expect("sample");
-        assert_eq!(out.exit_code, 0);
+        let out = profiler.sample_fleet(dy.fleet_mut()).expect("sample");
+        assert!(matches!(out.outcomes[&DynamicInstrumenter::PID], Ok(0)));
         assert!(out.profile.samples > 10, "{engine:?}: too few samples");
         let d = dy.diagnostics();
         assert_eq!(d.profile_samples, out.profile.samples);
@@ -231,8 +231,9 @@ fn profile_report_shape() {
         interval_cycles: 1_000,
         max_samples: 1 << 20,
     })
-    .sample_dynamic(&mut dy)
+    .sample_fleet(dy.fleet_mut())
     .expect("sample");
+    assert!(out.outcomes[&DynamicInstrumenter::PID].is_ok());
     let p = &out.profile;
     assert!(p.max_depth >= 3, "matmul under main under _start");
     let matmul = p.funcs.get("matmul").expect("matmul sampled");
@@ -291,7 +292,8 @@ fn sampled_runs_record_the_run_stage() {
         max_samples: 1 << 20,
     });
     let mut dy = DynamicInstrumenter::create(bin.clone());
-    profiler.sample_dynamic(&mut dy).expect("sample");
+    let out = profiler.sample_fleet(dy.fleet_mut()).expect("sample");
+    assert!(out.outcomes[&DynamicInstrumenter::PID].is_ok());
     let m = dy.process().machine();
     let d = dy.diagnostics();
     assert!(m.icount > 0);
@@ -336,8 +338,9 @@ fn surfaced_trap_with_redirects_is_a_redirect_miss_when_sampling() {
     dy.insert(&pts, Snippet::increment(counter));
     dy.commit().unwrap();
     sabotage(dy.process_mut(), main);
-    match profiler.sample_dynamic(&mut dy) {
-        Err(Error::RedirectMiss { pc }) => assert_eq!(pc, main),
+    let out = profiler.sample_fleet(dy.fleet_mut()).expect("sample");
+    match &out.outcomes[&DynamicInstrumenter::PID] {
+        Err(Error::RedirectMiss { pc }) => assert_eq!(*pc, main),
         other => panic!("expected RedirectMiss, got {other:?}"),
     }
 
@@ -435,8 +438,11 @@ fn own_ebreak_under_instrumentation_is_an_unclean_exit() {
     let profiler = Profiler::new(ProfileOptions::default());
 
     assert!(own(Some(&dynamic().run_to_exit())));
-    let sampled = profiler.sample_dynamic(&mut dynamic()).map(|r| r.exit_code);
-    assert!(own(Some(&sampled)), "{sampled:?}");
+    let out = profiler
+        .sample_fleet(dynamic().fleet_mut())
+        .expect("sample");
+    let sampled = &out.outcomes[&DynamicInstrumenter::PID];
+    assert!(own(Some(sampled)), "{sampled:?}");
     let (mut fc, pids) = fleet();
     fc.run_all();
     assert!(pids.iter().all(|pid| own(fc.result(*pid))));
