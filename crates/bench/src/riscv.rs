@@ -2,8 +2,8 @@
 //! four ways, execute on the emulator, read modelled seconds.
 
 use rvdyn::{
-    Binary, BinaryEditor, CounterPlacement, PatchLayout, PointKind, RegAllocMode, SessionOptions,
-    Snippet,
+    run_binary, Binary, BinaryEditor, CounterPlacement, Diagnostics, PatchLayout, PointKind,
+    RegAllocMode, RunOutput, SessionOptions, Snippet,
 };
 use rvdyn_asm::matmul_program;
 
@@ -27,9 +27,6 @@ pub enum Config {
 /// Result of one measured run.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Modelled wall-clock seconds of the *whole program* (what §4.3
-    /// reports: the mutatee's own elapsed-time measurement).
-    pub seconds: f64,
     /// Modelled seconds as measured by the mutatee itself via
     /// `clock_gettime` around the call loop.
     pub mutatee_seconds: f64,
@@ -43,81 +40,67 @@ pub struct Measurement {
     /// wall-clock attribution of the *toolkit's own* work (parse,
     /// instrument, relocate) — the mutator-side counterpart of the
     /// mutatee-side overhead columns.
-    pub diag: rvdyn::Diagnostics,
+    pub diag: Diagnostics,
 }
 
 /// Build, (optionally) instrument, and run `matmul(n)` called `reps`
 /// times; return the measurement.
 pub fn measure(n: usize, reps: usize, config: Config, mode: RegAllocMode) -> Measurement {
     let bin = matmul_program(n, reps);
-    let fuel = 4_000_000_000;
-
-    if config == Config::Base {
-        let r = rvdyn::editor::run_binary(&bin, fuel).expect("base run");
+    let run = |bin: &Binary| {
+        let r = run_binary(bin, 4_000_000_000).expect("run");
         assert_eq!(r.exit_code, 0);
-        let mut diag = rvdyn::Diagnostics::default();
-        diag.record_run(r.icount, r.cycles);
-        return Measurement {
-            seconds: r.seconds,
-            mutatee_seconds: mutatee_elapsed(&r),
-            icount: r.icount,
-            counter: 0,
-            spills: 0,
-            diag,
-        };
+        r
+    };
+    if config == Config::Base {
+        return Measurement::of(&run(&bin), 0, 0, Diagnostics::default());
     }
-
-    let placement = if config == Config::BasicBlockCountOptimal {
-        CounterPlacement::Optimal
-    } else {
-        CounterPlacement::EveryBlock
+    let placement = match config {
+        Config::BasicBlockCountOptimal => CounterPlacement::Optimal,
+        _ => CounterPlacement::EveryBlock,
     };
     let opts = SessionOptions::new()
         .counter_placement(placement)
         .layout(layout_above(&bin));
     let mut ed = BinaryEditor::from_binary(bin, opts);
     ed.set_mode(mode);
-
     if config == Config::FunctionCount {
         let counter = ed.alloc_var(8);
-        let pts = ed
-            .find_points("matmul", PointKind::FuncEntry)
-            .expect("points");
-        ed.insert(&pts, Snippet::increment(counter));
+        let pts = ed.find_points("matmul", PointKind::FuncEntry);
+        ed.insert(&pts.expect("points"), Snippet::increment(counter));
         let patched = ed.instrumented().expect("instrumentation");
-        let r = rvdyn::editor::run_binary(&patched.binary, fuel).expect("instrumented run");
-        assert_eq!(r.exit_code, 0);
-        let mut diag = ed.diagnostics().clone();
-        diag.record_run(r.icount, r.cycles);
-        return Measurement {
-            seconds: r.seconds,
-            mutatee_seconds: mutatee_elapsed(&r),
-            icount: r.icount,
-            counter: r.read_u64(counter.addr).unwrap_or(0),
-            spills: patched.spill_count,
-            diag,
-        };
+        let r = run(&patched.binary);
+        let count = r.read_u64(counter.addr).unwrap_or(0);
+        return Measurement::of(&r, count, patched.spill_count, ed.diagnostics().clone());
     }
-
-    // Per-block profile through the counter-placement API: every-block
+    // Per-block profiles go through the counter-placement API: every-block
     // places one counter per block, optimal places the Knuth-minimal site
     // set and reconstructs the rest from the flow equations. Either way
     // `counter` reports the total dynamic block count, so the two
     // configurations are directly comparable.
     let bc = ed.count_blocks("matmul").expect("block counters");
     let patched = ed.instrumented().expect("instrumentation");
-    let r = rvdyn::editor::run_binary(&patched.binary, fuel).expect("instrumented run");
-    assert_eq!(r.exit_code, 0);
+    let r = run(&patched.binary);
     let counts = ed.block_counts(&bc, &r).expect("per-block counts");
-    let mut diag = ed.diagnostics().clone();
-    diag.record_run(r.icount, r.cycles);
-    Measurement {
-        seconds: r.seconds,
-        mutatee_seconds: mutatee_elapsed(&r),
-        icount: r.icount,
-        counter: counts.values().sum(),
-        spills: patched.spill_count,
-        diag,
+    let count = counts.values().sum();
+    Measurement::of(&r, count, patched.spill_count, ed.diagnostics().clone())
+}
+
+impl Measurement {
+    fn of(r: &RunOutput, counter: u64, spills: usize, mut diag: Diagnostics) -> Measurement {
+        diag.record_run(r.icount, r.cycles);
+        // The mutatee writes the elapsed nanoseconds it measured to stdout.
+        let ns = r
+            .stdout
+            .first_chunk::<8>()
+            .map_or(0, |b| u64::from_le_bytes(*b));
+        Measurement {
+            mutatee_seconds: ns as f64 / 1e9,
+            icount: r.icount,
+            counter,
+            spills,
+            diag,
+        }
     }
 }
 
@@ -138,16 +121,6 @@ fn layout_above(bin: &Binary) -> PatchLayout {
     }
 }
 
-/// The elapsed nanoseconds the mutatee itself reported on stdout.
-fn mutatee_elapsed(r: &rvdyn::editor::RunOutput) -> f64 {
-    if r.stdout.len() >= 8 {
-        let ns = u64::from_le_bytes(r.stdout[..8].try_into().unwrap());
-        ns as f64 / 1e9
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,8 +132,12 @@ mod tests {
         assert_eq!(base.icount, base2.icount);
         let f = measure(10, 1, Config::FunctionCount, RegAllocMode::DeadRegisters);
         let bb = measure(10, 1, Config::BasicBlockCount, RegAllocMode::DeadRegisters);
-        assert!(base.seconds < f.seconds);
-        assert!(f.seconds < bb.seconds);
+        assert_eq!(base.diag.cycles, base2.diag.cycles);
+        assert!(base.icount < f.icount);
+        assert!(f.icount < bb.icount);
+        // The cycle model charges each configuration for its instrumentation.
+        assert!(base.diag.cycles < f.diag.cycles);
+        assert!(f.diag.cycles < bb.diag.cycles);
         assert_eq!(f.counter, 1);
         assert!(bb.counter > 2000); // ~2.3k blocks at n=10
         assert_eq!(f.spills, 0);
@@ -178,13 +155,9 @@ mod tests {
 
     #[test]
     fn optimal_placement_is_cheaper_and_exact() {
-        let bb = measure(10, 1, Config::BasicBlockCount, RegAllocMode::DeadRegisters);
-        let opt = measure(
-            10,
-            1,
-            Config::BasicBlockCountOptimal,
-            RegAllocMode::DeadRegisters,
-        );
+        let m = |config| measure(10, 1, config, RegAllocMode::DeadRegisters);
+        let bb = m(Config::BasicBlockCount);
+        let opt = m(Config::BasicBlockCountOptimal);
         // Same total dynamic block count, recovered from fewer counters,
         // at a strictly lower mutatee-observed cost.
         assert_eq!(opt.counter, bb.counter);
@@ -199,7 +172,7 @@ mod tests {
     fn force_spill_costs_more() {
         let dead = measure(8, 1, Config::BasicBlockCount, RegAllocMode::DeadRegisters);
         let spill = measure(8, 1, Config::BasicBlockCount, RegAllocMode::ForceSpill);
-        assert!(spill.seconds > dead.seconds);
+        assert!(spill.mutatee_seconds > dead.mutatee_seconds);
         assert!(spill.spills > 0);
         assert_eq!(dead.counter, spill.counter, "same dynamic block count");
     }

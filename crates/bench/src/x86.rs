@@ -130,15 +130,8 @@ pub fn matmul(a: &[f64], b: &[f64], c: &mut [f64], n: usize, probe: Probe) {
 /// Measure `reps` calls of `matmul(n)` with `probe`; returns seconds
 /// (best of three to shed scheduler noise).
 pub fn measure(n: usize, reps: usize, probe: Probe) -> f64 {
-    let mut a = vec![0.0f64; n * n];
-    let mut b = vec![0.0f64; n * n];
+    let (a, b) = inputs(n);
     let mut c = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            a[i * n + j] = (i + j) as f64;
-            b[i * n + j] = i as f64 - j as f64;
-        }
-    }
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t0 = Instant::now();
@@ -152,6 +145,15 @@ pub fn measure(n: usize, reps: usize, probe: Probe) -> f64 {
     best
 }
 
+/// The n×n input matrices: `a[i][j] = i + j` and `b[i][j] = i - j`.
+fn inputs(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let a = (0..n * n).map(|k| (k / n + k % n) as f64).collect();
+    let b = (0..n * n)
+        .map(|k| (k / n) as f64 - (k % n) as f64)
+        .collect();
+    (a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,14 +161,7 @@ mod tests {
     #[test]
     fn probes_do_not_change_results() {
         let n = 16;
-        let mut a = vec![0.0f64; n * n];
-        let mut b = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                a[i * n + j] = (i + j) as f64;
-                b[i * n + j] = i as f64 - j as f64;
-            }
-        }
+        let (a, b) = inputs(n);
         let mut c1 = vec![0.0f64; n * n];
         let mut c2 = vec![0.0f64; n * n];
         matmul(&a, &b, &mut c1, n, Probe::None);

@@ -27,7 +27,7 @@
 //! * [`AnalysisCache`] — a bounded, least-recently-used, thread-safe
 //!   map from key to `Arc<Analysis>` with hit/miss/eviction counters,
 //!   the substrate for [`Session::open_cached`](crate::Session) and the
-//!   `rvdyn-bench --bin service` replay harness.
+//!   `rvdyn-bench service` replay experiment.
 //!
 //! The cache key also folds in the semantic parse options
 //! ([`ParseOptions::parse_gaps`] and the instruction budget — *not* the

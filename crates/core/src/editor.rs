@@ -84,12 +84,8 @@ impl Session {
 
         let bin = Binary::parse(&elf)?;
         let timer = self.begin_stage(TimedStage::Run);
-        let sink = self.sink();
-        let mut res = run_binary_engine(&bin, fuel, self.engine(), &mut |label| {
-            if let Some(s) = &sink {
-                s.event(&TelemetryEvent::RunExit { reason: label });
-            }
-        });
+        let mut res = run_binary_engine(&bin, fuel, self.engine());
+        self.emit(TelemetryEvent::run_exit(res.as_ref().map(|r| r.exit_code)));
         self.end_stage(timer);
         if let Ok(r) = &mut res {
             self.diag_mut().record_run(r.icount, r.cycles);
@@ -135,7 +131,7 @@ pub fn run_elf_with(
     engine: rvdyn_emu::EmuEngine,
 ) -> Result<RunOutput, Error> {
     let bin = Binary::parse(elf)?;
-    run_binary_engine(&bin, fuel, engine, &mut |_| {})
+    run_binary_engine(&bin, fuel, engine)
 }
 
 /// As [`run_elf`] for an in-memory binary model.
@@ -151,25 +147,21 @@ pub fn run_elf_with(
 pub fn run_binary(bin: &Binary, fuel: u64) -> Result<RunOutput, Error> {
     // Free-standing runs keep the machine's own default engine, which
     // honours the `RVDYN_EMU` environment knob.
-    run_binary_engine(bin, fuel, rvdyn_emu::EmuEngine::from_env(), &mut |_| {})
+    run_binary_engine(bin, fuel, rvdyn_emu::EmuEngine::from_env())
 }
 
-/// As [`run_binary`] with an explicit execution engine, reporting the
-/// run loop's exit-reason label (the stable
-/// [`rvdyn_emu::StopReason::label`] vocabulary) to `on_exit` before the
-/// result is mapped — the session-driven path, where
-/// `SessionOptions::engine` wins over the environment.
+/// As [`run_binary`] with an explicit execution engine — the
+/// session-driven path, where `SessionOptions::engine` wins over the
+/// environment.
 pub(crate) fn run_binary_engine(
     bin: &Binary,
     fuel: u64,
     engine: rvdyn_emu::EmuEngine,
-    on_exit: &mut dyn FnMut(&'static str),
 ) -> Result<RunOutput, Error> {
     let mut m = rvdyn_emu::load_binary(bin);
     m.engine = engine;
     m.fuel = Some(fuel);
     let stop = m.run();
-    on_exit(stop.label());
     let exit_code = match stop {
         rvdyn_emu::StopReason::Exited(c) => c,
         rvdyn_emu::StopReason::MemFault { pc, addr, .. } => {

@@ -115,6 +115,13 @@ pub enum Error {
     /// the new snippets and silently drop the earlier ones. Remove the
     /// instrumentation first, or instrument the function in one commit.
     AlreadyRelocated { func: u64 },
+    /// The input binary was already rewritten by rvdyn: it carries the
+    /// patch section `section` (`.rvdyn.text`, `.rvdyn.data` or
+    /// `.rvdyn.traps`). It records nothing of what that rewrite did, so
+    /// instrumenting it again would count the original code's
+    /// springboards instead of the code that runs. Instrument the
+    /// original binary instead; running the rewritten one is fine.
+    AlreadyInstrumented { section: &'static str },
     /// Per-block count recovery failed for the function at `func`: a
     /// counter variable could not be read back, or the placed counter
     /// values violate the CFG flow equations (a negative reconstructed
@@ -136,6 +143,7 @@ impl Error {
             | Error::SpringboardClobber { .. }
             | Error::UnresolvedIndirects { .. }
             | Error::AlreadyRelocated { .. }
+            | Error::AlreadyInstrumented { .. }
             | Error::PatchVerifyFailed { .. } => Stage::Instrument,
             Error::Proc { .. }
             | Error::MutateeFault { .. }
@@ -201,6 +209,11 @@ impl fmt::Display for Error {
                 "[instrument] function {func:#x} was relocated by an earlier \
                  commit; instrumenting it again would drop that commit's \
                  snippets (remove the instrumentation first)"
+            ),
+            Error::AlreadyInstrumented { section } => write!(
+                f,
+                "[instrument] the binary was already rewritten (it carries \
+                 {section}); instrument the original binary instead"
             ),
             Error::RedirectMiss { pc } => {
                 write!(f, "[run] trap springboard at {pc:#x} has no redirect entry")

@@ -693,14 +693,8 @@ impl FleetController {
         if self.result(pid).is_some() {
             return;
         }
-        let reason: &'static str = match &result {
-            Ok(_) => "exited",
-            Err(Error::RedirectMiss { .. }) => "break",
-            Err(Error::MutateeFault { .. }) => "mem-fault",
-            Err(Error::CacheIncoherent { .. }) => "cache-incoherent",
-            Err(_) => "stopped",
-        };
-        self.session.emit(TelemetryEvent::RunExit { reason });
+        self.session
+            .emit(TelemetryEvent::run_exit(result.as_ref().copied()));
         if let Some(p) = self.set.get_mut(pid) {
             for ev in p.machine_mut().take_emu_events() {
                 self.session.emit(session::adapt_emu(ev));

@@ -584,12 +584,21 @@ impl Session {
     /// instead of the layout's base, leaving alone the call sites in
     /// `relocated`, the functions earlier commits relocated: the live
     /// commit puts each commit's code after the code of the commits
-    /// before it, and clears the queue it consumed.
+    /// before it, and clears the queue it consumed. A binary that an
+    /// earlier rewrite instrumented is refused with
+    /// [`Error::AlreadyInstrumented`], on every delivery.
     pub(crate) fn apply_at(
         &mut self,
         text: u64,
         relocated: &BTreeSet<u64>,
     ) -> Result<PatchResult, Error> {
+        let patch_sections = [".rvdyn.text", ".rvdyn.data", ".rvdyn.traps"];
+        if let Some(&section) = patch_sections
+            .iter()
+            .find(|s| self.binary().section_by_name(s).is_some())
+        {
+            return Err(Error::AlreadyInstrumented { section });
+        }
         if !self.allow_unresolved {
             for func in self.pending_functions() {
                 if let Some(f) = self.code().functions.get(&func) {

@@ -22,6 +22,7 @@
 //! through the shared session core, so both the static and the dynamic
 //! entry points — and any future ones — report identically.
 
+use crate::error::Error;
 use rvdyn_patch::springboard::SpringboardKind;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -234,10 +235,18 @@ pub enum TelemetryEvent {
         blocks: usize,
         sites: usize,
     },
-    /// The run loop stopped; `reason` is the stable [`StopReason`] label
-    /// (e.g. `"exited"`, `"break"`, `"mem-fault"`).
+    /// A run of the mutatee ended. `reason` names the typed outcome of
+    /// the run, the same for the static and the live delivery:
     ///
-    /// [`StopReason`]: rvdyn_emu::StopReason
+    /// | `reason` | outcome |
+    /// |---|---|
+    /// | `"exited"` | `Ok(exit code)` |
+    /// | `"mutatee-fault"` | [`Error::MutateeFault`]: a memory or fetch fault, or an illegal instruction |
+    /// | `"unclean-exit"` | [`Error::UncleanExit`]: the mutatee's own `ebreak`, fuel exhausted |
+    /// | `"redirect-miss"` | [`Error::RedirectMiss`]: a trap springboard with no redirect |
+    /// | `"cache-incoherent"` | [`Error::CacheIncoherent`] |
+    /// | `"process-lost"` | [`Error::FleetProcessLost`] |
+    /// | `"error"` | any other [`Error`] the run ended with |
     RunExit { reason: &'static str },
     /// The cached execution engine decoded a basic block of `insts`
     /// instructions into its translation cache (DBT back end; see
@@ -287,6 +296,22 @@ pub enum TelemetryEvent {
     /// The sampling profiler took one sample: the mutatee stopped at
     /// `pc` and the stackwalk recovered `depth` frames.
     SampleTaken { pc: u64, depth: usize },
+}
+
+impl TelemetryEvent {
+    /// The [`TelemetryEvent::RunExit`] of a run that ended with `result`.
+    pub(crate) fn run_exit(result: Result<i64, &Error>) -> TelemetryEvent {
+        let reason = match result {
+            Ok(_) => "exited",
+            Err(Error::MutateeFault { .. }) => "mutatee-fault",
+            Err(Error::UncleanExit { .. }) => "unclean-exit",
+            Err(Error::RedirectMiss { .. }) => "redirect-miss",
+            Err(Error::CacheIncoherent { .. }) => "cache-incoherent",
+            Err(Error::FleetProcessLost { .. }) => "process-lost",
+            Err(_) => "error",
+        };
+        TelemetryEvent::RunExit { reason }
+    }
 }
 
 impl fmt::Display for TelemetryEvent {

@@ -15,8 +15,9 @@
 //!   frame stepper (§3.2.7: RISC-V compilers commonly use `s0` as a plain
 //!   GPR, so walking must work without a frame pointer);
 //! * **forward and backward slicing** ([`slicing`]) — instructions
-//!   affected by / affecting a register value, used by ParseAPI's
-//!   `jalr` resolution and available to tools;
+//!   affected by / affecting a register value, available to tools
+//!   (ParseAPI's `jalr` resolution does not use them: `rvdyn-parse`
+//!   does not depend on this crate);
 //! * **loop analysis** — natural loops, computed in `rvdyn-parse` and
 //!   re-exported here for the DataflowAPI-shaped interface.
 

@@ -67,22 +67,6 @@ pub enum StopReason {
     },
 }
 
-impl StopReason {
-    /// Stable lower-case label for the exit reason (telemetry / JSON).
-    pub fn label(&self) -> &'static str {
-        match self {
-            StopReason::Exited(_) => "exited",
-            StopReason::Break(_) => "break",
-            StopReason::IllegalInstruction(_) => "illegal-instruction",
-            StopReason::MemFault { .. } => "mem-fault",
-            StopReason::FetchFault { .. } => "fetch-fault",
-            StopReason::FuelExhausted => "fuel-exhausted",
-            StopReason::CacheIncoherent { .. } => "cache-incoherent",
-            StopReason::CycleLimit { .. } => "cycle-limit",
-        }
-    }
-}
-
 /// One memory access recorded by the interpreter-side oracle
 /// ([`Machine::arm_mem_oracle`]): the ground truth a memory-access
 /// tracer's instrumentation output is differenced against.

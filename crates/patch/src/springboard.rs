@@ -211,6 +211,39 @@ mod tests {
         assert_eq!(s.len(), 2, "must fit the 2-byte budget");
     }
 
+    /// Experiment A2: the shortest jump that reaches wins. c.j reaches
+    /// [-2048, +2046] and jal [-2^20, +2^20 - 2]; both ranges are half
+    /// open, so +2048 and +2^20 fall to the next rung.
+    #[test]
+    fn ladder_picks_the_shortest_jump_that_reaches() {
+        use SpringboardKind::{CompressedJump, Jal};
+        let far = || SpringboardKind::AuipcJalr(Reg::x(5));
+        let ladder = [
+            (1 << 8, CompressedJump),
+            (1 << 11, Jal),
+            (1 << 12, Jal),
+            (1 << 16, Jal),
+            (1 << 20, far()),
+            (1 << 21, far()),
+            (1 << 24, far()),
+            (1 << 30, far()),
+        ];
+        let edges = [
+            (2046, CompressedJump),
+            (-2048, CompressedJump),
+            (2048, Jal),
+            (-2050, Jal),
+            ((1 << 20) - 2, Jal),
+            (-(1 << 20), Jal),
+        ];
+        let from = 0x4000_0000u64;
+        for (delta, kind) in ladder.into_iter().chain(edges) {
+            let to = from.wrapping_add_signed(delta);
+            let s = plan_springboard(from, to, 8, IsaProfile::rv64gc(), dead_all());
+            assert_eq!(s.kind, kind, "displacement {delta:+}");
+        }
+    }
+
     #[test]
     fn springboard_decodes_to_jump_with_right_target() {
         for (from, to) in [(0x1000u64, 0x1800u64), (0x1_0000, 0x9_0000)] {

@@ -142,7 +142,7 @@ fn main() {
                     usage()
                 }
             };
-            std::fs::write(&out, bin.to_bytes().expect("serialise")).expect("write");
+            write(&out, &bin.to_bytes().unwrap_or_else(die));
             println!("wrote {out}");
         }
         "info" => {
@@ -237,7 +237,7 @@ fn main() {
                     );
                 }
                 let out = arg(&args, 4);
-                std::fs::write(&out, ed.rewrite().unwrap_or_else(die)).expect("write");
+                write(&out, &ed.rewrite().unwrap_or_else(die));
                 if json {
                     println!("{}", ed.diagnostics().to_json());
                     return;
@@ -255,7 +255,7 @@ fn main() {
             }
             ed.insert(&pts, Snippet::increment(counter));
             let out = arg(&args, 4);
-            std::fs::write(&out, ed.rewrite().unwrap_or_else(die)).expect("write");
+            write(&out, &ed.rewrite().unwrap_or_else(die));
             if json {
                 println!("{}", ed.diagnostics().to_json());
                 return;
@@ -265,7 +265,7 @@ fn main() {
             println!("{}", ed.diagnostics());
         }
         "run" => {
-            let elf = std::fs::read(arg(&args, 1)).expect("read");
+            let elf = read(&arg(&args, 1));
             let r = rvdyn::run_elf_with(&elf, 10_000_000_000, engine).unwrap_or_else(die);
             if json {
                 let mut d = rvdyn::Diagnostics::default();
@@ -342,7 +342,7 @@ fn main() {
             // Fleet-scale dynamic instrumentation (docs/FLEET.md): one
             // controller, one shared plan, N verified deliveries, one
             // event loop running every mutatee to exit.
-            let elf = std::fs::read(arg(&args, 1)).expect("read");
+            let elf = read(&arg(&args, 1));
             let func = arg(&args, 2);
             let n = num(&args, 3).unwrap_or(8) as usize;
             let mut fleet = rvdyn::FleetController::open(&elf, opts()).unwrap_or_else(die);
@@ -382,7 +382,7 @@ fn main() {
             // Memory-access tracing (docs/TOOLS.md): plan record-emitting
             // snippets at every load/store, run the mutatee, drain the
             // ring, and persist the validated rvdyn-trace-v1 stream.
-            let elf = std::fs::read(arg(&args, 1)).expect("read");
+            let elf = read(&arg(&args, 1));
             let out_path = arg(&args, 2);
             let funcs = args.get(3).map(|f| vec![f.clone()]);
             let capacity = num(&args, 4).unwrap_or(1 << 16);
@@ -395,15 +395,9 @@ fn main() {
             let drained = tracer
                 .drain_fleet(dy.fleet_mut(), rvdyn::DynamicInstrumenter::PID)
                 .unwrap_or_else(die);
-            let file = std::fs::File::create(&out_path).expect("create");
-            let mut sink = rvdyn::TraceSink::new(std::io::BufWriter::new(file));
-            for r in &drained.records {
-                sink.push(*r).expect("write record");
-            }
-            sink.finish().expect("seal trace");
+            write_trace(&out_path, &drained.records);
             // Close the loop: the file we just wrote must validate.
-            let reader = rvdyn::TraceReader::parse(&std::fs::read(&out_path).expect("re-read"))
-                .unwrap_or_else(die);
+            let reader = rvdyn::TraceReader::parse(&read(&out_path)).unwrap_or_else(die);
             if json {
                 println!("{}", dy.diagnostics().to_json());
                 return;
@@ -424,7 +418,7 @@ fn main() {
         "sample" => {
             // Sampling profiler (docs/TOOLS.md): cycle-interval
             // interrupts, stackwalker frames, folded flame-style output.
-            let elf = std::fs::read(arg(&args, 1)).expect("read");
+            let elf = read(&arg(&args, 1));
             let interval = num(&args, 2).unwrap_or(10_000);
             let n = num(&args, 3).unwrap_or(1) as usize;
             let profiler = rvdyn::Profiler::new(rvdyn::ProfileOptions {
@@ -490,10 +484,7 @@ fn main() {
                     println!("pass {pass}:");
                 }
                 for path in &paths {
-                    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-                        eprintln!("cannot read {path}: {e}");
-                        exit(1)
-                    });
+                    let bytes = read(path);
                     let ed = BinaryEditor::open_cached(&bytes, opts(), &cache).unwrap_or_else(die);
                     let d = ed.diagnostics();
                     if !json {
@@ -566,11 +557,29 @@ fn num(args: &[String], i: usize) -> Option<u64> {
 }
 
 fn open(path: &str, opts: SessionOptions) -> BinaryEditor {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1)
+    BinaryEditor::open_with(&read(path), opts).unwrap_or_else(die)
+}
+
+/// Read a whole file; a file error ends the tool with exit status 1.
+fn read(path: &str) -> Vec<u8> {
+    std::fs::read(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")))
+}
+
+/// Write a whole file; a file error ends the tool with exit status 1.
+fn write(path: &str, bytes: &[u8]) {
+    std::fs::write(path, bytes).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")))
+}
+
+/// Write `records` as an `rvdyn-trace-v1` file, as [`write`] does.
+fn write_trace(path: &str, records: &[rvdyn::TraceRecord]) {
+    let written = std::fs::File::create(path).and_then(|file| {
+        let mut sink = rvdyn::TraceSink::new(std::io::BufWriter::new(file));
+        for r in records {
+            sink.push(*r)?;
+        }
+        sink.finish().map(drop)
     });
-    BinaryEditor::open_with(&bytes, opts).unwrap_or_else(die)
+    written.unwrap_or_else(|e| die(format!("cannot write {path}: {e}")))
 }
 
 fn die<T>(e: impl std::fmt::Display) -> T {

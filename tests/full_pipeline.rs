@@ -63,41 +63,58 @@ fn figure1_static_and_dynamic_paths_agree_everywhere() {
 }
 
 #[test]
-fn rewritten_binary_is_reinstrumentable() {
-    // Instrument, write, reopen the REWRITTEN binary and instrument a
-    // different function — the output of the rewriter is itself a valid
-    // mutatee (a strong well-formedness check).
-    let elf = rvdyn_asm::matmul_program(5, 2).to_bytes().unwrap();
-    let mut ed1 = BinaryEditor::open(&elf).unwrap();
-    let c1 = ed1.alloc_var(8);
-    ed1.insert(
-        &ed1.find_points("matmul", PointKind::FuncEntry).unwrap(),
-        Snippet::increment(c1),
-    );
-    let once = ed1.rewrite().unwrap();
+fn rewritten_binary_runs_but_is_refused_as_already_instrumented() {
+    // A rewritten binary records nothing of what the rewrite did: opened
+    // again, `matmul` is its 4-byte springboard, and `main` calls the
+    // relocated copy directly. Counting its blocks again would report
+    // one block run 0 times (near layout), so every delivery refuses it.
+    let elf = rvdyn_asm::matmul_program(8, 2).to_bytes().unwrap();
+    let mut ed = BinaryEditor::open(&elf).unwrap();
+    let bc = ed.count_blocks("matmul").unwrap();
+    let once = ed.rewrite().unwrap();
 
-    let mut ed2 = BinaryEditor::open(&once).unwrap();
-    // Use a disjoint patch area for the second round.
-    ed2.set_layout(rvdyn::PatchLayout {
-        patch_text: 0x18_0000,
-        patch_data: 0x1C_0000,
-    });
-    let c2 = ed2.alloc_var(8);
-    ed2.insert(
-        &ed2.find_points("init_arrays", PointKind::FuncEntry)
-            .unwrap(),
-        Snippet::increment(c2),
-    );
-    let twice = ed2.rewrite().unwrap();
-
-    let r = rvdyn::run_elf(&twice, 2_000_000_000).unwrap();
+    // Running the rewritten file stays allowed, and its counters count.
+    let r = rvdyn::run_elf(&once, 2_000_000_000).unwrap();
     assert_eq!(r.exit_code, 0);
-    assert_eq!(
-        r.read_u64(c1.addr),
-        Some(2),
-        "first-round counter still works"
+    assert_eq!(ed.block_counts(&bc, &r).unwrap().len(), 11);
+
+    let refused = |res: Result<(), rvdyn::Error>, what: &str| match res {
+        Err(e @ rvdyn::Error::AlreadyInstrumented { .. }) => {
+            assert_eq!(e.stage(), rvdyn::Stage::Instrument, "{what}");
+        }
+        other => panic!("{what}: expected AlreadyInstrumented, got {other:?}"),
+    };
+    let layouts = [
+        ("default", rvdyn::PatchLayout::default()),
+        (
+            "near",
+            rvdyn::PatchLayout {
+                patch_text: 0x10_0000,
+                patch_data: 0x20_0000,
+            },
+        ),
+        (
+            "far",
+            rvdyn::PatchLayout {
+                patch_text: 0x1_0000_0000,
+                patch_data: 0x1_1000_0000,
+            },
+        ),
+    ];
+    for (what, layout) in layouts {
+        let mut ed2 = BinaryEditor::open_with(&once, SessionOptions::new().layout(layout)).unwrap();
+        ed2.count_blocks("matmul").unwrap();
+        refused(ed2.instrument_and_run(2_000_000_000).map(|_| ()), what);
+    }
+
+    let bin = Binary::parse(&once).unwrap();
+    let mut di = DynamicInstrumenter::create_with(bin, SessionOptions::new());
+    let c = di.alloc_var(8);
+    di.insert(
+        &di.find_points("matmul", PointKind::FuncEntry).unwrap(),
+        Snippet::increment(c),
     );
-    assert_eq!(r.read_u64(c2.addr), Some(1), "second-round counter works");
+    refused(di.commit(), "live commit");
 }
 
 #[test]

@@ -357,6 +357,56 @@ fn static_own_ebreak_in_patch_code_is_an_unclean_exit() {
     assert!((text.addr..text.addr + text.data.len() as u64).contains(&pc));
 }
 
+#[test]
+fn each_run_end_has_one_run_exit_label_on_both_deliveries() {
+    // `li a0, 5` and then an all-zero word (a `MutateeFault`), or `li a0,
+    // 5; ebreak` (an `UncleanExit`): each end reads one label, through
+    // the static run and the live run alike, on both engines.
+    use rvdyn_isa::Reg;
+    let mutatee = |ebreak: bool| {
+        let mut a = rvdyn_asm::Assembler::new(0x1_0000);
+        a.li(Reg::x(10), 5);
+        if ebreak {
+            a.ebreak();
+        }
+        let mut code = a.finish().unwrap();
+        if !ebreak {
+            code.extend([0u8; 4]);
+        }
+        let mut bin = rvdyn_asm::fib_program(1);
+        bin.entry = 0x1_0000;
+        let flags = rvdyn_symtab::SHF_ALLOC | rvdyn_symtab::SHF_EXECINSTR;
+        bin.sections = vec![rvdyn_symtab::Section::progbits(
+            ".text", 0x1_0000, flags, code,
+        )];
+        bin.symbols.clear();
+        bin
+    };
+    let exits = |sink: &CollectSink| -> Vec<&'static str> {
+        let events = sink.events();
+        let reasons = events.iter().filter_map(|e| match e {
+            TelemetryEvent::RunExit { reason } => Some(*reason),
+            _ => None,
+        });
+        reasons.collect()
+    };
+    for (ebreak, label) in [(false, "mutatee-fault"), (true, "unclean-exit")] {
+        for engine in [rvdyn::EmuEngine::Interpreter, rvdyn::EmuEngine::Cached] {
+            let sink = CollectSink::new();
+            let opts = SessionOptions::new().engine(engine).telemetry(sink.clone());
+            let mut ed = BinaryEditor::from_binary(mutatee(ebreak), opts);
+            assert!(ed.instrument_and_run(1_000).is_err());
+            assert_eq!(exits(&sink), [label], "static run, {engine:?}");
+
+            let sink = CollectSink::new();
+            let opts = SessionOptions::new().engine(engine).telemetry(sink.clone());
+            let mut dy = DynamicInstrumenter::create_with(mutatee(ebreak), opts);
+            assert!(dy.run_to_exit().is_err());
+            assert_eq!(exits(&sink), [label], "live run, {engine:?}");
+        }
+    }
+}
+
 // --- error taxonomy + JSON -------------------------------------------------
 
 #[test]
