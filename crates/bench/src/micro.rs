@@ -1,13 +1,14 @@
 //! The component ablations: parallel CFG parsing (A3), decoder
 //! throughput (A4) and the cost of software single-stepping (A5). Each
-//! reports the best of [`ROUNDS`](crate::ROUNDS) timed runs.
+//! reports the best of [`ROUNDS`] timed runs.
 
-use crate::{best_of, ncpu, Fields, Report};
+use crate::{best_of, ncpu, timed, Fields, Report, ROUNDS};
 use rvdyn::decode::InstructionIter;
 use rvdyn::{Event, Process, Reg};
 use rvdyn_asm::Assembler;
 use rvdyn_parse::source::RawCode;
 use rvdyn_parse::{CodeObject, ParseOptions};
+use rvdyn_proccontrol::ProcError;
 
 /// `funcs` functions of about 40 basic blocks each (twenty diamonds of
 /// straight-line code), each calling the next two. Every entry is a
@@ -56,6 +57,9 @@ fn synthetic(funcs: usize) -> RawCode {
 
 /// A3: parse 600 synthetic functions on 1, 2, 4 and 8 workers. Every
 /// parallel parse must find the sequential parse's functions and blocks.
+/// Then the `service-mix` cache miss: a symbol-seeded
+/// `many_functions(512)` (small functions, each with one loop) parsed at
+/// one worker, per instruction, and the time to drop what it built.
 pub fn parse(_: &[usize]) -> Report {
     let src = synthetic(600);
     let runs = [1, 2, 4, 8].map(|threads| {
@@ -77,13 +81,32 @@ pub fn parse(_: &[usize]) -> Report {
                 .real("speedup", *seq_ns as f64 / *ns as f64, 3),
         );
     }
+    let miss = rvdyn_asm::many_functions_program(512);
+    let one = ParseOptions::default();
+    let (co, miss_ns) = best_of(|| CodeObject::parse(&miss, &one));
+    let miss_drop_ns = (0..ROUNDS)
+        .map(|_| {
+            let co = CodeObject::parse(&miss, &one);
+            timed(|| drop(co)).1
+        })
+        .min()
+        .expect("ROUNDS > 0");
     let fields = Fields::default()
         .int("functions", seq.functions.len())
         .int("blocks", seq.num_blocks())
         .int("instructions", seq.num_insts())
         .int("bytes", src.bytes.len())
         .int("ncpu", ncpu())
-        .rows("runs", rows);
+        .rows("runs", rows)
+        .int("miss_functions", co.functions.len())
+        .int("miss_instructions", co.num_insts())
+        .int("miss_parse_ns", miss_ns)
+        .real(
+            "miss_ns_per_instruction",
+            miss_ns as f64 / co.num_insts() as f64,
+            1,
+        )
+        .int("miss_drop_ns", miss_drop_ns);
     Report::new(fields, vec![])
 }
 
@@ -116,8 +139,8 @@ pub fn decode(_: &[usize]) -> Report {
 
 /// A5: RISC-V ptrace has no hardware single-step, so ProcControlAPI
 /// emulates it with breakpoints. Advance fib(20) by 2000 emulated
-/// single-steps, and by one free run to the first hit of a breakpoint
-/// planted where those steps end (what hardware assistance allows).
+/// single-steps, and by one free run of exactly as many instructions
+/// (the machine's fuel stops it), which must end at the same pc.
 pub fn step(_: &[usize]) -> Report {
     const STEPS: usize = 2000;
     let bin = rvdyn_asm::fib_program(20);
@@ -129,15 +152,19 @@ pub fn step(_: &[usize]) -> Report {
                 e => panic!("single step: unexpected {e:?}"),
             }
         }
+        assert_eq!(p.machine().icount, STEPS as u64, "one instruction a step");
         p.pc()
     });
     let ((), direct_ns) = best_of(|| {
         let mut p = Process::launch(&bin);
-        p.set_breakpoint(target).expect("breakpoint");
-        match p.cont().expect("continue") {
-            Event::Breakpoint(at) => assert_eq!(at, target),
-            e => panic!("direct run: unexpected {e:?}"),
+        p.machine_mut().fuel = Some(STEPS as u64);
+        // `cont` reports the fuel running out as a process no longer
+        // running.
+        match p.cont() {
+            Err(ProcError::NotRunning) => {}
+            r => panic!("direct run: unexpected {r:?}"),
         }
+        assert_eq!((p.pc(), p.machine().icount), (target, STEPS as u64));
     });
     let fields = Fields::default()
         .int("steps", STEPS)

@@ -980,9 +980,9 @@ mod tests {
         assert!(analysis.timings().open_ns > 0);
         assert!(analysis.timings().parse_ns > 0);
         for f in analysis.code().functions.values() {
-            // Counted over the parser's loops, equal to a recomputation
-            // from the CFG.
-            assert_eq!(nesting_depths(f, &f.loops), rvdyn_parse::loop_depths(f));
+            // Counted over the function's kept loops, equal to a
+            // recomputation from the CFG.
+            assert_eq!(nesting_depths(f, f.loops()), rvdyn_parse::loop_depths(f));
         }
     }
 
@@ -1006,7 +1006,7 @@ mod tests {
             .values()
             .zip(par.code().functions.values())
         {
-            assert_eq!(nesting_depths(s, &s.loops), nesting_depths(p, &p.loops));
+            assert_eq!(nesting_depths(s, s.loops()), nesting_depths(p, p.loops()));
         }
     }
 }

@@ -490,12 +490,13 @@ impl Session {
         let addr = self.function_addr(func)?;
         let analysis = self.analysis.clone();
         let f = &analysis.code().functions[&addr];
-        let blocks: Vec<u64> = f.blocks.keys().copied().collect();
+        let blocks: Vec<u64> = f.blocks.keys().collect();
         let plan = match self.placement {
             CounterPlacement::EveryBlock => None,
-            // Depths count over the loops the parser already found.
+            // Depths count over the function's loops, computed by the
+            // first request that reads them and kept in the analysis.
             CounterPlacement::Optimal => {
-                plan_block_counters_with_depths(f, &nesting_depths(f, &f.loops))
+                plan_block_counters_with_depths(f, &nesting_depths(f, f.loops()))
             }
         };
 

@@ -294,7 +294,7 @@ impl MemTracer {
             let mut used = RegSet::EMPTY;
             for b in f.blocks.values() {
                 let guarded = b.start + if redirected.contains(&b.start) { 8 } else { 0 };
-                let split = block_runs(f, lv.as_ref(), &b.insts, guarded, &mut used);
+                let split = block_runs(f, lv.as_ref(), b.insts, guarded, &mut used);
                 runs.extend(split.into_iter().map(|(run, reg)| (f.entry, run, reg)));
             }
         }
@@ -702,8 +702,8 @@ mod tests {
 
     /// The runs of `f`'s entry block as `(access offsets, batched)`.
     fn entry_runs(f: &Function, lv: &Liveness, guard: u64) -> Vec<(Vec<u64>, bool)> {
-        let b = &f.blocks[&0x1000];
-        block_runs(f, Some(lv), &b.insts, 0x1000 + guard, &mut RegSet::empty())
+        let b = f.blocks.at(0x1000);
+        block_runs(f, Some(lv), b.insts, 0x1000 + guard, &mut RegSet::empty())
             .into_iter()
             .map(|(run, reg)| {
                 let offs = run.iter().map(|a| a.0.address - 0x1000).collect();

@@ -19,7 +19,7 @@
 
 use crate::conventions::{arg_regs, callee_saved, caller_saved, ret_regs};
 use rvdyn_isa::{Instruction, Reg, RegSet};
-use rvdyn_parse::{BasicBlock, EdgeKind, Function};
+use rvdyn_parse::{EdgeKind, Function};
 
 /// Per-instruction use/def honouring call/return conventions.
 fn use_def(inst: &Instruction, edges_kind: Option<EdgeKind>) -> (RegSet, RegSet) {
@@ -53,13 +53,10 @@ fn use_def(inst: &Instruction, edges_kind: Option<EdgeKind>) -> (RegSet, RegSet)
     }
 }
 
-/// Edge kind of the terminator, if the instruction is one.
+/// Edge kind of the terminator, if the instruction is one: the last
+/// instruction of the latest-starting block that contains it.
 fn terminator_kind(f: &Function, inst: &Instruction) -> Option<EdgeKind> {
-    block_terminator_kind(f.block_containing(inst.address)?, inst)
-}
-
-/// Edge kind of `inst` as the terminator of `b`, the block containing it.
-fn block_terminator_kind(b: &BasicBlock, inst: &Instruction) -> Option<EdgeKind> {
+    let b = f.block_containing(inst.address)?;
     if b.last_inst().map(|l| l.address) != Some(inst.address) {
         return None;
     }
@@ -86,9 +83,8 @@ pub struct Liveness {
 impl Liveness {
     /// Solve liveness for `f`.
     pub fn analyze(f: &Function) -> Liveness {
-        let blocks: Vec<&BasicBlock> = f.blocks.values().collect();
-        let starts: Vec<u64> = f.blocks.keys().copied().collect();
-        let n = blocks.len();
+        let starts: Vec<u64> = f.blocks.keys().collect();
+        let n = starts.len();
 
         // Block use/def, function-exit liveness and successor indices.
         let mut buse = Vec::with_capacity(n);
@@ -97,22 +93,11 @@ impl Liveness {
         let mut succ_off = Vec::with_capacity(n + 1);
         let mut succ: Vec<usize> = Vec::new();
         succ_off.push(0);
-        for (i, b) in blocks.iter().enumerate() {
-            // The terminator's kind comes from the block containing its
-            // address, which is a later, overlapping block when one
-            // starts at or before it.
-            let kind = b.last_inst().and_then(|last| {
-                let mut c = i;
-                while c + 1 < n && starts[c + 1] <= last.address {
-                    c += 1;
-                }
-                let holder = blocks[c];
-                if holder.contains(last.address) {
-                    block_terminator_kind(holder, last)
-                } else {
-                    None
-                }
-            });
+        for b in f.blocks.values() {
+            // The terminator's kind comes from the latest-starting block
+            // containing its address, which is a later, overlapping
+            // block when one holds it too.
+            let kind = b.last_inst().and_then(|last| terminator_kind(f, last));
             let mut u = RegSet::empty();
             let mut d = RegSet::empty();
             let last = b.insts.len().wrapping_sub(1);
@@ -349,7 +334,7 @@ mod tests {
         let mm = bin.symbol_by_name("matmul").unwrap().value;
         let f = &co.functions[&mm];
         let lv = Liveness::analyze(f);
-        for &s in f.blocks.keys() {
+        for s in f.blocks.keys() {
             let dead = lv.live_in(s).complement();
             assert!(
                 dead.len() >= 2,

@@ -31,7 +31,7 @@ pub fn backward_slice(f: &Function, addr: u64, regs: RegSet) -> BTreeSet<SliceNo
     let Some((bs, idx)) = locate(f, addr) else {
         return BTreeSet::new();
     };
-    let start_inst = &f.blocks[&bs].insts[idx];
+    let start_inst = &f.blocks.at(bs).insts[idx];
     let wanted = if regs.is_empty() {
         start_inst.regs_read()
     } else {
@@ -47,7 +47,7 @@ pub fn backward_slice(f: &Function, addr: u64, regs: RegSet) -> BTreeSet<SliceNo
     let mut seen: BTreeSet<(u64, u64)> = BTreeSet::new();
 
     while let Some((b, upto, mut chase)) = work.pop_front() {
-        let block = &f.blocks[&b];
+        let block = f.blocks.at(b);
         for i in (0..upto).rev() {
             if chase.is_empty() {
                 break;
@@ -67,7 +67,7 @@ pub fn backward_slice(f: &Function, addr: u64, regs: RegSet) -> BTreeSet<SliceNo
         if let Some(ps) = preds.get(&b) {
             for &p in ps {
                 if seen.insert((p, chase.0)) {
-                    let plen = f.blocks[&p].insts.len();
+                    let plen = f.blocks.at(p).insts.len();
                     work.push_back((p, plen, chase));
                 }
             }
@@ -82,7 +82,7 @@ pub fn forward_slice(f: &Function, addr: u64) -> BTreeSet<SliceNode> {
     let Some((bs, idx)) = locate(f, addr) else {
         return BTreeSet::new();
     };
-    let def_inst = &f.blocks[&bs].insts[idx];
+    let def_inst = &f.blocks.at(bs).insts[idx];
     let tainted0 = def_inst.regs_written();
     if tainted0.is_empty() {
         return BTreeSet::new();
@@ -94,7 +94,7 @@ pub fn forward_slice(f: &Function, addr: u64) -> BTreeSet<SliceNode> {
     let mut seen: BTreeSet<(u64, u64)> = BTreeSet::new();
 
     while let Some((b, from, mut taint)) = work.pop_front() {
-        let block = &f.blocks[&b];
+        let block = f.blocks.at(b);
         for i in from..block.insts.len() {
             if taint.is_empty() {
                 break;
@@ -113,7 +113,7 @@ pub fn forward_slice(f: &Function, addr: u64) -> BTreeSet<SliceNode> {
             continue;
         }
         for succ in block.successors() {
-            if f.blocks.contains_key(&succ) && seen.insert((succ, taint.0)) {
+            if f.blocks.contains_key(succ) && seen.insert((succ, taint.0)) {
                 work.push_back((succ, 0, taint));
             }
         }

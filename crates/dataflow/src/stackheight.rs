@@ -69,9 +69,9 @@ impl StackHeight {
         // Worklist forward propagation.
         let mut work: Vec<u64> = vec![f.entry];
         while let Some(bs) = work.pop() {
-            let Some(b) = f.blocks.get(&bs) else { continue };
+            let Some(b) = f.blocks.get(bs) else { continue };
             let mut h = entry[&bs];
-            for inst in &b.insts {
+            for inst in b.insts {
                 // Record ra spills/reloads while heights are known.
                 if inst.op == Op::Sd && inst.rs1 == Some(Reg::X2) && inst.rs2 == Some(Reg::X1) {
                     if let Height::Known(hk) = h {
@@ -113,7 +113,7 @@ impl StackHeight {
             return Height::Top;
         };
         let mut h = self.entry.get(&b.start).copied().unwrap_or(Height::Top);
-        for inst in &b.insts {
+        for inst in b.insts {
             if inst.address == addr {
                 return h;
             }

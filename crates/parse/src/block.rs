@@ -1,4 +1,11 @@
-//! Basic blocks and CFG edges.
+//! Basic blocks, CFG edges, and a function's block collection.
+//!
+//! A function stores its blocks in one [`Blocks`]: a vector of block
+//! extents sorted by start, plus two arenas that hold every block's
+//! instructions and every block's edges back to back, in block order.
+//! Consumers read a block through a [`BasicBlock`] view, whose
+//! [`insts`](BasicBlock::insts) and [`edges`](BasicBlock::edges) are
+//! slices of those arenas.
 
 use rvdyn_isa::Instruction;
 
@@ -63,24 +70,29 @@ impl Edge {
 }
 
 /// A basic block: a maximal single-entry straight-line instruction run.
-#[derive(Debug, Clone)]
-pub struct BasicBlock {
+///
+/// This is a view: its instructions and edges are slices of the owning
+/// function's arenas, and it is `Copy`. [`Blocks`] hands blocks out this
+/// way, and [`Function::from_blocks`](crate::Function::from_blocks) takes
+/// them in to build a CFG by hand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BasicBlock<'a> {
     /// Address of the first instruction.
     pub start: u64,
     /// Address one past the last instruction.
     pub end: u64,
     /// Decoded instructions, in address order.
-    pub insts: Vec<Instruction>,
+    pub insts: &'a [Instruction],
     /// Outgoing edges.
-    pub edges: Vec<Edge>,
+    pub edges: &'a [Edge],
 }
 
-impl BasicBlock {
+impl<'a> BasicBlock<'a> {
     pub fn len_bytes(&self) -> u64 {
         self.end - self.start
     }
 
-    pub fn last_inst(&self) -> Option<&Instruction> {
+    pub fn last_inst(&self) -> Option<&'a Instruction> {
         self.insts.last()
     }
 
@@ -93,34 +105,163 @@ impl BasicBlock {
         self.insts.iter().any(|i| i.address == addr)
     }
 
-    /// Split at `addr` (which must be an instruction boundary strictly
-    /// inside the block). `self` keeps the head and gains a fallthrough
-    /// edge; the tail is returned.
-    pub fn split_at(&mut self, addr: u64) -> BasicBlock {
-        debug_assert!(addr > self.start && addr < self.end);
-        let idx = self
-            .insts
-            .iter()
-            .position(|i| i.address == addr)
-            .expect("split at non-boundary");
-        let tail_insts = self.insts.split_off(idx);
-        let tail = BasicBlock {
-            start: addr,
-            end: self.end,
-            insts: tail_insts,
-            edges: std::mem::take(&mut self.edges),
-        };
-        self.end = addr;
-        self.edges = vec![Edge::to(EdgeKind::Fallthrough, addr)];
-        tail
-    }
-
     /// Intraprocedural successor block addresses.
-    pub fn successors(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn successors(&self) -> impl Iterator<Item = u64> + 'a {
         self.edges
             .iter()
             .filter(|e| e.kind.is_intraprocedural())
             .filter_map(|e| e.target)
+    }
+}
+
+/// One stored block: its extent and where its instructions and edges
+/// begin in the arenas. They end where the next block's begin.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u64,
+    end: u64,
+    /// The highest `end` of this block and every block that starts
+    /// before it, so that a lookup knows when no earlier block can
+    /// contain an address.
+    reach: u64,
+    insts: usize,
+    edges: usize,
+}
+
+/// A function's basic blocks, sorted by start address. Instructions and
+/// edges live in two arenas shared by all the blocks.
+///
+/// It answers what a map keyed by block start would:
+/// [`len`](Blocks::len), [`keys`](Blocks::keys),
+/// [`values`](Blocks::values), [`get`](Blocks::get),
+/// [`at`](Blocks::at) and [`contains_key`](Blocks::contains_key).
+#[derive(Debug, Clone, Default)]
+pub struct Blocks {
+    spans: Vec<Span>,
+    insts: Vec<Instruction>,
+    edges: Vec<Edge>,
+}
+
+impl Blocks {
+    /// Copy `blocks`, which must be sorted by start with no start
+    /// repeated, into one sorted vector and two arenas of exactly the
+    /// size they need. The iterator is walked twice: once to size the
+    /// arenas, once to fill them.
+    pub(crate) fn from_sorted<'a, I>(blocks: I) -> Blocks
+    where
+        I: Iterator<Item = BasicBlock<'a>> + Clone,
+    {
+        let (mut n, mut ni, mut ne) = (0, 0, 0);
+        for b in blocks.clone() {
+            n += 1;
+            ni += b.insts.len();
+            ne += b.edges.len();
+        }
+        let mut out = Blocks {
+            spans: Vec::with_capacity(n),
+            insts: Vec::with_capacity(ni),
+            edges: Vec::with_capacity(ne),
+        };
+        let mut reach = 0;
+        for b in blocks {
+            debug_assert!(
+                out.spans.last().is_none_or(|s| s.start < b.start),
+                "blocks out of order at {:#x}",
+                b.start
+            );
+            reach = reach.max(b.end);
+            out.spans.push(Span {
+                start: b.start,
+                end: b.end,
+                reach,
+                insts: out.insts.len(),
+                edges: out.edges.len(),
+            });
+            out.insts.extend_from_slice(b.insts);
+            out.edges.extend_from_slice(b.edges);
+        }
+        out
+    }
+
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Number of instructions over all the blocks.
+    pub(crate) fn num_insts(&self) -> usize {
+        self.insts.len()
+    }
+
+    /// Block start addresses, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.spans.iter().map(|s| s.start)
+    }
+
+    /// Blocks in ascending start order.
+    pub fn values(&self) -> impl Iterator<Item = BasicBlock<'_>> + '_ {
+        (0..self.spans.len()).map(|i| self.view(i))
+    }
+
+    /// The block starting at `start`.
+    pub fn get(&self, start: u64) -> Option<BasicBlock<'_>> {
+        self.index_of(start).map(|i| self.view(i))
+    }
+
+    /// The block starting at `start`, which must exist.
+    ///
+    /// # Panics
+    ///
+    /// If no block starts at `start`.
+    pub fn at(&self, start: u64) -> BasicBlock<'_> {
+        self.get(start)
+            .unwrap_or_else(|| panic!("no block starts at {start:#x}"))
+    }
+
+    /// Does a block start at `start`?
+    pub fn contains_key(&self, start: u64) -> bool {
+        self.index_of(start).is_some()
+    }
+
+    /// The position of the block starting at `start` in start order.
+    pub(crate) fn index_of(&self, start: u64) -> Option<usize> {
+        self.spans.binary_search_by_key(&start, |s| s.start).ok()
+    }
+
+    /// The latest-starting block that contains `addr`. Overlapping code
+    /// can put a short block that starts later inside a longer one, so
+    /// the lookup walks back past blocks that start at or before `addr`
+    /// but end before it, until no earlier block reaches `addr`.
+    pub(crate) fn containing(&self, addr: u64) -> Option<BasicBlock<'_>> {
+        let upto = self.spans.partition_point(|s| s.start <= addr);
+        (0..upto)
+            .rev()
+            .take_while(|&i| self.spans[i].reach > addr)
+            .find(|&i| self.spans[i].end > addr)
+            .map(|i| self.view(i))
+    }
+
+    /// `(lowest start, highest end)` over the blocks, if there are any.
+    pub(crate) fn extent(&self) -> Option<(u64, u64)> {
+        Some((self.spans.first()?.start, self.spans.last()?.reach))
+    }
+
+    fn view(&self, i: usize) -> BasicBlock<'_> {
+        let s = &self.spans[i];
+        let (insts_end, edges_end) = match self.spans.get(i + 1) {
+            Some(next) => (next.insts, next.edges),
+            None => (self.insts.len(), self.edges.len()),
+        };
+        BasicBlock {
+            start: s.start,
+            end: s.end,
+            insts: &self.insts[s.insts..insts_end],
+            edges: &self.edges[s.edges..edges_end],
+        }
     }
 }
 
@@ -129,35 +270,81 @@ mod tests {
     use super::*;
     use rvdyn_isa::build;
 
-    fn block_of(addrs: &[u64]) -> BasicBlock {
-        let insts: Vec<_> = addrs
+    fn nops(addrs: &[u64]) -> Vec<Instruction> {
+        addrs
             .iter()
             .map(|&a| {
                 let mut i = build::nop();
                 i.address = a;
                 i
             })
-            .collect();
-        BasicBlock {
-            start: addrs[0],
-            end: addrs.last().unwrap() + 4,
-            insts,
-            edges: vec![Edge::out(EdgeKind::Return)],
-        }
+            .collect()
     }
 
     #[test]
-    fn split_moves_edges_to_tail() {
-        let mut b = block_of(&[0x100, 0x104, 0x108]);
-        let tail = b.split_at(0x104);
-        assert_eq!(b.start, 0x100);
-        assert_eq!(b.end, 0x104);
-        assert_eq!(b.insts.len(), 1);
-        assert_eq!(b.edges, vec![Edge::to(EdgeKind::Fallthrough, 0x104)]);
-        assert_eq!(tail.start, 0x104);
-        assert_eq!(tail.end, 0x10C);
-        assert_eq!(tail.insts.len(), 2);
-        assert_eq!(tail.edges, vec![Edge::out(EdgeKind::Return)]);
+    fn blocks_view_their_own_slices_of_the_arenas() {
+        let (a, b) = (nops(&[0x100, 0x104]), nops(&[0x108]));
+        let ret = [Edge::out(EdgeKind::Return)];
+        let fall = [Edge::to(EdgeKind::Fallthrough, 0x108)];
+        let blocks = Blocks::from_sorted(
+            [
+                BasicBlock {
+                    start: 0x100,
+                    end: 0x108,
+                    insts: &a,
+                    edges: &fall,
+                },
+                BasicBlock {
+                    start: 0x108,
+                    end: 0x10C,
+                    insts: &b,
+                    edges: &ret,
+                },
+            ]
+            .into_iter(),
+        );
+        assert_eq!(blocks.len(), 2);
+        assert_eq!(blocks.keys().collect::<Vec<_>>(), vec![0x100, 0x108]);
+        let head = blocks.at(0x100);
+        assert_eq!((head.start, head.end), (0x100, 0x108));
+        assert_eq!(head.insts, &a[..]);
+        assert_eq!(head.edges, &fall[..]);
+        assert_eq!(head.successors().collect::<Vec<_>>(), vec![0x108]);
+        let tail = blocks.at(0x108);
+        assert_eq!(tail.insts, &b[..]);
+        assert_eq!(tail.edges, &ret[..]);
+        assert!(tail.is_inst_boundary(0x108) && !tail.is_inst_boundary(0x10A));
+        assert!(blocks.get(0x104).is_none() && !blocks.contains_key(0x104));
+        assert_eq!(blocks.extent(), Some((0x100, 0x10C)));
+        assert_eq!(Blocks::default().extent(), None);
+    }
+
+    #[test]
+    fn containing_sees_past_a_shorter_later_block() {
+        // [0x1004, 0x1014) holds [0x100a, 0x100c), as overlapping code
+        // decodes: a lookup at 0x100c or 0x1010 must find the long block.
+        let span = |start, end| BasicBlock {
+            start,
+            end,
+            insts: &[],
+            edges: &[],
+        };
+        let blocks = Blocks::from_sorted(
+            [
+                span(0x1000, 0x1004),
+                span(0x1004, 0x1014),
+                span(0x100a, 0x100c),
+            ]
+            .into_iter(),
+        );
+        let at = |a| blocks.containing(a).map(|b| b.start);
+        assert_eq!(at(0x1000), Some(0x1000));
+        assert_eq!(at(0x1008), Some(0x1004));
+        assert_eq!(at(0x100a), Some(0x100a));
+        assert_eq!(at(0x100c), Some(0x1004));
+        assert_eq!(at(0x1010), Some(0x1004));
+        assert_eq!(at(0x1014), None);
+        assert_eq!(at(0x0ffc), None);
     }
 
     #[test]

@@ -1,62 +1,82 @@
 //! Functions: named CFG regions with entry, blocks, exits and loops.
 
-use crate::block::{BasicBlock, EdgeKind};
+use crate::block::{BasicBlock, Blocks, EdgeKind};
 use crate::loops::Loop;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// A function as discovered by ParseAPI: the set of blocks reachable from
 /// `entry` along intraprocedural edges.
+///
+/// The blocks are one [`Blocks`] collection, sorted by start, whose
+/// instructions and edges sit in two arenas that belong to the function.
+/// Natural loops are not part of the parse: [`Function::loops`] computes
+/// them on its first call and keeps them.
 #[derive(Debug, Clone)]
 pub struct Function {
     pub entry: u64,
     pub name: Option<String>,
-    /// Blocks keyed by start address.
-    pub blocks: BTreeMap<u64, BasicBlock>,
-    /// Entries of functions this one calls (directly or by tail call).
+    /// Blocks, sorted by start address.
+    pub blocks: Blocks,
+    /// Entries of functions this one calls (directly or by tail call),
+    /// ascending.
     pub callees: Vec<u64>,
-    /// Natural loops, computed by the parser once the CFG is complete.
-    pub loops: Vec<Loop>,
     /// True if any branch in the function was left unresolved (gaps may
     /// exist — §2's "parsing may leave gaps in the binary").
     pub has_unresolved: bool,
+    /// Natural loops, filled by the first [`Function::loops`] call.
+    loops: OnceLock<Vec<Loop>>,
 }
 
 impl Function {
-    pub fn new(entry: u64) -> Function {
+    /// Build a CFG by hand from block views, in any order; no two may
+    /// share a start. Their instructions and edges are copied into the
+    /// function's arenas.
+    pub fn from_blocks<'a>(
+        entry: u64,
+        blocks: impl IntoIterator<Item = BasicBlock<'a>>,
+    ) -> Function {
+        let mut blocks: Vec<BasicBlock<'a>> = blocks.into_iter().collect();
+        blocks.sort_by_key(|b| b.start);
+        assert!(
+            blocks.windows(2).all(|w| w[0].start < w[1].start),
+            "two blocks share a start"
+        );
+        Function::with_blocks(entry, Blocks::from_sorted(blocks.iter().copied()))
+    }
+
+    pub(crate) fn with_blocks(entry: u64, blocks: Blocks) -> Function {
         Function {
             entry,
             name: None,
-            blocks: BTreeMap::new(),
+            blocks,
             callees: Vec::new(),
-            loops: Vec::new(),
             has_unresolved: false,
+            loops: OnceLock::new(),
         }
     }
 
-    /// Address extent `[lowest block start, highest block end)`.
-    pub fn extent(&self) -> (u64, u64) {
-        let lo = self.blocks.keys().next().copied().unwrap_or(self.entry);
-        let hi = self
-            .blocks
-            .values()
-            .map(|b| b.end)
-            .max()
-            .unwrap_or(self.entry);
-        (lo, hi)
+    /// The function's natural loops, ordered by header. The first call
+    /// computes them with [`natural_loops`](crate::natural_loops); later
+    /// calls, from any thread, return the same slice.
+    pub fn loops(&self) -> &[Loop] {
+        self.loops.get_or_init(|| crate::loops::natural_loops(self))
     }
 
-    /// The block containing `addr`, if any.
-    pub fn block_containing(&self, addr: u64) -> Option<&BasicBlock> {
-        self.blocks
-            .range(..=addr)
-            .next_back()
-            .map(|(_, b)| b)
-            .filter(|b| b.contains(addr))
+    /// Address extent `[lowest block start, highest block end)`, or
+    /// `(entry, entry)` for a function with no blocks.
+    pub fn extent(&self) -> (u64, u64) {
+        self.blocks.extent().unwrap_or((self.entry, self.entry))
+    }
+
+    /// The latest-starting block containing `addr`, if any.
+    pub fn block_containing(&self, addr: u64) -> Option<BasicBlock<'_>> {
+        self.blocks.containing(addr)
     }
 
     /// Blocks whose terminator leaves the function (returns, tail calls,
     /// unresolved indirect jumps).
-    pub fn exit_blocks(&self) -> impl Iterator<Item = &BasicBlock> {
+    pub fn exit_blocks(&self) -> impl Iterator<Item = BasicBlock<'_>> {
         self.blocks.values().filter(|b| {
             b.edges.iter().any(|e| {
                 matches!(
@@ -67,8 +87,8 @@ impl Function {
         })
     }
 
-    /// Block start addresses of call sites (blocks with a Call edge).
-    pub fn call_sites(&self) -> impl Iterator<Item = &BasicBlock> {
+    /// Call-site blocks (blocks with a Call edge).
+    pub fn call_sites(&self) -> impl Iterator<Item = BasicBlock<'_>> {
         self.blocks
             .values()
             .filter(|b| b.edges.iter().any(|e| e.kind == EdgeKind::Call))
@@ -76,7 +96,7 @@ impl Function {
 
     /// Total instruction count.
     pub fn num_insts(&self) -> usize {
-        self.blocks.values().map(|b| b.insts.len()).sum()
+        self.blocks.num_insts()
     }
 
     /// Predecessor map (intraprocedural).
@@ -115,7 +135,7 @@ impl Function {
                 b.end,
                 b.insts.len()
             );
-            for e in &b.edges {
+            for e in b.edges {
                 let (style, color) = match e.kind {
                     EdgeKind::Taken => ("solid", "darkgreen"),
                     EdgeKind::NotTaken => ("solid", "firebrick"),
@@ -164,29 +184,18 @@ mod dot_tests {
 
     #[test]
     fn dot_output_is_wellformed() {
-        let mut f = Function::new(0x1000);
+        let taken = [
+            Edge::to(EdgeKind::Taken, 0x1008),
+            Edge::out(EdgeKind::Return),
+        ];
+        let block = |start, edges| BasicBlock {
+            start,
+            end: start + 4,
+            insts: &[],
+            edges,
+        };
+        let mut f = Function::from_blocks(0x1000, [block(0x1000, &taken[..]), block(0x1008, &[])]);
         f.name = Some("demo".into());
-        f.blocks.insert(
-            0x1000,
-            BasicBlock {
-                start: 0x1000,
-                end: 0x1004,
-                insts: vec![],
-                edges: vec![
-                    Edge::to(EdgeKind::Taken, 0x1008),
-                    Edge::out(EdgeKind::Return),
-                ],
-            },
-        );
-        f.blocks.insert(
-            0x1008,
-            BasicBlock {
-                start: 0x1008,
-                end: 0x100C,
-                insts: vec![],
-                edges: vec![],
-            },
-        );
         let dot = f.to_dot();
         assert!(dot.starts_with("digraph \"demo\""));
         assert!(dot.contains("\"b1000\" -> \"b1008\""));

@@ -2,8 +2,12 @@
 //!
 //! The rvdyn equivalent of Dyninst's *ParseAPI* (§3.2.3): traversal
 //! ("recursive descent") construction of an annotated CFG — functions,
-//! basic blocks, edges and natural loops — from the machine code of a
-//! mutatee.
+//! basic blocks and edges — from the machine code of a mutatee, with
+//! natural loops ([`loops`]) computed per function on first use.
+//!
+//! A [`Function`] holds its blocks in one [`Blocks`] collection sorted
+//! by start, with every block's instructions and edges in two arenas;
+//! a [`BasicBlock`] is a view into them.
 //!
 //! RISC-V specific machinery reproduced from the paper:
 //!
@@ -23,7 +27,8 @@
 //! * **Parallel parsing** ([`parallel`]): independent functions are parsed
 //!   concurrently over a shared batch [`worklist`], the "fast parallel
 //!   algorithm" §2 credits for gigabyte-scale binaries. The same worklist
-//!   drives the instrumenter's parallel plan phase in `rvdyn-patch`.
+//!   drives the instrumenter's parallel plan phase in `rvdyn-patch`. Each
+//!   worker keeps one [`ParseScratch`] for every function it parses.
 
 pub mod block;
 pub mod classify;
@@ -36,9 +41,9 @@ pub mod parser;
 pub mod source;
 pub mod worklist;
 
-pub use block::{BasicBlock, Edge, EdgeKind};
+pub use block::{BasicBlock, Blocks, Edge, EdgeKind};
 pub use classify::BranchPurpose;
 pub use function::Function;
 pub use loops::{dominators, loop_depths, natural_loops, nesting_depths, Loop};
-pub use parser::{CodeObject, ParseEvent, ParseOptions};
+pub use parser::{CodeObject, ParseEvent, ParseOptions, ParseScratch};
 pub use source::CodeSource;

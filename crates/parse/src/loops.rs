@@ -8,6 +8,10 @@
 //! what steers counters off hot back edges and onto cold loop-entry and
 //! exit edges.
 //!
+//! Nothing here runs during the parse. A function's loops are computed
+//! by the first [`Function::loops`] call, as Dyninst leaves loops to an
+//! analysis tools run over the CFG when they need it.
+//!
 //! The three analyses compose: [`reverse_postorder`] fixes an iteration
 //! order over the blocks reachable from the entry, [`dominators`] runs
 //! the Cooper–Harvey–Kennedy iterative data-flow algorithm over it, and
@@ -22,6 +26,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One `Loop` per header: multiple back edges into the same header (e.g.
 /// `continue` statements) merge into a single loop with several
 /// [`latches`](Loop::latches).
+///
+/// The parser builds none: [`Function::loops`] computes a function's
+/// loops with [`natural_loops`] the first time it is called and keeps
+/// them with the function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Loop {
     /// The unique entry block of the loop (target of its back edges).
@@ -60,8 +68,8 @@ const NONE: usize = usize::MAX;
 impl Cfg {
     fn new(f: &Function) -> Cfg {
         let n = f.blocks.len();
-        let starts: Vec<u64> = f.blocks.keys().copied().collect();
-        let index = |a: u64| starts.binary_search(&a).ok();
+        let starts: Vec<u64> = f.blocks.keys().collect();
+        let index = |a: u64| f.blocks.index_of(a);
         let mut succ_off = Vec::with_capacity(n + 1);
         let mut succ = Vec::with_capacity(f.blocks.values().map(|b| b.edges.len()).sum());
         succ_off.push(0);
@@ -298,8 +306,8 @@ pub fn natural_loops(f: &Function) -> Vec<Loop> {
 /// the order of 10^`d` times per function invocation. Blocks absent from
 /// every loop body are still present in the map, at depth 0.
 ///
-/// Computes the loops from the CFG; [`nesting_depths`] counts over loops
-/// already at hand, such as the parser's [`Function::loops`].
+/// Computes the loops from the CFG every call; [`nesting_depths`] counts
+/// over loops already at hand, such as those [`Function::loops`] keeps.
 pub fn loop_depths(f: &Function) -> BTreeMap<u64, usize> {
     nesting_depths(f, &natural_loops(f))
 }
@@ -307,7 +315,7 @@ pub fn loop_depths(f: &Function) -> BTreeMap<u64, usize> {
 /// As [`loop_depths`], counting over the given natural loops of `f`
 /// instead of recomputing them.
 pub fn nesting_depths(f: &Function, loops: &[Loop]) -> BTreeMap<u64, usize> {
-    let mut depth: BTreeMap<u64, usize> = f.blocks.keys().map(|&b| (b, 0)).collect();
+    let mut depth: BTreeMap<u64, usize> = f.blocks.keys().map(|b| (b, 0)).collect();
     for l in loops {
         for b in &l.body {
             if let Some(d) = depth.get_mut(b) {
@@ -326,20 +334,22 @@ mod tests {
     /// Build a synthetic function from (start, successors) pairs; each
     /// block is 4 bytes.
     fn mk(entry: u64, shape: &[(u64, &[u64])]) -> Function {
-        let mut f = Function::new(entry);
-        for &(start, succs) in shape {
-            let edges = succs.iter().map(|&t| Edge::to(EdgeKind::Jump, t)).collect();
-            f.blocks.insert(
-                start,
-                BasicBlock {
+        let edges: Vec<Vec<Edge>> = shape
+            .iter()
+            .map(|(_, succs)| succs.iter().map(|&t| Edge::to(EdgeKind::Jump, t)).collect())
+            .collect();
+        Function::from_blocks(
+            entry,
+            shape
+                .iter()
+                .zip(&edges)
+                .map(|(&(start, _), edges)| BasicBlock {
                     start,
                     end: start + 4,
-                    insts: vec![],
+                    insts: &[],
                     edges,
-                },
-            );
-        }
-        f
+                }),
+        )
     }
 
     #[test]

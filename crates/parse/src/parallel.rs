@@ -13,7 +13,7 @@
 //! table never writes, so its workers never wait on one another there.
 
 use crate::function::Function;
-use crate::parser::{parse_function, CodeObject, ParseOptions};
+use crate::parser::{parse_function, CodeObject, ParseOptions, ParseScratch};
 use crate::source::CodeSource;
 use crate::worklist::Worklist;
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,6 +36,7 @@ pub fn parse_parallel<S: CodeSource + ?Sized>(
 
     let worker = || {
         let mut local: Vec<(u64, Function)> = Vec::new();
+        let mut scratch = ParseScratch::default();
         loop {
             let batch = wl.next_batch();
             if batch.is_empty() {
@@ -50,8 +51,8 @@ pub fn parse_parallel<S: CodeSource + ?Sized>(
                 let k = known.read().expect("known-entry lock poisoned");
                 for &entry in &batch {
                     if src.is_code(entry) {
-                        let (f, callees) = parse_function(src, entry, &k, opts);
-                        unseen.extend(callees.into_iter().filter(|c| !k.contains(c)));
+                        let f = parse_function(src, entry, &k, opts, &mut scratch);
+                        unseen.extend(f.callees.iter().filter(|c| !k.contains(c)));
                         local.push((entry, f));
                     }
                 }
@@ -165,9 +166,9 @@ mod tests {
             let pf = &par.functions[e];
             assert_eq!(f.blocks.len(), pf.blocks.len(), "{what}: function {e:#x}");
             assert_eq!(f.callees, pf.callees, "{what}: function {e:#x}");
-            assert_eq!(f.loops, pf.loops, "{what}: function {e:#x}");
-            for (s, b) in &f.blocks {
-                let pb = &pf.blocks[s];
+            assert_eq!(f.loops(), pf.loops(), "{what}: function {e:#x}");
+            for b in f.blocks.values() {
+                let pb = pf.blocks.at(b.start);
                 assert_eq!(b.edges, pb.edges);
                 assert_eq!(b.insts.len(), pb.insts.len());
             }
@@ -195,10 +196,15 @@ mod tests {
                     &format!("{name}, {t} threads"),
                 );
             }
-            // Every function carries its loops, computed once from the
-            // finished CFG; the seeded binary's f_i each hold one.
+            // Every function's loops are those of its finished CFG; the
+            // seeded binary's f_i each hold one.
             for f in seq.functions.values() {
-                assert_eq!(f.loops, natural_loops(f), "{name}: function {:#x}", f.entry);
+                assert_eq!(
+                    f.loops(),
+                    natural_loops(f),
+                    "{name}: function {:#x}",
+                    f.entry
+                );
             }
         }
         assert_eq!(
@@ -211,13 +217,13 @@ mod tests {
             seeded_co
                 .functions
                 .values()
-                .filter(|f| f.loops.len() == 1)
+                .filter(|f| f.loops().len() == 1)
                 .count(),
             300
         );
         let gap_co = parse_with(&hidden_src, 2, true);
         assert_eq!(gap_co.gap_functions, vec![hidden]);
-        assert_eq!(gap_co.functions[&hidden].loops.len(), 1);
+        assert_eq!(gap_co.functions[&hidden].loops().len(), 1);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The traversal parser (§3.2.3): worklist-driven CFG construction.
 
-use crate::block::{BasicBlock, Edge, EdgeKind};
+use crate::block::{BasicBlock, Blocks, Edge, EdgeKind};
 use crate::classify::{classify_branch, BranchPurpose};
 use crate::function::Function;
 use crate::source::CodeSource;
 use rvdyn_isa::decode::decode;
 use rvdyn_isa::{ControlFlow, Instruction};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::ops::Bound::{Excluded, Unbounded};
+use std::ops::Range;
 
 /// Parser configuration.
 #[derive(Debug, Clone)]
@@ -88,9 +88,10 @@ impl CodeObject {
             // Kept equal to the parsed entries, without a rebuild per
             // candidate.
             let mut known: BTreeSet<u64> = co.functions.keys().copied().collect();
+            let mut scratch = ParseScratch::default();
             for c in candidates {
                 if !co.functions.contains_key(&c) {
-                    let (f, _callees) = parse_function(src, c, &known, opts);
+                    let f = parse_function(src, c, &known, opts, &mut scratch);
                     if !f.blocks.is_empty() {
                         co.gap_functions.push(c);
                         co.functions.insert(c, f);
@@ -145,6 +146,7 @@ impl CodeObject {
         let mut co = CodeObject::default();
         let mut known = seed.clone();
         let mut worklist: VecDeque<u64> = seed.into_iter().collect();
+        let mut scratch = ParseScratch::default();
         while let Some(entry) = worklist.pop_front() {
             if co.functions.contains_key(&entry) {
                 continue;
@@ -152,8 +154,8 @@ impl CodeObject {
             if !src.is_code(entry) {
                 continue;
             }
-            let (f, callees) = parse_function(src, entry, &known, opts);
-            for c in callees {
+            let f = parse_function(src, entry, &known, opts, &mut scratch);
+            for &c in &f.callees {
                 if known.insert(c) {
                     worklist.push_back(c);
                 }
@@ -163,7 +165,9 @@ impl CodeObject {
         co
     }
 
-    /// The function containing `addr` (by extent).
+    /// The function with a block containing `addr`. Each function's
+    /// extent is kept with its blocks, so the scan over functions reads
+    /// one pair per function before it looks up a block.
     pub fn function_containing(&self, addr: u64) -> Option<&Function> {
         self.functions.values().find(|f| {
             let (lo, hi) = f.extent();
@@ -182,48 +186,105 @@ impl CodeObject {
     }
 }
 
-/// Parse one function by traversal from `entry`. Returns the function,
-/// with its natural loops computed over the finished CFG, and the
-/// call/tail-call targets discovered (new parse candidates).
+/// What the traversal needs while it parses one function, kept by
+/// whoever drives a parse (the sequential driver, each parallel worker,
+/// gap parsing) and handed to [`parse_function`] for every function it
+/// parses, so that these buffers are allocated once per parse rather
+/// than once per function or per block.
+#[derive(Debug, Default)]
+pub struct ParseScratch {
+    /// Block starts still to visit.
+    worklist: VecDeque<u64>,
+    /// The linear instruction history `jalr` classification slices:
+    /// every instruction of the blocks found so far, sorted and
+    /// deduplicated by address. Splits never change it; each new block
+    /// merges in once.
+    history: Vec<Instruction>,
+    /// The blocks found so far, sorted by start. Splitting one only
+    /// narrows ranges into the two buffers below.
+    blocks: Vec<Pending>,
+    /// Every decoded instruction, block by block in decode order; the
+    /// block being decoded is the run at the end.
+    insts: Vec<Instruction>,
+    /// Every block's edges, in the same way.
+    edges: Vec<Edge>,
+    /// Call and tail-call targets, sorted and deduplicated at the end.
+    callees: Vec<u64>,
+}
+
+/// A block under construction: its extent and its runs of
+/// [`ParseScratch::insts`] and [`ParseScratch::edges`].
+#[derive(Debug)]
+struct Pending {
+    start: u64,
+    end: u64,
+    insts: Range<usize>,
+    edges: Range<usize>,
+}
+
+/// Parse one function by traversal from `entry`. Its callees — the
+/// call and tail-call targets discovered, new parse candidates — are in
+/// [`Function::callees`]. Loops are left to [`Function::loops`].
 pub fn parse_function<S: CodeSource + ?Sized>(
     src: &S,
     entry: u64,
     known_entries: &BTreeSet<u64>,
     opts: &ParseOptions,
-) -> (Function, Vec<u64>) {
-    let mut f = Function::new(entry);
-    let mut callees: BTreeSet<u64> = BTreeSet::new();
-    let mut worklist: VecDeque<u64> = VecDeque::new();
+    scratch: &mut ParseScratch,
+) -> Function {
+    let ParseScratch {
+        worklist,
+        history,
+        blocks,
+        insts,
+        edges,
+        callees,
+    } = scratch;
+    worklist.clear();
+    history.clear();
+    blocks.clear();
+    insts.clear();
+    edges.clear();
+    callees.clear();
     worklist.push_back(entry);
     let mut inst_budget = opts.max_insts_per_function;
-
-    // The linear instruction history `jalr` classification slices: every
-    // instruction of the blocks found so far, sorted and deduplicated by
-    // address. Splits never change it; each new block merges in once.
-    let mut history: Vec<Instruction> = Vec::new();
+    let mut has_unresolved = false;
     // `f.extent()`, kept as blocks are added: (lowest start, highest
     // end), or `(entry, entry)` while there are no blocks.
     let mut extent = (entry, entry);
-    // The block being decoded; each finished block copies it out once.
-    let mut insts: Vec<Instruction> = Vec::new();
 
     while let Some(start) = worklist.pop_front() {
-        if f.blocks.contains_key(&start) {
+        // Where `start` goes among the blocks: `blocks[at]` is the first
+        // block that does not start before it.
+        let at = blocks.partition_point(|b| b.start < start);
+        if blocks.get(at).is_some_and(|b| b.start == start) {
             continue;
         }
-        // Target inside an existing block at an instruction boundary →
-        // split the block.
-        let enclosing = f
-            .blocks
-            .range(..start)
-            .next_back()
-            .filter(|(_, b)| b.contains(start))
-            .map(|(&s, _)| s);
-        if let Some(bs) = enclosing {
-            let b = f.blocks.get_mut(&bs).unwrap();
-            if b.is_inst_boundary(start) {
-                let tail = b.split_at(start);
-                f.blocks.insert(start, tail);
+        // Target inside the block that starts last before it, at an
+        // instruction boundary → split that block.
+        if let Some(b) = at
+            .checked_sub(1)
+            .map(|i| &mut blocks[i])
+            .filter(|b| start < b.end)
+        {
+            if let Some(k) = insts[b.insts.clone()]
+                .iter()
+                .position(|i| i.address == start)
+            {
+                // The head keeps the instructions before `start` and
+                // falls through to the tail, which takes the edges.
+                let split = b.insts.start + k;
+                let tail = Pending {
+                    start,
+                    end: b.end,
+                    insts: split..b.insts.end,
+                    edges: b.edges.clone(),
+                };
+                b.end = start;
+                b.insts.end = split;
+                b.edges = edges.len()..edges.len() + 1;
+                edges.push(Edge::to(EdgeKind::Fallthrough, start));
+                blocks.insert(at, tail);
                 continue;
             }
             // Misaligned target into the middle of an instruction:
@@ -233,24 +294,22 @@ pub fn parse_function<S: CodeSource + ?Sized>(
             continue;
         }
 
-        // Decode a new block. Blocks and known entries do not change
-        // while it decodes, so the first block start after `start` and
-        // the first known entry at or after it (other than `entry`) are
-        // looked up once, and again only when `pc` steps past them.
-        insts.clear();
+        // Decode a new block onto the end of `insts` and `edges`. Blocks
+        // and known entries do not change while it decodes, so the first
+        // block start after `start` and the first known entry at or after
+        // it (other than `entry`) are looked up once, and again only when
+        // `pc` steps past them.
+        let (first_inst, first_edge) = (insts.len(), edges.len());
         let mut in_history = false;
         let mut pc = start;
-        let mut edges: Vec<Edge> = Vec::new();
-        let mut next_block = f
-            .blocks
-            .range((Excluded(start), Unbounded))
-            .next()
-            .map(|(&s, _)| s);
+        let mut next_block = blocks.get(at).map(|b| b.start);
         let next_entry_from = |at: u64| known_entries.range(at..).find(|&&e| e != entry).copied();
         let mut next_entry = next_entry_from(start);
         loop {
             if next_block.is_some_and(|b| b < pc) {
-                next_block = f.blocks.range(pc..).next().map(|(&s, _)| s);
+                next_block = blocks
+                    .get(blocks.partition_point(|b| b.start < pc))
+                    .map(|b| b.start);
             }
             if next_block == Some(pc) {
                 // Ran into an existing block: end with fallthrough.
@@ -266,22 +325,22 @@ pub fn parse_function<S: CodeSource + ?Sized>(
                 // as an interprocedural fallthrough — a tail transfer —
                 // and do not claim the other function's code.
                 edges.push(Edge::to(EdgeKind::TailCall, pc));
-                callees.insert(pc);
+                callees.push(pc);
                 break;
             }
             if inst_budget == 0 {
-                f.has_unresolved = true;
+                has_unresolved = true;
                 break;
             }
             let Some(bytes) = src.bytes_at(pc, 4) else {
-                f.has_unresolved = true;
+                has_unresolved = true;
                 break;
             };
             let inst = match decode(bytes, pc) {
                 Ok(i) => i,
                 Err(_) => {
                     // Undecodable: end the block; mark unresolved.
-                    f.has_unresolved = true;
+                    has_unresolved = true;
                     break;
                 }
             };
@@ -315,11 +374,11 @@ pub fn parse_function<S: CodeSource + ?Sized>(
                     if link != rvdyn_isa::Reg::X0 {
                         edges.push(Edge::to(EdgeKind::Call, target));
                         edges.push(Edge::to(EdgeKind::CallFallthrough, next));
-                        callees.insert(target);
+                        callees.push(target);
                         worklist.push_back(next);
                     } else if target != entry && known_entries.contains(&target) {
                         edges.push(Edge::to(EdgeKind::TailCall, target));
-                        callees.insert(target);
+                        callees.push(target);
                     } else {
                         edges.push(Edge::to(EdgeKind::Jump, target));
                         worklist.push_back(target);
@@ -330,13 +389,13 @@ pub fn parse_function<S: CodeSource + ?Sized>(
                     // jalr: the six-rule classification with backward
                     // slicing needs the function's linear history, this
                     // block included.
-                    merge_history(&mut history, &insts);
+                    merge_history(history, &insts[first_inst..]);
                     in_history = true;
                     let at = history
                         .binary_search_by_key(&inst.address, |i| i.address)
                         .expect("terminator present in history");
                     let extent = (extent.0.min(start), extent.1.max(next));
-                    match classify_branch(&history, at, src, entry, extent, known_entries) {
+                    match classify_branch(history, at, src, entry, extent, known_entries) {
                         BranchPurpose::Jump { target } => {
                             edges.push(Edge::to(EdgeKind::Jump, target));
                             worklist.push_back(target);
@@ -344,7 +403,7 @@ pub fn parse_function<S: CodeSource + ?Sized>(
                         BranchPurpose::Call { target } => {
                             edges.push(Edge::to(EdgeKind::Call, target));
                             edges.push(Edge::to(EdgeKind::CallFallthrough, next));
-                            callees.insert(target);
+                            callees.push(target);
                             worklist.push_back(next);
                         }
                         BranchPurpose::IndirectCall => {
@@ -357,7 +416,7 @@ pub fn parse_function<S: CodeSource + ?Sized>(
                         }
                         BranchPurpose::TailCall { target } => {
                             edges.push(Edge::to(EdgeKind::TailCall, target));
-                            callees.insert(target);
+                            callees.push(target);
                         }
                         BranchPurpose::JumpTable { targets } => {
                             for t in targets {
@@ -367,34 +426,48 @@ pub fn parse_function<S: CodeSource + ?Sized>(
                         }
                         BranchPurpose::Unresolved => {
                             edges.push(Edge::out(EdgeKind::Unresolved));
-                            f.has_unresolved = true;
+                            has_unresolved = true;
                         }
                     }
                     break;
                 }
             }
         }
-        let Some(last) = insts.last() else {
+        let Some(last) = insts[first_inst..].last() else {
+            // Nothing decoded: no block, and its edges go too.
+            edges.truncate(first_edge);
             continue;
         };
         let end = last.next_pc();
         if !in_history {
-            merge_history(&mut history, &insts);
+            merge_history(history, &insts[first_inst..]);
         }
         extent = (extent.0.min(start), extent.1.max(end));
-        f.blocks.insert(
-            start,
-            BasicBlock {
+        blocks.insert(
+            at,
+            Pending {
                 start,
                 end,
-                insts: insts.to_vec(),
-                edges,
+                insts: first_inst..insts.len(),
+                edges: first_edge..edges.len(),
             },
         );
     }
-    f.callees = callees.iter().copied().collect();
-    f.loops = crate::loops::natural_loops(&f);
-    (f, callees.into_iter().collect())
+    // Write the function's arenas once, in block order.
+    let mut f = Function::with_blocks(
+        entry,
+        Blocks::from_sorted(blocks.iter().map(|b| BasicBlock {
+            start: b.start,
+            end: b.end,
+            insts: &insts[b.insts.clone()],
+            edges: &edges[b.edges.clone()],
+        })),
+    );
+    callees.sort_unstable();
+    callees.dedup();
+    f.callees = callees.clone();
+    f.has_unresolved = has_unresolved;
+    f
 }
 
 /// Merge one block's instructions (ascending by address) into the
@@ -445,13 +518,13 @@ mod tests {
         let co = parse_raw(a.finish().unwrap(), 0x1000, vec![0x1000]);
         let f = &co.functions[&0x1000];
         assert_eq!(f.blocks.len(), 3);
-        let b0 = &f.blocks[&0x1000];
+        let b0 = f.blocks.at(0x1000);
         assert_eq!(b0.edges.len(), 2);
         assert!(b0
             .edges
             .iter()
             .any(|e| e.kind == EdgeKind::Taken && e.target == Some(0x1008)));
-        let b2 = &f.blocks[&0x1008];
+        let b2 = f.blocks.at(0x1008);
         assert_eq!(b2.edges, vec![Edge::out(EdgeKind::Return)]);
     }
 
@@ -470,7 +543,7 @@ mod tests {
         assert_eq!(main.callees, vec![0x1008]);
         assert!(co.functions.contains_key(&0x1008));
         // The call block has Call + CallFallthrough edges.
-        let b = &main.blocks[&0x1000];
+        let b = main.blocks.at(0x1000);
         assert!(b
             .edges
             .iter()
@@ -494,12 +567,24 @@ mod tests {
         let f = &co.functions[&0x1000];
         // Blocks: [setup], [head..bne], [ret]
         assert_eq!(f.blocks.len(), 3);
-        assert!(f.blocks.contains_key(&0x1004));
-        let setup = &f.blocks[&0x1000];
+        assert!(f.blocks.contains_key(0x1004));
+        let setup = f.blocks.at(0x1000);
         assert_eq!(setup.edges, vec![Edge::to(EdgeKind::Fallthrough, 0x1004)]);
+        // The split moved the run's tail, with its branch edges, into
+        // the head block; the setup block kept one instruction.
+        let head = f.blocks.at(0x1004);
+        assert_eq!((setup.end, setup.insts.len()), (0x1004, 1));
+        assert_eq!((head.end, head.insts.len()), (0x100c, 2));
+        assert_eq!(
+            head.edges,
+            vec![
+                Edge::to(EdgeKind::Taken, 0x1004),
+                Edge::to(EdgeKind::NotTaken, 0x100c)
+            ]
+        );
         // And the function has one natural loop with header 0x1004.
-        assert_eq!(f.loops.len(), 1);
-        assert_eq!(f.loops[0].header, 0x1004);
+        assert_eq!(f.loops().len(), 1);
+        assert_eq!(f.loops()[0].header, 0x1004);
     }
 
     #[test]
@@ -510,7 +595,7 @@ mod tests {
         let f = &co.functions[&0x1000];
         assert!(f.has_unresolved);
         assert_eq!(
-            f.blocks[&0x1000].edges,
+            f.blocks.at(0x1000).edges,
             vec![Edge::out(EdgeKind::Unresolved)]
         );
     }
@@ -527,6 +612,6 @@ mod tests {
         let co = parse_raw(code, 0x1000, vec![0x1000]);
         let f = &co.functions[&0x1000];
         assert!(f.has_unresolved);
-        assert_eq!(f.blocks[&0x1000].insts.len(), 1);
+        assert_eq!(f.blocks.at(0x1000).insts.len(), 1);
     }
 }

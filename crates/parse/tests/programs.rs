@@ -22,8 +22,8 @@ fn matmul_has_exactly_eleven_basic_blocks() {
         f.blocks.keys().collect::<Vec<_>>()
     );
     // Three natural loops (i, j, k), properly nested.
-    assert_eq!(f.loops.len(), 3, "matmul has a triple loop nest");
-    let mut sizes: Vec<usize> = f.loops.iter().map(|l| l.body.len()).collect();
+    assert_eq!(f.loops().len(), 3, "matmul has a triple loop nest");
+    let mut sizes: Vec<usize> = f.loops().iter().map(|l| l.body.len()).collect();
     sizes.sort();
     // k-loop: head+body (2); j-loop adds head/store/inc blocks; i-loop more.
     assert!(
@@ -74,7 +74,7 @@ fn switch_jump_table_fully_resolved() {
     assert_eq!(targets.len(), 4);
     // Each case block ends in a return.
     for t in targets {
-        let b = f.blocks.get(&t).expect("case block parsed");
+        let b = f.blocks.get(t).expect("case block parsed");
         assert!(b.edges.iter().any(|e| e.kind == EdgeKind::Return));
     }
 }
@@ -98,7 +98,7 @@ fn tail_call_classified_and_target_is_function() {
     assert!(f.callees.contains(&g_addr));
     // double_it is its own function, not part of twice_plus1.
     assert!(co.functions.contains_key(&g_addr));
-    assert!(!f.blocks.contains_key(&g_addr));
+    assert!(!f.blocks.contains_key(g_addr));
 }
 
 #[test]
@@ -161,7 +161,7 @@ fn block_instruction_addresses_are_contiguous() {
     for f in co.functions.values() {
         for b in f.blocks.values() {
             let mut pc = b.start;
-            for i in &b.insts {
+            for i in b.insts {
                 assert_eq!(i.address, pc, "gap inside block at {pc:#x}");
                 pc += i.size as u64;
             }
@@ -183,7 +183,7 @@ fn every_intraprocedural_edge_lands_on_a_block() {
             for b in f.blocks.values() {
                 for s in b.successors() {
                     assert!(
-                        f.blocks.contains_key(&s),
+                        f.blocks.contains_key(s),
                         "edge {s:#x} from {:#x} dangles in {:?}",
                         b.start,
                         f.name
@@ -215,6 +215,6 @@ fn relative_jump_table_fully_resolved() {
         .collect();
     assert_eq!(targets.len(), 4);
     for t in targets {
-        assert!(f.blocks.contains_key(&t), "case block {t:#x} parsed");
+        assert!(f.blocks.contains_key(t), "case block {t:#x} parsed");
     }
 }

@@ -747,10 +747,10 @@ impl<'b> Instrumenter<'b> {
         let dead_entry = lv.dead_before(f, fe);
         let mut indirect: Vec<(u64, RegSet)> = Vec::new();
         for b in f.blocks.values() {
-            for e in &b.edges {
+            for e in b.edges {
                 if e.kind == EdgeKind::IndirectJump {
                     if let Some(t) = e.target {
-                        if f.blocks.contains_key(&t) {
+                        if f.blocks.contains_key(t) {
                             indirect.push((t, lv.dead_before(f, t)));
                         }
                     }
@@ -821,7 +821,7 @@ impl<'b> Instrumenter<'b> {
         // blocks start at branch targets whose original bytes must
         // survive, and an entry block that is itself an indirect-jump
         // target re-enters mid-patch if overwritten without coverage.
-        let entry_avail = match f.blocks.get(&fe) {
+        let entry_avail = match f.blocks.get(fe) {
             Some(b) => b.len_bytes() as usize,
             None => {
                 let (lo, hi) = f.extent();
@@ -835,7 +835,7 @@ impl<'b> Instrumenter<'b> {
         let sites = std::iter::once((fe, new_entry, entry_avail, plan.dead_entry)).chain(
             plan.indirect.iter().filter_map(|&(t, dead)| {
                 let nt = relocated_addr(&pairs, t)?;
-                Some((t, nt, f.blocks[&t].len_bytes() as usize, dead))
+                Some((t, nt, f.blocks.at(t).len_bytes() as usize, dead))
             }),
         );
         let registered = batch.redirects.len();

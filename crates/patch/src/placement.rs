@@ -263,10 +263,10 @@ pub fn plan_block_counters_with_depths(
     f: &Function,
     depth: &BTreeMap<u64, usize>,
 ) -> Option<BlockCountPlan> {
-    if f.blocks.is_empty() || !f.blocks.contains_key(&f.entry) {
+    if f.blocks.is_empty() || !f.blocks.contains_key(f.entry) {
         return None;
     }
-    if f.blocks.keys().any(|b| !depth.contains_key(b)) {
+    if f.blocks.keys().any(|b| !depth.contains_key(&b)) {
         return None;
     }
     // Every block must be reachable, else its flow equation is
@@ -275,12 +275,7 @@ pub fn plan_block_counters_with_depths(
         return None;
     }
 
-    let verts: Vec<u64> = f
-        .blocks
-        .keys()
-        .copied()
-        .chain(std::iter::once(EXIT))
-        .collect();
+    let verts: Vec<u64> = f.blocks.keys().chain(std::iter::once(EXIT)).collect();
     let vidx: BTreeMap<u64, usize> = verts.iter().enumerate().map(|(i, &b)| (b, i)).collect();
     let d = |b: u64| if b == EXIT { 0 } else { depth[&b] };
     // 10^d with a cap well below the virtual edge's weight.
@@ -291,7 +286,7 @@ pub fn plan_block_counters_with_depths(
     for b in f.blocks.values() {
         let mut intra: Vec<(EdgeKind, u64)> = Vec::new();
         let mut exits = 0usize;
-        for e in &b.edges {
+        for e in b.edges {
             match e.kind {
                 EdgeKind::IndirectJump | EdgeKind::Unresolved => return None,
                 EdgeKind::Return | EdgeKind::TailCall => exits += 1,
@@ -302,7 +297,7 @@ pub fn plan_block_counters_with_depths(
                 | EdgeKind::Taken
                 | EdgeKind::NotTaken => {
                     let t = e.target?;
-                    if !f.blocks.contains_key(&t) {
+                    if !f.blocks.contains_key(t) {
                         return None;
                     }
                     intra.push((e.kind, t));
@@ -503,21 +498,26 @@ mod tests {
     /// Build a synthetic function; each block is 4 bytes with one `nop`
     /// so branch points have a `last_inst`.
     fn mk(entry: u64, shape: &[(u64, Vec<Edge>)]) -> Function {
-        let mut f = Function::new(entry);
-        for (start, edges) in shape {
-            let mut inst = rvdyn_isa::build::nop();
-            inst.address = *start;
-            f.blocks.insert(
-                *start,
-                BasicBlock {
+        let nops: Vec<_> = shape
+            .iter()
+            .map(|(start, _)| {
+                let mut inst = rvdyn_isa::build::nop();
+                inst.address = *start;
+                inst
+            })
+            .collect();
+        Function::from_blocks(
+            entry,
+            shape
+                .iter()
+                .zip(&nops)
+                .map(|((start, edges), inst)| BasicBlock {
                     start: *start,
                     end: *start + 4,
-                    insts: vec![inst],
-                    edges: edges.clone(),
-                },
-            );
-        }
-        f
+                    insts: std::slice::from_ref(inst),
+                    edges,
+                }),
+        )
     }
 
     fn jump(t: u64) -> Edge {
@@ -548,7 +548,7 @@ mod tests {
             let mut cur = f.entry;
             loop {
                 *counts.entry(cur).or_default() += 1;
-                let b = &f.blocks[&cur];
+                let b = f.blocks.at(cur);
                 let intra: Vec<&Edge> = b
                     .edges
                     .iter()
@@ -590,7 +590,7 @@ mod tests {
             })
             .collect();
         // Blocks never reached still need an entry for comparison.
-        for &b in f.blocks.keys() {
+        for b in f.blocks.keys() {
             counts.entry(b).or_default();
         }
         (counts, counters)

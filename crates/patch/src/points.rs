@@ -64,7 +64,7 @@ pub fn find_points(f: &Function, kind: PointKind) -> Vec<Point> {
             }
         }
         PointKind::BlockEntry => {
-            for &s in f.blocks.keys() {
+            for s in f.blocks.keys() {
                 pts.push(Point {
                     func: f.entry,
                     addr: s,
@@ -85,7 +85,7 @@ pub fn find_points(f: &Function, kind: PointKind) -> Vec<Point> {
         }
         PointKind::PostCall => {
             for b in f.call_sites() {
-                for e in &b.edges {
+                for e in b.edges {
                     if e.kind == EdgeKind::CallFallthrough {
                         if let Some(t) = e.target {
                             pts.push(Point {
@@ -99,9 +99,9 @@ pub fn find_points(f: &Function, kind: PointKind) -> Vec<Point> {
             }
         }
         PointKind::LoopBackEdge => {
-            for l in &f.loops {
+            for l in f.loops() {
                 for &latch in &l.latches {
-                    if let Some(b) = f.blocks.get(&latch) {
+                    if let Some(b) = f.blocks.get(latch) {
                         if let Some(last) = b.last_inst() {
                             pts.push(Point {
                                 func: f.entry,
@@ -164,7 +164,7 @@ mod tests {
         let pts = find_points(&f, PointKind::BlockEntry);
         assert_eq!(pts.len(), 11, "§4.1: 11 instrumentation points");
         for p in &pts {
-            assert!(f.blocks.contains_key(&p.addr));
+            assert!(f.blocks.contains_key(p.addr));
         }
     }
 

@@ -519,7 +519,7 @@ impl Builder {
         let mut blocks = f.blocks.values().peekable();
         while let Some(b) = blocks.next() {
             let last = b.last_inst().map(|l| l.address);
-            for inst in &b.insts {
+            for inst in b.insts {
                 if let Some(snip) = insertions.before.get(&inst.address) {
                     if !snip.is_empty() {
                         self.push_insts(Some(inst.address), snip);
@@ -590,7 +590,7 @@ impl Builder {
             });
             if let Some(t) = ft {
                 let next_start = blocks.peek().map(|nb| nb.start);
-                if next_start != Some(t) && f.blocks.contains_key(&t) {
+                if next_start != Some(t) && f.blocks.contains_key(t) {
                     let target = Target::Unmapped(t);
                     self.push(
                         None,

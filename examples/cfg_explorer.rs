@@ -18,13 +18,15 @@ fn explore(name: &str, bin: &rvdyn::Binary) {
     let co = CodeObject::parse(bin, &ParseOptions::default());
     for f in co.functions.values() {
         let (lo, hi) = f.extent();
+        // `loops()` computes the function's natural loops on this first
+        // call; the parse leaves them to whoever reads them.
         println!(
             "\nfunction {} @ {:#x}..{:#x}: {} blocks, {} loops{}",
             f.name.as_deref().unwrap_or("<anon>"),
             lo,
             hi,
             f.blocks.len(),
-            f.loops.len(),
+            f.loops().len(),
             if f.has_unresolved {
                 " (has unresolved flow)"
             } else {
@@ -40,10 +42,10 @@ fn explore(name: &str, bin: &rvdyn::Binary) {
                 b.end,
                 dead.intersect(rvdyn_isa::RegSet::ALL_GPR).len()
             );
-            for i in &b.insts {
+            for i in b.insts {
                 println!("    {:#8x}:  {}", i.address, format_instruction(i));
             }
-            for e in &b.edges {
+            for e in b.edges {
                 match (e.kind, e.target) {
                     (EdgeKind::Return, _) => println!("      └─ return"),
                     (k, Some(t)) => println!("      └─ {k:?} → {t:#x}"),
@@ -51,7 +53,7 @@ fn explore(name: &str, bin: &rvdyn::Binary) {
                 }
             }
         }
-        for l in &f.loops {
+        for l in f.loops() {
             println!(
                 "  loop: header {:#x}, {} blocks, latches {:?}",
                 l.header,

@@ -13,10 +13,11 @@ fn main() {
     let bin = rvdyn_asm::matmul_program(n, 1);
     let mut ed = BinaryEditor::from_binary(bin, SessionOptions::default());
 
-    // One counter per natural loop of matmul, attached to its latch.
+    // One counter per natural loop of matmul, attached to its latch. The
+    // loops are computed on this first request and kept with the function.
     let mm_entry = ed.function_addr("matmul").unwrap();
     let loops: Vec<(u64, usize)> = ed.code().functions[&mm_entry]
-        .loops
+        .loops()
         .iter()
         .map(|l| (l.header, l.body.len()))
         .collect();

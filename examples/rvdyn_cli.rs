@@ -173,7 +173,7 @@ fn main() {
                     f.name.as_deref().unwrap_or("?"),
                     hi - lo,
                     f.blocks.len(),
-                    f.loops.len()
+                    f.loops().len()
                 );
             }
             println!("--- pipeline diagnostics ---");
@@ -186,7 +186,7 @@ fn main() {
                     let addr = ed.function_addr(name).unwrap_or_else(die);
                     let f = &ed.code().functions[&addr];
                     for b in f.blocks.values() {
-                        for i in &b.insts {
+                        for i in b.insts {
                             println!(
                                 "{:#10x}:  {}",
                                 i.address,
@@ -212,14 +212,14 @@ fn main() {
             }
             for b in f.blocks.values() {
                 println!("block {:#x}..{:#x}", b.start, b.end);
-                for e in &b.edges {
+                for e in b.edges {
                     match e.target {
                         Some(t) => println!("  {:?} → {:#x}", e.kind, t),
                         None => println!("  {:?}", e.kind),
                     }
                 }
             }
-            for l in &f.loops {
+            for l in f.loops() {
                 println!("loop header {:#x}: {} blocks", l.header, l.body.len());
             }
         }

@@ -12,8 +12,8 @@ use common::{ProgramStrategy, Stmt};
 use proptest::prelude::*;
 use rvdyn::telemetry::CollectSink;
 use rvdyn::{
-    AnalysisCache, AnalysisKey, BinaryEditor, ParseOptions, PointKind, Session, SessionOptions,
-    Snippet, TelemetryEvent,
+    AnalysisCache, AnalysisKey, BinaryEditor, CounterPlacement, ParseOptions, PointKind, Session,
+    SessionOptions, Snippet, TelemetryEvent,
 };
 use rvdyn_symtab::{Binary, Section};
 use std::sync::Arc;
@@ -166,29 +166,49 @@ fn cache_evicts_least_recently_used_at_capacity() {
 fn concurrent_sessions_share_one_cached_analysis() {
     let elf = common::stmt_program(&base_stmts(), 21).to_bytes().unwrap();
     let cache = AnalysisCache::new(4);
+    // Half the sessions count `work`'s blocks under optimal placement,
+    // which reads the function's natural loops: the first such read
+    // computes them in the shared analysis, whichever thread makes it.
+    let optimal = || SessionOptions::new().counter_placement(CounterPlacement::Optimal);
+    let count_blocks = |ed: &mut BinaryEditor| {
+        ed.count_blocks("work").unwrap();
+        ed.instrumented().unwrap().binary.to_bytes().unwrap()
+    };
+    let sequential = count_blocks(&mut Session::open_with(&elf, optimal()).unwrap());
+    let start = std::sync::Barrier::new(8);
 
-    let counters: Vec<u64> = std::thread::scope(|scope| {
+    let (counters, rewrites): (Vec<_>, Vec<_>) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let (elf, cache) = (&elf, &cache);
+            .map(|i| {
+                let (elf, cache, start) = (&elf, &cache, &start);
                 scope.spawn(move || {
+                    if i % 2 == 1 {
+                        let mut ed = BinaryEditor::open_cached(elf, optimal(), cache).unwrap();
+                        start.wait();
+                        return (None, Some(count_blocks(&mut ed)));
+                    }
                     let mut ed =
                         BinaryEditor::open_cached(elf, SessionOptions::default(), cache).unwrap();
+                    start.wait();
                     let c = ed.alloc_var(8);
                     let pts = ed.find_points("work", PointKind::FuncEntry).unwrap();
                     ed.insert(&pts, Snippet::increment(c));
                     let out = ed.instrument_and_run(100_000_000).unwrap();
                     assert_eq!(out.exit_code, 0);
-                    out.read_u64(c.addr).unwrap()
+                    (Some(out.read_u64(c.addr).unwrap()), None)
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles.into_iter().map(|h| h.join().unwrap()).unzip()
     });
 
+    let counters: Vec<u64> = counters.into_iter().flatten().collect();
+    assert_eq!(counters, vec![1; 4], "every session saw one call");
+    let rewrites: Vec<Vec<u8>> = rewrites.into_iter().flatten().collect();
+    assert_eq!(rewrites.len(), 4);
     assert!(
-        counters.iter().all(|&c| c == 1),
-        "every session saw one call"
+        rewrites.iter().all(|r| *r == sequential),
+        "optimal counting on the shared analysis rewrites as a sequential session does"
     );
     let stats = cache.stats();
     assert_eq!(stats.hits + stats.misses, 8);

@@ -72,21 +72,21 @@ fn digest(co: &CodeObject) -> u64 {
             h.u64(b.start);
             h.u64(b.end);
             h.u64(b.insts.len() as u64);
-            for i in &b.insts {
+            for i in b.insts {
                 h.u64(i.address);
                 h.u64(i.raw as u64);
                 h.u64(lv.live_before(f, i.address).0);
             }
             h.u64(b.edges.len() as u64);
-            for e in &b.edges {
+            for e in b.edges {
                 h.str(&format!("{:?}", e.kind));
                 h.u64(e.target.map_or(u64::MAX, |t| t));
             }
             h.u64(lv.live_in(b.start).0);
             h.u64(lv.live_out(b.start).0);
         }
-        h.u64(f.loops.len() as u64);
-        for l in &f.loops {
+        h.u64(f.loops().len() as u64);
+        for l in f.loops() {
             h.u64(l.header);
             h.u64(l.body.len() as u64);
             for &b in &l.body {
@@ -328,14 +328,14 @@ fn front_half_digests_are_pinned() {
 /// blocks, never entering `removed`.
 fn reachable(f: &Function, removed: Option<u64>) -> BTreeSet<u64> {
     let mut seen = BTreeSet::new();
-    if Some(f.entry) == removed || !f.blocks.contains_key(&f.entry) {
+    if Some(f.entry) == removed || !f.blocks.contains_key(f.entry) {
         return seen;
     }
     let mut work = vec![f.entry];
     seen.insert(f.entry);
     while let Some(b) = work.pop() {
-        for s in f.blocks[&b].successors() {
-            if Some(s) != removed && f.blocks.contains_key(&s) && seen.insert(s) {
+        for s in f.blocks.at(b).successors() {
+            if Some(s) != removed && f.blocks.contains_key(s) && seen.insert(s) {
                 work.push(s);
             }
         }
@@ -361,7 +361,7 @@ fn oracle_loops(f: &Function) -> Vec<Loop> {
     let mut loops: BTreeMap<u64, Loop> = BTreeMap::new();
     for b in f.blocks.values() {
         for h in b.successors() {
-            if !f.blocks.contains_key(&h) || !live.contains(&b.start) || !dominates(h, b.start) {
+            if !f.blocks.contains_key(h) || !live.contains(&b.start) || !dominates(h, b.start) {
                 continue;
             }
             let l = loops.entry(h).or_insert_with(|| Loop {
@@ -390,7 +390,12 @@ fn suite_loops_match_the_dominance_oracle() {
     for (name, bin) in suite() {
         let co = CodeObject::parse(&bin, &ParseOptions::default());
         for f in co.functions.values() {
-            assert_eq!(f.loops, oracle_loops(f), "{name}: function {:#x}", f.entry);
+            assert_eq!(
+                f.loops(),
+                oracle_loops(f),
+                "{name}: function {:#x}",
+                f.entry
+            );
         }
     }
 }
@@ -406,7 +411,7 @@ proptest! {
         let bin = common::stmt_program(&stmts, seed);
         let co = CodeObject::parse(&bin, &ParseOptions::default());
         for f in co.functions.values() {
-            prop_assert_eq!(&f.loops, &oracle_loops(f), "function {:#x}", f.entry);
+            prop_assert_eq!(f.loops(), &oracle_loops(f), "function {:#x}", f.entry);
         }
     }
 }

@@ -66,7 +66,7 @@ fn matmul_plan_pins_four_cold_counters() {
 
     // Every site lands on a single-successor block (the three loop
     // latches and the function exit) — no branch-edge probes needed.
-    let blocks: Vec<u64> = f.blocks.keys().copied().collect();
+    let blocks: Vec<u64> = f.blocks.keys().collect();
     let site_blocks: Vec<u64> = plan
         .sites
         .iter()
@@ -282,20 +282,27 @@ fn lower(stmts: &[Stmt]) -> Lowered {
         .get_mut(&exit)
         .unwrap()
         .push(Edge::out(EdgeKind::Return));
-    let mut f = Function::new(entry);
-    for (start, edges) in b.blocks {
-        let mut inst = rvdyn_isa::build::nop();
-        inst.address = start;
-        f.blocks.insert(
-            start,
-            BasicBlock {
+    let nops: Vec<_> = b
+        .blocks
+        .keys()
+        .map(|&start| {
+            let mut inst = rvdyn_isa::build::nop();
+            inst.address = start;
+            inst
+        })
+        .collect();
+    let f = Function::from_blocks(
+        entry,
+        b.blocks
+            .iter()
+            .zip(&nops)
+            .map(|((&start, edges), inst)| BasicBlock {
                 start,
                 end: start + 4,
-                insts: vec![inst],
+                insts: std::slice::from_ref(inst),
                 edges,
-            },
-        );
-    }
+            }),
+    );
     Lowered {
         func: f,
         headers: b.headers,
@@ -318,7 +325,7 @@ fn simulate(
             .wrapping_add(1442695040888963407);
         (rng >> 33) & 1 == 0
     };
-    let mut counts: BTreeMap<u64, u64> = f.blocks.keys().map(|&b| (b, 0)).collect();
+    let mut counts: BTreeMap<u64, u64> = f.blocks.keys().map(|b| (b, 0)).collect();
     let mut taken: BTreeMap<u64, u64> = BTreeMap::new();
     let mut not_taken: BTreeMap<u64, u64> = BTreeMap::new();
     let mut steps = 0u64;
@@ -327,7 +334,7 @@ fn simulate(
         loop {
             *counts.get_mut(&cur).unwrap() += 1;
             steps += 1;
-            let b = &f.blocks[&cur];
+            let b = f.blocks.at(cur);
             let intra: Vec<&Edge> = b
                 .edges
                 .iter()

@@ -67,7 +67,7 @@ fn check_every_block_rewrite(bin: Binary, what: &str) {
     for fe in &entries {
         for b in ed.code().functions[fe].blocks.values() {
             starts.insert(b.start);
-            for i in &b.insts {
+            for i in b.insts {
                 orig.insert(i.address, *i);
             }
         }
@@ -191,24 +191,25 @@ fn at(addr: u64, size: u8, i: Instruction) -> Instruction {
 /// code `parse_function` admits for misaligned branch targets.
 fn overlapping_function() -> Function {
     let t0 = Reg::x(5);
-    let block = |start: u64, insts: Vec<Instruction>| BasicBlock {
-        start,
-        end: 0x100c,
-        insts,
-        edges: vec![Edge::out(EdgeKind::Return)],
-    };
+    let ret = [Edge::out(EdgeKind::Return)];
     let shared = [
         at(0x1004, 4, build::addi(t0, t0, 2)),
         at(0x1008, 4, build::ret()),
     ];
-    let mut f = Function::new(0x1000);
     let mut first = vec![at(0x1000, 4, build::addi(t0, Reg::X0, 1))];
     first.extend(shared);
     let mut second = vec![at(0x1002, 2, build::addi(t0, t0, 3))];
     second.extend(shared);
-    f.blocks.insert(0x1000, block(0x1000, first));
-    f.blocks.insert(0x1002, block(0x1002, second));
-    f
+    let block = |start, insts| BasicBlock {
+        start,
+        end: 0x100c,
+        insts,
+        edges: &ret,
+    };
+    Function::from_blocks(
+        0x1000,
+        [block(0x1000, &first[..]), block(0x1002, &second[..])],
+    )
 }
 
 #[test]

@@ -39,7 +39,7 @@ fn entry_block_is_indirect_target_with_compressed_straddle() {
     let spin = spin_entry(&co);
     let f = &co.functions[&spin];
 
-    let entry_block = &f.blocks[&f.entry];
+    let entry_block = f.blocks.at(f.entry);
     assert_eq!(entry_block.insts[0].size, 2, "entry opens compressed");
     assert_eq!(entry_block.insts[1].size, 2, "second inst compressed");
 

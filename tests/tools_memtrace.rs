@@ -405,7 +405,7 @@ fn multi_access_segments(bin: &Binary, pcs: &[u64]) -> Vec<Vec<u64>> {
     for f in dy.code().functions.values() {
         for b in f.blocks.values() {
             let mut seg: Vec<u64> = Vec::new();
-            for inst in &b.insts {
+            for inst in b.insts {
                 if matches!(inst.op, rvdyn_isa::Op::Ecall | rvdyn_isa::Op::Ebreak) {
                     segments.push(std::mem::take(&mut seg));
                 } else if pcs.contains(&inst.address) {
@@ -488,7 +488,7 @@ fn a_counter_inside_a_run_keeps_its_count_and_the_trace() {
         let inside = f
             .blocks
             .values()
-            .flat_map(|b| &b.insts)
+            .flat_map(|b| b.insts)
             .find(|i| i.address > run[1] && i.address < run[11] && !run.contains(&i.address))
             .expect("a non-access inside the run")
             .address;
@@ -549,7 +549,7 @@ fn no_run_reaches_past_the_leaf_ebreak() {
             .code()
             .functions
             .values()
-            .flat_map(|f| f.blocks.values().flat_map(|b| &b.insts))
+            .flat_map(|f| f.blocks.values().flat_map(|b| b.insts))
             .filter(|i| i.op == rvdyn_isa::Op::Ebreak)
             .map(|i| i.address)
             .collect();
