@@ -1,21 +1,24 @@
 //! The immutable, shareable front half of the instrumentation pipeline.
 //!
 //! Every instrumentation request against the same binary repeats the
-//! same work: model the ELF, build the CFG and find its natural loops.
+//! same work: model the ELF, build the CFG, and solve the dataflow facts
+//! (natural loops, liveness, stack heights) of the functions it touches.
 //! None of that depends on *what* is being instrumented — it is a pure
 //! function of the binary's content — so a service handling many
 //! requests against few binaries should do it once. This module splits
 //! the pipeline accordingly:
 //!
 //! * [`Analysis`] — the complete front-half artifact (binary model +
-//!   CFG with each function's loops + function-name index + the direct
-//!   call sites by callee), immutable and shared behind an `Arc`. Any
-//!   number of concurrent [`Session`](crate::Session)s can run their
-//!   request-specific back halves (liveness of the functions they
-//!   instrument, placement, lowering, layout, delivery) against one
-//!   `Arc<Analysis>` from different threads. Liveness is solved in the
-//!   plan phase, for the functions a request instruments only, because
-//!   a request touches a handful of a binary's functions.
+//!   CFG + function-name index + the direct call sites by callee),
+//!   immutable and shared behind an `Arc`. Any number of concurrent
+//!   [`Session`](crate::Session)s can run their request-specific back
+//!   halves (placement, lowering, layout, delivery) against one
+//!   `Arc<Analysis>` from different threads. A function's loops,
+//!   liveness and stack heights are solved by their first reader — a
+//!   request's plan phase, a tool, a stack walk — and kept in the
+//!   function ([`Function::liveness`](rvdyn_parse::Function::liveness)),
+//!   so each is solved once per analysis, for the functions something
+//!   reads only: a request touches a handful of a binary's functions.
 //! * [`AnalysisKey`] — a SHA-256 over the binary's *semantic* content:
 //!   the entry point, the ISA profile material, allocatable section
 //!   bytes ordered by address (a zero-filled NOBITS section by its
@@ -405,15 +408,15 @@ pub struct AnalysisTimings {
 }
 
 /// The immutable front half of the pipeline for one binary: the binary
-/// model, its CFG with every function's natural loops, the
-/// function-name index, and the direct call sites by callee. Construct
-/// with [`Analysis::compute`] (or through an [`AnalysisCache`]) and
-/// share behind an `Arc` — every
+/// model, its CFG, the function-name index, and the direct call sites by
+/// callee. Construct with [`Analysis::compute`] (or through an
+/// [`AnalysisCache`]) and share behind an `Arc` — every
 /// [`Session::from_analysis`](crate::Session::from_analysis) against the
 /// same artifact skips the ELF modelling and CFG construction entirely,
-/// from any number of threads at once. Per-function liveness is not
-/// part of it: the plan phase solves it for the functions a request
-/// instruments.
+/// from any number of threads at once. Each function's natural loops,
+/// liveness and stack heights are filled in by their first reader and
+/// shared by every holder of the `Arc` after it, so an analysis holds
+/// the facts of every function its requests, tools and walks read.
 pub struct Analysis {
     /// The content address: set by a cache that computed it for the
     /// lookup, else computed on the first [`Analysis::key`] call.

@@ -11,8 +11,8 @@
 //! * the **front half** (binary model, CFG, natural loops) is computed
 //!   once and shared behind the session's `Arc<Analysis>` — N copies of
 //!   the same binary parse exactly once;
-//! * the **plan** (liveness, snippet lowering, relocation,
-//!   springboards) is also computed once, on the controller's template
+//! * the **plan** (snippet lowering against the shared liveness,
+//!   relocation, springboards) is also computed once, on the controller's template
 //!   session, by the same code as the static
 //!   [`Session::instrumented`] — reusing the parallel plan phase and its
 //!   deterministic layout, so every process receives the same patch

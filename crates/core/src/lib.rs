@@ -13,7 +13,7 @@
 //! | SymtabAPI        | `rvdyn-symtab`     |
 //! | InstructionAPI   | `rvdyn-isa`        |
 //! | ParseAPI         | `rvdyn-parse`      |
-//! | DataflowAPI      | `rvdyn-dataflow`   |
+//! | DataflowAPI      | `rvdyn-parse` (`rvdyn-dataflow` re-exports it) |
 //! | CodeGenAPI       | `rvdyn-codegen`    |
 //! | PatchAPI         | `rvdyn-patch`      |
 //! | ProcControlAPI   | `rvdyn-proccontrol`|
@@ -108,10 +108,11 @@ pub use tools::{
 // Re-export the component APIs under their Dyninst-flavoured names.
 pub use rvdyn_codegen::regalloc::RegAllocMode;
 pub use rvdyn_codegen::snippet::{BinaryOp, Snippet, UnaryOp, Var};
-pub use rvdyn_dataflow::{backward_slice, forward_slice, Liveness, StackHeight};
 pub use rvdyn_emu::{CostModel, EmuEngine, Machine, StopReason};
 pub use rvdyn_isa::{decode, IsaProfile, Reg};
-pub use rvdyn_parse::{CodeObject, EdgeKind, Function, ParseEvent, ParseOptions};
+pub use rvdyn_parse::{
+    CodeObject, EdgeKind, Function, Liveness, ParseEvent, ParseOptions, StackHeight,
+};
 pub use rvdyn_patch::{
     audit_redirect_coverage, clobbered_addresses, find_points, plan_block_counters, BlockCountPlan,
     CounterPlacement, CounterSite, InstrumentError, PatchEvent, PatchLayout, Point, PointKind,

@@ -14,6 +14,11 @@
 //!   [`DynamicInstrumenter`](crate::DynamicInstrumenter) is a fleet of
 //!   one.
 //!
+//! The dataflow facts those stages read — a function's loops, liveness
+//! and stack heights — are not the session's: they sit in the functions
+//! of its shared [`Analysis`], solved by their first reader, so a
+//! session over a cached analysis reads what earlier sessions solved.
+//!
 //! Configuration happens up front through the [`SessionOptions`] builder:
 //! patch layout, register-allocation mode, parse options, the
 //! conservative-relocation policy, the telemetry sink, the execution
@@ -44,9 +49,9 @@ use crate::telemetry::{
 use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
 use rvdyn_emu::{EmuEngine, EmuEvent};
-use rvdyn_parse::{nesting_depths, CodeObject, EdgeKind, ParseEvent, ParseOptions};
+use rvdyn_parse::{CodeObject, EdgeKind, ParseEvent, ParseOptions};
 use rvdyn_patch::instrument::PatchResult;
-use rvdyn_patch::placement::{plan_block_counters_with_depths, BlockCountPlan, CounterPlacement};
+use rvdyn_patch::placement::{plan_block_counters, BlockCountPlan, CounterPlacement};
 use rvdyn_patch::{find_points, Instrumenter, PatchEvent, PatchLayout, Point, PointKind};
 use rvdyn_proccontrol::ProcEvent;
 use rvdyn_symtab::Binary;
@@ -190,12 +195,13 @@ impl SessionOptions {
 /// ([`BinaryEditor`](crate::BinaryEditor)), and the template of every
 /// live one.
 ///
-/// The pipeline is two-phase: the *front half* — binary model, CFG,
-/// natural loops — is a pure function of the binary's content, computed
+/// The pipeline is two-phase: the *front half* — binary model, CFG, and
+/// each function's loops, liveness and stack heights, solved by their
+/// first reader — is a pure function of the binary's content, computed
 /// once as an [`Analysis`] and shared behind an `Arc` (see
 /// [`Session::from_analysis`] and [`AnalysisCache`]); the *back half* —
-/// placement, liveness of the instrumented functions, lowering, layout,
-/// delivery — is request-specific and lives on the session itself.
+/// placement, lowering, layout, delivery — is request-specific and lives
+/// on the session itself.
 pub struct Session {
     analysis: Arc<Analysis>,
     layout: PatchLayout,
@@ -493,11 +499,9 @@ impl Session {
         let blocks: Vec<u64> = f.blocks.keys().collect();
         let plan = match self.placement {
             CounterPlacement::EveryBlock => None,
-            // Depths count over the function's loops, computed by the
-            // first request that reads them and kept in the analysis.
-            CounterPlacement::Optimal => {
-                plan_block_counters_with_depths(f, &nesting_depths(f, f.loops()))
-            }
+            // The plan reads the function's loops, computed by the first
+            // request that reads them and kept in the analysis.
+            CounterPlacement::Optimal => plan_block_counters(f),
         };
 
         let counter = match plan {

@@ -73,10 +73,9 @@ use crate::session::Session;
 use crate::telemetry::TelemetryEvent;
 use rvdyn_codegen::regalloc::{RegAllocMode, CANDIDATES};
 use rvdyn_codegen::snippet::{BinaryOp, Snippet, Var};
-use rvdyn_dataflow::Liveness;
 use rvdyn_isa::{Instruction, Op, Reg, RegSet};
-use rvdyn_parse::{EdgeKind, Function};
-use rvdyn_patch::{Point, PointKind};
+use rvdyn_parse::{Function, Liveness};
+use rvdyn_patch::{springboard_sites, Point, PointKind, MAX_SPRINGBOARD_LEN};
 use std::collections::BTreeSet;
 
 /// Planning knobs for [`MemTracer`].
@@ -196,13 +195,13 @@ type Access<'a> = (&'a Instruction, u8, bool);
 /// Split one block's traceable accesses into runs, in order: each run
 /// with the register that carries its slot pointer, or `None` for a
 /// single record (every access, when there is no liveness `lv`).
-/// `guarded` is the end of the block's first 8 bytes when a redirect can
-/// enter them (else the block's start); `used` are registers earlier
-/// runs of the function chose, preferred so the function reserves as few
-/// as it can. Otherwise a run takes the free register the scratch
-/// allocator hands out first, so a snippet inside the run that the plan
-/// phase let take it as scratch would clobber it at once rather than
-/// only under register pressure.
+/// `guarded` is the end of the bytes a springboard may tear from the
+/// block's start when a redirect can enter them (else the block's
+/// start); `used` are registers earlier runs of the function chose,
+/// preferred so the function reserves as few as it can. Otherwise a run
+/// takes the free register the scratch allocator hands out first, so a
+/// snippet inside the run that the plan phase let take it as scratch
+/// would clobber it at once rather than only under register pressure.
 fn block_runs<'a>(
     f: &Function,
     lv: Option<&Liveness>,
@@ -280,21 +279,15 @@ impl MemTracer {
         for entry in &entries {
             let f = &code.functions[entry];
             // Without liveness no register is free, so no run forms.
-            let lv = batch.then(|| Liveness::analyze(f));
-            // Blocks a trap redirect can enter mid-way: the entry, and
-            // every indirect-jump target.
-            let redirected: BTreeSet<u64> = std::iter::once(f.entry)
-                .chain(f.blocks.values().flat_map(|b| {
-                    b.edges
-                        .iter()
-                        .filter(|e| e.kind == EdgeKind::IndirectJump)
-                        .filter_map(|e| e.target)
-                }))
-                .collect();
+            let lv = batch.then(|| f.liveness());
+            // Blocks a trap redirect can enter mid-way: the springboard
+            // sites.
+            let redirected: BTreeSet<u64> = springboard_sites(f).collect();
             let mut used = RegSet::EMPTY;
             for b in f.blocks.values() {
-                let guarded = b.start + if redirected.contains(&b.start) { 8 } else { 0 };
-                let split = block_runs(f, lv.as_ref(), b.insts, guarded, &mut used);
+                let torn = redirected.contains(&b.start);
+                let guarded = b.start + if torn { MAX_SPRINGBOARD_LEN } else { 0 };
+                let split = block_runs(f, lv, b.insts, guarded, &mut used);
                 runs.extend(split.into_iter().map(|(run, reg)| (f.entry, run, reg)));
             }
         }
@@ -685,8 +678,8 @@ mod tests {
         }
     }
 
-    /// One function at 0x1000 assembled by `build`, with its liveness.
-    fn parse_one(build: impl FnOnce(&mut rvdyn_asm::Assembler)) -> (Function, Liveness) {
+    /// One function at 0x1000 assembled by `build`.
+    fn parse_one(build: impl FnOnce(&mut rvdyn_asm::Assembler)) -> Function {
         let mut a = rvdyn_asm::Assembler::new(0x1000);
         build(&mut a);
         let src = rvdyn_parse::source::RawCode {
@@ -695,14 +688,12 @@ mod tests {
             entries: vec![0x1000],
         };
         let co = rvdyn_parse::CodeObject::parse(&src, &rvdyn_parse::ParseOptions::default());
-        let f = co.functions[&0x1000].clone();
-        let lv = Liveness::analyze(&f);
-        (f, lv)
+        co.functions[&0x1000].clone()
     }
 
     /// The runs of `f`'s entry block as `(access offsets, batched)`.
-    fn entry_runs(f: &Function, lv: &Liveness, guard: u64) -> Vec<(Vec<u64>, bool)> {
-        let b = f.blocks.at(0x1000);
+    fn entry_runs(f: &Function, guard: u64) -> Vec<(Vec<u64>, bool)> {
+        let (b, lv) = (f.blocks.at(0x1000), f.liveness());
         block_runs(f, Some(lv), b.insts, 0x1000 + guard, &mut RegSet::empty())
             .into_iter()
             .map(|(run, reg)| {
@@ -715,7 +706,7 @@ mod tests {
     #[test]
     fn runs_split_at_a_guard_an_ecall_and_a_lack_of_registers() {
         let (sp, a0, a1, t0) = (Reg::X2, Reg::x(10), Reg::x(11), Reg::x(5));
-        let (f, lv) = parse_one(|a| {
+        let f = parse_one(|a| {
             a.sd(a0, sp, 0);
             a.sd(a1, sp, 8);
             a.ld(t0, sp, 0);
@@ -726,15 +717,15 @@ mod tests {
         });
         // A redirect may enter the first 8 bytes: the access at 4 cannot
         // follow the one at 0, but it can start a run.
-        let runs = entry_runs(&f, &lv, 8);
+        let runs = entry_runs(&f, 8);
         assert_eq!(
             runs,
             [(vec![0], false), (vec![4, 8], true), (vec![16, 20], true)]
         );
-        assert_eq!(entry_runs(&f, &lv, 0)[0], (vec![0, 4, 8], true));
+        assert_eq!(entry_runs(&f, 0)[0], (vec![0, 4, 8], true));
 
         // Every scratch candidate is read before the run ends: no run.
-        let (f, lv) = parse_one(|a| {
+        let f = parse_one(|a| {
             a.sd(a0, sp, 0);
             for &n in &CANDIDATES {
                 a.addi(Reg::x(n), Reg::x(n), 1);
@@ -742,7 +733,7 @@ mod tests {
             a.ld(t0, sp, 0);
             a.ret();
         });
-        assert!(entry_runs(&f, &lv, 0).iter().all(|(_, batched)| !batched));
+        assert!(entry_runs(&f, 0).iter().all(|(_, batched)| !batched));
     }
 
     /// A ring of `cap` records with a run of three sites, then a single

@@ -1,7 +1,10 @@
-//! Functions: named CFG regions with entry, blocks, exits and loops.
+//! Functions: named CFG regions with entry, blocks, exits, and the
+//! dataflow facts solved over them on first use.
 
 use crate::block::{BasicBlock, Blocks, EdgeKind};
+use crate::liveness::Liveness;
 use crate::loops::Loop;
+use crate::stackheight::StackHeight;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -10,8 +13,10 @@ use std::sync::OnceLock;
 ///
 /// The blocks are one [`Blocks`] collection, sorted by start, whose
 /// instructions and edges sit in two arenas that belong to the function.
-/// Natural loops are not part of the parse: [`Function::loops`] computes
-/// them on its first call and keeps them.
+/// Natural loops, liveness and stack heights are not part of the parse:
+/// [`Function::loops`], [`Function::liveness`] and
+/// [`Function::stack_heights`] each solve theirs on the first call and
+/// keep it, so every holder of the parse shares one solution.
 #[derive(Debug, Clone)]
 pub struct Function {
     pub entry: u64,
@@ -26,6 +31,10 @@ pub struct Function {
     pub has_unresolved: bool,
     /// Natural loops, filled by the first [`Function::loops`] call.
     loops: OnceLock<Vec<Loop>>,
+    /// Filled by the first [`Function::liveness`] call.
+    liveness: OnceLock<Liveness>,
+    /// Filled by the first [`Function::stack_heights`] call.
+    stack_heights: OnceLock<Box<StackHeight>>,
 }
 
 impl Function {
@@ -53,6 +62,8 @@ impl Function {
             callees: Vec::new(),
             has_unresolved: false,
             loops: OnceLock::new(),
+            liveness: OnceLock::new(),
+            stack_heights: OnceLock::new(),
         }
     }
 
@@ -61,6 +72,21 @@ impl Function {
     /// calls, from any thread, return the same slice.
     pub fn loops(&self) -> &[Loop] {
         self.loops.get_or_init(|| crate::loops::natural_loops(self))
+    }
+
+    /// The function's register liveness. The first call solves it with
+    /// [`Liveness::analyze`]; later calls, from any thread, return the
+    /// same solution.
+    pub fn liveness(&self) -> &Liveness {
+        self.liveness.get_or_init(|| Liveness::analyze(self))
+    }
+
+    /// The function's stack heights. The first call solves them with
+    /// [`StackHeight::analyze`]; later calls, from any thread, return
+    /// the same solution.
+    pub fn stack_heights(&self) -> &StackHeight {
+        self.stack_heights
+            .get_or_init(|| Box::new(StackHeight::analyze(self)))
     }
 
     /// Address extent `[lowest block start, highest block end)`, or

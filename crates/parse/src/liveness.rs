@@ -17,9 +17,10 @@
 //! The *dead* set at an instrumentation point — the complement of live —
 //! is what CodeGenAPI's register allocator draws from (§4.3).
 
+use crate::block::EdgeKind;
 use crate::conventions::{arg_regs, callee_saved, caller_saved, ret_regs};
+use crate::function::Function;
 use rvdyn_isa::{Instruction, Reg, RegSet};
-use rvdyn_parse::{EdgeKind, Function};
 
 /// Per-instruction use/def honouring call/return conventions.
 fn use_def(inst: &Instruction, edges_kind: Option<EdgeKind>) -> (RegSet, RegSet) {
@@ -71,27 +72,27 @@ fn terminator_kind(f: &Function, inst: &Instruction) -> Option<EdgeKind> {
     .find(|&k| b.edges.iter().any(|e| e.kind == k))
 }
 
-/// The liveness solution for one function: live-in and live-out per
-/// block, in block (address) order.
+/// The liveness solution for one function: one `(start, live-in,
+/// live-out)` row per block, in block (address) order, in one chunk.
+///
+/// [`Function::liveness`] solves it on its first call and keeps it.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    starts: Vec<u64>,
-    live_in: Vec<RegSet>,
-    live_out: Vec<RegSet>,
+    rows: Box<[(u64, RegSet, RegSet)]>,
 }
 
 impl Liveness {
-    /// Solve liveness for `f`.
+    /// Solve liveness for `f`. The solution is one allocation; the
+    /// solver's scratch is freed before it returns.
     pub fn analyze(f: &Function) -> Liveness {
-        let starts: Vec<u64> = f.blocks.keys().collect();
-        let n = starts.len();
+        let n = f.blocks.len();
 
-        // Block use/def, function-exit liveness and successor indices.
-        let mut buse = Vec::with_capacity(n);
-        let mut bdef = Vec::with_capacity(n);
-        let mut exit_live = Vec::with_capacity(n);
+        // Block use, def and function-exit liveness, and successor
+        // indices; sized up front, so the only chunk that outlives the
+        // solve is the solution's.
+        let mut facts: Vec<(RegSet, RegSet, RegSet)> = Vec::with_capacity(n);
         let mut succ_off = Vec::with_capacity(n + 1);
-        let mut succ: Vec<usize> = Vec::new();
+        let mut succ = Vec::with_capacity(f.blocks.values().map(|b| b.edges.len()).sum());
         succ_off.push(0);
         for b in f.blocks.values() {
             // The terminator's kind comes from the latest-starting block
@@ -106,64 +107,63 @@ impl Liveness {
                 u = u.union(iu.minus(d));
                 d = d.union(id);
             }
-            buse.push(u);
-            bdef.push(d);
             // Function-exit boundary liveness: after a return or tail
             // call the post-exit set is empty (the terminator's uses
             // already count); after an unresolved transfer everything
             // is conservatively live.
             let unresolved = b.edges.iter().any(|e| e.kind == EdgeKind::Unresolved);
-            exit_live.push(if unresolved {
+            let exit = if unresolved {
                 RegSet::ALL
             } else {
                 RegSet::empty()
-            });
-            succ.extend(b.successors().filter_map(|t| starts.binary_search(&t).ok()));
+            };
+            facts.push((u, d, exit));
+            succ.extend(b.successors().filter_map(|t| f.blocks.index_of(t)));
             succ_off.push(succ.len());
         }
 
         // Iterate to fixpoint (blocks in reverse address order is a good
         // heuristic for mostly-forward layouts).
-        let mut live_in = vec![RegSet::empty(); n];
-        let mut live_out = vec![RegSet::empty(); n];
+        let mut rows: Vec<_> = f
+            .blocks
+            .keys()
+            .map(|s| (s, RegSet::empty(), RegSet::empty()))
+            .collect();
         let mut changed = true;
         while changed {
             changed = false;
             for i in (0..n).rev() {
-                let mut out = exit_live[i];
+                let (uses, defs, mut out) = facts[i];
                 for &s in &succ[succ_off[i]..succ_off[i + 1]] {
-                    out = out.union(live_in[s]);
+                    out = out.union(rows[s].1);
                 }
-                let inn = buse[i].union(out.minus(bdef[i]));
-                if out != live_out[i] {
-                    live_out[i] = out;
-                    changed = true;
-                }
-                if inn != live_in[i] {
-                    live_in[i] = inn;
+                let inn = uses.union(out.minus(defs));
+                let row = &mut rows[i];
+                if (inn, out) != (row.1, row.2) {
+                    (row.1, row.2) = (inn, out);
                     changed = true;
                 }
             }
         }
         Liveness {
-            starts,
-            live_in,
-            live_out,
+            rows: rows.into_boxed_slice(),
         }
+    }
+
+    /// The row of the block starting at `block`.
+    fn row(&self, block: u64) -> Option<&(u64, RegSet, RegSet)> {
+        let i = self.rows.binary_search_by_key(&block, |r| r.0).ok()?;
+        Some(&self.rows[i])
     }
 
     /// Live registers at block entry.
     pub fn live_in(&self, block: u64) -> RegSet {
-        self.starts
-            .binary_search(&block)
-            .map_or(RegSet::ALL, |i| self.live_in[i])
+        self.row(block).map_or(RegSet::ALL, |r| r.1)
     }
 
     /// Live registers at block exit.
     pub fn live_out(&self, block: u64) -> RegSet {
-        self.starts
-            .binary_search(&block)
-            .map_or(RegSet::ALL, |i| self.live_out[i])
+        self.row(block).map_or(RegSet::ALL, |r| r.2)
     }
 
     /// Live registers immediately **before** the instruction at `addr`.
@@ -205,15 +205,15 @@ impl Liveness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CodeObject, ParseOptions};
     use rvdyn_asm::Assembler;
-    use rvdyn_parse::{CodeObject, ParseOptions};
     use rvdyn_symtab::Binary;
 
     fn parse_one(build: impl FnOnce(&mut Assembler)) -> (Function, u64) {
         let mut a = Assembler::new(0x1000);
         build(&mut a);
         let code = a.finish().unwrap();
-        let src = rvdyn_parse::source::RawCode {
+        let src = crate::source::RawCode {
             base: 0x1000,
             bytes: code,
             entries: vec![0x1000],

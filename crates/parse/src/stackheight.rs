@@ -9,8 +9,8 @@
 //! * where the return address lives — either still in `ra` or spilled to
 //!   a known slot relative to the entry `sp`.
 
+use crate::function::Function;
 use rvdyn_isa::{Instruction, Op, Reg};
-use rvdyn_parse::Function;
 use std::collections::BTreeMap;
 
 /// Height lattice: bottom (unvisited) is absent; `Known(h)`; `Top`
@@ -165,15 +165,15 @@ pub struct FrameInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CodeObject, ParseOptions};
     use rvdyn_asm::Assembler;
     use rvdyn_isa::Reg;
-    use rvdyn_parse::{CodeObject, ParseOptions};
 
     fn parse_one(build: impl FnOnce(&mut Assembler)) -> Function {
         let mut a = Assembler::new(0x1000);
         build(&mut a);
         let code = a.finish().unwrap();
-        let src = rvdyn_parse::source::RawCode {
+        let src = crate::source::RawCode {
             base: 0x1000,
             bytes: code,
             entries: vec![0x1000],

@@ -9,11 +9,11 @@
 //! with dead registers perturbed.
 
 use proptest::prelude::*;
-use rvdyn_dataflow::Liveness;
 use rvdyn_isa::semantics::{eval_int, EvalOutcome, FlatMemory, IntState};
 use rvdyn_isa::{build, Instruction, Op, Reg};
+use rvdyn_parse::conventions::{callee_saved, ret_regs};
 use rvdyn_parse::source::RawCode;
-use rvdyn_parse::{CodeObject, ParseOptions};
+use rvdyn_parse::{CodeObject, Liveness, ParseOptions};
 
 /// A small pool of registers so programs actually reuse them.
 const POOL: [u8; 8] = [5, 6, 7, 10, 11, 12, 28, 29];
@@ -108,7 +108,7 @@ fn self_dependent_entry_instruction_is_live() {
     };
     let co = CodeObject::parse(&src, &ParseOptions::default());
     let f = &co.functions[&0x1000];
-    let lv = Liveness::analyze(f);
+    let lv = f.liveness();
 
     // `addi x5, x5, 0` reads x5 before (re)defining it: x5 is live-in.
     assert!(
@@ -165,8 +165,7 @@ proptest! {
         let src = RawCode { base: 0x1000, bytes: code, entries: vec![0x1000] };
         let co = CodeObject::parse(&src, &ParseOptions::default());
         let f = &co.functions[&0x1000];
-        let lv = Liveness::analyze(f);
-        let dead = lv.live_in(0x1000).complement();
+        let dead = f.liveness().live_in(0x1000).complement();
 
         // Baseline observation with all pool registers at fixed values.
         let init: Vec<(Reg, u64)> = POOL
@@ -203,9 +202,9 @@ proptest! {
     fn liveness_is_a_fixpoint(
         body in proptest::collection::vec(arb_inst(), 1..24),
     ) {
-        // Analyzing twice (or analyzing a re-parsed function) yields the
-        // same solution; and live_in(entry) ⊆ {regs read somewhere} ∪
-        // boundary (callee-saved ∪ ret regs ∪ sp).
+        // A fresh solve yields the function's kept solution; and
+        // live_in(entry) ⊆ {regs read somewhere} ∪ boundary
+        // (callee-saved ∪ ret regs ∪ sp).
         let mut code: Vec<u8> = Vec::new();
         for i in &body {
             code.extend_from_slice(&rvdyn_isa::encode::encode32(i).unwrap().to_le_bytes());
@@ -216,12 +215,11 @@ proptest! {
         let src = RawCode { base: 0x1000, bytes: code, entries: vec![0x1000] };
         let co = CodeObject::parse(&src, &ParseOptions::default());
         let f = &co.functions[&0x1000];
-        let a = Liveness::analyze(f);
+        let a = f.liveness();
         let b = Liveness::analyze(f);
         prop_assert_eq!(a.live_in(0x1000), b.live_in(0x1000));
 
-        let mut upper = rvdyn_dataflow::callee_saved()
-            .union(rvdyn_dataflow::ret_regs());
+        let mut upper = callee_saved().union(ret_regs());
         upper.insert(Reg::x(2));
         upper.insert(Reg::x(1)); // ret reads ra
         for i in &body {

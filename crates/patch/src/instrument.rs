@@ -13,15 +13,17 @@
 //! to the back half of the pipeline):
 //!
 //! 1. **Plan** (parallel, [`Instrumenter::with_threads`]): each
-//!    instrumented function's liveness analysis, snippet lowering, and
-//!    relocation planning runs independently on a worker pool (the batch
-//!    worklist shared with the parallel parser), producing one
-//!    position-independent `FunctionPlan` per function — a
-//!    [`RelocationPlan`] whose branch/jump targets are slot indices. A
-//!    point's scratch pool is its dead registers less every register
-//!    that a snippet of the function writes ([`Snippet::WriteReg`]), so
-//!    a value one snippet leaves in a dead register survives the other
-//!    snippets until a later one reads it.
+//!    instrumented function's snippet lowering and relocation planning
+//!    runs independently on a worker pool (the batch worklist shared
+//!    with the parallel parser), producing one position-independent
+//!    `FunctionPlan` per function — a [`RelocationPlan`] whose
+//!    branch/jump targets are slot indices. A point's scratch pool is
+//!    its dead registers, read from the function's liveness
+//!    ([`Function::liveness`], solved by its first reader and kept with
+//!    the parse), less every register that a snippet of the function
+//!    writes ([`Snippet::WriteReg`]), so a value one snippet leaves in a
+//!    dead register survives the other snippets until a later one reads
+//!    it.
 //! 2. **Base assignment** (sequential): patch-area bases are assigned in
 //!    stable entry-address order, and each plan is re-relaxed at its
 //!    final base to a whole-area fixpoint. A call from one relocated
@@ -30,7 +32,8 @@
 //!    entry — that those calls are sized against.
 //! 3. **Finish** (parallel, same pool): each function's code is emitted
 //!    at its base against the one shared callee table, and its
-//!    springboards are planned and audited.
+//!    springboards are planned at its [`springboard_sites`], with
+//!    scratch from the same liveness, and audited.
 //! 4. **Merge** (sequential): the main thread concatenates the code,
 //!    replays the buffered events and merges the trap table, audit and
 //!    relocation index, all in entry-address order. It then rewrites
@@ -60,15 +63,17 @@
 use crate::callsites::CallSites;
 use crate::points::{Point, PointKind};
 use crate::relocate::{reaches, relocated_addr, Insertions, RelocationPlan, JAL_REACH};
-use crate::springboard::{plan_springboard, Springboard, SpringboardKind, SpringboardStats};
+use crate::springboard::{
+    plan_springboard, springboard_sites, Springboard, SpringboardKind, SpringboardStats,
+    MAX_SPRINGBOARD_LEN,
+};
 use rvdyn_codegen::emitter::{generate_seq_with_stats, CodeGenError};
 use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
-use rvdyn_dataflow::Liveness;
 use rvdyn_isa::encode::encode32;
 use rvdyn_isa::{build, IsaProfile, RegSet};
 use rvdyn_parse::worklist::Worklist;
-use rvdyn_parse::{CodeObject, EdgeKind, Function};
+use rvdyn_parse::{CodeObject, Function};
 use rvdyn_symtab::{Binary, Section, SHF_ALLOC, SHF_EXECINSTR, SHF_WRITE};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -442,9 +447,8 @@ fn request_key(p: &Point) -> (u64, u8, u64) {
 }
 
 /// One function's plan-phase output: lowered snippets spliced into a
-/// position-independent [`RelocationPlan`], plus everything the finish
-/// phase needs without re-running analysis (liveness does not survive
-/// the plan phase).
+/// position-independent [`RelocationPlan`]. The finish phase reads the
+/// function's liveness from the parse, where the plan phase left it.
 struct FunctionPlan {
     entry: u64,
     reloc: RelocationPlan,
@@ -456,11 +460,6 @@ struct FunctionPlan {
     points: usize,
     /// Wall-clock ns spent building + pre-relaxing the relocation.
     plan_ns: u64,
-    /// Dead registers before the function entry (springboard scratch).
-    dead_entry: RegSet,
-    /// `(target, dead-before-target)` for every indirect-jump edge whose
-    /// target is a block of this function (jump-table re-entry sites).
-    indirect: Vec<(u64, RegSet)>,
     /// Patch-area base, assigned by base assignment.
     base: u64,
 }
@@ -676,12 +675,12 @@ impl<'b> Instrumenter<'b> {
         (order, groups)
     }
 
-    /// Build one function's position-independent plan: liveness, snippet
-    /// lowering, relocation planning, and the dead-register sets the
-    /// finish phase will need. `requests` are the function's request
-    /// indices in [`request_key`] order; lowering milestones are appended
-    /// to `events`. Runs on a worker (or inline) — must not touch
-    /// anything whose result depends on other functions.
+    /// Build one function's position-independent plan: snippet lowering
+    /// against the function's liveness, and relocation planning.
+    /// `requests` are the function's request indices in [`request_key`]
+    /// order; lowering milestones are appended to `events`. Runs on a
+    /// worker (or inline) — must not touch anything whose result depends
+    /// on other functions.
     fn build_plan(
         &self,
         fe: u64,
@@ -695,7 +694,7 @@ impl<'b> Instrumenter<'b> {
             .functions
             .get(&fe)
             .ok_or(InstrumentError::UnknownFunction(fe))?;
-        let lv = Liveness::analyze(f);
+        let lv = f.liveness();
         // A register any snippet of the function writes is never scratch
         // in it: its writer may read it back at a later point.
         let written = requests.iter().fold(RegSet::EMPTY, |set, &i| {
@@ -743,21 +742,6 @@ impl<'b> Instrumenter<'b> {
         reloc.relax_at(self.layout.patch_text, callees);
         let plan_ns = (reloc_start.elapsed().as_nanos() as u64).max(1);
 
-        // Springboard scratch sets, captured while liveness is in scope.
-        let dead_entry = lv.dead_before(f, fe);
-        let mut indirect: Vec<(u64, RegSet)> = Vec::new();
-        for b in f.blocks.values() {
-            for e in b.edges {
-                if e.kind == EdgeKind::IndirectJump {
-                    if let Some(t) = e.target {
-                        if f.blocks.contains_key(t) {
-                            indirect.push((t, lv.dead_before(f, t)));
-                        }
-                    }
-                }
-            }
-        }
-
         Ok(FunctionPlan {
             entry: fe,
             reloc,
@@ -765,17 +749,15 @@ impl<'b> Instrumenter<'b> {
             dead_points,
             points,
             plan_ns,
-            dead_entry,
-            indirect,
             base: 0,
         })
     }
 
     /// Finish one laid-out plan: emit its code at its base (appending to
     /// `batch.code`, which starts at a plan base) against the pass's
-    /// final `callees` table, plan its entry and indirect-target
-    /// springboards and audit each one's clobbers. Runs on a worker (or
-    /// inline).
+    /// final `callees` table, plan a springboard at each of the
+    /// function's [`springboard_sites`] and audit each one's clobbers.
+    /// Runs on a worker (or inline).
     fn finish_plan(
         &self,
         plan: &FunctionPlan,
@@ -832,15 +814,18 @@ impl<'b> Instrumenter<'b> {
         // Springboards at indirect-jump targets: execution re-enters
         // original code through jump tables; bounce it back into the
         // instrumented copy (§3.2.3 jump tables + code patching).
-        let sites = std::iter::once((fe, new_entry, entry_avail, plan.dead_entry)).chain(
-            plan.indirect.iter().filter_map(|&(t, dead)| {
-                let nt = relocated_addr(&pairs, t)?;
-                Some((t, nt, f.blocks.at(t).len_bytes() as usize, dead))
-            }),
-        );
+        let mut sites = springboard_sites(f);
+        let entry = sites.next().map(|at| (at, new_entry, entry_avail));
+        let targets = sites.filter_map(|t| {
+            let nt = relocated_addr(&pairs, t)?;
+            Some((t, nt, f.blocks.at(t).len_bytes() as usize))
+        });
+        // The plan phase solved the function's liveness; its dead
+        // registers are the springboards' scratch.
+        let lv = f.liveness();
         let registered = batch.redirects.len();
-        for (at, to, avail, dead) in sites {
-            let sb = plan_springboard(at, to, avail, profile, dead);
+        for (at, to, avail) in entry.into_iter().chain(targets) {
+            let sb = plan_springboard(at, to, avail, profile, lv.dead_before(f, at));
             batch.traps.extend(sb.trap_entry);
             match audit_cover(f, at, sb.bytes.len(), |pc| relocated_addr(&pairs, pc)) {
                 Ok(cover) => {
@@ -905,6 +890,17 @@ impl<'b> Instrumenter<'b> {
             .map(|&(fe, _)| (fe, self.layout.patch_text))
             .collect();
         let built = par_batches(groups, nworkers, |batch| {
+            // Solve the batch's liveness before planning it. The solutions
+            // stay in the shared parse until the analysis is dropped, and
+            // allocated back to back, not between the plans' allocations,
+            // they are freed more cheaply then: with ~10k functions on two
+            // workers (a 2-vCPU x86-64 host), scattered solutions made the
+            // analysis's drop 1.5–3 ms slower.
+            for (fe, _) in &batch {
+                if let Some(f) = self.co.functions.get(fe) {
+                    f.liveness();
+                }
+            }
             let mut events = Vec::new();
             let plans: Vec<_> = batch
                 .into_iter()
@@ -1154,13 +1150,12 @@ impl<'b> Instrumenter<'b> {
         let relocated = |f: u64| {
             relocated_addr(callees, f).is_some() || self.relocated.is_some_and(|r| r.contains(&f))
         };
-        // A springboard is at most 8 bytes long.
         let overlaps_springboard = |site: u64| {
             let before = springs.partition_point(|(a, _)| *a < site + 4);
             springs[..before]
                 .iter()
                 .rev()
-                .take_while(|(a, _)| a + 8 > site)
+                .take_while(|(a, _)| a + MAX_SPRINGBOARD_LEN > site)
                 .any(|(a, sb)| a + sb.len() as u64 > site)
         };
         let mut out = Vec::new();

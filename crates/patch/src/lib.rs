@@ -14,8 +14,8 @@
 //! pass, and `jal` call sites in original code are rewritten to
 //! ([`CallSites`]), so springboards serve indirect calls, calls that cannot
 //! reach, and the program entry. The pass is split into a *parallel plan phase*
-//! (per-function liveness + lowering + slot-indexed relocation plans,
-//! fanned out over a worker pool), a *sequential base assignment*
+//! (per-function lowering against the function's liveness + slot-indexed
+//! relocation plans, fanned out over a worker pool), a *sequential base assignment*
 //! (deterministic patch-area addresses), a *parallel finish phase*
 //! (emission + springboards + clobber audit) and a *sequential merge*
 //! in entry order, so it scales with cores while producing bit-identical
@@ -71,10 +71,10 @@ pub use instrument::{
     audit_redirect_coverage, clobbered_addresses, InstrumentError, Instrumenter, PatchEvent,
     PatchLayout, RelocationIndex,
 };
-pub use placement::{
-    plan_block_counters, plan_block_counters_with_depths, BlockCountPlan, CounterPlacement,
-    CounterSite,
-};
+pub use placement::{plan_block_counters, BlockCountPlan, CounterPlacement, CounterSite};
 pub use points::{find_points, Point, PointKind};
 pub use relocate::{relocate_function, Insertions, RelocatedFunction, RelocationPlan};
-pub use springboard::{plan_springboard, Springboard, SpringboardKind, SpringboardStats};
+pub use springboard::{
+    plan_springboard, springboard_sites, Springboard, SpringboardKind, SpringboardStats,
+    MAX_SPRINGBOARD_LEN,
+};

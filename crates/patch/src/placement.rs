@@ -20,7 +20,7 @@
 //!    virtual `EXIT → entry` edge closing the graph (its count is the
 //!    number of function invocations).
 //! 2. Weight each edge `10^min(depth(u), depth(v))` where `depth` is the
-//!    natural-loop nesting depth ([`rvdyn_parse::loops::loop_depths`]) —
+//!    natural-loop nesting depth ([`rvdyn_parse::loops::nesting_depths`]) —
 //!    the standard static frequency estimate. The virtual edge is forced
 //!    into the tree (it cannot be instrumented).
 //! 3. Run Kruskal's algorithm for a maximum spanning tree. Each
@@ -52,7 +52,7 @@
 //! mutatees and is the same assumption Ball–Larus profiling makes.
 
 use rvdyn_parse::block::EdgeKind;
-use rvdyn_parse::loops::{loop_depths, reverse_postorder};
+use rvdyn_parse::loops::{nesting_depths, reverse_postorder};
 use rvdyn_parse::Function;
 use std::collections::BTreeMap;
 
@@ -245,28 +245,13 @@ fn find(parent: &mut [usize], mut x: usize) -> usize {
 /// is outside the supported shape (see the [module docs](self) for the
 /// exact fallback conditions) or the plan would not save any counters.
 ///
-/// The placement is deterministic: blocks and edges are enumerated in
-/// address order and the spanning-tree construction breaks weight ties
-/// by that order.
+/// The edge weights count over the function's natural loops
+/// ([`Function::loops`], computed by their first reader and kept with
+/// the parse). The placement is deterministic: blocks and edges are
+/// enumerated in address order and the spanning-tree construction
+/// breaks weight ties by that order.
 pub fn plan_block_counters(f: &Function) -> Option<BlockCountPlan> {
-    plan_block_counters_with_depths(f, &loop_depths(f))
-}
-
-/// As [`plan_block_counters`], but with caller-supplied loop depths
-/// (e.g. counted over the parser's [`Function::loops`] with
-/// `nesting_depths`), skipping the in-plan `loop_depths`
-/// recomputation. `depth` must be the loop-depth map of `f` itself —
-/// same keys as `f.blocks`; a map missing any block falls back to
-/// `None` (no plan) rather than placing counters from inconsistent
-/// weights.
-pub fn plan_block_counters_with_depths(
-    f: &Function,
-    depth: &BTreeMap<u64, usize>,
-) -> Option<BlockCountPlan> {
     if f.blocks.is_empty() || !f.blocks.contains_key(f.entry) {
-        return None;
-    }
-    if f.blocks.keys().any(|b| !depth.contains_key(&b)) {
         return None;
     }
     // Every block must be reachable, else its flow equation is
@@ -274,6 +259,7 @@ pub fn plan_block_counters_with_depths(
     if reverse_postorder(f).len() != f.blocks.len() {
         return None;
     }
+    let depth = nesting_depths(f, f.loops());
 
     let verts: Vec<u64> = f.blocks.keys().chain(std::iter::once(EXIT)).collect();
     let vidx: BTreeMap<u64, usize> = verts.iter().enumerate().map(|(i, &b)| (b, i)).collect();

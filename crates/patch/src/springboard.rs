@@ -6,9 +6,36 @@
 //! ±2 KiB. The planner picks the cheapest form that fits both the
 //! available byte budget and the displacement, "ultimately resorting to
 //! the inefficient 2-byte trap instructions in the worst case".
+//!
+//! Where springboards go is fixed by the CFG alone
+//! ([`springboard_sites`]), and none is longer than
+//! [`MAX_SPRINGBOARD_LEN`], so code that must stay clear of the bytes a
+//! springboard may tear — rewritten call sites, the memory tracer's runs
+//! — reads both from here.
 
 use rvdyn_isa::encode::{compress, encode32};
 use rvdyn_isa::{build, Extension, IsaProfile, Reg, RegSet};
+use rvdyn_parse::{EdgeKind, Function};
+
+/// The longest springboard, `auipc; jalr`, in bytes: a springboard
+/// tears at most this much original code from its site.
+pub const MAX_SPRINGBOARD_LEN: u64 = 8;
+
+/// Where instrumenting `f` plants springboards, in planting order: its
+/// entry, then each indirect-jump target that is one of its blocks (in
+/// block and edge order, repeats kept), where a jump table re-enters
+/// original code. A trap redirect can enter any of them past its first
+/// instruction.
+pub fn springboard_sites(f: &Function) -> impl Iterator<Item = u64> + '_ {
+    let targets = f
+        .blocks
+        .values()
+        .flat_map(|b| b.edges)
+        .filter(|e| e.kind == EdgeKind::IndirectJump)
+        .filter_map(|e| e.target)
+        .filter(|&t| f.blocks.contains_key(t));
+    std::iter::once(f.entry).chain(targets)
+}
 
 /// The chosen springboard form.
 #[derive(Debug, Clone, PartialEq, Eq)]

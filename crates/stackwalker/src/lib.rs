@@ -10,9 +10,12 @@
 //! needed. StackwalkerAPI is plugin-based; this crate ships two steppers
 //! in the architecture the paper describes:
 //!
-//! * [`SpHeightStepper`] — the primary RISC-V stepper: uses DataflowAPI's
-//!   stack-height analysis to recover the frame size and the saved-`ra`
-//!   slot at any pc, requiring no frame pointer at all;
+//! * [`SpHeightStepper`] — the primary RISC-V stepper: reads the
+//!   function's stack heights (DataflowAPI's stack-height analysis, which
+//!   [`Function::stack_heights`](rvdyn_parse::Function::stack_heights)
+//!   solves once per function and keeps with the parse) to recover the
+//!   frame size and the saved-`ra` slot at any pc, requiring no frame
+//!   pointer at all;
 //! * [`FpStepper`] — the classic frame-pointer chain (`s0` →
 //!   `[fp-8]=ra, [fp-16]=old fp`), for code compiled with frame pointers.
 //!
@@ -29,8 +32,8 @@
 //! profiler shares one walker across the sampling jobs it runs on the
 //! fleet's workers, one job per process (see `docs/FLEET.md`).
 
-use rvdyn_dataflow::{stackheight::Height, StackHeight};
 use rvdyn_isa::Reg;
+use rvdyn_parse::stackheight::Height;
 use rvdyn_parse::CodeObject;
 use rvdyn_proccontrol::Process;
 
@@ -88,7 +91,9 @@ pub trait FrameStepper: Send + Sync {
     ) -> Option<Frame>;
 }
 
-/// SP-based stepper driven by stack-height analysis (§3.2.7).
+/// SP-based stepper driven by stack-height analysis (§3.2.7). The
+/// function's heights are solved by the first frame that needs them and
+/// shared by every later one, across samples and walker threads.
 pub struct SpHeightStepper;
 
 impl FrameStepper for SpHeightStepper {
@@ -104,8 +109,7 @@ impl FrameStepper for SpHeightStepper {
         ra_live: bool,
     ) -> Option<Frame> {
         let f = co.function_containing(frame.pc)?;
-        let sh = StackHeight::analyze(f);
-        let info = sh.frame_at(f, frame.pc);
+        let info = f.stack_heights().frame_at(f, frame.pc);
         let Height::Known(h) = info.height else {
             return None;
         };

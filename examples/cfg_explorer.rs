@@ -7,9 +7,10 @@
 //! Parses two mutatees and prints what ParseAPI/DataflowAPI discovered:
 //! functions, basic blocks, edges (including the classified `jal`/`jalr`
 //! purposes of §3.2.3), natural loops, a resolved jump table, and
-//! per-block register liveness.
+//! per-block register liveness (each function's `liveness()`, solved on
+//! first use).
 
-use rvdyn::{CodeObject, Liveness, ParseOptions};
+use rvdyn::{CodeObject, ParseOptions};
 use rvdyn_isa::disasm::format_instruction;
 use rvdyn_parse::EdgeKind;
 
@@ -33,7 +34,7 @@ fn explore(name: &str, bin: &rvdyn::Binary) {
                 ""
             }
         );
-        let lv = Liveness::analyze(f);
+        let lv = f.liveness();
         for b in f.blocks.values() {
             let dead = lv.live_in(b.start).complement();
             println!(

@@ -17,7 +17,7 @@ mod common;
 
 use common::ProgramStrategy;
 use proptest::prelude::*;
-use rvdyn::{CodeObject, Liveness, ParseOptions};
+use rvdyn::{CodeObject, ParseOptions};
 use rvdyn_asm::{Assembler, Layout};
 use rvdyn_isa::{build, IsaProfile, Op, Reg};
 use rvdyn_parse::{Function, Loop};
@@ -66,7 +66,7 @@ fn digest(co: &CodeObject) -> u64 {
         for &c in &f.callees {
             h.u64(c);
         }
-        let lv = Liveness::analyze(f);
+        let lv = f.liveness();
         h.u64(f.blocks.len() as u64);
         for b in f.blocks.values() {
             h.u64(b.start);

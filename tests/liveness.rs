@@ -6,7 +6,7 @@ mod common;
 
 use common::ProgramStrategy;
 use proptest::prelude::*;
-use rvdyn::{CodeObject, Liveness, ParseOptions};
+use rvdyn::{CodeObject, ParseOptions};
 use rvdyn_asm::Assembler;
 use rvdyn_isa::{build, Op, Reg};
 use rvdyn_parse::source::RawCode;
@@ -17,7 +17,7 @@ use rvdyn_symtab::Binary;
 fn assert_block_starts_agree(bin: &Binary, what: &str) {
     let co = CodeObject::parse(bin, &ParseOptions::default());
     for f in co.functions.values() {
-        let lv = Liveness::analyze(f);
+        let lv = f.liveness();
         for b in f.blocks.values() {
             assert_eq!(
                 lv.dead_before(f, b.start),
@@ -82,7 +82,7 @@ fn a_shorter_overlapping_block_does_not_hide_the_block_that_holds_an_address() {
     let plain = overlapped(build::nop());
     let g = &plain.functions[&0x1000];
     assert_eq!(g.blocks.len(), 1);
-    let (lf, lg) = (Liveness::analyze(f), Liveness::analyze(g));
+    let (lf, lg) = (f.liveness(), g.liveness());
     for addr in [0x100c, 0x1010] {
         assert_eq!(f.block_containing(addr).map(|b| b.start), Some(0x1004));
         assert_eq!(co.function_containing(addr).map(|f| f.entry), Some(0x1000));
