@@ -107,7 +107,7 @@ impl Measurement {
 /// A patch layout with both areas above every section of `bin`, on the
 /// next 1 MiB boundary. matmul's `.bss` holds three n×n matrices and
 /// reaches the default patch areas for every n > 116.
-fn layout_above(bin: &Binary) -> PatchLayout {
+pub(crate) fn layout_above(bin: &Binary) -> PatchLayout {
     let top = bin
         .sections
         .iter()

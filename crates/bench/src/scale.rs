@@ -4,6 +4,7 @@
 //! scaled-out path produces exactly what the plain path does before it
 //! reports a speedup.
 
+use crate::riscv::layout_above;
 use crate::{ncpu, timed, Bound, Fields, Op, Report, ROUNDS};
 use rvdyn::{
     AnalysisCache, Binary, BinaryEditor, DynamicInstrumenter, EmuEngine, FleetController,
@@ -19,16 +20,21 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// `parallel [FUNCS] [ITERS]` (P2): per-block counters on every chained
 /// function of `many_functions_program(FUNCS)`, with the plan phase on
-/// each of [`THREADS`] workers. Only the instrument stage (plan, layout,
-/// springboards) is timed, and the best of ITERS runs is reported. The
-/// patch bytes must be identical at every worker count.
+/// each of [`THREADS`] workers and the patch area above the image: the
+/// default layout's `.rvdyn.text` at 0x80000 runs into `.rvdyn.data` at
+/// 0xC0000 past 256 KiB of patch code, and per-block counters on
+/// `many_functions_program(10000)` lay out 1.28 MB. Only the instrument
+/// stage (plan, layout, springboards) is timed, and the best of ITERS
+/// runs is reported. The patch bytes must be identical at every worker
+/// count.
 pub fn parallel(args: &[usize]) -> Report {
     let (funcs, iters) = (args[0], args[1]);
     eprintln!("parallel: many_functions_program({funcs}), {iters} timing reps — measuring…");
     let bin = many_functions_program(funcs);
+    let layout = layout_above(&bin);
     let measure = |threads: usize| {
         let runs = (0..iters).map(|_| {
-            let opts = SessionOptions::new().threads(threads);
+            let opts = SessionOptions::new().threads(threads).layout(layout);
             let mut ed = BinaryEditor::from_binary(bin.clone(), opts);
             let c = ed.alloc_var(8);
             let mut pts = Vec::new();
@@ -39,7 +45,10 @@ pub fn parallel(args: &[usize]) -> Report {
             ed.insert(&pts, Snippet::increment(c));
             let (result, ns) = timed(|| ed.instrumented().expect("instrumentation succeeds"));
             let d = ed.diagnostics();
-            let writes = result.memory_writes().to_vec();
+            let writes: Vec<(u64, Vec<u8>)> = result
+                .memory_writes()
+                .map(|(addr, bytes)| (addr, bytes.to_vec()))
+                .collect();
             (ns, d.plans_built, d.instrument_workers, writes)
         });
         runs.min_by_key(|r| r.0).expect("ITERS > 0")

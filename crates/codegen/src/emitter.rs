@@ -12,20 +12,29 @@
 //! register the snippet names. A [`Snippet::Let`] holds its value in one
 //! such register for the whole body, which reads it in place as
 //! [`Snippet::Local`]; while bound, the register is never the
-//! destination of another value and is never released. The output is a
-//! list of [`rvdyn_isa::Instruction`] values with intra-buffer branch
-//! offsets already resolved; PatchAPI wraps it with the spill frame and
-//! splices it into a trampoline.
+//! destination of another value and is never released.
 //!
-//! Those frames move `sp` before the body runs, so a read of the
-//! mutatee's `sp` is always an `addi` or a load/store displacement off
-//! `sp`, and [`generate_seq_with_stats`] adds the frame sizes to its
-//! immediate once it knows them: the body sees the `sp` the mutatee had.
+//! [`Emitter::lower_into`] lowers one point's snippets and appends the
+//! point's whole code — the save frame of a call snippet, the spill
+//! frame, the body with its intra-snippet branches resolved, and the
+//! restores — to a caller's buffer as encoded 32-bit words, ready for
+//! PatchAPI to splice into a relocated function. An [`Emitter`] keeps its
+//! code buffer, label table, fixups and bound locals across points, and
+//! its allocator's register lists are fixed-size, so a plan worker that
+//! reuses one emitter allocates nothing per point once the buffers have
+//! grown. [`generate`] and [`generate_with_stats`] lower one snippet
+//! through the same path and return the instructions instead of words.
+//!
+//! The frames move `sp` before the body runs, so a read of the mutatee's
+//! `sp` is always an `addi` or a load/store displacement off `sp`, and
+//! the emitter adds the frame sizes to its immediate once it knows them:
+//! the body sees the `sp` the mutatee had.
 
-use crate::imm::load_imm;
-use crate::regalloc::{frame_size, RegAllocator, MAX_SPILLS};
+use crate::imm::load_imm_with;
+use crate::regalloc::{frame_size, RegAllocMode, RegAllocator, MAX_SPILLS};
 use crate::snippet::{BinaryOp, Snippet, UnaryOp, Var};
-use rvdyn_isa::build;
+use rvdyn_isa::encode::{encode32, EncodeError};
+use rvdyn_isa::{build, Instruction, RegClass, RegSet};
 use rvdyn_isa::{Extension, IsaProfile, Op, Reg};
 use std::fmt;
 
@@ -45,6 +54,9 @@ pub enum CodeGenError {
     BranchOutOfRange,
     /// A [`Snippet::Local`] read outside every [`Snippet::Let`] of its id.
     UnboundLocal(u32),
+    /// A lowered instruction does not encode (an intra-snippet jump past
+    /// a `jal`'s ±1 MiB reach).
+    Encode(EncodeError),
 }
 
 impl fmt::Display for CodeGenError {
@@ -65,127 +77,146 @@ impl fmt::Display for CodeGenError {
             CodeGenError::UnboundLocal(id) => {
                 write!(f, "snippet reads local {id} outside any binding of it")
             }
+            CodeGenError::Encode(e) => write!(f, "snippet code does not encode: {e}"),
         }
     }
 }
 
 impl std::error::Error for CodeGenError {}
 
-/// An instruction buffer with intra-buffer label support.
+/// An instruction buffer with intra-buffer labels, reused across points.
 #[derive(Debug, Default)]
-pub struct CodeBuffer {
-    insts: Vec<Instrs>,
-    next_label: u32,
+struct CodeBuffer {
+    insts: Vec<Instruction>,
+    /// The position in `insts` each label is bound to, by label id.
+    labels: Vec<u32>,
+    /// The branches and jumps to labels, in code order.
+    fixups: Vec<Fixup>,
     /// Positions in `insts` of the instructions that read the mutatee's
     /// `sp`: their immediates take the frame bias at [`Self::resolve`].
-    sp_reads: Vec<usize>,
+    sp_reads: Vec<u32>,
 }
 
-#[derive(Debug)]
-enum Instrs {
-    Inst(rvdyn_isa::Instruction),
-    /// Conditional branch to `label` when `rs1 op rs2` (encoded as the Op).
+/// A control transfer to a label, placed once every label is bound.
+#[derive(Debug, Clone, Copy)]
+enum Fixup {
+    /// Conditional branch at `at` to `label` when `rs1 op rs2`.
     Branch {
+        at: u32,
         op: Op,
         rs1: Reg,
         rs2: Reg,
         label: u32,
     },
-    /// Unconditional jump to `label`.
-    Jump {
-        label: u32,
-    },
-    /// Label definition.
-    Label(u32),
+    /// Unconditional jump at `at` to `label`.
+    Jump { at: u32, label: u32 },
 }
 
 impl CodeBuffer {
-    pub fn new() -> CodeBuffer {
-        CodeBuffer::default()
+    fn clear(&mut self) {
+        self.insts.clear();
+        self.labels.clear();
+        self.fixups.clear();
+        self.sp_reads.clear();
     }
 
-    pub fn push(&mut self, i: rvdyn_isa::Instruction) {
-        self.insts.push(Instrs::Inst(i));
+    fn push(&mut self, i: Instruction) {
+        self.insts.push(i);
     }
 
-    pub fn extend(&mut self, is: impl IntoIterator<Item = rvdyn_isa::Instruction>) {
-        for i in is {
-            self.push(i);
-        }
+    /// Position of the next instruction.
+    fn here(&self) -> u32 {
+        self.insts.len() as u32
     }
 
     /// Push `i`, an `addi`, load or store whose `rs1` is the mutatee's
     /// `sp`.
-    fn push_sp_read(&mut self, i: rvdyn_isa::Instruction) {
-        self.sp_reads.push(self.insts.len());
+    fn push_sp_read(&mut self, i: Instruction) {
+        self.sp_reads.push(self.here());
         self.push(i);
     }
 
-    fn fresh_label(&mut self) -> u32 {
-        self.next_label += 1;
-        self.next_label
+    /// Reserve a slot for a transfer to a label; [`Self::resolve`] fills
+    /// it.
+    fn push_fixup(&mut self, fixup: Fixup) {
+        self.fixups.push(fixup);
+        self.push(build::nop());
     }
 
-    /// Resolve labels to byte offsets and produce final instructions
-    /// (each 4 bytes wide; snippet code is never compressed so offsets are
-    /// trivially stable), adding `sp_bias` to every read of the mutatee's
-    /// `sp`.
-    fn resolve(mut self, sp_bias: i64) -> Result<Vec<rvdyn_isa::Instruction>, CodeGenError> {
+    fn branch(&mut self, op: Op, rs1: Reg, rs2: Reg, label: u32) {
+        let at = self.here();
+        self.push_fixup(Fixup::Branch {
+            at,
+            op,
+            rs1,
+            rs2,
+            label,
+        });
+    }
+
+    fn jump(&mut self, label: u32) {
+        let at = self.here();
+        self.push_fixup(Fixup::Jump { at, label });
+    }
+
+    fn fresh_label(&mut self) -> u32 {
+        self.labels.push(u32::MAX);
+        self.labels.len() as u32 - 1
+    }
+
+    /// Bind `label` to the next instruction.
+    fn bind(&mut self, label: u32) {
+        self.labels[label as usize] = self.here();
+    }
+
+    /// Place every branch and jump at its label (each instruction is 4
+    /// bytes wide; snippet code is never compressed so offsets are
+    /// trivially stable), and add `sp_bias` to every read of the
+    /// mutatee's `sp`.
+    fn resolve(&mut self, sp_bias: i64) -> Result<(), CodeGenError> {
         debug_assert!((0..=MAX_SP_BIAS).contains(&sp_bias));
         for &at in &self.sp_reads {
-            if let Instrs::Inst(i) = &mut self.insts[at] {
-                i.imm += sp_bias;
-            }
+            self.insts[at as usize].imm += sp_bias;
         }
-        // First pass: byte offset of each element; labels occupy 0 bytes.
-        let mut offsets = Vec::with_capacity(self.insts.len());
-        let mut label_off = std::collections::HashMap::new();
-        let mut pos: i64 = 0;
-        for e in &self.insts {
-            offsets.push(pos);
-            match e {
-                Instrs::Label(l) => {
-                    label_off.insert(*l, pos);
-                }
-                _ => pos += 4,
-            }
-        }
-        // Second pass: emit.
-        let mut out = Vec::with_capacity(self.insts.len());
-        for (e, &off) in self.insts.iter().zip(&offsets) {
-            match e {
-                Instrs::Inst(i) => out.push(*i),
-                Instrs::Branch {
+        let delta = |at: u32, label: u32| (self.labels[label as usize] as i64 - at as i64) * 4;
+        for &fixup in &self.fixups {
+            let (at, inst) = match fixup {
+                Fixup::Branch {
+                    at,
                     op,
                     rs1,
                     rs2,
                     label,
                 } => {
-                    let delta = label_off[label] - off;
+                    let delta = delta(at, label);
                     if !(-4096..4096).contains(&delta) {
                         return Err(CodeGenError::BranchOutOfRange);
                     }
-                    out.push(build::b_type(*op, *rs1, *rs2, delta));
+                    (at, build::b_type(op, rs1, rs2, delta))
                 }
-                Instrs::Jump { label } => {
-                    let delta = label_off[label] - off;
-                    out.push(build::jal(Reg::X0, delta));
-                }
-                Instrs::Label(_) => {}
-            }
+                Fixup::Jump { at, label } => (at, build::jal(Reg::X0, delta(at, label))),
+            };
+            self.insts[at as usize] = inst;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
-/// The snippet emitter.
-pub struct Emitter<'a> {
+/// The snippet emitter: lowers one point's snippets at a time
+/// ([`Emitter::lower_into`]), reusing its buffers from point to point.
+#[derive(Debug)]
+pub struct Emitter {
     buf: CodeBuffer,
-    alloc: &'a mut RegAllocator,
+    alloc: RegAllocator,
     profile: IsaProfile,
-    uses_call: bool,
     /// The registers of the enclosing [`Snippet::Let`]s, innermost last.
     locals: Vec<(u32, Reg)>,
+}
+
+impl Default for Emitter {
+    fn default() -> Emitter {
+        Emitter::new()
+    }
 }
 
 /// Does `v` fit a 12-bit signed immediate (I/S-format)?
@@ -308,22 +339,111 @@ fn skip_branch(cmp: BinaryOp) -> Option<(Op, bool)> {
     })
 }
 
-impl<'a> Emitter<'a> {
-    /// An emitter drawing scratch registers from `alloc`, which must
-    /// already reserve every register the snippets name
-    /// ([`RegAllocator::reserve`]; [`generate`] does this).
-    pub fn new(alloc: &'a mut RegAllocator, profile: IsaProfile) -> Emitter<'a> {
+impl Emitter {
+    /// An emitter with empty buffers.
+    pub fn new() -> Emitter {
         Emitter {
-            buf: CodeBuffer::new(),
-            alloc,
-            profile,
-            uses_call: false,
+            buf: CodeBuffer::default(),
+            alloc: RegAllocator::new(RegSet::EMPTY, RegAllocMode::DeadRegisters),
+            profile: IsaProfile::rv64gc(),
             locals: Vec::new(),
         }
     }
 
+    /// Lower the statement sequence `snippets`, read in place (the same
+    /// code as lowering a [`Snippet::Seq`] of them), at a point where
+    /// `dead` registers are free, and append the point's whole code to
+    /// `out` as encoded 32-bit words: the save frame of a snippet that
+    /// calls, the spill frame, the body and their restores. Nothing is
+    /// appended when lowering fails.
+    pub fn lower_into<'s>(
+        &mut self,
+        snippets: impl Iterator<Item = &'s Snippet> + Clone,
+        dead: RegSet,
+        mode: RegAllocMode,
+        profile: IsaProfile,
+        out: &mut Vec<u32>,
+    ) -> Result<LowerStats, CodeGenError> {
+        let (stats, call_saves) = self.lower(snippets, dead, mode, profile)?;
+        let start = out.len();
+        let encoded = self.each_inst(call_saves, &mut |i| {
+            out.push(encode32(&i).map_err(CodeGenError::Encode)?);
+            Ok(())
+        });
+        if let Err(e) = encoded {
+            out.truncate(start);
+            return Err(e);
+        }
+        Ok(stats)
+    }
+
+    /// Lower `snippets` into the code buffer, with intra-snippet branches
+    /// resolved and reads of the mutatee's `sp` biased by the frames, and
+    /// return the allocator's statistics and the registers a snippet
+    /// that calls must save around its body.
+    fn lower<'s>(
+        &mut self,
+        snippets: impl Iterator<Item = &'s Snippet> + Clone,
+        dead: RegSet,
+        mode: RegAllocMode,
+        profile: IsaProfile,
+    ) -> Result<(LowerStats, RegSet), CodeGenError> {
+        // A snippet containing a Call lets the callee clobber the entire
+        // caller-saved set, so every *live* caller-saved register (integer
+        // and FP, including ra) is preserved in an outer stack frame — the
+        // same conservative treatment Dyninst applies to call snippets,
+        // pruned here by liveness.
+        let mut call_saves = RegSet::EMPTY;
+        if snippets.clone().any(|s| s.contains_call()) {
+            for r in (0..64u8).map(Reg::from_index) {
+                if r.is_caller_saved() && !dead.contains(r) {
+                    call_saves.insert(r);
+                }
+            }
+        }
+        self.buf.clear();
+        self.locals.clear();
+        self.profile = profile;
+        self.alloc = RegAllocator::new(dead, mode);
+        self.alloc.reserve(
+            snippets
+                .clone()
+                .fold(RegSet::EMPTY, |set, s| set.union(s.named_registers())),
+        );
+        for s in snippets {
+            self.emit(s)?;
+        }
+        // The save frame and the spill prologue both move `sp` before the
+        // body runs.
+        let sp_bias = frame_size(call_saves.len() as usize) + self.alloc.frame_bytes();
+        self.buf.resolve(sp_bias)?;
+        let stats = LowerStats {
+            spills: self.alloc.spill_count(),
+            dead_scratch: self.alloc.dead_grants(),
+        };
+        Ok((stats, call_saves))
+    }
+
+    /// Hand every instruction of the lowered point to `put`, in order:
+    /// the save frame for `call_saves`, the spill prologue, the body, the
+    /// spill epilogue and the restore of `call_saves`.
+    fn each_inst(
+        &self,
+        call_saves: RegSet,
+        put: &mut impl FnMut(Instruction) -> Result<(), CodeGenError>,
+    ) -> Result<(), CodeGenError> {
+        let spilled = self.alloc.spilled().iter().copied();
+        save_frame(call_saves.iter(), put)?;
+        save_frame(spilled.clone(), put)?;
+        for &i in &self.buf.insts {
+            put(i)?;
+        }
+        restore_frame(spilled, put)?;
+        restore_frame(call_saves.iter(), put)
+    }
+
     /// Lower a snippet (as a statement).
-    pub fn emit(&mut self, s: &Snippet) -> Result<(), CodeGenError> {
+    fn emit(&mut self, s: &Snippet) -> Result<(), CodeGenError> {
         match s {
             Snippet::Nop => Ok(()),
             Snippet::Seq(v) => {
@@ -371,12 +491,12 @@ impl<'a> Emitter<'a> {
                 self.branch_unless(cond, l_else)?;
                 self.emit(then_)?;
                 if else_.is_some() {
-                    self.buf.insts.push(Instrs::Jump { label: l_end });
+                    self.buf.jump(l_end);
                 }
-                self.buf.insts.push(Instrs::Label(l_else));
+                self.buf.bind(l_else);
                 if let Some(e) = else_ {
                     self.emit(e)?;
-                    self.buf.insts.push(Instrs::Label(l_end));
+                    self.buf.bind(l_end);
                 }
                 Ok(())
             }
@@ -411,7 +531,7 @@ impl<'a> Emitter<'a> {
         match s {
             Snippet::Const(v) => {
                 let r = self.acquire()?;
-                self.buf.extend(load_imm(r, *v));
+                self.load_imm(r, *v);
                 Ok(r)
             }
             Snippet::ReadReg(src) => {
@@ -601,7 +721,7 @@ impl<'a> Emitter<'a> {
             (_, None) if c == 0 => self.bin_op(op, rd, rs, Reg::X0)?,
             (_, None) => {
                 let k = self.acquire()?;
-                self.buf.extend(load_imm(k, c));
+                self.load_imm(k, c);
                 self.bin_op(op, rd, rs, k)?;
                 self.release(k);
             }
@@ -629,7 +749,7 @@ impl<'a> Emitter<'a> {
             return Ok((Reg::X0, lo));
         }
         let a = self.acquire()?;
-        self.buf.extend(load_imm(a, upper));
+        self.load_imm(a, upper);
         Ok((a, lo))
     }
 
@@ -655,7 +775,7 @@ impl<'a> Emitter<'a> {
             return Ok((r, lo));
         }
         let a = self.acquire()?;
-        self.buf.extend(load_imm(a, upper));
+        self.load_imm(a, upper);
         self.buf.push(build::add(a, a, r));
         self.release(r);
         Ok((a, lo))
@@ -679,12 +799,7 @@ impl<'a> Emitter<'a> {
             }
             None => (Op::Beq, self.operand(cond)?, Reg::X0),
         };
-        self.buf.insts.push(Instrs::Branch {
-            op,
-            rs1,
-            rs2,
-            label,
-        });
+        self.buf.branch(op, rs1, rs2, label);
         self.release(rs1);
         self.release(rs2);
         Ok(())
@@ -776,7 +891,7 @@ impl<'a> Emitter<'a> {
 
     /// Push a load or store off `base`; a base of `sp` is the mutatee's
     /// ([`Self::address`]).
-    fn push_based(&mut self, i: rvdyn_isa::Instruction, base: Reg) {
+    fn push_based(&mut self, i: Instruction, base: Reg) {
         if base == Reg::X2 {
             self.buf.push_sp_read(i);
         } else {
@@ -796,41 +911,44 @@ impl<'a> Emitter<'a> {
     /// clobbered by `jalr` anyway and the whole-snippet wrapper already
     /// preserves it when live.
     fn emit_call(&mut self, target: u64, args: &[Snippet]) -> Result<Reg, CodeGenError> {
-        self.uses_call = true;
         if args.len() > 8 {
             return Err(CodeGenError::OutOfRegisters);
         }
         // Evaluate arguments into scratch registers.
-        let mut tmps = Vec::with_capacity(args.len());
-        for a in args {
-            tmps.push(self.expr(a)?);
+        let mut tmps = [Reg::X0; 8];
+        for (t, a) in tmps.iter_mut().zip(args) {
+            *t = self.expr(a)?;
         }
+        let tmps = &tmps[..args.len()];
         // Everything currently handed out that is NOT an argument temp
         // must survive the call.
-        let preserve: Vec<Reg> = self
-            .alloc
-            .in_use()
-            .into_iter()
-            .filter(|r| !tmps.contains(r))
-            .collect();
+        let mut preserve = [Reg::X0; MAX_SPILLS];
+        let mut kept = 0;
+        for &r in self.alloc.in_use() {
+            if !tmps.contains(&r) {
+                preserve[kept] = r;
+                kept += 1;
+            }
+        }
+        let preserve = &preserve[..kept];
         let frame = frame_size(preserve.len() + tmps.len());
         if frame > 0 {
             self.buf.push(build::addi(Reg::X2, Reg::X2, -frame));
-            for (i, &r) in preserve.iter().chain(tmps.iter()).enumerate() {
+            for (i, &r) in preserve.iter().chain(tmps).enumerate() {
                 self.buf.push(build::sd(r, Reg::X2, (i * 8) as i64));
             }
         }
         // Arguments: load from the frame into a0..an.
-        for (i, _) in tmps.iter().enumerate() {
+        for i in 0..tmps.len() {
             let slot = (preserve.len() + i) * 8;
             self.buf
                 .push(build::ld(Reg::x(10 + i as u8), Reg::X2, slot as i64));
         }
-        for t in tmps {
+        for &t in tmps {
             self.release(t);
         }
         // li ra, target ; jalr ra, 0(ra)
-        self.buf.extend(load_imm(Reg::X1, target as i64));
+        self.load_imm(Reg::X1, target as i64);
         self.buf.push(build::jalr(Reg::X1, Reg::X1, 0));
         // Capture the result before restoring anything it could alias.
         let result = self.acquire()?;
@@ -849,23 +967,55 @@ impl<'a> Emitter<'a> {
         Ok(result)
     }
 
+    /// Materialise `value` into `rd`.
+    fn load_imm(&mut self, rd: Reg, value: i64) {
+        load_imm_with(rd, value, &mut |i| self.buf.push(i));
+    }
+
     fn acquire(&mut self) -> Result<Reg, CodeGenError> {
         self.alloc.acquire().ok_or(CodeGenError::OutOfRegisters)
     }
+}
 
-    /// Did any emitted snippet contain a function call?
-    pub fn uses_call(&self) -> bool {
-        self.uses_call
+/// `addi sp, sp, -frame` for `regs`, then each of them stored at
+/// `8 * i(sp)`; nothing when there are none.
+fn save_frame(
+    regs: impl Iterator<Item = Reg> + Clone,
+    put: &mut impl FnMut(Instruction) -> Result<(), CodeGenError>,
+) -> Result<(), CodeGenError> {
+    let n = regs.clone().count();
+    if n == 0 {
+        return Ok(());
     }
+    put(build::addi(Reg::X2, Reg::X2, -frame_size(n)))?;
+    for (i, r) in regs.enumerate() {
+        let off = (i * 8) as i64;
+        put(match r.class() {
+            RegClass::Gpr => build::sd(r, Reg::X2, off),
+            RegClass::Fpr => build::fsd(r, Reg::X2, off),
+        })?;
+    }
+    Ok(())
+}
 
-    /// Finish: resolve internal branches and return the instruction list
-    /// (without the spill frame — the caller composes that from
-    /// [`RegAllocator::frame`]). `sp_bias` is how far the caller's frames
-    /// move `sp` down before the body runs; reads of the mutatee's `sp`
-    /// add it back.
-    pub fn finish(self, sp_bias: i64) -> Result<Vec<rvdyn_isa::Instruction>, CodeGenError> {
-        self.buf.resolve(sp_bias)
+/// The inverse of [`save_frame`]: each of `regs` loaded back, then
+/// `addi sp, sp, frame`.
+fn restore_frame(
+    regs: impl Iterator<Item = Reg> + Clone,
+    put: &mut impl FnMut(Instruction) -> Result<(), CodeGenError>,
+) -> Result<(), CodeGenError> {
+    let n = regs.clone().count();
+    if n == 0 {
+        return Ok(());
     }
+    for (i, r) in regs.enumerate() {
+        let off = (i * 8) as i64;
+        put(match r.class() {
+            RegClass::Gpr => build::ld(r, Reg::X2, off),
+            RegClass::Fpr => build::fld(r, Reg::X2, off),
+        })?;
+    }
+    put(build::addi(Reg::X2, Reg::X2, frame_size(n)))
 }
 
 /// Per-point lowering statistics — what the register allocator did while
@@ -883,91 +1033,30 @@ pub struct LowerStats {
 /// frame, plus the spill count (for diagnostics/ablation).
 pub fn generate(
     snippet: &Snippet,
-    dead: rvdyn_isa::RegSet,
-    mode: crate::regalloc::RegAllocMode,
+    dead: RegSet,
+    mode: RegAllocMode,
     profile: IsaProfile,
-) -> Result<(Vec<rvdyn_isa::Instruction>, usize), CodeGenError> {
+) -> Result<(Vec<Instruction>, usize), CodeGenError> {
     generate_with_stats(snippet, dead, mode, profile).map(|(code, st)| (code, st.spills))
 }
 
 /// As [`generate`], additionally reporting how the scratch registers were
-/// obtained (dead pool vs. spill) for per-point telemetry.
+/// obtained (dead pool vs. spill) for per-point telemetry. The code is
+/// what [`Emitter::lower_into`] encodes for the same point.
 pub fn generate_with_stats(
     snippet: &Snippet,
-    dead: rvdyn_isa::RegSet,
-    mode: crate::regalloc::RegAllocMode,
+    dead: RegSet,
+    mode: RegAllocMode,
     profile: IsaProfile,
-) -> Result<(Vec<rvdyn_isa::Instruction>, LowerStats), CodeGenError> {
-    generate_seq_with_stats(std::iter::once(snippet), dead, mode, profile)
-}
-
-/// As [`generate_with_stats`] for the statement sequence `snippets`,
-/// read in place: the same code as lowering a [`Snippet::Seq`] of them.
-pub fn generate_seq_with_stats<'s>(
-    snippets: impl Iterator<Item = &'s Snippet> + Clone,
-    dead: rvdyn_isa::RegSet,
-    mode: crate::regalloc::RegAllocMode,
-    profile: IsaProfile,
-) -> Result<(Vec<rvdyn_isa::Instruction>, LowerStats), CodeGenError> {
-    let contains_call = snippets.clone().any(|s| s.contains_call());
-    // A snippet containing a Call lets the callee clobber the entire
-    // caller-saved set, so every *live* caller-saved register (integer
-    // and FP, including ra) is preserved in an outer stack frame — the
-    // same conservative treatment Dyninst applies to call snippets,
-    // pruned here by liveness.
-    let call_saves: Vec<Reg> = if contains_call {
-        (0..64u8)
-            .map(Reg::from_index)
-            .filter(|r| r.is_caller_saved() && !dead.contains(*r))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let save_frame = frame_size(call_saves.len());
-
-    let mut alloc = RegAllocator::new(dead, mode);
-    alloc.reserve(snippets.clone().fold(rvdyn_isa::RegSet::EMPTY, |set, s| {
-        set.union(s.named_registers())
-    }));
-    let mut em = Emitter::new(&mut alloc, profile);
-    for s in snippets {
-        em.emit(s)?;
-    }
-    // The save frame and the spill prologue both move `sp` before the
-    // body runs.
-    let sp_bias = save_frame + em.alloc.frame_bytes();
-    let body = em.finish(sp_bias)?;
-    let stats = LowerStats {
-        spills: alloc.spill_count(),
-        dead_scratch: alloc.dead_grants(),
-    };
-    let (pro, epi) = alloc.frame();
-
-    let mut out = Vec::new();
-    if !call_saves.is_empty() {
-        out.push(build::addi(Reg::X2, Reg::X2, -save_frame));
-        for (i, &r) in call_saves.iter().enumerate() {
-            let off = (i * 8) as i64;
-            out.push(match r.class() {
-                rvdyn_isa::RegClass::Gpr => build::sd(r, Reg::X2, off),
-                rvdyn_isa::RegClass::Fpr => build::fsd(r, Reg::X2, off),
-            });
-        }
-    }
-    out.extend(pro);
-    out.extend(body);
-    out.extend(epi);
-    if !call_saves.is_empty() {
-        for (i, &r) in call_saves.iter().enumerate() {
-            let off = (i * 8) as i64;
-            out.push(match r.class() {
-                rvdyn_isa::RegClass::Gpr => build::ld(r, Reg::X2, off),
-                rvdyn_isa::RegClass::Fpr => build::fld(r, Reg::X2, off),
-            });
-        }
-        out.push(build::addi(Reg::X2, Reg::X2, save_frame));
-    }
-    Ok((out, stats))
+) -> Result<(Vec<Instruction>, LowerStats), CodeGenError> {
+    let mut em = Emitter::new();
+    let (stats, call_saves) = em.lower(std::iter::once(snippet), dead, mode, profile)?;
+    let mut code = Vec::new();
+    em.each_inst(call_saves, &mut |i| {
+        code.push(i);
+        Ok(())
+    })?;
+    Ok((code, stats))
 }
 
 #[cfg(test)]
@@ -979,7 +1068,7 @@ mod tests {
     use rvdyn_isa::RegSet;
 
     /// Run generated code on the reference evaluator.
-    fn run(insts: &[rvdyn_isa::Instruction], st: &mut IntState, mem: &mut FlatMemory) {
+    fn run(insts: &[Instruction], st: &mut IntState, mem: &mut FlatMemory) {
         // Lay the instructions out at pc=0x100 so branches work.
         let mut pc = 0x100u64;
         let mut laid = Vec::new();
@@ -1031,7 +1120,7 @@ mod tests {
         assert_eq!(mem.load(0x8000, 8), 3);
     }
 
-    fn ops(code: &[rvdyn_isa::Instruction]) -> Vec<Op> {
+    fn ops(code: &[Instruction]) -> Vec<Op> {
         code.iter().map(|i| i.op).collect()
     }
 

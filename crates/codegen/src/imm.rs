@@ -52,14 +52,16 @@ fn slli(rd: Reg, rs1: Reg, sh: i64) -> Instruction {
 /// full 64-bit constants.
 pub fn load_imm(rd: Reg, value: i64) -> Vec<Instruction> {
     let mut out = Vec::with_capacity(8);
-    load_imm_into(&mut out, rd, value);
+    load_imm_with(rd, value, &mut |i| out.push(i));
     out
 }
 
-fn load_imm_into(out: &mut Vec<Instruction>, rd: Reg, value: i64) {
+/// As [`load_imm`], handing each instruction of the sequence to `put` in
+/// order instead of collecting them.
+pub(crate) fn load_imm_with(rd: Reg, value: i64, put: &mut impl FnMut(Instruction)) {
     // 12-bit signed: single addi from x0.
     if (-(1 << 11)..(1 << 11)).contains(&value) {
-        out.push(addi(rd, Reg::X0, value));
+        put(addi(rd, Reg::X0, value));
         return;
     }
     // 32-bit signed: lui + addiw.
@@ -67,12 +69,12 @@ fn load_imm_into(out: &mut Vec<Instruction>, rd: Reg, value: i64) {
         let lo = (value << 52) >> 52; // sign-extended low 12
         let hi = (value.wrapping_sub(lo) as i32) as i64; // compensated upper 20
         if hi != 0 {
-            out.push(lui(rd, hi));
+            put(lui(rd, hi));
             if lo != 0 {
-                out.push(addiw(rd, rd, lo));
+                put(addiw(rd, rd, lo));
             }
         } else {
-            out.push(addi(rd, Reg::X0, lo));
+            put(addi(rd, Reg::X0, lo));
         }
         return;
     }
@@ -81,10 +83,10 @@ fn load_imm_into(out: &mut Vec<Instruction>, rd: Reg, value: i64) {
     // the signed chunk) and recurse.
     let lo = (value << 52) >> 52;
     let upper = value.wrapping_sub(lo) >> 12;
-    load_imm_into(out, rd, upper);
-    out.push(slli(rd, rd, 12));
+    load_imm_with(rd, upper, put);
+    put(slli(rd, rd, 12));
     if lo != 0 {
-        out.push(addi(rd, rd, lo));
+        put(addi(rd, rd, lo));
     }
 }
 

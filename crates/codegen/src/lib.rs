@@ -18,13 +18,15 @@
 //!   analogue): arithmetic, memory, variables, conditionals, sequences.
 //! * [`regalloc`] — scratch-register pools built from liveness information
 //!   with explicit spill fallback (ablation A1 forces the spill path).
-//! * [`emitter`] — AST → instruction lowering.
+//! * [`emitter`] — AST → instruction lowering: [`Emitter::lower_into`]
+//!   appends one point's code as encoded words to a caller's buffer, and
+//!   one emitter serves any number of points.
 
 pub mod emitter;
 pub mod imm;
 pub mod regalloc;
 pub mod snippet;
 
-pub use emitter::{generate, generate_with_stats, CodeBuffer, CodeGenError, Emitter, LowerStats};
+pub use emitter::{generate, generate_with_stats, CodeGenError, Emitter, LowerStats};
 pub use regalloc::{RegAllocMode, RegAllocator};
 pub use snippet::{BinaryOp, Snippet, UnaryOp, Var};

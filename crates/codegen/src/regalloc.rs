@@ -11,8 +11,14 @@
 //! to the emitter. When the dead pool is exhausted — or in
 //! [`RegAllocMode::ForceSpill`], the ablation mode used by benchmark A1 —
 //! registers are spilled to a small stack frame the trampoline creates.
+//!
+//! Every list the allocator keeps — the dead pool, the registers handed
+//! out and the spilled ones — is a subset of [`CANDIDATES`], so each is a
+//! fixed-size inline list and making an allocator allocates nothing. The
+//! emitter writes the spill frame around a point's body from
+//! [`RegAllocator::spilled`], the `i`-th spilled register at `8 * i(sp)`.
 
-use rvdyn_isa::{Instruction, Op, Reg, RegSet};
+use rvdyn_isa::{Reg, RegSet};
 
 /// Allocation policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,22 +28,6 @@ pub enum RegAllocMode {
     /// Ignore liveness and spill every scratch register (models the
     /// pre-optimisation x86 Dyninst behaviour; ablation A1).
     ForceSpill,
-}
-
-/// The per-point scratch register allocator.
-#[derive(Debug, Clone)]
-pub struct RegAllocator {
-    /// Registers free for use without saving.
-    dead_pool: Vec<Reg>,
-    /// Registers handed out that must be spilled/restored.
-    spilled: Vec<Reg>,
-    /// Registers currently handed out.
-    in_use: Vec<Reg>,
-    /// Scratch grants satisfied from the dead pool (zero-cost path).
-    dead_grants: usize,
-    /// Registers never handed out (see [`RegAllocator::reserve`]).
-    reserved: RegSet,
-    mode: RegAllocMode,
 }
 
 /// Candidate scratch registers, in preference order: temporaries first,
@@ -53,23 +43,94 @@ pub const fn frame_size(slots: usize) -> i64 {
     ((slots * 8 + 15) & !15) as i64
 }
 
+/// An ordered list of distinct scratch candidates, held inline: every
+/// list the allocator keeps is a subset of [`CANDIDATES`].
+#[derive(Debug, Clone, Copy)]
+struct RegList {
+    regs: [Reg; MAX_SPILLS],
+    len: u8,
+}
+
+impl RegList {
+    const EMPTY: RegList = RegList {
+        regs: [Reg::X0; MAX_SPILLS],
+        len: 0,
+    };
+
+    fn as_slice(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+
+    fn contains(&self, r: Reg) -> bool {
+        self.as_slice().contains(&r)
+    }
+
+    fn push(&mut self, r: Reg) {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<Reg> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.regs[self.len as usize])
+    }
+
+    /// Remove `r`, keeping the others in order; whether it was there.
+    fn remove(&mut self, r: Reg) -> bool {
+        let Some(pos) = self.as_slice().iter().position(|&x| x == r) else {
+            return false;
+        };
+        self.regs.copy_within(pos + 1..self.len as usize, pos);
+        self.len -= 1;
+        true
+    }
+
+    fn retain(&mut self, keep: impl Fn(Reg) -> bool) {
+        let mut kept = RegList::EMPTY;
+        for &r in self.as_slice() {
+            if keep(r) {
+                kept.push(r);
+            }
+        }
+        *self = kept;
+    }
+}
+
+/// The per-point scratch register allocator. Its register lists are
+/// fixed-size, so making one allocates nothing.
+#[derive(Debug, Clone)]
+pub struct RegAllocator {
+    /// Registers free for use without saving.
+    dead_pool: RegList,
+    /// Registers handed out that must be spilled/restored, in spill-slot
+    /// order.
+    spilled: RegList,
+    /// Registers currently handed out, in grant order.
+    in_use: RegList,
+    /// Scratch grants satisfied from the dead pool (zero-cost path).
+    dead_grants: usize,
+    /// Registers never handed out (see [`RegAllocator::reserve`]).
+    reserved: RegSet,
+    mode: RegAllocMode,
+}
+
 impl RegAllocator {
     /// Build an allocator for a point where `dead` registers are free
     /// (as computed by liveness; pass `RegSet::EMPTY` when liveness is
     /// unavailable — e.g. analysis of a gap region — to force spills).
     pub fn new(dead: RegSet, mode: RegAllocMode) -> RegAllocator {
-        let dead_pool = match mode {
-            RegAllocMode::DeadRegisters => CANDIDATES
-                .iter()
-                .map(|&n| Reg::x(n))
-                .filter(|r| dead.contains(*r))
-                .collect(),
-            RegAllocMode::ForceSpill => Vec::new(),
-        };
+        let mut dead_pool = RegList::EMPTY;
+        if mode == RegAllocMode::DeadRegisters {
+            for r in CANDIDATES.map(Reg::x) {
+                if dead.contains(r) {
+                    dead_pool.push(r);
+                }
+            }
+        }
         RegAllocator {
             dead_pool,
-            spilled: Vec::new(),
-            in_use: Vec::new(),
+            spilled: RegList::EMPTY,
+            in_use: RegList::EMPTY,
             dead_grants: 0,
             reserved: RegSet::EMPTY,
             mode,
@@ -81,17 +142,17 @@ impl RegAllocator {
     /// would otherwise clobber.
     pub fn reserve(&mut self, regs: RegSet) {
         self.reserved = self.reserved.union(regs);
-        self.dead_pool.retain(|r| !regs.contains(*r));
+        self.dead_pool.retain(|r| !regs.contains(r));
     }
 
     /// Is `r` a scratch register currently handed out?
     pub fn holds(&self, r: Reg) -> bool {
-        self.in_use.contains(&r)
+        self.in_use.contains(r)
     }
 
     /// Number of registers that had to be spilled so far.
     pub fn spill_count(&self) -> usize {
-        self.spilled.len()
+        self.spilled.len as usize
     }
 
     /// Number of scratch grants satisfied from the dead pool so far (the
@@ -100,10 +161,17 @@ impl RegAllocator {
         self.dead_grants
     }
 
-    /// Registers currently handed out (live snippet temporaries). The
-    /// emitter preserves these across snippet-internal function calls.
-    pub fn in_use(&self) -> Vec<Reg> {
-        self.in_use.clone()
+    /// Registers currently handed out (live snippet temporaries), in the
+    /// order they were granted. The emitter preserves these across
+    /// snippet-internal function calls.
+    pub fn in_use(&self) -> &[Reg] {
+        self.in_use.as_slice()
+    }
+
+    /// The spilled registers in spill-slot order: the spill frame saves
+    /// the `i`-th at `8 * i(sp)`.
+    pub fn spilled(&self) -> &[Reg] {
+        self.spilled.as_slice()
     }
 
     pub fn mode(&self) -> RegAllocMode {
@@ -112,7 +180,7 @@ impl RegAllocator {
 
     /// Acquire a scratch register. Dead registers come for free; otherwise
     /// the register is recorded for spilling and the trampoline prologue /
-    /// epilogue (from [`RegAllocator::frame`]) saves and restores it.
+    /// epilogue (from [`RegAllocator::spilled`]) saves and restores it.
     pub fn acquire(&mut self) -> Option<Reg> {
         if let Some(r) = self.dead_pool.pop() {
             self.in_use.push(r);
@@ -121,10 +189,9 @@ impl RegAllocator {
         }
         // Pick the next candidate not already handed out: one spilled
         // earlier and since released is already saved, so reuse it.
-        for &n in &CANDIDATES {
-            let r = Reg::x(n);
-            if !self.in_use.contains(&r) && !self.reserved.contains(r) {
-                if !self.spilled.contains(&r) {
+        for r in CANDIDATES.map(Reg::x) {
+            if !self.in_use.contains(r) && !self.reserved.contains(r) {
+                if !self.spilled.contains(r) {
                     self.spilled.push(r);
                 }
                 self.in_use.push(r);
@@ -136,52 +203,14 @@ impl RegAllocator {
 
     /// Release a scratch register back to the allocator.
     pub fn release(&mut self, r: Reg) {
-        if let Some(pos) = self.in_use.iter().position(|&x| x == r) {
-            self.in_use.remove(pos);
-            if !self.spilled.contains(&r) {
-                self.dead_pool.push(r);
-            }
+        if self.in_use.remove(r) && !self.spilled.contains(r) {
+            self.dead_pool.push(r);
         }
     }
 
     /// Bytes the spill prologue moves `sp` down by (0 without spills).
     pub fn frame_bytes(&self) -> i64 {
-        frame_size(self.spilled.len())
-    }
-
-    /// The spill frame: `(prologue, epilogue)` instruction sequences that
-    /// save and restore every spilled register on a private stack frame.
-    /// Empty when nothing was spilled — the zero-cost dead-register path.
-    pub fn frame(&self) -> (Vec<Instruction>, Vec<Instruction>) {
-        if self.spilled.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
-        let frame = self.frame_bytes();
-        let mut pro = Vec::with_capacity(self.spilled.len() + 1);
-        let mut epi = Vec::with_capacity(self.spilled.len() + 1);
-        let mut addi = Instruction::new(0, 0, 4, Op::Addi);
-        addi.rd = Some(Reg::X2);
-        addi.rs1 = Some(Reg::X2);
-        addi.imm = -frame;
-        pro.push(addi);
-        for (i, &r) in self.spilled.iter().enumerate() {
-            let mut sd = Instruction::new(0, 0, 4, Op::Sd);
-            sd.rs1 = Some(Reg::X2);
-            sd.rs2 = Some(r);
-            sd.imm = (i * 8) as i64;
-            pro.push(sd);
-            let mut ld = Instruction::new(0, 0, 4, Op::Ld);
-            ld.rd = Some(r);
-            ld.rs1 = Some(Reg::X2);
-            ld.imm = (i * 8) as i64;
-            epi.push(ld);
-        }
-        let mut undo = Instruction::new(0, 0, 4, Op::Addi);
-        undo.rd = Some(Reg::X2);
-        undo.rs1 = Some(Reg::X2);
-        undo.imm = frame;
-        epi.push(undo);
-        (pro, epi)
+        frame_size(self.spill_count())
     }
 }
 
@@ -197,8 +226,8 @@ mod tests {
         let r2 = a.acquire().unwrap();
         assert!(dead.contains(r1) && dead.contains(r2));
         assert_eq!(a.spill_count(), 0);
-        let (pro, epi) = a.frame();
-        assert!(pro.is_empty() && epi.is_empty());
+        assert!(a.spilled().is_empty());
+        assert_eq!(a.frame_bytes(), 0);
     }
 
     #[test]
@@ -209,13 +238,9 @@ mod tests {
         let r2 = a.acquire().unwrap(); // must spill
         assert_eq!(a.spill_count(), 1);
         assert!(!dead.contains(r2));
-        let (pro, epi) = a.frame();
-        // addi + 1 sd / 1 ld + addi
-        assert_eq!(pro.len(), 2);
-        assert_eq!(epi.len(), 2);
-        assert_eq!(pro[0].op, Op::Addi);
-        assert_eq!(pro[0].imm, -16);
-        assert_eq!(epi[1].imm, 16);
+        // One 8-byte slot in a 16-byte aligned frame.
+        assert_eq!(a.spilled(), [r2]);
+        assert_eq!(a.frame_bytes(), 16);
     }
 
     #[test]

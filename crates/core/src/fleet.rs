@@ -872,21 +872,21 @@ fn overwritten(code: &CodeObject, pc: u64) -> bool {
 /// order (later writes win), matching the semantics of issuing the
 /// writes one by one. The controller computes the regions once and
 /// delivers the same bytes into every process.
-fn coalesce_writes(writes: &[(u64, Vec<u8>)]) -> Vec<(u64, Vec<u8>)> {
-    let mut sorted: Vec<&(u64, Vec<u8>)> = writes.iter().collect();
+fn coalesce_writes<'a>(writes: impl IntoIterator<Item = (u64, &'a [u8])>) -> Vec<(u64, Vec<u8>)> {
+    let mut sorted: Vec<(u64, &[u8])> = writes.into_iter().collect();
     sorted.sort_by_key(|(addr, _)| *addr); // stable: preserves write order at equal addresses
     let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
     for (addr, bytes) in sorted {
         match out.last_mut() {
-            Some((base, buf)) if *addr <= *base + buf.len() as u64 => {
-                let off = (*addr - *base) as usize;
+            Some((base, buf)) if addr <= *base + buf.len() as u64 => {
+                let off = (addr - *base) as usize;
                 let end = off + bytes.len();
                 if end > buf.len() {
                     buf.resize(end, 0);
                 }
                 buf[off..end].copy_from_slice(bytes);
             }
-            _ => out.push((*addr, bytes.clone())),
+            _ => out.push((addr, bytes.to_vec())),
         }
     }
     out
@@ -1024,14 +1024,14 @@ mod tests {
 
     #[test]
     fn coalesce_merges_adjacent_and_overlapping() {
-        let writes = vec![
-            (0x100u64, vec![1u8, 2, 3, 4]),
-            (0x104, vec![5, 6]),    // adjacent: merges
-            (0x102, vec![9, 9]),    // overlap: later write wins
-            (0x200, vec![7]),       // distinct region
-            (0x1f0, vec![8; 0x10]), // adjacent to 0x200 after sort
+        let writes: [(u64, &[u8]); 5] = [
+            (0x100, &[1, 2, 3, 4]),
+            (0x104, &[5, 6]),    // adjacent: merges
+            (0x102, &[9, 9]),    // overlap: later write wins
+            (0x200, &[7]),       // distinct region
+            (0x1f0, &[8; 0x10]), // adjacent to 0x200 after sort
         ];
-        let regions = coalesce_writes(&writes);
+        let regions = coalesce_writes(writes);
         assert_eq!(regions.len(), 2);
         assert_eq!(regions[0].0, 0x100);
         assert_eq!(regions[0].1, vec![1, 2, 9, 9, 5, 6]);
@@ -1042,8 +1042,8 @@ mod tests {
 
     #[test]
     fn coalesce_of_disjoint_writes_is_identity() {
-        let writes = vec![(0x200u64, vec![1u8]), (0x100, vec![2, 3])];
-        let regions = coalesce_writes(&writes);
+        let writes: [(u64, &[u8]); 2] = [(0x200, &[1]), (0x100, &[2, 3])];
+        let regions = coalesce_writes(writes);
         assert_eq!(regions, vec![(0x100, vec![2, 3]), (0x200, vec![1])]);
     }
 }

@@ -207,7 +207,7 @@ impl RegSet {
     }
 
     /// Iterate the members in ascending dense-index order.
-    pub fn iter(self) -> impl Iterator<Item = Reg> {
+    pub fn iter(self) -> impl Iterator<Item = Reg> + Clone {
         let mut bits = self.0;
         std::iter::from_fn(move || {
             if bits == 0 {

@@ -23,7 +23,12 @@
 //!    the parse), less every register that a snippet of the function
 //!    writes ([`Snippet::WriteReg`]), so a value one snippet leaves in a
 //!    dead register survives the other snippets until a later one reads
-//!    it.
+//!    it. Each worker keeps one [`Emitter`] and one [`Insertions`] for
+//!    every function it plans: a point's code is lowered straight into
+//!    the function's word arena as encoded 32-bit words
+//!    ([`Emitter::lower_into`]), one run per point, and the relocation
+//!    plan copies the arena into its own byte arena once. Planning
+//!    allocates per function, not per point.
 //! 2. **Base assignment** (sequential): patch-area bases are assigned in
 //!    stable entry-address order, and each plan is re-relaxed at its
 //!    final base to a whole-area fixpoint. A call from one relocated
@@ -62,12 +67,14 @@
 
 use crate::callsites::CallSites;
 use crate::points::{Point, PointKind};
-use crate::relocate::{reaches, relocated_addr, Insertions, RelocationPlan, JAL_REACH};
+use crate::relocate::{
+    reaches, relocated_addr, Insertions, Placement, RelocateError, RelocationPlan, JAL_REACH,
+};
 use crate::springboard::{
     plan_springboard, springboard_sites, Springboard, SpringboardKind, SpringboardStats,
     MAX_SPRINGBOARD_LEN,
 };
-use rvdyn_codegen::emitter::{generate_seq_with_stats, CodeGenError};
+use rvdyn_codegen::emitter::{CodeGenError, Emitter};
 use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
 use rvdyn_isa::encode::encode32;
@@ -200,7 +207,12 @@ impl std::error::Error for InstrumentError {}
 
 impl From<CodeGenError> for InstrumentError {
     fn from(e: CodeGenError) -> Self {
-        InstrumentError::CodeGen(e)
+        match e {
+            // Code that does not encode is one failure, whether it is
+            // snippet code or a copied instruction: `RelocateError::Encode`.
+            CodeGenError::Encode(e) => RelocateError::Encode(e.to_string()).into(),
+            e => InstrumentError::CodeGen(e),
+        }
     }
 }
 
@@ -215,17 +227,24 @@ impl From<crate::relocate::RelocateError> for InstrumentError {
 /// Includes compressed instructions a wider springboard straddles and
 /// instructions only partially overwritten by a narrower one.
 pub fn clobbered_addresses(f: &Function, base: u64, len: usize) -> Vec<u64> {
+    let mut out = Vec::new();
+    clobbered_into(f, base, len, &mut out);
+    out
+}
+
+/// [`clobbered_addresses`] into `out`, which is cleared first.
+fn clobbered_into(f: &Function, base: u64, len: usize, out: &mut Vec<u64>) {
     let end = base + len as u64;
-    let mut out: Vec<u64> = f
-        .blocks
-        .values()
-        .flat_map(|b| b.insts.iter())
-        .filter(|i| i.address < end && i.address + i.size as u64 > base)
-        .map(|i| i.address)
-        .collect();
+    out.clear();
+    out.extend(
+        f.blocks
+            .values()
+            .flat_map(|b| b.insts.iter())
+            .filter(|i| i.address < end && i.address + i.size as u64 > base)
+            .map(|i| i.address),
+    );
     out.sort_unstable();
     out.dedup();
-    out
 }
 
 /// The springboard soundness audit (ROADMAP: springboard-clobber): for a
@@ -242,32 +261,42 @@ pub fn audit_redirect_coverage(
     len: usize,
     addr_map: &BTreeMap<u64, u64>,
 ) -> Result<Vec<(u64, u64)>, InstrumentError> {
-    audit_cover(f, base, len, |pc| addr_map.get(&pc).copied())
+    let mut clobbered = Vec::new();
+    let cover = audit_cover(
+        f,
+        base,
+        len,
+        |pc| addr_map.get(&pc).copied(),
+        &mut clobbered,
+    )?;
+    Ok(cover.collect())
 }
 
-/// [`audit_redirect_coverage`] over any original → relocated lookup.
-fn audit_cover(
+/// [`audit_redirect_coverage`] over any original → relocated lookup,
+/// gathering the clobbered addresses in `clobbered`: the redirect pairs,
+/// in address order.
+fn audit_cover<'a>(
     f: &Function,
     base: u64,
     len: usize,
-    relocated: impl Fn(u64) -> Option<u64>,
-) -> Result<Vec<(u64, u64)>, InstrumentError> {
-    let clobbered = clobbered_addresses(f, base, len);
-    let mut cover = Vec::with_capacity(clobbered.len());
-    let mut missing = Vec::new();
-    for pc in clobbered {
-        match relocated(pc) {
-            Some(to) => cover.push((pc, to)),
-            None => missing.push(pc),
-        }
-    }
+    relocated: impl Fn(u64) -> Option<u64> + 'a,
+    clobbered: &'a mut Vec<u64>,
+) -> Result<impl Iterator<Item = (u64, u64)> + 'a, InstrumentError> {
+    clobbered_into(f, base, len, clobbered);
+    let missing: Vec<u64> = clobbered
+        .iter()
+        .copied()
+        .filter(|&pc| relocated(pc).is_none())
+        .collect();
     if !missing.is_empty() {
         return Err(InstrumentError::SpringboardClobber {
             pc: base,
             clobbered: missing,
         });
     }
-    Ok(cover)
+    Ok(clobbered
+        .iter()
+        .filter_map(move |&pc| Some((pc, relocated(pc)?))))
 }
 
 /// Refuse a layout whose patch code area (`code_len` bytes), patch data
@@ -404,8 +433,11 @@ pub struct PatchResult {
     /// springboard: calls relocated with their caller plus call sites
     /// rewritten in original code.
     pub calls_retargeted: usize,
-    /// Raw (address, bytes) writes for dynamic instrumentation.
+    /// The springboard and call-site writes, in planting order.
     writes: Vec<(u64, Vec<u8>)>,
+    /// The index in `binary.sections` of `.rvdyn.text`, the patch code
+    /// area (none when nothing was relocated).
+    code_section: Option<usize>,
     /// The original bytes each springboard and rewritten call site
     /// overwrote, for removal.
     undo: Vec<(u64, Vec<u8>)>,
@@ -415,10 +447,15 @@ pub struct PatchResult {
 
 impl PatchResult {
     /// The memory writes that implement this instrumentation on a live
-    /// process (patch area content, springboards and rewritten call
-    /// sites).
-    pub fn memory_writes(&self) -> &[(u64, Vec<u8>)] {
-        &self.writes
+    /// process, as `(address, bytes)`: the springboards and rewritten
+    /// call sites, then the patch code area, read from its `.rvdyn.text`
+    /// section in [`PatchResult::binary`].
+    pub fn memory_writes(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        let code = self.code_section.and_then(|i| self.binary.sections.get(i));
+        self.writes
+            .iter()
+            .map(|(addr, bytes)| (*addr, &bytes[..]))
+            .chain(code.map(|sec| (sec.addr, &sec.data[..])))
     }
 
     /// The inverse writes: restoring these bytes removes every
@@ -433,17 +470,26 @@ impl PatchResult {
 
 /// Where a request's snippet runs relative to the instruction at its
 /// address; the plan phase lowers a function's points in this order.
-fn placement(kind: PointKind) -> u8 {
+fn placement(kind: PointKind) -> Placement {
     match kind {
-        PointKind::BranchTaken => 1,
-        PointKind::BranchNotTaken => 2,
-        _ => 0,
+        PointKind::BranchTaken => Placement::TakenEdge,
+        PointKind::BranchNotTaken => Placement::NotTakenEdge,
+        _ => Placement::Before,
     }
 }
 
 /// Sort key of a request: function, placement, address.
-fn request_key(p: &Point) -> (u64, u8, u64) {
+fn request_key(p: &Point) -> (u64, Placement, u64) {
     (p.func, placement(p.kind), p.addr)
+}
+
+/// What one plan worker reuses from function to function: the emitter
+/// (code buffer, label table, allocator pools) and the word arena the
+/// function's points are lowered into.
+#[derive(Default)]
+struct PlanScratch {
+    emitter: Emitter,
+    insertions: Insertions,
 }
 
 /// One function's plan-phase output: lowered snippets spliced into a
@@ -498,12 +544,34 @@ struct FinishedBatch {
     /// once per function.
     redirects: Vec<(u64, u64)>,
     functions: Vec<Finished>,
+    /// Scratch for the clobber audit: the addresses one springboard
+    /// tears.
+    clobbered: Vec<u64>,
+}
+
+impl FinishedBatch {
+    /// An empty batch with room for the code and index of `plans`.
+    fn sized_for(plans: &[&FunctionPlan]) -> FinishedBatch {
+        let code = plans
+            .iter()
+            .map(|p| (p.reloc.code_size() + 7) & !7)
+            .sum::<u64>();
+        let index = plans.iter().map(|p| p.reloc.relocated_count()).sum();
+        FinishedBatch {
+            code: Vec::with_capacity(code as usize),
+            index: Vec::with_capacity(index),
+            springs: Vec::with_capacity(plans.len()),
+            functions: Vec::with_capacity(plans.len()),
+            ..FinishedBatch::default()
+        }
+    }
 }
 
 /// Run `work` over `items` in contiguous batches, taking them by value,
 /// on `nworkers` helper threads (inline, as one batch, when `nworkers`
 /// is 1), and return the batches' results in item order. Workers claim
-/// batches from the worklist the parallel parser uses.
+/// batches from the worklist the parallel parser uses, and each hands
+/// every batch it claims the same scratch `S`.
 ///
 /// The calling thread only waits. It frees what earlier phases' helpers
 /// allocated, so glibc's per-thread cache hands it chunks owned by a
@@ -512,23 +580,25 @@ struct FinishedBatch {
 /// cold-code benchmark the plan phase slept on that arena's lock
 /// thousands of times per apply, depending on what the process had run
 /// before.
-fn par_batches<T: Send, R: Send>(
+fn par_batches<T: Send, S: Default, R: Send>(
     items: Vec<T>,
     nworkers: usize,
-    work: impl Fn(Vec<T>) -> R + Sync,
+    work: impl Fn(&mut S, Vec<T>) -> R + Sync,
 ) -> Vec<R> {
     if nworkers <= 1 {
-        return vec![work(items)];
+        return vec![work(&mut S::default(), items)];
     }
     let wl = Worklist::fixed(items.into_iter().enumerate(), nworkers);
     let worker = || {
+        let mut scratch = S::default();
         let mut done = Vec::new();
         loop {
             let batch = wl.next_batch();
             let (Some(&(first, _)), n) = (batch.first(), batch.len()) else {
                 break;
             };
-            done.push((first, work(batch.into_iter().map(|(_, t)| t).collect())));
+            let items = batch.into_iter().map(|(_, t)| t).collect();
+            done.push((first, work(&mut scratch, items)));
             wl.complete_batch(n);
         }
         done
@@ -688,6 +758,7 @@ impl<'b> Instrumenter<'b> {
         profile: IsaProfile,
         callees: &[(u64, u64)],
         events: &mut Vec<PatchEvent>,
+        scratch: &mut PlanScratch,
     ) -> Result<FunctionPlan, InstrumentError> {
         let f = self
             .co
@@ -701,11 +772,16 @@ impl<'b> Instrumenter<'b> {
             set.union(self.requests[i].1.written_registers())
         });
 
-        // Lower each point's snippets with its dead-register pool.
-        // Edge snippets use the dead set before the branch, which is a
-        // safe under-approximation of the edge's own dead set.
+        // Lower each point's snippets with its dead-register pool, into
+        // one run of the function's word arena. Edge snippets use the
+        // dead set before the branch, which is a safe under-approximation
+        // of the edge's own dead set.
+        let PlanScratch {
+            emitter,
+            insertions,
+        } = scratch;
+        insertions.clear();
         let first_event = events.len();
-        let mut lowered = Insertions::default();
         let mut spills = 0usize;
         let mut dead_points = 0usize;
         let point = |i: &usize| &self.requests[*i].0;
@@ -713,7 +789,9 @@ impl<'b> Instrumenter<'b> {
             let p = point(&run[0]);
             let dead = lv.dead_before(f, p.addr).minus(written);
             let snippets = run.iter().map(|&i| &*self.requests[i].1);
-            let (code, stats) = generate_seq_with_stats(snippets, dead, self.mode, profile)?;
+            let stats = insertions.push_with(p.addr, placement(p.kind), |words| {
+                emitter.lower_into(snippets, dead, self.mode, profile, words)
+            })?;
             spills += stats.spills;
             if stats.spills == 0 {
                 dead_points += 1;
@@ -723,12 +801,6 @@ impl<'b> Instrumenter<'b> {
                 spills: stats.spills,
                 dead_scratch: stats.dead_scratch,
             });
-            let dst = match placement(p.kind) {
-                0 => &mut lowered.before,
-                1 => &mut lowered.taken_edge,
-                _ => &mut lowered.not_taken_edge,
-            };
-            dst.insert(p.addr, code);
         }
         let points = events.len() - first_event;
 
@@ -738,7 +810,7 @@ impl<'b> Instrumenter<'b> {
         // puts every function of the pass there too, so no call to one
         // widens against the callee's original address first.
         let reloc_start = Instant::now();
-        let mut reloc = RelocationPlan::build(f, &lowered)?;
+        let mut reloc = RelocationPlan::build(f, insertions)?;
         reloc.relax_at(self.layout.patch_text, callees);
         let plan_ns = (reloc_start.elapsed().as_nanos() as u64).max(1);
 
@@ -779,16 +851,13 @@ impl<'b> Instrumenter<'b> {
         let emitted = plan
             .reloc
             .emit_into(plan.base, callees, &mut batch.code, &mut batch.calls);
-        let pairs = match emitted {
-            Ok(pairs) => pairs,
-            Err(e) => {
-                batch.code.truncate(start);
-                batch.calls.truncate(calls_start);
-                fin.emitted = Err(e.into());
-                batch.functions.push(fin);
-                return;
-            }
-        };
+        if let Err(e) = emitted {
+            batch.code.truncate(start);
+            batch.calls.truncate(calls_start);
+            fin.emitted = Err(e.into());
+            batch.functions.push(fin);
+            return;
+        }
         fin.calls = batch.calls.len() - calls_start;
         fin.emit_ns = (emit_start.elapsed().as_nanos() as u64).max(1);
         let bytes = batch.code.len() - start;
@@ -810,14 +879,15 @@ impl<'b> Instrumenter<'b> {
                 (hi - lo) as usize
             }
         };
-        let new_entry = relocated_addr(&pairs, fe).unwrap_or(plan.base);
+        let relocated = |pc| plan.reloc.relocated(plan.base, pc);
+        let new_entry = relocated(fe).unwrap_or(plan.base);
         // Springboards at indirect-jump targets: execution re-enters
         // original code through jump tables; bounce it back into the
         // instrumented copy (§3.2.3 jump tables + code patching).
         let mut sites = springboard_sites(f);
         let entry = sites.next().map(|at| (at, new_entry, entry_avail));
         let targets = sites.filter_map(|t| {
-            let nt = relocated_addr(&pairs, t)?;
+            let nt = relocated(t)?;
             Some((t, nt, f.blocks.at(t).len_bytes() as usize))
         });
         // The plan phase solved the function's liveness; its dead
@@ -827,7 +897,7 @@ impl<'b> Instrumenter<'b> {
         for (at, to, avail) in entry.into_iter().chain(targets) {
             let sb = plan_springboard(at, to, avail, profile, lv.dead_before(f, at));
             batch.traps.extend(sb.trap_entry);
-            match audit_cover(f, at, sb.bytes.len(), |pc| relocated_addr(&pairs, pc)) {
+            match audit_cover(f, at, sb.bytes.len(), relocated, &mut batch.clobbered) {
                 Ok(cover) => {
                     // A site can be audited twice (an entry block that is
                     // also a jump-table target, a repeated table entry);
@@ -852,7 +922,7 @@ impl<'b> Instrumenter<'b> {
         let index_start = batch.index.len();
         batch
             .index
-            .extend(pairs.iter().map(|&(old, new)| (new, old)));
+            .extend(plan.reloc.pairs(plan.base).map(|(old, new)| (new, old)));
         let part = &mut batch.index[index_start..];
         if !part.is_sorted() {
             part.sort_unstable();
@@ -889,7 +959,7 @@ impl<'b> Instrumenter<'b> {
             .iter()
             .map(|&(fe, _)| (fe, self.layout.patch_text))
             .collect();
-        let built = par_batches(groups, nworkers, |batch| {
+        let built = par_batches(groups, nworkers, |scratch: &mut PlanScratch, batch| {
             // Solve the batch's liveness before planning it. The solutions
             // stay in the shared parse until the analysis is dropped, and
             // allocated back to back, not between the plans' allocations,
@@ -901,10 +971,14 @@ impl<'b> Instrumenter<'b> {
                     f.liveness();
                 }
             }
-            let mut events = Vec::new();
+            // At most one milestone per request.
+            let mut events = Vec::with_capacity(batch.iter().map(|(_, reqs)| reqs.len()).sum());
             let plans: Vec<_> = batch
                 .into_iter()
-                .map(|(fe, reqs)| self.build_plan(fe, &order[reqs], profile, &callees, &mut events))
+                .map(|(fe, reqs)| {
+                    let reqs = &order[reqs];
+                    self.build_plan(fe, reqs, profile, &callees, &mut events, scratch)
+                })
                 .collect();
             (events, plans)
         });
@@ -958,8 +1032,8 @@ impl<'b> Instrumenter<'b> {
         // The plans stay with the main thread, which frees them after the
         // merge: workers freeing them concurrently contend in the
         // allocator.
-        let batches = par_batches(plans.iter().collect(), nworkers, |plans| {
-            let mut batch = FinishedBatch::default();
+        let batches = par_batches(plans.iter().collect(), nworkers, |_: &mut (), plans| {
+            let mut batch = FinishedBatch::sized_for(&plans);
             for plan in plans {
                 self.finish_plan(plan, profile, &callees, &mut batch);
             }
@@ -1078,9 +1152,11 @@ impl<'b> Instrumenter<'b> {
             observer(PatchEvent::CallRetargeted { site, to });
         }
 
-        // New sections.
+        // New sections. The patch code is written once, into its
+        // section, which `memory_writes` reads.
+        let mut code_section = None;
         if !patch_code.is_empty() {
-            writes.push((self.layout.patch_text, patch_code.clone()));
+            code_section = Some(out.sections.len());
             out.sections.push(Section::progbits(
                 ".rvdyn.text",
                 self.layout.patch_text,
@@ -1123,6 +1199,7 @@ impl<'b> Instrumenter<'b> {
             code_end,
             calls_retargeted,
             writes,
+            code_section,
             undo,
             reloc_index: RelocationIndex { entries: index },
         })

@@ -73,7 +73,7 @@ pub use instrument::{
 };
 pub use placement::{plan_block_counters, BlockCountPlan, CounterPlacement, CounterSite};
 pub use points::{find_points, Point, PointKind};
-pub use relocate::{relocate_function, Insertions, RelocatedFunction, RelocationPlan};
+pub use relocate::{relocate_function, Insertions, Placement, RelocatedFunction, RelocationPlan};
 pub use springboard::{
     plan_springboard, springboard_sites, Springboard, SpringboardKind, SpringboardStats,
     MAX_SPRINGBOARD_LEN,

@@ -29,6 +29,18 @@
 //! Every intra-function target is resolved to a slot index once, when the
 //! plan is built, so relaxation and emission are linear passes over the
 //! slots with no address-map lookups.
+//!
+//! The plan is compact. Snippet code arrives already encoded, as runs of
+//! 32-bit words over one arena per function ([`Insertions`]). Every slot
+//! whose bytes do not depend on where the function lands — a verbatim
+//! instruction (kept at 2 bytes when the original was compressed and
+//! still compresses), a snippet run, or the materialisation that
+//! replaces an `auipc` — is encoded once, when the plan is built, into
+//! one byte arena, and emission copies it. Only branch, jump and call
+//! slots keep operands, and only they are encoded at emission. A
+//! copied instruction or snippet that does not encode is therefore
+//! refused when the plan is built, with the same
+//! [`RelocateError::Encode`] that emission would have returned.
 
 use rvdyn_codegen::imm::load_imm;
 use rvdyn_isa::encode::{compress, encode32};
@@ -99,13 +111,123 @@ pub(crate) fn reaches(at: u64, to: u64, reach: i64) -> bool {
     (-reach..reach).contains(&(to.wrapping_sub(at) as i64))
 }
 
+/// Where a run of snippet code goes relative to the instruction at its
+/// address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Placement {
+    /// Before the instruction (a block-entry point maps to the block's
+    /// first instruction).
+    Before,
+    /// Only when the conditional branch at the address is taken: an
+    /// out-of-line stub the branch is retargeted to.
+    TakenEdge,
+    /// Only on the fallthrough of the conditional branch at the address:
+    /// inline after the branch, which only the fallthrough path passes.
+    NotTakenEdge,
+}
+
+/// One run of [`Insertions`]: the words `start..end` of the arena, placed
+/// at `addr`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    placement: Placement,
+    addr: u64,
+    start: u32,
+    end: u32,
+}
+
+/// Snippet code for one function's relocation: runs of encoded 32-bit
+/// words over one arena, one run per (placement, address), kept sorted by
+/// placement and then address. The plan phase appends each point's code
+/// to the arena as it lowers the point and reuses one `Insertions` for
+/// every function it plans.
+#[derive(Debug, Default, Clone)]
+pub struct Insertions {
+    words: Vec<u32>,
+    runs: Vec<Run>,
+}
+
+impl Insertions {
+    /// Remove every run, keeping the arena's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        self.runs.clear();
+    }
+
+    /// Append `code` as the run at `addr` in `placement`. Runs must be
+    /// pushed in strictly ascending (placement, address) order; a push
+    /// out of that order panics.
+    pub fn push(&mut self, addr: u64, placement: Placement, code: &[u32]) {
+        let start = self.words.len();
+        self.words.extend_from_slice(code);
+        self.close_run(addr, placement, start);
+    }
+
+    /// As [`Insertions::push`], with `write` appending the run's code to
+    /// the arena. When `write` fails, nothing is pushed.
+    pub(crate) fn push_with<T, E>(
+        &mut self,
+        addr: u64,
+        placement: Placement,
+        write: impl FnOnce(&mut Vec<u32>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let start = self.words.len();
+        match write(&mut self.words) {
+            Ok(t) => {
+                self.close_run(addr, placement, start);
+                Ok(t)
+            }
+            Err(e) => {
+                self.words.truncate(start);
+                Err(e)
+            }
+        }
+    }
+
+    /// Record the words from `start` to the arena's end as the run at
+    /// `addr` in `placement`. Lookups binary-search the runs, so an
+    /// out-of-order push would go unseen by them: refuse it here.
+    fn close_run(&mut self, addr: u64, placement: Placement, start: usize) {
+        assert!(
+            self.runs
+                .last()
+                .is_none_or(|r| (r.placement, r.addr) < (placement, addr)),
+            "runs must be pushed in ascending (placement, address) order"
+        );
+        self.runs.push(Run {
+            placement,
+            addr,
+            start: start as u32,
+            end: self.words.len() as u32,
+        });
+    }
+
+    /// The code of the run at `addr` in `placement`, if there is one.
+    fn get(&self, placement: Placement, addr: u64) -> Option<&[u32]> {
+        let i = self
+            .runs
+            .binary_search_by(|r| (r.placement, r.addr).cmp(&(placement, addr)))
+            .ok()?;
+        let r = self.runs[i];
+        Some(&self.words[r.start as usize..r.end as usize])
+    }
+
+    /// Number of runs in `placement`.
+    fn count(&self, placement: Placement) -> usize {
+        self.runs
+            .iter()
+            .filter(|r| r.placement == placement)
+            .count()
+    }
+}
+
 /// Where an intra-function branch or jump goes, resolved when the plan
 /// is built.
 #[derive(Debug, Clone, Copy)]
 enum Target {
     /// The slot at this index: the first slot for the original target
     /// address (its snippet when one is attached), or a taken-edge stub.
-    Slot(usize),
+    Slot(u32),
     /// An intra-function target no slot stands for. Sized as the
     /// absolute address; emission refuses it with
     /// [`RelocateError::UnmappedTarget`].
@@ -116,22 +238,27 @@ impl Target {
     /// The target address with `slots` placed at `base`.
     fn addr(self, slots: &[Slot], base: u64) -> u64 {
         match self {
-            Target::Slot(i) => base + slots[i].offset,
+            Target::Slot(i) => base + slots[i as usize].offset as u64,
             Target::Unmapped(a) => a,
         }
     }
 }
 
-enum Item {
-    /// Straight-line 4-byte instructions `insts[start..start + len]` of
-    /// the plan: snippet code, or the materialised value that replaces
-    /// an `auipc`.
-    Insts { start: usize, len: usize },
-    /// An original instruction copied (re-encoded) verbatim.
-    Verbatim { inst: Instruction },
-    /// Conditional branch. A branch with a taken-edge snippet targets
-    /// its stub slot instead of its real target.
-    CondBranch { inst: Instruction, target: Target },
+/// A control transfer, encoded at emission: its bytes depend on where
+/// the plan lands.
+#[derive(Debug, Clone, Copy)]
+enum Transfer {
+    /// Conditional branch `op` on `rs1, rs2`; `inverse` is the opposite
+    /// condition, which the widened form branches on. A branch with a
+    /// taken-edge snippet targets its stub slot instead of its real
+    /// target.
+    CondBranch {
+        op: Op,
+        inverse: Op,
+        rs1: Reg,
+        rs2: Reg,
+        target: Target,
+    },
     /// `jal` with an intra-function target.
     Jump { rd: Reg, target: Target },
     /// Interprocedural `jal` (call, or tail call when `rd` is `x0`) at
@@ -140,32 +267,17 @@ enum Item {
     Call { rd: Reg, callee: u64, site: u64 },
 }
 
-/// Snippet placement requests for one function's relocation.
-#[derive(Debug, Default, Clone)]
-pub struct Insertions {
-    /// Run before the instruction at the key address (block-entry points
-    /// map to the block's first instruction).
-    pub before: BTreeMap<u64, Vec<Instruction>>,
-    /// Run only when the conditional branch at the key address is taken
-    /// (implemented as an out-of-line stub the branch is retargeted to).
-    pub taken_edge: BTreeMap<u64, Vec<Instruction>>,
-    /// Run only on the fallthrough of the conditional branch at the key
-    /// address (implemented inline after the branch — only the
-    /// fallthrough path passes there).
-    pub not_taken_edge: BTreeMap<u64, Vec<Instruction>>,
-}
-
+#[derive(Debug, Clone, Copy)]
 struct Slot {
-    item: Item,
-    size: u64,
+    /// `None` for position-independent bytes, encoded when the plan was
+    /// built: the slot's `size` bytes of the plan's arena, which follow
+    /// those of the byte slot before it. A verbatim instruction, snippet
+    /// code, or the materialised value that replaces an `auipc`.
+    transfer: Option<Transfer>,
+    size: u32,
     /// Byte offset from the plan's base: the sum of the sizes of the
     /// slots before it.
-    offset: u64,
-    /// The original address this slot is the first slot for, if any.
-    /// The first slot wins: a snippet slot precedes its instruction's
-    /// slot, and a later overlapping block's copy of an address loses to
-    /// the earlier block's.
-    first_of: Option<u64>,
+    offset: u32,
 }
 
 fn invert(op: Op) -> Option<Op> {
@@ -180,9 +292,8 @@ fn invert(op: Op) -> Option<Op> {
     }
 }
 
-/// The relocated address of original instruction `old` in `pairs`, the
-/// `(original, relocated)` vector emission returns (sorted by original
-/// address).
+/// The relocated address of original instruction `old` in `pairs`, an
+/// `(original, relocated)` vector sorted by original address.
 pub(crate) fn relocated_addr(pairs: &[(u64, u64)], old: u64) -> Option<u64> {
     pairs
         .binary_search_by_key(&old, |&(o, _)| o)
@@ -206,41 +317,72 @@ pub struct RelocationPlan {
     entry: u64,
     /// The first slot for `entry` (its entry snippet when one is
     /// attached): where a call into the relocated copy lands.
-    entry_slot: Option<usize>,
+    entry_slot: Option<u32>,
     slots: Vec<Slot>,
-    /// Instructions of the plan's [`Item::Insts`] slots.
-    insts: Vec<Instruction>,
+    /// The bytes of the byte slots, in slot order.
+    bytes: Vec<u8>,
+    /// `(original address, slot)` for the first slot standing for each
+    /// original instruction, ascending by address. The first slot wins:
+    /// a snippet slot precedes its instruction's slot, and a later
+    /// overlapping block's copy of an address loses to the earlier
+    /// block's.
+    firsts: Vec<(u64, u32)>,
 }
 
 impl RelocationPlan {
     /// Build the slot list for `f` with `insertions` spliced in (taken-edge
-    /// stubs appended after the body) and resolve every intra-function
-    /// target to its slot. No addresses are assigned yet.
+    /// stubs appended after the body), encode its position-independent
+    /// slots and resolve every intra-function target to its slot. No
+    /// addresses are assigned yet.
     pub fn build(f: &Function, insertions: &Insertions) -> Result<RelocationPlan, RelocateError> {
-        let mut b = Builder::with_capacity(f, insertions);
-        b.build(f, insertions)?;
-        b.resolve_targets();
-        let entry_slot = b.first_slot(f.entry);
+        let n_insts: usize = f.blocks.values().map(|b| b.insts.len()).sum();
+        let stubs = insertions.count(Placement::TakenEdge);
         let mut plan = RelocationPlan {
             entry: f.entry,
-            entry_slot,
-            slots: b.slots,
-            insts: b.insts,
+            entry_slot: None,
+            slots: Vec::with_capacity(n_insts + insertions.runs.len() + stubs + f.blocks.len()),
+            bytes: Vec::with_capacity(4 * (n_insts + insertions.words.len())),
+            firsts: Vec::with_capacity(n_insts + insertions.count(Placement::Before)),
         };
+        plan.splice(f, insertions)?;
+        plan.resolve_targets();
+        plan.entry_slot = plan.first_slot(f.entry);
         plan.place();
         Ok(plan)
     }
 
     /// Total encoded size of the plan at its current slot sizes.
     pub fn code_size(&self) -> u64 {
-        self.slots.last().map_or(0, |s| s.offset + s.size)
+        self.slots
+            .last()
+            .map_or(0, |s| s.offset as u64 + s.size as u64)
     }
 
     /// The relocated entry address with the plan based at `base` (the
     /// base itself when no slot stands for the entry).
     pub fn entry_at(&self, base: u64) -> u64 {
         self.entry_slot
-            .map_or(base, |i| base + self.slots[i].offset)
+            .map_or(base, |i| base + self.slots[i as usize].offset as u64)
+    }
+
+    /// The relocated address of original instruction `old` with the plan
+    /// based at `base`.
+    pub(crate) fn relocated(&self, base: u64, old: u64) -> Option<u64> {
+        let i = self.first_slot(old)?;
+        Some(base + self.slots[i as usize].offset as u64)
+    }
+
+    /// `(original, relocated)` for every original instruction, ascending
+    /// by original address, with the plan based at `base`.
+    pub(crate) fn pairs(&self, base: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.firsts
+            .iter()
+            .map(move |&(old, i)| (old, base + self.slots[i as usize].offset as u64))
+    }
+
+    /// Number of original instructions the plan relocates.
+    pub(crate) fn relocated_count(&self) -> usize {
+        self.firsts.len()
     }
 
     /// Where a call with link register `rd` at `at` to the function
@@ -288,16 +430,18 @@ impl RelocationPlan {
             let mut changed = false;
             for i in 0..self.slots.len() {
                 let s = &self.slots[i];
-                let at = new_base + s.offset;
-                let (to, reach) = match s.item {
-                    Item::CondBranch { target, .. } => {
+                let at = new_base + s.offset as u64;
+                let (to, reach) = match s.transfer {
+                    Some(Transfer::CondBranch { target, .. }) => {
                         (target.addr(&self.slots, new_base), BRANCH_REACH)
                     }
-                    Item::Jump { target, .. } => (target.addr(&self.slots, new_base), JAL_REACH),
-                    Item::Call { rd, callee, .. } => {
+                    Some(Transfer::Jump { target, .. }) => {
+                        (target.addr(&self.slots, new_base), JAL_REACH)
+                    }
+                    Some(Transfer::Call { rd, callee, .. }) => {
                         (self.call_dest(rd, callee, at, new_base, callees), JAL_REACH)
                     }
-                    _ => continue,
+                    None => continue,
                 };
                 let need = if reaches(at, to, reach) { 4 } else { 8 };
                 if need > s.size {
@@ -323,91 +467,79 @@ impl RelocationPlan {
     ) -> Result<RelocatedFunction, RelocateError> {
         let mut code = Vec::new();
         let mut calls_retargeted = Vec::new();
-        let pairs = self.emit_into(new_base, callees, &mut code, &mut calls_retargeted)?;
+        self.emit_into(new_base, callees, &mut code, &mut calls_retargeted)?;
         Ok(RelocatedFunction {
             code,
             new_entry: self.entry_at(new_base),
-            addr_map: pairs.into_iter().collect(),
+            addr_map: self.pairs(new_base).collect(),
             calls_retargeted,
         })
     }
 
     /// Encode the plan at `new_base`, appending the bytes to `code` and
     /// each retargeted call's `(site, relocated callee entry)` to
-    /// `calls`, and return the `(original, relocated)` address pairs
-    /// sorted by original address. As for [`RelocationPlan::emit`], sizes
-    /// must be relaxed at `new_base` against `callees`.
+    /// `calls`. As for [`RelocationPlan::emit`], sizes must be relaxed at
+    /// `new_base` against `callees`.
     pub(crate) fn emit_into(
         &self,
         new_base: u64,
         callees: &[(u64, u64)],
         code: &mut Vec<u8>,
         calls: &mut Vec<(u64, u64)>,
-    ) -> Result<Vec<(u64, u64)>, RelocateError> {
+    ) -> Result<(), RelocateError> {
         let start = code.len();
         code.reserve(self.code_size() as usize);
-        let mut pairs = Vec::new();
+        // The arena's bytes up to `copied` are in `code`; those up to
+        // `pending` belong to the byte slots seen since, and are copied in
+        // one piece before the next transfer.
+        let (mut copied, mut pending) = (0, 0);
         for s in &self.slots {
-            let at = new_base + s.offset;
-            if let Some(old) = s.first_of {
-                pairs.push((old, at));
-            }
-            match &s.item {
-                Item::Insts { start, len } => {
-                    for i in &self.insts[*start..start + len] {
-                        put(code, i)?;
-                    }
-                }
-                Item::Verbatim { inst } => {
-                    if s.size == 2 {
-                        let c = compress(inst).ok_or_else(|| {
-                            RelocateError::Encode(format!(
-                                "size-2 slot at {at:#x} does not compress"
-                            ))
-                        })?;
-                        code.extend_from_slice(&c.to_le_bytes());
-                    } else {
-                        put(code, inst)?;
-                    }
-                }
-                Item::CondBranch { inst, target } => {
-                    let t = self.resolved(*target, new_base, at)?;
+            let Some(transfer) = s.transfer else {
+                pending += s.size as usize;
+                continue;
+            };
+            code.extend_from_slice(&self.bytes[copied..pending]);
+            copied = pending;
+            let at = new_base + s.offset as u64;
+            match transfer {
+                Transfer::CondBranch {
+                    op,
+                    inverse,
+                    rs1,
+                    rs2,
+                    target,
+                } => {
+                    let t = self.resolved(target, new_base, at)?;
                     let delta = t.wrapping_sub(at) as i64;
-                    let malformed = RelocateError::MalformedInstruction { at: inst.address };
-                    let rs1 = inst.rs1.ok_or_else(|| malformed.clone())?;
-                    let rs2 = inst.rs2.ok_or_else(|| malformed.clone())?;
                     if s.size == 4 {
-                        put(code, &build::b_type(inst.op, rs1, rs2, delta))?;
+                        put(code, &build::b_type(op, rs1, rs2, delta))?;
                     } else {
                         // Inverted branch over a jal.
-                        let inv = invert(inst.op).ok_or(malformed)?;
-                        put(code, &build::b_type(inv, rs1, rs2, 8))?;
+                        put(code, &build::b_type(inverse, rs1, rs2, 8))?;
                         put(code, &build::jal(Reg::X0, delta - 4))?;
                     }
                 }
-                Item::Jump { rd, target } => {
-                    let t = self.resolved(*target, new_base, at)?;
-                    put_jump(code, *rd, at, t, s.size)?;
+                Transfer::Jump { rd, target } => {
+                    let t = self.resolved(target, new_base, at)?;
+                    put_jump(code, rd, at, t, s.size)?;
                 }
-                Item::Call { rd, callee, site } => {
-                    let t = self.call_dest(*rd, *callee, at, new_base, callees);
-                    if t != *callee {
-                        calls.push((*site, t));
+                Transfer::Call { rd, callee, site } => {
+                    let t = self.call_dest(rd, callee, at, new_base, callees);
+                    if t != callee {
+                        calls.push((site, t));
                     }
-                    put_jump(code, *rd, at, t, s.size)?;
+                    put_jump(code, rd, at, t, s.size)?;
                 }
             }
             debug_assert_eq!(
                 (code.len() - start) as u64,
-                s.offset + s.size,
+                s.offset as u64 + s.size as u64,
                 "size accounting drift"
             );
         }
-        // Slot order is address order except across overlapping blocks.
-        if !pairs.is_sorted() {
-            pairs.sort_unstable();
-        }
-        Ok(pairs)
+        code.extend_from_slice(&self.bytes[copied..pending]);
+        debug_assert_eq!(pending, self.bytes.len(), "arena accounting drift");
+        Ok(())
     }
 
     /// The address `target` resolves to for a slot at `at` with the plan
@@ -418,12 +550,199 @@ impl RelocationPlan {
             t => Ok(t.addr(&self.slots, base)),
         }
     }
+
+    /// Append a slot; `old` is the original instruction it stands for.
+    fn push(&mut self, old: Option<u64>, transfer: Option<Transfer>, size: u32) -> u32 {
+        let idx = self.slots.len() as u32;
+        if let Some(old) = old {
+            self.firsts.push((old, idx));
+        }
+        self.slots.push(Slot {
+            transfer,
+            size,
+            offset: 0,
+        });
+        idx
+    }
+
+    /// Append a transfer slot, 4 bytes until relaxation widens it.
+    fn push_transfer(&mut self, old: Option<u64>, transfer: Transfer) -> u32 {
+        self.push(old, Some(transfer), 4)
+    }
+
+    /// Append a byte slot holding the arena's bytes from `start` on.
+    fn close_bytes(&mut self, old: Option<u64>, start: usize) {
+        let size = (self.bytes.len() - start) as u32;
+        self.push(old, None, size);
+    }
+
+    /// Append a slot of snippet code.
+    fn push_words(&mut self, old: Option<u64>, words: &[u32]) {
+        let start = self.bytes.len();
+        for w in words {
+            self.bytes.extend_from_slice(&w.to_le_bytes());
+        }
+        self.close_bytes(old, start);
+    }
+
+    /// Build the slot list for one function in block address order.
+    /// Intra-function targets start out [`Target::Unmapped`];
+    /// [`RelocationPlan::resolve_targets`] maps them to slots.
+    fn splice(&mut self, f: &Function, insertions: &Insertions) -> Result<(), RelocateError> {
+        // Conditional branches that need a taken-edge stub: (slot index of
+        // the branch, its taken-edge code, branch target).
+        let mut want_stub: Vec<(u32, &[u32], u64)> = Vec::new();
+        let mut blocks = f.blocks.values().peekable();
+        while let Some(b) = blocks.next() {
+            let last = b.last_inst().map(|l| l.address);
+            for inst in b.insts {
+                if let Some(snip) = insertions.get(Placement::Before, inst.address) {
+                    if !snip.is_empty() {
+                        self.push_words(Some(inst.address), snip);
+                    }
+                }
+                let old = Some(inst.address);
+                let malformed = RelocateError::MalformedInstruction { at: inst.address };
+                if inst.op == Op::Auipc {
+                    // Classify the instruction for relocation purposes.
+                    let value = inst.address.wrapping_add(inst.imm as u64);
+                    let rd = inst.rd.ok_or(malformed)?;
+                    let start = self.bytes.len();
+                    for i in load_imm(rd, value as i64) {
+                        put(&mut self.bytes, &i)?;
+                    }
+                    self.close_bytes(old, start);
+                } else if inst.op.is_conditional_branch() {
+                    let old_target = inst.address.wrapping_add(inst.imm as u64);
+                    let branch = Transfer::CondBranch {
+                        op: inst.op,
+                        inverse: invert(inst.op).ok_or_else(|| malformed.clone())?,
+                        rs1: inst.rs1.ok_or_else(|| malformed.clone())?,
+                        rs2: inst.rs2.ok_or(malformed)?,
+                        target: Target::Unmapped(old_target),
+                    };
+                    let idx = self.push_transfer(old, branch);
+                    if let Some(stub) = insertions.get(Placement::TakenEdge, inst.address) {
+                        want_stub.push((idx, stub, old_target));
+                    }
+                    // Not-taken edge snippet: inline right after the branch —
+                    // only the fallthrough path executes it.
+                    if let Some(snip) = insertions.get(Placement::NotTakenEdge, inst.address) {
+                        if !snip.is_empty() {
+                            self.push_words(None, snip);
+                        }
+                    }
+                } else if inst.op == Op::Jal {
+                    let old_target = inst.address.wrapping_add(inst.imm as u64);
+                    // Edge kinds decide whether the target moves with us.
+                    let intra = Some(inst.address) != last
+                        || b.edges
+                            .iter()
+                            .any(|e| e.kind == EdgeKind::Jump && e.target == Some(old_target));
+                    let rd = inst.rd.unwrap_or(Reg::X0);
+                    let jump = if intra {
+                        let target = Target::Unmapped(old_target);
+                        Transfer::Jump { rd, target }
+                    } else {
+                        Transfer::Call {
+                            rd,
+                            callee: old_target,
+                            site: inst.address,
+                        }
+                    };
+                    self.push_transfer(old, jump);
+                } else {
+                    // Verbatim: keep compressed width when possible.
+                    let start = self.bytes.len();
+                    match inst.compressed.and_then(|_| compress(inst)) {
+                        Some(c) => self.bytes.extend_from_slice(&c.to_le_bytes()),
+                        None => put(&mut self.bytes, inst)?,
+                    }
+                    self.close_bytes(old, start);
+                }
+            }
+            // Explicit jump if the fallthrough successor is not laid out next.
+            let ft = b.edges.iter().find_map(|e| {
+                matches!(
+                    e.kind,
+                    EdgeKind::Fallthrough | EdgeKind::NotTaken | EdgeKind::CallFallthrough
+                )
+                .then_some(e.target)
+                .flatten()
+            });
+            if let Some(t) = ft {
+                let next_start = blocks.peek().map(|nb| nb.start);
+                if next_start != Some(t) && f.blocks.contains_key(t) {
+                    let target = Target::Unmapped(t);
+                    self.push_transfer(
+                        None,
+                        Transfer::Jump {
+                            rd: Reg::X0,
+                            target,
+                        },
+                    );
+                }
+            }
+        }
+
+        // ---- taken-edge stubs ----
+        // Appended after the function body: snippet, then a jump to the real
+        // taken target. The branch is retargeted to the stub.
+        for (branch_slot, stub, old_target) in want_stub {
+            let stub_idx = self.slots.len() as u32;
+            self.push_words(None, stub);
+            let Some(Transfer::CondBranch { ref mut target, .. }) =
+                self.slots[branch_slot as usize].transfer
+            else {
+                unreachable!("want_stub records only CondBranch slots")
+            };
+            *target = Target::Slot(stub_idx);
+            let target = Target::Unmapped(old_target);
+            self.push_transfer(
+                None,
+                Transfer::Jump {
+                    rd: Reg::X0,
+                    target,
+                },
+            );
+        }
+        Ok(())
+    }
+
+    /// The first slot for original address `old`, once
+    /// [`RelocationPlan::resolve_targets`] has run.
+    fn first_slot(&self, old: u64) -> Option<u32> {
+        let i = self.firsts.binary_search_by_key(&old, |&(o, _)| o).ok()?;
+        Some(self.firsts[i].1)
+    }
+
+    /// Keep the first slot for every original address and point every
+    /// intra-function target with a slot at it.
+    fn resolve_targets(&mut self) {
+        // Stable: among equal addresses the lowest slot index stays first.
+        let firsts = &mut self.firsts;
+        if !firsts.is_sorted_by_key(|&(old, _)| old) {
+            firsts.sort_by_key(|&(old, _)| old);
+        }
+        firsts.dedup_by_key(|&mut (old, _)| old);
+        for s in &mut self.slots {
+            if let Some(Transfer::CondBranch { target, .. } | Transfer::Jump { target, .. }) =
+                &mut s.transfer
+            {
+                if let Target::Unmapped(t) = *target {
+                    if let Ok(i) = firsts.binary_search_by_key(&t, |&(old, _)| old) {
+                        *target = Target::Slot(firsts[i].1);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Encode a `size`-byte jump with link register `rd` at `at` to `to`: a
 /// `jal`, or `auipc rd; jalr rd` for a far one, which only a linking jump
 /// has a register to clobber for.
-fn put_jump(code: &mut Vec<u8>, rd: Reg, at: u64, to: u64, size: u64) -> Result<(), RelocateError> {
+fn put_jump(code: &mut Vec<u8>, rd: Reg, at: u64, to: u64, size: u32) -> Result<(), RelocateError> {
     if size == 4 {
         return put(code, &build::jal(rd, to.wrapping_sub(at) as i64));
     }
@@ -455,212 +774,16 @@ pub fn relocate_function(
     plan.emit(new_base, &[])
 }
 
-/// Slot-list construction state for [`RelocationPlan::build`].
-struct Builder {
-    slots: Vec<Slot>,
-    insts: Vec<Instruction>,
-    /// `(original address, slot)` for every slot standing for an
-    /// original instruction.
-    olds: Vec<(u64, usize)>,
-}
-
-impl Builder {
-    /// An empty builder sized for `f` with `insertions`.
-    fn with_capacity(f: &Function, insertions: &Insertions) -> Builder {
-        let n_insts: usize = f.blocks.values().map(|b| b.insts.len()).sum();
-        let snippets = [
-            &insertions.before,
-            &insertions.taken_edge,
-            &insertions.not_taken_edge,
-        ];
-        let n_snippets: usize = snippets.iter().map(|m| m.len()).sum();
-        let snippet_insts = snippets.iter().flat_map(|m| m.values()).map(Vec::len).sum();
-        Builder {
-            slots: Vec::with_capacity(
-                n_insts + n_snippets + insertions.taken_edge.len() + f.blocks.len(),
-            ),
-            insts: Vec::with_capacity(snippet_insts),
-            olds: Vec::with_capacity(n_insts + insertions.before.len()),
-        }
-    }
-
-    /// Append a slot; `old` is the original instruction it stands for.
-    fn push(&mut self, old: Option<u64>, item: Item, size: u64) -> usize {
-        let idx = self.slots.len();
-        if let Some(old) = old {
-            self.olds.push((old, idx));
-        }
-        self.slots.push(Slot {
-            item,
-            size,
-            offset: 0,
-            first_of: None,
-        });
-        idx
-    }
-
-    /// Append a straight-line instruction slot.
-    fn push_insts(&mut self, old: Option<u64>, insts: &[Instruction]) {
-        let item = Item::Insts {
-            start: self.insts.len(),
-            len: insts.len(),
-        };
-        self.insts.extend_from_slice(insts);
-        self.push(old, item, insts.len() as u64 * 4);
-    }
-
-    /// Build the slot list for one function in block address order.
-    /// Intra-function targets start out [`Target::Unmapped`];
-    /// [`Builder::resolve_targets`] maps them to slots.
-    fn build(&mut self, f: &Function, insertions: &Insertions) -> Result<(), RelocateError> {
-        // Conditional branches that need a taken-edge stub: (slot index of
-        // the branch, branch address, branch target).
-        let mut want_stub: Vec<(usize, u64, u64)> = Vec::new();
-        let mut blocks = f.blocks.values().peekable();
-        while let Some(b) = blocks.next() {
-            let last = b.last_inst().map(|l| l.address);
-            for inst in b.insts {
-                if let Some(snip) = insertions.before.get(&inst.address) {
-                    if !snip.is_empty() {
-                        self.push_insts(Some(inst.address), snip);
-                    }
-                }
-                let old = Some(inst.address);
-                if inst.op == Op::Auipc {
-                    // Classify the instruction for relocation purposes.
-                    let value = inst.address.wrapping_add(inst.imm as u64);
-                    let rd = inst
-                        .rd
-                        .ok_or(RelocateError::MalformedInstruction { at: inst.address })?;
-                    self.push_insts(old, &load_imm(rd, value as i64));
-                } else if inst.op.is_conditional_branch() {
-                    let old_target = inst.address.wrapping_add(inst.imm as u64);
-                    let item = Item::CondBranch {
-                        inst: *inst,
-                        target: Target::Unmapped(old_target),
-                    };
-                    let idx = self.push(old, item, 4);
-                    if insertions.taken_edge.contains_key(&inst.address) {
-                        want_stub.push((idx, inst.address, old_target));
-                    }
-                    // Not-taken edge snippet: inline right after the branch —
-                    // only the fallthrough path executes it.
-                    if let Some(snip) = insertions.not_taken_edge.get(&inst.address) {
-                        if !snip.is_empty() {
-                            self.push_insts(None, snip);
-                        }
-                    }
-                } else if inst.op == Op::Jal {
-                    let old_target = inst.address.wrapping_add(inst.imm as u64);
-                    // Edge kinds decide whether the target moves with us.
-                    let intra = Some(inst.address) != last
-                        || b.edges
-                            .iter()
-                            .any(|e| e.kind == EdgeKind::Jump && e.target == Some(old_target));
-                    let rd = inst.rd.unwrap_or(Reg::X0);
-                    let item = if intra {
-                        let target = Target::Unmapped(old_target);
-                        Item::Jump { rd, target }
-                    } else {
-                        Item::Call {
-                            rd,
-                            callee: old_target,
-                            site: inst.address,
-                        }
-                    };
-                    self.push(old, item, 4);
-                } else {
-                    // Verbatim: keep compressed width when possible.
-                    let size = if inst.compressed.is_some() && compress(inst).is_some() {
-                        2
-                    } else {
-                        4
-                    };
-                    self.push(old, Item::Verbatim { inst: *inst }, size);
-                }
-            }
-            // Explicit jump if the fallthrough successor is not laid out next.
-            let ft = b.edges.iter().find_map(|e| {
-                matches!(
-                    e.kind,
-                    EdgeKind::Fallthrough | EdgeKind::NotTaken | EdgeKind::CallFallthrough
-                )
-                .then_some(e.target)
-                .flatten()
-            });
-            if let Some(t) = ft {
-                let next_start = blocks.peek().map(|nb| nb.start);
-                if next_start != Some(t) && f.blocks.contains_key(t) {
-                    let target = Target::Unmapped(t);
-                    self.push(
-                        None,
-                        Item::Jump {
-                            rd: Reg::X0,
-                            target,
-                        },
-                        4,
-                    );
-                }
-            }
-        }
-
-        // ---- taken-edge stubs ----
-        // Appended after the function body: snippet, then a jump to the real
-        // taken target. The branch is retargeted to the stub.
-        for (branch_slot, branch_addr, old_target) in want_stub {
-            let stub_idx = self.slots.len();
-            self.push_insts(None, &insertions.taken_edge[&branch_addr]);
-            let Item::CondBranch { ref mut target, .. } = self.slots[branch_slot].item else {
-                unreachable!("want_stub records only CondBranch slots")
-            };
-            *target = Target::Slot(stub_idx);
-            let target = Target::Unmapped(old_target);
-            self.push(
-                None,
-                Item::Jump {
-                    rd: Reg::X0,
-                    target,
-                },
-                4,
-            );
-        }
-        Ok(())
-    }
-
-    /// The first slot for original address `old`, once
-    /// [`Builder::resolve_targets`] has run.
-    fn first_slot(&self, old: u64) -> Option<usize> {
-        let i = self.olds.binary_search_by_key(&old, |&(o, _)| o).ok()?;
-        Some(self.olds[i].1)
-    }
-
-    /// Mark the first slot for every original address and point every
-    /// intra-function target with a slot at it.
-    fn resolve_targets(&mut self) {
-        // Stable: among equal addresses the lowest slot index stays first.
-        let firsts = &mut self.olds;
-        firsts.sort_by_key(|&(old, _)| old);
-        firsts.dedup_by_key(|&mut (old, _)| old);
-        for &(old, i) in firsts.iter() {
-            self.slots[i].first_of = Some(old);
-        }
-        for s in &mut self.slots {
-            if let Item::CondBranch { target, .. } | Item::Jump { target, .. } = &mut s.item {
-                if let Target::Unmapped(t) = *target {
-                    if let Ok(i) = firsts.binary_search_by_key(&t, |&(old, _)| old) {
-                        *target = Target::Slot(firsts[i].1);
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rvdyn_asm::Assembler;
     use rvdyn_parse::{CodeObject, ParseOptions};
+
+    /// The encoded `nop`.
+    fn nop() -> u32 {
+        encode32(&build::nop()).unwrap()
+    }
 
     fn parse_one(build_fn: impl FnOnce(&mut Assembler)) -> Function {
         parse_with_callee(build_fn, None)
@@ -744,7 +867,7 @@ mod tests {
         });
         // Insert two nops before the loop head (0x1004).
         let mut ins = Insertions::default();
-        ins.before.insert(0x1004, vec![build::nop(), build::nop()]);
+        ins.push(0x1004, Placement::Before, &[nop(), nop()]);
         let r = relocate_function(&f, &ins, 0x8_0000).unwrap();
         // The map for 0x1004 points at the snippet.
         let snippet_at = r.addr_map[&0x1004];
@@ -817,7 +940,7 @@ mod tests {
             a.ret();
         });
         let mut ins = Insertions::default();
-        ins.before.insert(0x1000, vec![build::nop(), build::nop()]);
+        ins.push(0x1000, Placement::Before, &[nop(), nop()]);
         let r = relocate_function(&f, &ins, 0x8_0000).unwrap();
         assert_eq!(r.new_entry, 0x8_0000, "the entry snippet comes first");
         let (_, size, target) = find_jump(&r.code, 0x8_0000, Reg::X1);
@@ -912,11 +1035,11 @@ mod tests {
             a.bind(end);
             a.ret();
         });
-        let big: Vec<Instruction> = (0..2000).map(|_| build::nop()).collect();
+        let big = vec![nop(); 2000];
         let mut ins = Insertions::default();
         // The snippet sits on the not-taken path (before 0x1004), pushing
         // the branch target > 4 KiB away from the branch itself.
-        ins.before.insert(0x1004, big);
+        ins.push(0x1004, Placement::Before, &big);
         let r = relocate_function(&f, &ins, 0x8_0000).unwrap();
         // The first emitted instruction is now an INVERTED branch (bne).
         let first = rvdyn_isa::decode(&r.code, 0x8_0000).unwrap();

@@ -24,6 +24,33 @@ use rvdyn_symtab::{
     SHF_WRITE,
 };
 
+/// 64-bit FNV-1a, written out so that digests pinned by the parity
+/// tests do not depend on the standard library's hasher.
+pub struct Fnv(pub u64);
+
+impl Fnv {
+    pub fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A length-prefixed string, so adjacent fields cannot alias.
+    pub fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
 /// Structured program shapes lower to reducible CFGs by construction.
 #[derive(Debug, Clone)]
 pub enum Stmt {

@@ -25,8 +25,8 @@ use rvdyn_parse::{Function, Liveness, StackHeight};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// The most allocations one function may cost a parse, and the most
-/// chunks dropping it may free.
+/// The most allocations one function may cost a parse or an
+/// instrumentation pass, and the most chunks dropping a parse may free.
 const PER_FUNCTION: usize = 8;
 
 struct Counting;
@@ -209,4 +209,37 @@ fn the_stack_walker_solves_a_function_once_for_every_sample() {
         f.stack_heights();
     });
     assert_eq!(allocs, 0, "no walk read matmul's heights");
+}
+
+/// Instrumenting allocates per function, not per point: a worker lowers
+/// every point into one reused emitter and one word arena, a function's
+/// relocation plan is three vectors, and the finish phase's audit reuses
+/// its scratch. Every block of `many_functions(512)` is counted (2,573
+/// points in 515 functions).
+#[test]
+fn the_plan_phase_makes_a_few_allocations_per_function() {
+    let bin = rvdyn_asm::many_functions_program(512);
+    let mut ed = Session::from_binary(bin, SessionOptions::new());
+    let names: Vec<String> = ed
+        .code()
+        .functions
+        .values()
+        .filter_map(|f| f.name.clone())
+        .collect();
+    for name in &names {
+        ed.count_blocks(name).unwrap();
+    }
+    // Liveness is the analysis's, solved by its first reader: solve it
+    // here so that only the instrumenter's own allocations count.
+    for f in ed.code().functions.values() {
+        f.liveness();
+    }
+    let (result, allocs, _) = counted(|| ed.instrumented().unwrap());
+    let n = result.plans_built;
+    assert_eq!(n, names.len());
+    assert!(
+        allocs <= PER_FUNCTION * n,
+        "{allocs} allocations for {n} functions ({:.1} each)",
+        allocs as f64 / n as f64
+    );
 }

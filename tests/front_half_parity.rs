@@ -9,13 +9,12 @@
 //! `rvdyn_asm` program and two crafted inputs (a function only gap
 //! parsing finds, and overlapping blocks), with symbols and stripped,
 //! with gap parsing off and on, at one and four parse threads, and must
-//! not change when the front half is reimplemented. The hash is FNV-1a, written out here so
-//! that the pinned values do not depend on the standard library's
-//! hasher.
+//! not change when the front half is reimplemented. The hash is FNV-1a
+//! ([`common::Fnv`]).
 
 mod common;
 
-use common::ProgramStrategy;
+use common::{Fnv, ProgramStrategy};
 use proptest::prelude::*;
 use rvdyn::{CodeObject, ParseOptions};
 use rvdyn_asm::{Assembler, Layout};
@@ -25,32 +24,6 @@ use rvdyn_symtab::{
     Binary, RiscvAttributes, Section, Symbol, SymbolBinding, SymbolKind, SHF_ALLOC, SHF_EXECINSTR,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// 64-bit FNV-1a.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// A length-prefixed string, so adjacent fields cannot alias.
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-}
 
 fn digest(co: &CodeObject) -> u64 {
     let mut h = Fnv::new();

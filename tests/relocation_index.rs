@@ -7,7 +7,7 @@
 use rvdyn::{BinaryEditor, DynamicInstrumenter, PatchLayout, SessionOptions};
 use rvdyn_isa::{build, decode, Instruction, Op, Reg};
 use rvdyn_parse::{BasicBlock, Edge, EdgeKind, Function};
-use rvdyn_patch::{relocate_function, Insertions, RelocationIndex};
+use rvdyn_patch::{relocate_function, Insertions, Placement, RelocationIndex};
 use rvdyn_symtab::{Binary, SHF_ALLOC};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -231,7 +231,8 @@ fn overlapping_blocks_keep_the_first_slot_per_address() {
     // A snippet before the shared instruction is spliced into both
     // blocks; the first block's snippet slot wins.
     let mut ins = Insertions::default();
-    ins.before.insert(0x1004, vec![build::nop(), build::nop()]);
+    let nop = rvdyn_isa::encode::encode32(&build::nop()).unwrap();
+    ins.push(0x1004, Placement::Before, &[nop, nop]);
     let r = relocate_function(&f, &ins, base).unwrap();
     assert_eq!(r.code.len(), 40);
     let want: BTreeMap<u64, u64> = [
