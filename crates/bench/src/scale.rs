@@ -179,7 +179,7 @@ fn run_one(binary: &Binary, opts: &SessionOptions) -> (i64, u64) {
 }
 
 /// One fleet leg: a controller over `n` mutatees, parsed and planned
-/// once, whose deliveries and runs go through its worker pool, every
+/// once, whose deliveries and runs fan out over its workers, every
 /// process checked against `reference`. Returns the leg's wall clock,
 /// its summary's processes and events, and its shared front half's time.
 fn fleet_leg(bin: &Binary, opts: &SessionOptions, n: usize, reference: (i64, u64)) -> [u64; 4] {

@@ -84,9 +84,9 @@ impl DynamicInstrumenter {
     }
 
     fn assemble(session: Session, process: Process) -> DynamicInstrumenter {
-        // A pool of one runs every job inline on the caller's thread; the
+        // One process runs its jobs inline on the caller's thread; the
         // session's `threads` still sizes the plan phase.
-        let mut fleet = FleetController::with_pool(session, 1);
+        let mut fleet = FleetController::from_session(session);
         fleet.attach(process);
         DynamicInstrumenter { fleet }
     }
@@ -108,14 +108,14 @@ impl DynamicInstrumenter {
     }
 
     pub fn process(&self) -> &Process {
-        self.fleet.process(Self::PID).expect(INLINE)
+        self.fleet.process(Self::PID)
     }
 
     /// The process, mutably: breakpoints, register pokes, a
     /// [`FaultPlan`](rvdyn_proccontrol::FaultPlan) to arm
     /// ([`Process::set_fault_plan`]).
     pub fn process_mut(&mut self) -> &mut Process {
-        self.fleet.process_mut(Self::PID).expect(INLINE)
+        self.fleet.process_mut(Self::PID)
     }
 
     /// Live counters and per-stage timings for what the pipeline has done
@@ -231,7 +231,8 @@ impl DynamicInstrumenter {
     /// end again without running.
     pub fn run_to_exit(&mut self) -> Result<i64, Error> {
         self.fleet.run_all();
-        self.fleet.result(Self::PID).cloned().expect(INLINE)
+        let ended = self.fleet.result(Self::PID);
+        ended.cloned().expect("run_all ends every process")
     }
 
     /// Read an instrumentation variable from the live process.
@@ -239,10 +240,6 @@ impl DynamicInstrumenter {
         self.fleet.read_var(Self::PID, var)
     }
 }
-
-/// Why the one process is always there to borrow: its set runs every job
-/// inline, so no call leaves it mid-dispatch.
-const INLINE: &str = "a fleet of one runs its jobs inline";
 
 #[cfg(test)]
 mod tests {

@@ -9,8 +9,10 @@
 //! more methods of the session.
 
 use crate::error::{Error, Stage};
+use crate::fleet::surfaced_trap;
 use crate::session::{BlockCounter, Session};
 use crate::telemetry::{TelemetryEvent, TimedStage};
+use rvdyn_parse::CodeObject;
 use rvdyn_patch::instrument::PatchResult;
 use rvdyn_symtab::Binary;
 use std::collections::{BTreeMap, BTreeSet};
@@ -84,7 +86,7 @@ impl Session {
 
         let bin = Binary::parse(&elf)?;
         let timer = self.begin_stage(TimedStage::Run);
-        let mut res = run_binary_engine(&bin, fuel, self.engine());
+        let mut res = run_binary_engine(&bin, fuel, self.engine(), Some(self.code()));
         self.emit(TelemetryEvent::run_exit(res.as_ref().map(|r| r.exit_code)));
         self.end_stage(timer);
         if let Ok(r) = &mut res {
@@ -131,7 +133,7 @@ pub fn run_elf_with(
     engine: rvdyn_emu::EmuEngine,
 ) -> Result<RunOutput, Error> {
     let bin = Binary::parse(elf)?;
-    run_binary_engine(&bin, fuel, engine)
+    run_binary_engine(&bin, fuel, engine, None)
 }
 
 /// As [`run_elf`] for an in-memory binary model.
@@ -141,22 +143,27 @@ pub fn run_elf_with(
 /// mutator never aborts on mutatee behaviour. A fetch fault or an
 /// illegal instruction is [`Error::MutateeFault`] at that pc, as on the
 /// live path. In an instrumented binary (one carrying trap-table
-/// redirects), a surfaced breakpoint trap means a springboard whose
-/// redirect is missing: that is [`Error::RedirectMiss`], distinct from
-/// the generic unclean exit.
+/// redirects), a breakpoint trap that surfaces outside the patch code
+/// means a springboard whose redirect is missing: that is
+/// [`Error::RedirectMiss`], distinct from the generic unclean exit. A
+/// free-standing run has no original code to consult, so unlike a
+/// session's run it cannot tell the mutatee's own `ebreak` in original
+/// code from a torn springboard.
 pub fn run_binary(bin: &Binary, fuel: u64) -> Result<RunOutput, Error> {
     // Free-standing runs keep the machine's own default engine, which
     // honours the `RVDYN_EMU` environment knob.
-    run_binary_engine(bin, fuel, rvdyn_emu::EmuEngine::from_env())
+    run_binary_engine(bin, fuel, rvdyn_emu::EmuEngine::from_env(), None)
 }
 
 /// As [`run_binary`] with an explicit execution engine — the
 /// session-driven path, where `SessionOptions::engine` wins over the
-/// environment.
+/// environment. A session passes its parsed `original` code, and a
+/// surfaced trap is then classified by the live run's rule.
 pub(crate) fn run_binary_engine(
     bin: &Binary,
     fuel: u64,
     engine: rvdyn_emu::EmuEngine,
+    original: Option<&CodeObject>,
 ) -> Result<RunOutput, Error> {
     let mut m = rvdyn_emu::load_binary(bin);
     m.engine = engine;
@@ -172,8 +179,12 @@ pub(crate) fn run_binary_engine(
             return Err(Error::MutateeFault { pc, addr: pc });
         }
         rvdyn_emu::StopReason::Break(pc) => {
-            // The emulator resolves trap-springboard redirects internally;
-            // a Break that *surfaces* from a binary carrying redirects is
+            if let Some(code) = original {
+                return Err(surfaced_trap(code, &m, pc));
+            }
+            // With no original to consult: the emulator resolves
+            // trap-springboard redirects internally, so a Break that
+            // *surfaces* from a binary carrying redirects is
             // a springboard whose table entry is missing — unless it lies
             // in the patch code section, which holds no springboards: that
             // is the mutatee's own `ebreak`, relocated.

@@ -20,16 +20,18 @@
 //! * the **per-process back half** — verified patch commits, and each
 //!   process's whole run through the one live run loop
 //!   (`run_to_end`: breakpoint, step and sampling stops, redirect
-//!   resolution, the terminal event) — fans out over the [`ProcessSet`]
-//!   worker pool as one job per process, with the controller parked in
-//!   a poll/park event loop consuming the completions in arrival order.
+//!   resolution, the terminal event) — is a fork-join: one job per live
+//!   process on the batch runner the parse and plan phases use
+//!   ([`par_batches`]), each job borrowing its process, the frozen plan
+//!   and the shared code, and the controller handles the outcomes in pid
+//!   order once every job has ended.
 //!
 //! Failures are isolated per process: a [`FaultPlan`] targeted at one
 //! pid mid-fleet produces a typed error attributed to that pid (e.g.
 //! [`Error::PatchVerifyFailed`] from that process's commit read-back,
 //! or [`Error::FleetProcessLost`] when the process died first) while
 //! the other N−1 processes commit, run, and report normally. The full
-//! controller contract — event-loop states, per-process lifecycle,
+//! controller contract — the fork-join, per-process lifecycle,
 //! ordering and determinism caveats — is written down in
 //! `docs/FLEET.md`.
 
@@ -39,16 +41,19 @@ use crate::session::{self, BlockCounter, Session, SessionOptions};
 use crate::telemetry::{TelemetryEvent, TimedStage};
 use crate::tools::profile::SampledRun;
 use rvdyn_codegen::snippet::{Snippet, Var};
+use rvdyn_emu::Machine;
 use rvdyn_isa::Op;
+use rvdyn_parse::worklist::par_batches;
 use rvdyn_parse::CodeObject;
 use rvdyn_patch::{Point, PointKind, RelocationIndex};
-use rvdyn_proccontrol::{Event, FaultPlan, ProcError, Process, ProcessSet};
+use rvdyn_proccontrol::{Event, FaultPlan, ProcError, Process};
 use rvdyn_symtab::Binary;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Instant;
 
-/// The patch, frozen once by the template session's apply and shared
-/// (behind an `Arc`) by every per-process commit job.
+/// The patch, frozen once by the template session's apply and borrowed
+/// by every per-process commit job.
 struct CommitPlan {
     /// Patch data area base (mapped before the regions land).
     data_addr: u64,
@@ -63,21 +68,10 @@ struct CommitPlan {
     code_span: Option<(u64, u64)>,
 }
 
-/// What one dispatched per-process job reported back.
-enum JobOutcome {
-    /// A commit job finished: how many regions verified, which region
-    /// (if any) failed read-back, whether the process was already gone.
-    Committed {
-        verified: usize,
-        failed: Option<u64>,
-        lost: bool,
-    },
-    /// A run job ran one process to its terminal stop.
-    Ran(SampledRun),
-}
-
-/// Controller-side state for one fleet process.
+/// One fleet process and the controller's state for it.
 struct ProcState {
+    /// The process, lent to one job at a time.
+    process: Process,
     /// Per-process diagnostics: shared parse/instrument totals seeded
     /// from the template, plus this process's own commit/run/fault
     /// counters and timings.
@@ -106,9 +100,8 @@ pub struct ProcessReport {
 pub struct FleetSummary {
     /// Processes spawned into the fleet.
     pub processes: usize,
-    /// Completions the controller's event loop consumed and dispatched
-    /// to per-process handlers: one per commit delivery and one per
-    /// process run.
+    /// Per-process jobs whose outcome the controller handled: one per
+    /// commit delivery and one per process run.
     pub events_dispatched: u64,
     /// Total debug-interface faults injected across the fleet.
     pub faults_injected: u64,
@@ -182,8 +175,8 @@ impl std::fmt::Display for FleetSummary {
 
 /// Instrument and run N mutatees from one controller: a template
 /// [`Session`] (where points, snippets and variables are declared once)
-/// plus a [`ProcessSet`] event loop that fans the per-process delivery
-/// and run work over the session's worker pool.
+/// plus the processes, whose per-process delivery and run work fans out
+/// as one job per process over the session's worker count.
 ///
 /// ```
 /// use rvdyn::{FleetController, PointKind, SessionOptions, Snippet};
@@ -195,7 +188,7 @@ impl std::fmt::Display for FleetSummary {
 /// let pts = fleet.find_points("matmul", PointKind::FuncEntry).unwrap();
 /// fleet.insert(&pts, Snippet::increment(counter));
 /// fleet.commit_all().unwrap();   // plan once, deliver+verify per process
-/// fleet.run_all();               // poll/park event loop to all exits
+/// fleet.run_all();               // one run job per process, to all exits
 /// for pid in pids {
 ///     assert!(matches!(fleet.result(pid), Some(Ok(0))));
 ///     assert_eq!(fleet.read_var(pid, counter), Some(1));
@@ -205,14 +198,13 @@ pub struct FleetController {
     /// The template session: front half, pending snippets, patch plan,
     /// controller-level diagnostics and telemetry.
     session: Session,
-    /// The multiplexer owning every live process.
-    set: ProcessSet<JobOutcome>,
-    /// Per-pid controller state, keyed by controller-assigned pid.
+    /// Every process and its controller state, keyed by
+    /// controller-assigned pid.
     states: BTreeMap<u32, ProcState>,
     next_pid: u32,
     events_dispatched: u64,
     /// The frozen commit plan, once [`FleetController::commit_all`] ran.
-    commit: Option<Arc<CommitPlan>>,
+    commit: Option<CommitPlan>,
     /// For each patch code base a commit laid code out from, where that
     /// code ends: the next commit from the same base goes there, after
     /// code a process may still be running.
@@ -228,20 +220,13 @@ pub struct FleetController {
 
 impl FleetController {
     /// Build a fleet controller over an already-constructed template
-    /// session. The session's `threads` option sizes the worker pool
-    /// (1 = run the event loop inline, strictly deterministically).
+    /// session. The session's `threads` option caps the workers each
+    /// fleet-wide step runs its per-process jobs on; a step with fewer
+    /// live processes uses one worker per process, and one worker runs
+    /// the jobs inline on the caller's thread.
     pub fn from_session(session: Session) -> FleetController {
-        let threads = session.threads();
-        Self::with_pool(session, threads)
-    }
-
-    /// As [`FleetController::from_session`], with a process-set pool of
-    /// `threads` workers whatever the session's own thread count (which
-    /// still sizes the plan phase).
-    pub(crate) fn with_pool(session: Session, threads: usize) -> FleetController {
         FleetController {
             session,
-            set: ProcessSet::new(threads),
             states: BTreeMap::new(),
             next_pid: 0,
             events_dispatched: 0,
@@ -295,9 +280,13 @@ impl FleetController {
         if let Some(sink) = self.session.sink() {
             process.set_observer(Box::new(move |ev| sink.event(&session::adapt_proc(ev))));
         }
-        self.set.insert(pid, process);
         let diag = self.session.analysis().parse_diagnostics().clone();
-        self.states.insert(pid, ProcState { diag, result: None });
+        let state = ProcState {
+            process,
+            diag,
+            result: None,
+        };
+        self.states.insert(pid, state);
         self.session
             .emit(TelemetryEvent::FleetProcessSpawned { pid });
         pid
@@ -308,13 +297,7 @@ impl FleetController {
         self.states.keys().copied().collect()
     }
 
-    /// Pids without a terminal result, ascending.
-    fn live_pids(&self) -> Vec<u32> {
-        let live = self.states.iter().filter(|(_, s)| s.result.is_none());
-        live.map(|(pid, _)| *pid).collect()
-    }
-
-    /// Completions the event loop has consumed so far.
+    /// Per-process job outcomes the controller has handled so far.
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
     }
@@ -391,15 +374,17 @@ impl FleetController {
         &mut self.session
     }
 
-    /// Crate-internal: the idle process under `pid` (`None` when the
-    /// pid is unknown or its process is mid-dispatch).
-    pub(crate) fn process(&self, pid: u32) -> Option<&Process> {
-        self.set.get(pid)
+    /// Crate-internal: the process under `pid`. Panics when the fleet
+    /// has no such pid.
+    pub(crate) fn process(&self, pid: u32) -> &Process {
+        &self.states[&pid].process
     }
 
-    /// Crate-internal: the idle process under `pid`, mutably.
-    pub(crate) fn process_mut(&mut self, pid: u32) -> Option<&mut Process> {
-        self.set.get_mut(pid)
+    /// Crate-internal: the process under `pid`, mutably. Panics when the
+    /// fleet has no such pid.
+    pub(crate) fn process_mut(&mut self, pid: u32) -> &mut Process {
+        let state = self.states.get_mut(&pid);
+        &mut state.expect("no fleet process has this pid").process
     }
 
     /// Points of `kind` in the named function (template session).
@@ -429,7 +414,8 @@ impl FleetController {
         pid: u32,
         counter: &BlockCounter,
     ) -> Result<BTreeMap<u64, u64>, Error> {
-        let process = self.set.get(pid).ok_or(Error::FleetProcessLost { pid })?;
+        let state = self.states.get(&pid);
+        let process = &state.ok_or(Error::FleetProcessLost { pid })?.process;
         self.session
             .block_counts_with(counter, &mut |v| process.read_u64(v.addr))
     }
@@ -437,27 +423,22 @@ impl FleetController {
     /// Arm a deterministic [`FaultPlan`] on the debug interface of the
     /// single process under `pid`, without disturbing the rest of the
     /// fleet. Fails with [`Error::FleetProcessLost`] when the pid is
-    /// unknown (or its process is mid-dispatch).
+    /// unknown.
     pub fn set_fault_plan(&mut self, pid: u32, plan: FaultPlan) -> Result<(), Error> {
-        match self.set.get_mut(pid) {
-            Some(p) => {
-                p.set_fault_plan(plan);
-                Ok(())
-            }
-            None => Err(Error::FleetProcessLost { pid }),
-        }
+        self.with_process(pid, |p| p.set_fault_plan(plan))
     }
 
-    /// Run `f` against the (idle) process under `pid` — the escape
-    /// hatch for direct debugger-style interaction with one fleet
-    /// member (breakpoints, single mutatee runs, register pokes).
+    /// Run `f` against the process under `pid` — the escape hatch for
+    /// direct debugger-style interaction with one fleet member
+    /// (breakpoints, single mutatee runs, register pokes). Fails with
+    /// [`Error::FleetProcessLost`] when the pid is unknown.
     pub fn with_process<R>(
         &mut self,
         pid: u32,
         f: impl FnOnce(&mut Process) -> R,
     ) -> Result<R, Error> {
-        match self.set.get_mut(pid) {
-            Some(p) => Ok(f(p)),
+        match self.states.get_mut(&pid) {
+            Some(state) => Ok(f(&mut state.process)),
             None => Err(Error::FleetProcessLost { pid }),
         }
     }
@@ -516,45 +497,31 @@ impl FleetController {
                     Some((lo, hi)) => (lo.min(*addr), hi.max(end)),
                 })
             });
-        let plan = Arc::new(CommitPlan {
+        let plan = self.commit.insert(CommitPlan {
             data_addr: self.session.layout().patch_data,
             data_len: self.session.var_bytes().max(8),
             regions,
             trap_table: result.trap_table.clone(),
             code_span,
         });
-        self.commit = Some(plan.clone());
 
         let timer = self.session.begin_stage(TimedStage::Commit);
         // Seed every live process's diagnostics with the shared
         // instrument totals (the plan is one artifact, delivered N
         // times), then fan the deliveries out.
-        for pid in &self.live_pids() {
-            if let Some(st) = self.states.get_mut(pid) {
-                st.diag.record_patch(&result);
-            }
-            let plan = plan.clone();
-            self.set.dispatch(*pid, move |p| commit_into(p, &plan));
+        for st in self.states.values_mut().filter(|st| st.result.is_none()) {
+            st.diag.record_patch(&result);
         }
-        while let Some(c) = self.set.next_completion() {
+        let threads = self.session.threads();
+        let deliveries = fan_out(&mut self.states, threads, |pid, p| {
+            commit_into(pid, p, plan)
+        });
+        for (pid, st, (verified, error), nanos) in deliveries {
             self.events_dispatched += 1;
             self.session
-                .emit(TelemetryEvent::FleetEventDispatched { pid: c.pid });
-            let faults = self.set.get(c.pid).map_or(0, |p| p.faults_injected());
-            let Some(st) = self.states.get_mut(&c.pid) else {
-                continue;
-            };
-            st.diag.timings.record(TimedStage::Commit, c.nanos);
-            st.diag.faults_injected = faults;
-            // Only commit jobs are in flight here; stay total.
-            let JobOutcome::Committed {
-                verified,
-                failed,
-                lost,
-            } = c.outcome
-            else {
-                continue;
-            };
+                .emit(TelemetryEvent::FleetEventDispatched { pid });
+            st.diag.timings.record(TimedStage::Commit, nanos);
+            st.diag.faults_injected = st.process.faults_injected();
             for (addr, bytes) in &plan.regions[..verified] {
                 self.session.emit(TelemetryEvent::PatchRegionWritten {
                     addr: *addr,
@@ -562,15 +529,10 @@ impl FleetController {
                 });
             }
             st.diag.patch_regions_written += verified;
-            let error = if lost {
-                Some(Error::FleetProcessLost { pid: c.pid })
-            } else {
-                failed.map(|addr| Error::PatchVerifyFailed { addr })
-            };
             if let Some(error) = error {
                 st.result = Some(Err(error));
                 self.session
-                    .emit(TelemetryEvent::FleetProcessFailed { pid: c.pid });
+                    .emit(TelemetryEvent::FleetProcessFailed { pid });
             }
         }
         self.sync_totals();
@@ -597,34 +559,32 @@ impl FleetController {
     pub fn remove_instrumentation(&mut self) {
         self.relocated.clear();
         let undo = std::mem::take(&mut self.undo);
-        for pid in self.states.keys() {
-            if let Some(p) = self.set.get_mut(*pid) {
-                for (addr, original) in &undo {
-                    p.write_mem(*addr, original);
-                }
-                p.machine_mut().trap_redirects.clear();
+        for st in self.states.values_mut() {
+            let p = &mut st.process;
+            for (addr, original) in &undo {
+                p.write_mem(*addr, original);
             }
+            p.machine_mut().trap_redirects.clear();
         }
     }
 
     /// Run every process that has no terminal result yet to its
     /// terminal event (the timed `run` stage): each one's whole run is
-    /// one job on the worker pool, through the one live run loop, which
-    /// resumes it past breakpoints, emulated steps and delayed-stop
-    /// recoveries; the controller then records each pid's result in pid
-    /// order. A process whose commit failed or found it gone already
-    /// holds its terminal result, so it never runs a half-delivered patch
-    /// — failure isolation works both ways. A process that no commit
-    /// reached (attached after the last commit, or after a commit whose
-    /// plan failed) runs uninstrumented.
+    /// one job, through the one live run loop, which resumes it past
+    /// breakpoints, emulated steps and delayed-stop recoveries; once all
+    /// have ended the controller records each pid's result in pid order.
+    /// A process whose commit failed or found it gone already holds its
+    /// terminal result, so it never runs a half-delivered patch — failure
+    /// isolation works both ways. A process that no commit reached
+    /// (attached after the last commit, or after a commit whose plan
+    /// failed) runs uninstrumented.
     pub fn run_all(&mut self) {
         let timer = self.session.begin_stage(TimedStage::Run);
-        let analysis = self.session.analysis().clone();
-        let runs = self.run_each(move |p| {
+        let runs = self.run_each(|p, code| {
             // run_all has no sampling policy: a cycle interrupt here is a
             // leftover armed interval (a profiler that detached without
             // disarming), so disarm it and let the process run on.
-            let result = run_to_end(p, analysis.code(), |p, tick| {
+            let result = run_to_end(p, code, |p, tick| {
                 if tick.is_some() {
                     p.machine_mut().stop_at_cycles = None;
                 }
@@ -637,47 +597,32 @@ impl FleetController {
         self.session.end_stage(timer);
     }
 
-    /// Run `job` — a whole run of one process, with or without the
-    /// profiler's sampling — against every process without a terminal
-    /// result, as one job per pid on the worker pool, and return each
-    /// pid's run, pid-ascending, once all have ended: the dispatcher
+    /// Run `job` — a whole run of one process against the mutatee's
+    /// parsed code, with or without the profiler's sampling — on every
+    /// process without a terminal result, one job per pid, and return
+    /// each pid's run, pid-ascending, once all have ended: the dispatcher
     /// under [`FleetController::run_all`] and the fleet profiler. A pid
     /// that already ended (its commit failed) does not run: its run is
-    /// its recorded result, with no samples. Each completion counts as
-    /// one dispatched event and records its job's wall-clock as the
-    /// pid's run timing; the caller ends each pid through
-    /// [`FleetController::finish_process`]. A pid whose process is not in
-    /// the set reports [`Error::FleetProcessLost`].
+    /// its recorded result, with no samples. Each job counts as one
+    /// dispatched event and records its wall-clock as the pid's run
+    /// timing; the caller ends each pid through
+    /// [`FleetController::finish_process`].
     pub(crate) fn run_each(
         &mut self,
-        job: impl Fn(&mut Process) -> SampledRun + Send + Sync + 'static,
+        job: impl Fn(&mut Process, &CodeObject) -> SampledRun + Sync,
     ) -> BTreeMap<u32, SampledRun> {
-        let job = Arc::new(job);
-        let mut runs = BTreeMap::new();
-        for (&pid, st) in &self.states {
-            let result = match &st.result {
-                Some(ended) => ended.clone(),
-                None => {
-                    let job = job.clone();
-                    if self.set.dispatch(pid, move |p| JobOutcome::Ran(job(p))) {
-                        continue;
-                    }
-                    Err(Error::FleetProcessLost { pid })
-                }
-            };
-            runs.insert(pid, SampledRun::unsampled(result));
-        }
-        while let Some(c) = self.set.next_completion() {
+        let ended = self.states.iter().filter_map(|(&pid, st)| {
+            let result = st.result.clone()?;
+            Some((pid, SampledRun::unsampled(result)))
+        });
+        let mut runs: BTreeMap<u32, SampledRun> = ended.collect();
+        let (code, threads) = (self.session.code(), self.session.threads());
+        for (pid, st, run, nanos) in fan_out(&mut self.states, threads, |_, p| job(p, code)) {
             self.events_dispatched += 1;
             self.session
-                .emit(TelemetryEvent::FleetEventDispatched { pid: c.pid });
-            if let Some(st) = self.states.get_mut(&c.pid) {
-                st.diag.timings.record(TimedStage::Run, c.nanos);
-            }
-            // Only run jobs are in flight here; stay total.
-            if let JobOutcome::Ran(run) = c.outcome {
-                runs.insert(c.pid, run);
-            }
+                .emit(TelemetryEvent::FleetEventDispatched { pid });
+            st.diag.timings.record(TimedStage::Run, nanos);
+            runs.insert(pid, run);
         }
         runs
     }
@@ -695,15 +640,14 @@ impl FleetController {
         }
         self.session
             .emit(TelemetryEvent::run_exit(result.as_ref().copied()));
-        if let Some(p) = self.set.get_mut(pid) {
-            for ev in p.machine_mut().take_emu_events() {
+        if let Some(st) = self.states.get_mut(&pid) {
+            for ev in st.process.machine_mut().take_emu_events() {
                 self.session.emit(session::adapt_emu(ev));
             }
-            if let Some(st) = self.states.get_mut(&pid) {
-                st.diag.record_run(p.machine().icount, p.machine().cycles);
-                st.diag.record_emu(p.machine());
-                st.diag.faults_injected = p.faults_injected();
-            }
+            let m = st.process.machine();
+            st.diag.record_run(m.icount, m.cycles);
+            st.diag.record_emu(m);
+            st.diag.faults_injected = st.process.faults_injected();
         }
         self.sync_totals();
         let Some(st) = self.states.get_mut(&pid) else {
@@ -719,7 +663,7 @@ impl FleetController {
 
     /// Read an instrumentation variable from the process under `pid`.
     pub fn read_var(&self, pid: u32, var: Var) -> Option<u64> {
-        self.set.get(pid)?.read_u64(var.addr)
+        self.states.get(&pid)?.process.read_u64(var.addr)
     }
 
     /// The fleet-level rollup: totals plus one pid-sorted
@@ -753,45 +697,53 @@ impl FleetController {
     }
 }
 
-/// The per-process commit job: deliver the frozen plan into one live
-/// process through its debug interface, with read-back verification.
-/// Runs on a fleet worker; everything it touches is this one process.
-fn commit_into(p: &mut Process, plan: &CommitPlan) -> JobOutcome {
+/// Run `job(pid, process)` on every process without a terminal result —
+/// one job per process, on the batch runner with at most `threads`
+/// workers and never more than there are jobs — and return each pid's
+/// state with the job's outcome and wall-clock nanoseconds, in pid
+/// order.
+fn fan_out<O: Send>(
+    states: &mut BTreeMap<u32, ProcState>,
+    threads: usize,
+    job: impl Fn(u32, &mut Process) -> O + Sync,
+) -> Vec<(u32, &mut ProcState, O, u64)> {
+    let live = states.iter_mut().filter(|(_, st)| st.result.is_none());
+    let batches = par_batches(live.collect(), threads, |_: &mut (), batch| {
+        let timed = batch.into_iter().map(|(&pid, st): (&u32, &mut ProcState)| {
+            let start = Instant::now();
+            let outcome = job(pid, &mut st.process);
+            (pid, st, outcome, (start.elapsed().as_nanos() as u64).max(1))
+        });
+        timed.collect::<Vec<_>>()
+    });
+    batches.into_iter().flatten().collect()
+}
+
+/// The per-process commit job: deliver the frozen plan into the live
+/// process `pid` through its debug interface, with read-back
+/// verification, and return how many regions verified — a prefix of the
+/// plan's — and the typed error that stopped it short, if one did. Runs
+/// on a fleet worker; everything it touches is this one process.
+fn commit_into(pid: u32, p: &mut Process, plan: &CommitPlan) -> (usize, Option<Error>) {
     if p.exit_code().is_some() {
         // The process died before delivery — the fleet analogue of
         // ESRCH from ptrace mid-commit.
-        return JobOutcome::Committed {
-            verified: 0,
-            failed: None,
-            lost: true,
-        };
+        return (0, Some(Error::FleetProcessLost { pid }));
     }
     p.map_mem(plan.data_addr, plan.data_len);
-    let mut verified = 0usize;
-    let mut failed: Option<u64> = None;
-    for (addr, bytes) in &plan.regions {
+    for (verified, (addr, bytes)) in plan.regions.iter().enumerate() {
         p.write_mem(*addr, bytes);
-        match p.read_mem(*addr, bytes.len()) {
-            Ok(back) if back == *bytes => verified += 1,
-            _ => {
-                failed = Some(*addr);
-                break;
-            }
+        if p.read_mem(*addr, bytes.len()).ok().as_ref() != Some(bytes) {
+            return (verified, Some(Error::PatchVerifyFailed { addr: *addr }));
         }
     }
-    if failed.is_none() {
-        if let Some((lo, hi)) = plan.code_span {
-            p.machine_mut().ensure_code_region(lo, hi - lo);
-        }
-        for (from, to) in &plan.trap_table {
-            p.machine_mut().trap_redirects.insert(*from, *to);
-        }
+    if let Some((lo, hi)) = plan.code_span {
+        p.machine_mut().ensure_code_region(lo, hi - lo);
     }
-    JobOutcome::Committed {
-        verified,
-        failed,
-        lost: false,
+    for (from, to) in &plan.trap_table {
+        p.machine_mut().trap_redirects.insert(*from, *to);
     }
+    (plan.regions.len(), None)
 }
 
 /// Where one `cont` leg of a live run left the mutatee.
@@ -827,26 +779,15 @@ pub(crate) fn run_to_end(
 }
 
 /// Resume `p` until its next stop, and classify the stop — the one rule
-/// for how a live run ends. The emulator resolves springboard traps
-/// through the redirect table in-loop, so a trap that surfaces while
-/// redirects are installed, over an original instruction that was not
-/// an `ebreak`, is a springboard (or stray write) whose redirect is
-/// missing ([`Error::RedirectMiss`]). Any other trap is the mutatee's own
-/// `ebreak`, at its original address or relocated into the patch area.
-/// A refused debug-interface operation records the mutatee's pc.
+/// for how a live run ends, with a surfaced trap classified by
+/// [`surfaced_trap`]. A refused debug-interface operation records the
+/// mutatee's pc.
 fn resume(p: &mut Process, code: &CodeObject) -> Stop {
     let error = match p.cont() {
         Ok(Event::Exited(status)) => return Stop::Done(Ok(status)),
         Ok(Event::Breakpoint(_) | Event::Stepped(_)) => return Stop::Resume,
         Ok(Event::CycleLimit(pc)) => return Stop::CycleLimit(pc),
-        Ok(Event::Trap(pc)) if !p.machine().trap_redirects.is_empty() && overwritten(code, pc) => {
-            Error::RedirectMiss { pc }
-        }
-        Ok(Event::Trap(pc)) => Error::UncleanExit {
-            reason: format!("unexpected breakpoint trap at {pc:#x}"),
-            pc,
-            icount: p.machine().icount,
-        },
+        Ok(Event::Trap(pc)) => surfaced_trap(code, p.machine(), pc),
         Ok(Event::Fault { pc, addr }) => Error::MutateeFault { pc, addr },
         Err(ProcError::CacheIncoherent(pc)) => Error::CacheIncoherent { pc },
         Err(source) => Error::Proc {
@@ -855,6 +796,26 @@ fn resume(p: &mut Process, code: &CodeObject) -> Stop {
         },
     };
     Stop::Done(Err(error))
+}
+
+/// The error that ends a run of the mutatee whose parsed original code
+/// is `code` when a trap surfaces at `pc` on machine `m`: the one rule
+/// for the live run and for the session's static run. The emulator
+/// resolves springboard traps through the redirect table in-loop, so a
+/// trap that surfaces while redirects are installed, over an original
+/// instruction that was not an `ebreak`, is a springboard (or stray
+/// write) whose redirect is missing ([`Error::RedirectMiss`]). Any other
+/// trap is the mutatee's own `ebreak`, at its original address or
+/// relocated into the patch area.
+pub(crate) fn surfaced_trap(code: &CodeObject, m: &Machine, pc: u64) -> Error {
+    if !m.trap_redirects.is_empty() && overwritten(code, pc) {
+        return Error::RedirectMiss { pc };
+    }
+    Error::UncleanExit {
+        reason: format!("unexpected breakpoint trap at {pc:#x}"),
+        pc,
+        icount: m.icount,
+    }
 }
 
 /// Whether `code` has an instruction at `pc` other than `ebreak`, so a

@@ -117,9 +117,6 @@ pub use rvdyn_patch::{
     audit_redirect_coverage, clobbered_addresses, find_points, plan_block_counters, BlockCountPlan,
     CounterPlacement, CounterSite, InstrumentError, PatchEvent, PatchLayout, Point, PointKind,
 };
-pub use rvdyn_proccontrol::{
-    Completion, Event, EventQueue, FaultPlan, ProcEvent, Process, ProcessSet, WriteFault,
-    WriteFaultMode,
-};
+pub use rvdyn_proccontrol::{Event, FaultPlan, ProcEvent, Process, WriteFault, WriteFaultMode};
 pub use rvdyn_stackwalker::{Frame, StackWalker};
 pub use rvdyn_symtab::Binary;

@@ -693,8 +693,8 @@ impl Session {
         self.engine
     }
 
-    /// The configured worker-thread count, for the fleet controller to
-    /// size its process-set pool to match the plan phase.
+    /// The configured worker-thread count, which caps the workers of the
+    /// fleet controller's per-process jobs as it does the plan phase's.
     pub(crate) fn threads(&self) -> usize {
         self.threads
     }

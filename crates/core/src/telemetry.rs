@@ -269,10 +269,11 @@ pub enum TelemetryEvent {
     /// under controller-assigned pid `pid` (stopped at entry, sharing
     /// the fleet's `Arc<Analysis>`).
     FleetProcessSpawned { pid: u32 },
-    /// The fleet event loop consumed one completion — a stop, trap,
-    /// exit, or commit outcome — from the process under `pid` and
-    /// dispatched it to that process's handler. Arrival order varies
-    /// with the worker count; the per-pid event sequence does not.
+    /// The fleet controller handled the outcome of one per-process job
+    /// — a commit, or a whole run — of the process under `pid`. A
+    /// fleet-wide step handles its jobs' outcomes in pid order once
+    /// every job has ended, so the order does not vary with the worker
+    /// count.
     FleetEventDispatched { pid: u32 },
     /// The fleet process under `pid` exited cleanly with `code`.
     FleetProcessExited { pid: u32, code: i64 },

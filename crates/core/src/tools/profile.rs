@@ -15,7 +15,7 @@
 //! `tests/tools_profile.rs`).
 //!
 //! [`Profiler::sample_fleet`] hands each process's whole sampling loop
-//! to the fleet's worker pool as one job, so N mutatees are sampled in
+//! to the fleet's workers as one job, so N mutatees are sampled in
 //! parallel (one after another with `threads(1)`), then folds the
 //! per-pid profiles on the controller thread in pid order into an
 //! overall profile plus per-pid profiles; a process that faults records
@@ -36,7 +36,6 @@ use crate::fleet::{run_to_end, FleetController};
 use crate::telemetry::{TelemetryEvent, TimedStage};
 use rvdyn_stackwalker::{Frame, StackWalker};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Sampling knobs for [`Profiler`].
 #[derive(Debug, Clone)]
@@ -207,8 +206,8 @@ impl SampledRun {
 /// mutatee state lives in the host.
 pub struct Profiler {
     opts: ProfileOptions,
-    /// Shared by every sampling job of a fleet run.
-    walker: Arc<StackWalker>,
+    /// Borrowed by every sampling job of a fleet run.
+    walker: StackWalker,
 }
 
 impl Profiler {
@@ -216,7 +215,7 @@ impl Profiler {
     pub fn new(opts: ProfileOptions) -> Profiler {
         Profiler {
             opts,
-            walker: Arc::new(StackWalker::new()),
+            walker: StackWalker::new(),
         }
     }
 
@@ -224,15 +223,15 @@ impl Profiler {
     /// translation for instrumented mutatees, or a custom stepper
     /// pipeline).
     pub fn with_walker(mut self, walker: StackWalker) -> Profiler {
-        self.walker = Arc::new(walker);
+        self.walker = walker;
         self
     }
 
     /// Sample every fleet process without a terminal result to its
     /// terminal event; a process that already has one (its commit
     /// failed) is not run, and reports that result with no samples.
-    /// Each pid's whole sampling loop is one job on the fleet's worker
-    /// pool, so the N mutatees are sampled in parallel (inline, pid by
+    /// Each pid's whole sampling loop is one job on the fleet's
+    /// workers, so the N mutatees are sampled in parallel (inline, pid by
     /// pid, with `threads(1)`); the jobs share this profiler's walker. The
     /// controller thread then folds the results in pid order: it emits
     /// each pid's [`TelemetryEvent::SampleTaken`] events, ends the pid
@@ -241,11 +240,8 @@ impl Profiler {
     /// Per-pid errors (a `FaultPlan` firing, a lost process) terminate
     /// only that pid's sampling.
     pub fn sample_fleet(&self, fc: &mut FleetController) -> Result<FleetProfile, Error> {
-        let analysis = fc.session().analysis().clone();
-        let (opts, walker) = (self.opts.clone(), self.walker.clone());
         let timer = fc.session_mut().begin_stage(TimedStage::Run);
-        let runs = fc.run_each(move |p| {
-            let code = analysis.code();
+        let runs = fc.run_each(|p, code| {
             let (mut profile, mut samples) = (Profile::default(), Vec::new());
             // At each cycle interrupt walk the stack and fold the sample;
             // before every leg (also after a breakpoint or step stop)
@@ -253,12 +249,12 @@ impl Profiler {
             // run on unsampled.
             let result = run_to_end(p, code, |p, tick| {
                 if let Some(pc) = tick {
-                    let frames = walker.walk_process(p, code);
+                    let frames = self.walker.walk_process(p, code);
                     profile.add_sample(pc, &frames);
                     samples.push((pc, frames.len()));
                 }
-                let next = p.machine().cycles + opts.interval_cycles.max(1);
-                let sampling = profile.samples < opts.max_samples;
+                let next = p.machine().cycles + self.opts.interval_cycles.max(1);
+                let sampling = profile.samples < self.opts.max_samples;
                 p.machine_mut().stop_at_cycles = sampling.then_some(next);
             });
             // Disarmed whatever ended the run.

@@ -43,9 +43,11 @@
 //!   speculatively — the stripped-binary path.
 //! * **Parallel parsing** ([`parallel`]): independent functions are parsed
 //!   concurrently over a shared batch [`worklist`], the "fast parallel
-//!   algorithm" §2 credits for gigabyte-scale binaries. The same worklist
-//!   drives the instrumenter's parallel plan phase in `rvdyn-patch`. Each
-//!   worker keeps one [`ParseScratch`] for every function it parses.
+//!   algorithm" §2 credits for gigabyte-scale binaries. The same worklist,
+//!   through [`worklist::par_batches`], runs the instrumenter's parallel
+//!   plan and finish phases in `rvdyn-patch` and a fleet's per-process
+//!   jobs in `rvdyn`. Each worker keeps one [`ParseScratch`] for every
+//!   function it parses.
 
 pub mod block;
 pub mod classify;

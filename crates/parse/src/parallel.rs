@@ -15,9 +15,9 @@
 use crate::function::Function;
 use crate::parser::{parse_function, CodeObject, ParseOptions, ParseScratch};
 use crate::source::CodeSource;
-use crate::worklist::Worklist;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, RwLock};
+use crate::worklist::{on_helpers, Worklist};
+use std::collections::BTreeSet;
+use std::sync::RwLock;
 
 /// Parse starting from `seed` entries using `opts.threads` workers.
 pub fn parse_parallel<S: CodeSource + ?Sized>(
@@ -32,9 +32,8 @@ pub fn parse_parallel<S: CodeSource + ?Sized>(
     // workers' discoveries).
     let wl = Worklist::new(seed.iter().copied(), nworkers);
     let known: RwLock<BTreeSet<u64>> = RwLock::new(seed);
-    let results: Mutex<BTreeMap<u64, Function>> = Mutex::new(BTreeMap::new());
 
-    let worker = || {
+    let parsed = on_helpers(nworkers, || {
         let mut local: Vec<(u64, Function)> = Vec::new();
         let mut scratch = ParseScratch::default();
         loop {
@@ -66,22 +65,11 @@ pub fn parse_parallel<S: CodeSource + ?Sized>(
             }
             wl.complete(batch.len(), discovered);
         }
-        if !local.is_empty() {
-            results.lock().unwrap().extend(local);
-        }
-    };
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (0..nworkers).map(|_| scope.spawn(worker)).collect();
-        // Join explicitly, as `par_batches` in rvdyn-patch does and for
-        // the same reason: each helper's malloc arena is then free for
-        // the next phase's threads.
-        for h in helpers {
-            h.join().expect("parse worker panicked");
-        }
+        local
     });
 
     CodeObject {
-        functions: results.into_inner().unwrap(),
+        functions: parsed.into_iter().flatten().collect(),
         gap_functions: Vec::new(),
     }
 }

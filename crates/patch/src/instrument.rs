@@ -14,8 +14,9 @@
 //!
 //! 1. **Plan** (parallel, [`Instrumenter::with_threads`]): each
 //!    instrumented function's snippet lowering and relocation planning
-//!    runs independently on a worker pool (the batch worklist shared
-//!    with the parallel parser), producing one position-independent
+//!    runs independently on a worker pool (the batch runner
+//!    [`par_batches`], shared with the parallel parser and the fleet
+//!    controller), producing one position-independent
 //!    `FunctionPlan` per function — a [`RelocationPlan`] whose
 //!    branch/jump targets are slot indices. A point's scratch pool is
 //!    its dead registers, read from the function's liveness
@@ -79,7 +80,7 @@ use rvdyn_codegen::regalloc::RegAllocMode;
 use rvdyn_codegen::snippet::{Snippet, Var};
 use rvdyn_isa::encode::encode32;
 use rvdyn_isa::{build, IsaProfile, RegSet};
-use rvdyn_parse::worklist::Worklist;
+use rvdyn_parse::worklist::par_batches;
 use rvdyn_parse::{CodeObject, Function};
 use rvdyn_symtab::{Binary, Section, SHF_ALLOC, SHF_EXECINSTR, SHF_WRITE};
 use std::borrow::Cow;
@@ -565,58 +566,6 @@ impl FinishedBatch {
             ..FinishedBatch::default()
         }
     }
-}
-
-/// Run `work` over `items` in contiguous batches, taking them by value,
-/// on `nworkers` helper threads (inline, as one batch, when `nworkers`
-/// is 1), and return the batches' results in item order. Workers claim
-/// batches from the worklist the parallel parser uses, and each hands
-/// every batch it claims the same scratch `S`.
-///
-/// The calling thread only waits. It frees what earlier phases' helpers
-/// allocated, so glibc's per-thread cache hands it chunks owned by a
-/// helper's arena; working alongside the helpers, it then freed those
-/// chunks while a helper was allocating from the same arena, and on the
-/// cold-code benchmark the plan phase slept on that arena's lock
-/// thousands of times per apply, depending on what the process had run
-/// before.
-fn par_batches<T: Send, S: Default, R: Send>(
-    items: Vec<T>,
-    nworkers: usize,
-    work: impl Fn(&mut S, Vec<T>) -> R + Sync,
-) -> Vec<R> {
-    if nworkers <= 1 {
-        return vec![work(&mut S::default(), items)];
-    }
-    let wl = Worklist::fixed(items.into_iter().enumerate(), nworkers);
-    let worker = || {
-        let mut scratch = S::default();
-        let mut done = Vec::new();
-        loop {
-            let batch = wl.next_batch();
-            let (Some(&(first, _)), n) = (batch.first(), batch.len()) else {
-                break;
-            };
-            let items = batch.into_iter().map(|(_, t)| t).collect();
-            done.push((first, work(&mut scratch, items)));
-            wl.complete_batch(n);
-        }
-        done
-    };
-    let mut results = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (0..nworkers).map(|_| scope.spawn(worker)).collect();
-        // Join each helper explicitly: unlike the scope's implicit join,
-        // this waits for the thread to exit, which returns its allocator
-        // arena for the next phase's helpers to reuse instead of making
-        // the allocator open new ones.
-        let mut results = Vec::new();
-        for h in helpers {
-            results.extend(h.join().expect("instrumentation worker panicked"));
-        }
-        results
-    });
-    results.sort_unstable_by_key(|&(first, _)| first);
-    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Builder for an instrumentation pass over one binary.

@@ -32,19 +32,20 @@
 //!
 //! ## Fleets
 //!
-//! Controlling one mutatee is a blocking conversation; controlling N is
-//! an event loop. The [`event`] module supplies the multiplexing layer —
-//! [`EventQueue`] (park/unpark) and [`ProcessSet`] (N processes over a
-//! worker pool, jobs dispatched per pid, completions consumed in arrival
-//! order) — that `rvdyn`'s `FleetController` builds its poll/park loop
-//! on. See `docs/FLEET.md` for the controller contract.
+//! Controlling one mutatee is a blocking conversation, and so is
+//! controlling N: `rvdyn`'s `FleetController` owns every [`Process`]
+//! and runs each fleet-wide step — one commit, or one whole run — as a
+//! fork-join over its processes. Each job borrows one process on a
+//! worker thread (a [`Process`] is `Send`), and the controller handles
+//! the outcomes in pid order once every job has ended. The workers are
+//! the ones the parser and the instrumenter's plan phase use
+//! (`rvdyn_parse::worklist::par_batches`), so this crate needs no pool
+//! of its own. See `docs/FLEET.md` for the controller contract.
 
 #![deny(missing_docs)]
 
-pub mod event;
 pub mod fault;
 pub mod process;
 
-pub use event::{Completion, EventQueue, ProcessSet};
 pub use fault::{FaultPlan, WriteFault, WriteFaultMode};
 pub use process::{Event, ProcError, ProcEvent, Process};

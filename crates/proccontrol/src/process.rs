@@ -131,6 +131,9 @@ fn trap_bytes(size: usize) -> Vec<u8> {
 /// machine: byte-level memory access, register access, and
 /// run-until-stop. In particular there is **no** hardware single-step —
 /// see [`Process::single_step`].
+///
+/// A process is plain data over a `Send` machine, so a fleet controller
+/// can lend it to a worker thread for one job.
 pub struct Process {
     machine: Machine,
     breakpoints: BTreeMap<u64, Breakpoint>,
@@ -148,6 +151,13 @@ pub struct Process {
     /// next `cont`.
     pending_event: Option<Event>,
 }
+
+// `Process` must stay `Send` for a fleet worker to run a job on it; this
+// fails to compile if anyone adds a thread-bound field.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Process>();
+};
 
 impl Process {
     /// Launch a new process from a binary (Figure 1: "process is spawned").
@@ -189,9 +199,9 @@ impl Process {
 
     /// Subscribe to debug-interface operations ([`ProcEvent`]); replaces
     /// any previous observer. Pass-through cost is one `Option` check per
-    /// operation when unset. The observer must be `Send`: a process can
-    /// migrate onto a fleet worker thread mid-conversation (see
-    /// [`crate::ProcessSet`]), and the observer travels with it.
+    /// operation when unset. The observer must be `Send`: a fleet
+    /// controller lends the process to a worker thread for its commit
+    /// and run jobs, and the observer fires there.
     pub fn set_observer(&mut self, observer: Box<dyn FnMut(ProcEvent) + Send>) {
         self.observer = Some(observer);
     }

@@ -64,8 +64,8 @@ fn usage() -> ! {
                       from one controller: the function-entry counter is\n\
                       planned once, delivered into every process with\n\
                       read-back verification, and all processes run to\n\
-                      exit through the event loop; --threads sizes the\n\
-                      worker pool, --json prints the fleet rollup —\n\
+                      exit, one job per process; --threads caps the\n\
+                      workers, --json prints the fleet rollup —\n\
                       see docs/FLEET.md for the controller contract)\n\
          \n\
          --json        emit diagnostics as one rvdyn-diagnostics-v1 JSON line\n\
@@ -340,8 +340,8 @@ fn main() {
         }
         "fleet" => {
             // Fleet-scale dynamic instrumentation (docs/FLEET.md): one
-            // controller, one shared plan, N verified deliveries, one
-            // event loop running every mutatee to exit.
+            // controller, one shared plan, N verified deliveries, one run
+            // job per mutatee to its exit.
             let elf = read(&arg(&args, 1));
             let func = arg(&args, 2);
             let n = num(&args, 3).unwrap_or(8) as usize;

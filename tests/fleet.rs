@@ -141,10 +141,10 @@ fn targeted_fault_hits_one_process_and_spares_the_rest() {
     );
 }
 
-/// Event-loop determinism: per-process results, counters, and the
+/// Worker-count determinism: per-process results, counters, and the
 /// dispatched-event total must be identical whether the fleet's back
-/// half runs inline (threads=1, strictly deterministic dispatch order)
-/// or over a 4-worker pool (arrival order may differ; outcomes may not).
+/// half runs inline (threads=1, one job after another) or on 4 workers
+/// (jobs end in any order; outcomes may not differ).
 #[test]
 fn worker_count_does_not_change_any_observable_outcome() {
     let run = |threads: usize| {
@@ -170,6 +170,57 @@ fn worker_count_does_not_change_any_observable_outcome() {
     assert_eq!(seq1, seq4, "per-process outcomes must be thread-invariant");
     assert_eq!(events1, events4, "event totals must be thread-invariant");
     assert_eq!((failed1, failed4), (0, 0));
+}
+
+/// Controller events come in pid order at every worker count. Pid 5 of
+/// a 6-pid fleet fails its first patch write, so its commit job ends
+/// first; still, once the debug-interface events the workers raise and
+/// the stage wall-clock are left out, the fleet streams the same events
+/// at threads 1, 2 and 4.
+#[test]
+fn controller_events_come_in_pid_order_at_every_worker_count() {
+    let stream = |threads: usize| {
+        let sink = CollectSink::new();
+        let opts = SessionOptions::new()
+            .threads(threads)
+            .telemetry(sink.clone());
+        let mut fleet = FleetController::from_binary(matmul_program(24, 2), opts);
+        let pids = fleet.spawn(6);
+        fleet.count_blocks("matmul").unwrap();
+        fleet
+            .set_fault_plan(pids[5], FaultPlan::new().corrupt_write(0, 0))
+            .unwrap();
+        fleet.commit_all().unwrap();
+        fleet.run_all();
+        assert!(matches!(
+            fleet.result(pids[5]),
+            Some(Err(Error::PatchVerifyFailed { .. }))
+        ));
+        let events = sink.events();
+        let kept = events.iter().filter_map(|e| match e {
+            TelemetryEvent::MemWritten { .. }
+            | TelemetryEvent::BreakpointSet { .. }
+            | TelemetryEvent::BreakpointRemoved { .. }
+            | TelemetryEvent::FaultInjected { .. } => None,
+            TelemetryEvent::StageEnd { stage, .. } => Some(format!("StageEnd({stage})")),
+            e => Some(format!("{e:?}")),
+        });
+        kept.collect::<Vec<String>>()
+    };
+    let inline = stream(1);
+    let dispatched = |s: &[String]| {
+        s.iter()
+            .filter(|e| e.starts_with("FleetEventDispatched"))
+            .count()
+    };
+    assert_eq!(
+        dispatched(&inline),
+        6 + 5,
+        "one commit per pid, one run per survivor"
+    );
+    for threads in [2, 4] {
+        assert_eq!(stream(threads), inline, "threads {threads}");
+    }
 }
 
 /// The counters each process owns, as the controller totals them.

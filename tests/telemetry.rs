@@ -407,6 +407,58 @@ fn each_run_end_has_one_run_exit_label_on_both_deliveries() {
     }
 }
 
+#[test]
+fn both_deliveries_classify_a_surfaced_trap_by_one_rule() {
+    // The leaf `g_2` ends the program on its own `ebreak`, and counting
+    // the blocks of any one function installs trap redirects. Outside
+    // `g_2` the trap surfaces at its original address, inside it from
+    // the relocated copy: either way it is the mutatee's own, and the
+    // static run, which has the session's original code, must say what
+    // the live run says.
+    let bin = rvdyn_asm::nested_call_program(&[16, 32, 0], false);
+    let end = |sink: &CollectSink, r: Result<i64, Error>| {
+        let e = r.expect_err("the leaf's ebreak ends the run");
+        let labels: Vec<&str> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TelemetryEvent::RunExit { reason } => Some(*reason),
+                _ => None,
+            })
+            .collect();
+        (std::mem::discriminant(&e), e.pc(), labels, e)
+    };
+    let names: Vec<String> = BinaryEditor::from_binary(bin.clone(), SessionOptions::new())
+        .code()
+        .functions
+        .values()
+        .filter_map(|f| f.name.clone())
+        .collect();
+    assert_eq!(names.len(), 5);
+    for name in &names {
+        let sink = CollectSink::new();
+        let opts = SessionOptions::new().telemetry(sink.clone());
+        let mut ed = BinaryEditor::from_binary(bin.clone(), opts);
+        ed.count_blocks(name).unwrap();
+        let r = ed.instrument_and_run(1_000_000).map(|r| r.exit_code);
+        let (variant, pc, labels, e) = end(&sink, r);
+
+        let sink = CollectSink::new();
+        let opts = SessionOptions::new().telemetry(sink.clone());
+        let mut dy = DynamicInstrumenter::create_with(bin.clone(), opts);
+        dy.count_blocks(name).unwrap();
+        dy.commit().unwrap();
+        let (live_variant, live_pc, live_labels, live) = end(&sink, dy.run_to_exit());
+        assert!(
+            matches!(live, Error::UncleanExit { .. }),
+            "{name}: {live:?}"
+        );
+        assert_eq!(variant, live_variant, "{name}: static {e:?}, live {live:?}");
+        assert_eq!(pc, live_pc, "{name}");
+        assert_eq!(labels, live_labels, "{name}");
+    }
+}
+
 // --- error taxonomy + JSON -------------------------------------------------
 
 #[test]
